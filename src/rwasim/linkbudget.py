@@ -199,15 +199,3 @@ def rescale_cnr(cnr_db: float, bandwidth_mhz: float, new_bandwidth_mhz: float) -
         raise ValueError("bandwidths must be > 0")
     return cnr_db + 10.0 * math.log10(bandwidth_mhz / new_bandwidth_mhz)
 
-
-@dataclass(frozen=True)
-class LinkSample:
-    """Link budget evaluated at one access-timeline sample."""
-
-    time_s: float
-    loss: LossBreakdown
-    tx_gain_dbi: float            # transmit antenna gain toward the peer
-    rx_gain_over_t_dbk: float     # receive figure of merit incl. pointing
-    cnr_db: float
-    bandwidth_mhz: float
-    doppler_khz: float

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -49,21 +48,87 @@ class KeplerianElements:
     arg_latitude_deg: float   # angle from the ascending node at the epoch
 
 
+# === array kernels ===
+# Vectors travel as (x, y, z) tuples of broadcastable arrays, so a
+# (steps x satellites) block never grows a third axis.  The public
+# single-sample functions below are thin wrappers over these, and the
+# access timeline uses them directly: there is one propagation path.
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _plane_basis(inc_rad, raan_rad):
+    """Orbit-plane unit vectors: p toward the ascending node, q 90 deg ahead."""
+    cos_raan, sin_raan = np.cos(raan_rad), np.sin(raan_rad)
+    cos_inc = np.cos(inc_rad)
+    p = (cos_raan, sin_raan, np.zeros_like(cos_raan))
+    q = (-sin_raan * cos_inc, cos_raan * cos_inc, np.sin(inc_rad))
+    return p, q
+
+
+def _eci_position(a, u, p, q):
+    cos_u, sin_u = np.cos(u), np.sin(u)
+    return tuple(a * (cos_u * pk + sin_u * qk) for pk, qk in zip(p, q))
+
+
+def _eci_velocity(a, n, u, p, q):
+    cos_u, sin_u = np.cos(u), np.sin(u)
+    return tuple(a * n * (-sin_u * pk + cos_u * qk) for pk, qk in zip(p, q))
+
+
+def _rotate_to_ecef(x, y, z, theta):
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    return x * cos_t + y * sin_t, -x * sin_t + y * cos_t, z
+
+
+def _ecef_velocity(velocity_eci, position_ecef, theta):
+    """Earth-fixed velocity: rotated inertial velocity minus omega x r."""
+    vx, vy, vz = _rotate_to_ecef(*velocity_eci, theta)
+    omega = EARTH_ROTATION_RATE
+    return vx + omega * position_ecef[1], vy - omega * position_ecef[0], vz
+
+
+def _geodetic_to_ecef(lat_deg, lon_deg, alt_m):
+    lat, lon = np.radians(lat_deg), np.radians(lon_deg)
+    r = EARTH_RADIUS + alt_m / 1000.0
+    cos_lat = np.cos(lat)
+    return r * (cos_lat * np.cos(lon)), r * (cos_lat * np.sin(lon)), r * np.sin(lat)
+
+
+def _enu_axes(lat_deg, lon_deg):
+    """East, north and up unit vectors of the local horizon."""
+    lat, lon = np.radians(lat_deg), np.radians(lon_deg)
+    sin_lat, cos_lat = np.sin(lat), np.cos(lat)
+    sin_lon, cos_lon = np.sin(lon), np.cos(lon)
+    east = (-sin_lon, cos_lon, np.zeros_like(cos_lon))
+    north = (-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat)
+    up = (cos_lat * cos_lon, cos_lat * sin_lon, sin_lat)
+    return east, north, up
+
+
+def _elevation_deg(rel, dist, up):
+    return np.degrees(np.arcsin(np.clip(_dot(up, rel) / dist, -1.0, 1.0)))
+
+
+def _view(rel, v_rel, lat_deg, lon_deg):
+    """Elevation, azimuth (deg), range (km) and range rate (km/s)."""
+    east, north, up = _enu_axes(lat_deg, lon_deg)
+    dist = np.sqrt(_dot(rel, rel))
+    elevation = _elevation_deg(rel, dist, up)
+    azimuth = np.degrees(np.arctan2(_dot(east, rel), _dot(north, rel))) % 360.0
+    return elevation, azimuth, dist, _dot(rel, v_rel) / dist
+
+
+# === single-sample API ===
+
 def propagate(elements: KeplerianElements, t: float) -> tuple[np.ndarray, np.ndarray]:
     """ECI position (km) and velocity (km/s) of one satellite at time t."""
     a = elements.semi_major_axis_km
     n = mean_motion(a)
-    u = math.radians(elements.arg_latitude_deg) + n * t
-    inc = math.radians(elements.inclination_deg)
-    raan = math.radians(elements.raan_deg)
-    # orbit-plane basis: p toward the ascending node, q 90 deg ahead
-    p = np.array([math.cos(raan), math.sin(raan), 0.0])
-    q = np.array([-math.sin(raan) * math.cos(inc),
-                  math.cos(raan) * math.cos(inc),
-                  math.sin(inc)])
-    position = a * (math.cos(u) * p + math.sin(u) * q)
-    velocity = a * n * (-math.sin(u) * p + math.cos(u) * q)
-    return position, velocity
+    p, q = _plane_basis(np.radians(elements.inclination_deg), np.radians(elements.raan_deg))
+    u = np.radians(elements.arg_latitude_deg) + n * t
+    return np.array(_eci_position(a, u, p, q)), np.array(_eci_velocity(a, n, u, p, q))
 
 
 def eci_to_ecef(
@@ -79,27 +144,16 @@ def eci_to_ecef(
     vectors or (..., 3) stacks.
     """
     theta = sidereal_angle0_rad + EARTH_ROTATION_RATE * t
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    position = np.asarray(position, dtype=float)
-    velocity = np.asarray(velocity, dtype=float)
-    x, y, z = position[..., 0], position[..., 1], position[..., 2]
-    vx, vy, vz = velocity[..., 0], velocity[..., 1], velocity[..., 2]
-    r_ecef = np.stack([x * cos_t + y * sin_t, -x * sin_t + y * cos_t, z], axis=-1)
-    v_rot = np.stack([vx * cos_t + vy * sin_t, -vx * sin_t + vy * cos_t, vz], axis=-1)
-    # transport term: subtract omega x r
-    omega = EARTH_ROTATION_RATE
-    v_ecef = v_rot - np.stack(
-        [-omega * r_ecef[..., 1], omega * r_ecef[..., 0], np.zeros_like(z)], axis=-1)
-    return r_ecef, v_ecef
+    position = np.moveaxis(np.asarray(position, dtype=float), -1, 0)
+    velocity = np.moveaxis(np.asarray(velocity, dtype=float), -1, 0)
+    r_ecef = _rotate_to_ecef(*position, theta)
+    v_ecef = _ecef_velocity(velocity, r_ecef, theta)
+    return np.stack(r_ecef, axis=-1), np.stack(v_ecef, axis=-1)
 
 
 def geodetic_to_ecef(lat_deg: float, lon_deg: float, alt_m: float) -> np.ndarray:
     """ECEF position (km) of a point on/above the spherical Earth."""
-    lat, lon = math.radians(lat_deg), math.radians(lon_deg)
-    r = EARTH_RADIUS + alt_m / 1000.0
-    return r * np.array([math.cos(lat) * math.cos(lon),
-                         math.cos(lat) * math.sin(lon),
-                         math.sin(lat)])
+    return np.array(_geodetic_to_ecef(lat_deg, lon_deg, alt_m))
 
 
 # === topocentric view ===
@@ -114,18 +168,6 @@ class SatView:
     range_rate_kms: float     # positive receding
 
 
-def _enu_matrix(lat_deg: float, lon_deg: float) -> np.ndarray:
-    lat, lon = math.radians(lat_deg), math.radians(lon_deg)
-    east = np.array([-math.sin(lon), math.cos(lon), 0.0])
-    north = np.array([-math.sin(lat) * math.cos(lon),
-                      -math.sin(lat) * math.sin(lon),
-                      math.cos(lat)])
-    up = np.array([math.cos(lat) * math.cos(lon),
-                   math.cos(lat) * math.sin(lon),
-                   math.sin(lat)])
-    return np.stack([east, north, up])
-
-
 def look_angles(
     observer_ecef: np.ndarray,
     observer_lat_deg: float,
@@ -138,20 +180,20 @@ def look_angles(
 
     The range rate is the line-of-sight projection of the relative
     velocity; pass the observer's Earth-fixed velocity for a moving
-    aircraft (defaults to a fixed observer).
+    aircraft (defaults to a fixed observer).  Also takes (..., 3)
+    satellite stacks, and the view's fields are then arrays.
     """
     rel = np.asarray(sat_ecef, dtype=float) - np.asarray(observer_ecef, dtype=float)
-    dist = float(np.linalg.norm(rel))
-    if dist == 0.0:
+    if not np.all(np.any(rel, axis=-1)):
         raise ValueError("satellite and observer positions coincide")
-    enu = _enu_matrix(observer_lat_deg, observer_lon_deg) @ rel
-    elevation = math.degrees(math.asin(enu[2] / dist))
-    azimuth = math.degrees(math.atan2(enu[0], enu[1])) % 360.0
     v_rel = np.asarray(sat_vel_ecef, dtype=float)
     if observer_vel_ecef is not None:
         v_rel = v_rel - np.asarray(observer_vel_ecef, dtype=float)
-    range_rate = float(rel @ v_rel) / dist
-    return SatView(elevation, azimuth, dist, range_rate)
+    view = _view(np.moveaxis(rel, -1, 0), np.moveaxis(v_rel, -1, 0),
+                 observer_lat_deg, observer_lon_deg)
+    if rel.ndim == 1:
+        view = tuple(float(v) for v in view)
+    return SatView(*view)
 
 
 def doppler_khz(range_rate_kms: float, carrier_ghz: float) -> float:
@@ -214,19 +256,6 @@ def select_serving(
 
 # === access timeline ===
 
-@dataclass(frozen=True)
-class AccessSample:
-    """Serving-satellite geometry at one time step (sat_id -1 = outage)."""
-
-    time_s: float
-    sat_id: int
-    elevation_deg: float
-    azimuth_deg: float
-    slant_range_km: float
-    range_rate_kms: float
-    doppler_khz: float
-
-
 @dataclass
 class AccessTimeline:
     """Column-oriented access history for one flight."""
@@ -259,26 +288,31 @@ class AccessTimeline:
             return 0
         return int(np.count_nonzero(ids[1:] != ids[:-1]))
 
-    def samples(self) -> Iterator[AccessSample]:
-        for i in range(len(self.times_s)):
-            yield AccessSample(
-                float(self.times_s[i]), int(self.sat_id[i]),
-                float(self.elevation_deg[i]), float(self.azimuth_deg[i]),
-                float(self.slant_range_km[i]), float(self.range_rate_kms[i]),
-                float(self.doppler_khz[i]),
-            )
 
+def aircraft_track(
+    route: FlightRoute, times_s: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Aircraft latitude, longitude (deg), ECEF position (3, T) in km and
+    ECEF velocity (3, T) in km/s at each time.
 
-def _route_state(route: FlightRoute, t: float) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """Aircraft ECEF position, geodetic lat/lon and ECEF velocity at t."""
-    lat, lon, alt = route.position(t)
-    pos = geodetic_to_ecef(lat, lon, alt)
+    The velocity is a central difference over +-0.05 s, clamped to the
+    flight.
+    """
+    times_s = np.asarray(times_s, dtype=float)
     eps = 0.05
-    before = geodetic_to_ecef(*route.position(max(t - eps, 0.0)))
-    after = geodetic_to_ecef(*route.position(min(t + eps, route.duration_s)))
-    dt = min(t + eps, route.duration_s) - max(t - eps, 0.0)
-    vel = (after - before) / dt if dt > 0 else np.zeros(3)
-    return pos, lat, lon, vel
+    before = np.maximum(times_s - eps, 0.0)
+    after = np.minimum(times_s + eps, route.duration_s)
+    lat, lon, alt = route.track(np.concatenate([times_s, before, after]))
+    here, pos_before, pos_after = np.split(np.array(_geodetic_to_ecef(lat, lon, alt)), 3, axis=1)
+    dt = after - before
+    velocity = np.divide(pos_after - pos_before, dt,
+                         out=np.zeros_like(pos_after), where=dt > 0)
+    n = len(times_s)
+    return lat[:n], lon[:n], here, velocity
+
+
+# satellite-steps per block of the elevation scan: bounds its temporaries
+_BLOCK_ELEMENTS = 2 ** 14
 
 
 def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> AccessTimeline:
@@ -286,6 +320,9 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
 
     One sample per ``step_s`` over the scenario duration (end
     exclusive); a zero-duration flight yields an empty timeline.
+    Elevations of every satellite are computed in blocks of time steps
+    and scanned for handovers row by row; the full geometry is then
+    evaluated for the serving satellite only.
     """
     if step_s <= 0:
         raise ValueError("step_s must be > 0")
@@ -295,51 +332,45 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     elements = expand_constellation(scenario.constellation)
     a = scenario.constellation.orbit_radius_km
     n_rate = mean_motion(a)
-    inc = np.radians([e.inclination_deg for e in elements])
-    raan = np.radians([e.raan_deg for e in elements])
     u0 = np.radians([e.arg_latitude_deg for e in elements])
-    # orbit-plane bases for all satellites at once
-    p_vec = np.stack([np.cos(raan), np.sin(raan), np.zeros_like(raan)], axis=1)
-    q_vec = np.stack([-np.sin(raan) * np.cos(inc),
-                      np.cos(raan) * np.cos(inc),
-                      np.sin(inc)], axis=1)
+    p, q = _plane_basis(np.radians([e.inclination_deg for e in elements]),
+                        np.radians([e.raan_deg for e in elements]))
 
     times = np.arange(n_steps, dtype=float) * step_s
-    cols = {name: np.zeros(n_steps) for name in
-            ("elevation", "azimuth", "slant_range", "range_rate", "doppler")}
+    theta = EARTH_ROTATION_RATE * times
+    lat, lon, obs_pos, obs_vel = aircraft_track(scenario.route, times)
+    up = _enu_axes(lat, lon)[2]
+
     sat_id = np.full(n_steps, -1, dtype=int)
-
     current: int | None = None
-    for i, t in enumerate(times):
-        u = u0 + n_rate * t
-        r_eci = a * (np.cos(u)[:, None] * p_vec + np.sin(u)[:, None] * q_vec)
-        v_eci = a * n_rate * (-np.sin(u)[:, None] * p_vec + np.cos(u)[:, None] * q_vec)
-        r_ecef, v_ecef = eci_to_ecef(r_eci, v_eci, t)
+    rows = max(1, _BLOCK_ELEMENTS // len(elements))
+    for lo in range(0, n_steps, rows):
+        block = slice(lo, lo + rows)
+        u = u0 + n_rate * times[block, None]
+        sat = _rotate_to_ecef(*_eci_position(a, u, p, q), theta[block, None])
+        rel = tuple(s - o[block, None] for s, o in zip(sat, obs_pos))
+        elevation = _elevation_deg(rel, np.sqrt(_dot(rel, rel)),
+                                   tuple(c[block, None] for c in up))
+        for i, row in enumerate(elevation, lo):
+            current = select_serving(row, current,
+                                     scenario.handover_threshold_deg,
+                                     scenario.handover_hysteresis_deg)
+            if current is not None:
+                sat_id[i] = current
 
-        obs_pos, obs_lat, obs_lon, obs_vel = _route_state(scenario.route, t)
-        rel = r_ecef - obs_pos
-        dist = np.linalg.norm(rel, axis=1)
-        enu = _enu_matrix(obs_lat, obs_lon)
-        elevation = np.degrees(np.arcsin(np.clip(rel @ enu[2] / dist, -1.0, 1.0)))
-
-        current = select_serving(elevation, current,
-                                 scenario.handover_threshold_deg,
-                                 scenario.handover_hysteresis_deg)
-        if current is None:
-            cols["elevation"][i] = np.nan
-            cols["azimuth"][i] = np.nan
-            cols["slant_range"][i] = np.nan
-            cols["range_rate"][i] = np.nan
-            cols["doppler"][i] = np.nan
-            continue
-        sat_id[i] = current
-        view = look_angles(obs_pos, obs_lat, obs_lon,
-                           r_ecef[current], v_ecef[current], obs_vel)
-        cols["elevation"][i] = view.elevation_deg
-        cols["azimuth"][i] = view.azimuth_deg
-        cols["slant_range"][i] = view.slant_range_km
-        cols["range_rate"][i] = view.range_rate_kms
-        cols["doppler"][i] = doppler_khz(view.range_rate_kms, carrier)
+    cols = {name: np.full(n_steps, np.nan) for name in
+            ("elevation", "azimuth", "slant_range", "range_rate")}
+    served = np.flatnonzero(sat_id >= 0)
+    ids = sat_id[served]
+    u = u0[ids] + n_rate * times[served]
+    p_s, q_s = tuple(c[ids] for c in p), tuple(c[ids] for c in q)
+    sat_pos = _rotate_to_ecef(*_eci_position(a, u, p_s, q_s), theta[served])
+    sat_vel = _ecef_velocity(_eci_velocity(a, n_rate, u, p_s, q_s), sat_pos, theta[served])
+    view = _view(tuple(s - o for s, o in zip(sat_pos, obs_pos[:, served])),
+                 tuple(s - o for s, o in zip(sat_vel, obs_vel[:, served])),
+                 lat[served], lon[served])
+    for name, values in zip(cols, view):
+        cols[name][served] = values
 
     return AccessTimeline(
         times_s=times,
@@ -348,7 +379,7 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
         azimuth_deg=cols["azimuth"],
         slant_range_km=cols["slant_range"],
         range_rate_kms=cols["range_rate"],
-        doppler_khz=cols["doppler"],
+        doppler_khz=doppler_khz(cols["range_rate"], carrier),
         threshold_deg=scenario.handover_threshold_deg,
         carrier_ghz=carrier,
     )

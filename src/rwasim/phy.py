@@ -8,7 +8,7 @@ timeline with rotor-blade erasures into per-slot outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc

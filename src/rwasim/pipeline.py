@@ -12,15 +12,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from . import blades as bl
 from .errors import ConfigError
-from .linkbudget import (LinkSample, LossBreakdown, compute_cnr,
-                         off_boresight_gain, path_loss, pointing_offset,
-                         rescale_cnr)
+from .linkbudget import (compute_cnr, off_boresight_gain, path_loss,
+                         pointing_offset, rescale_cnr)
 from .orbit import AccessTimeline, build_access_timeline
 from .phy import FRAME_MS, FrameStats, SlotResult, aggregate, simulate_frames
 from .scenarios import ScenarioSpec
@@ -42,19 +40,6 @@ class LinkTimeline:
     tx_gain_dbi: np.ndarray
     rx_gain_over_t_dbk: np.ndarray
     bandwidth_mhz: float
-
-    def samples(self) -> Iterator[LinkSample]:
-        for i in range(len(self.times_s)):
-            yield LinkSample(
-                time_s=float(self.times_s[i]),
-                loss=LossBreakdown(float(self.fspl_db[i]), float(self.gas_db[i]),
-                                   float(self.rain_db[i]), float(self.cloud_db[i])),
-                tx_gain_dbi=float(self.tx_gain_dbi[i]),
-                rx_gain_over_t_dbk=float(self.rx_gain_over_t_dbk[i]),
-                cnr_db=float(self.cnr_db[i]),
-                bandwidth_mhz=self.bandwidth_mhz,
-                doppler_khz=float(self.doppler_khz[i]),
-            )
 
 
 def link_timeline(scenario: ScenarioSpec, access: AccessTimeline) -> LinkTimeline:
@@ -116,7 +101,7 @@ def link_timeline(scenario: ScenarioSpec, access: AccessTimeline) -> LinkTimelin
     if scenario.cnr_prime_bandwidth_mhz is not None:
         cnr_prime = np.where(
             np.isfinite(cnr),
-            cnr + 10.0 * math.log10(bandwidth / scenario.cnr_prime_bandwidth_mhz),
+            rescale_cnr(cnr, bandwidth, scenario.cnr_prime_bandwidth_mhz),
             -np.inf)
 
     return LinkTimeline(

@@ -179,7 +179,8 @@ class FlightRoute:
 
     ``points`` rows are (time_s, lat_deg, lon_deg, alt_m); positions
     between waypoints are linear in the geodetic coordinates and clamped
-    beyond the ends.
+    beyond the ends.  Longitudes are unwrapped first, so a hop across
+    the antimeridian takes the short way round.
     """
 
     points: tuple[tuple[float, float, float, float], ...]
@@ -200,20 +201,28 @@ class FlightRoute:
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
         pts = np.asarray(self.points, dtype=float)
-        return pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
+        return pts[:, 0], pts[:, 1], np.unwrap(pts[:, 2], period=360.0), pts[:, 3]
 
     @property
     def duration_s(self) -> float:
         return self.points[-1][0] - self.points[0][0]
 
+    def track(self, times_s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lat_deg, lon_deg, alt_m) arrays at ``times_s`` (clamped to the track).
+
+        Longitudes come back in [-180, 180).
+        """
+        times, lats, lons, alts = self._arrays
+        lon = np.interp(times_s, times, lons)
+        # wrap only what is out of range: in-range longitudes stay bit-exact
+        outside = (lon < -180.0) | (lon >= 180.0)
+        lon = np.where(outside, (lon + 180.0) % 360.0 - 180.0, lon)
+        return np.interp(times_s, times, lats), lon, np.interp(times_s, times, alts)
+
     def position(self, t: float) -> tuple[float, float, float]:
         """(lat_deg, lon_deg, alt_m) at time ``t`` (clamped to the track)."""
-        times, lats, lons, alts = self._arrays
-        return (
-            float(np.interp(t, times, lats)),
-            float(np.interp(t, times, lons)),
-            float(np.interp(t, times, alts)),
-        )
+        lat, lon, alt = self.track(t)
+        return float(lat), float(lon), float(alt)
 
 
 def loiter_route(

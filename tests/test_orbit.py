@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rwasim.constants import EARTH_RADIUS, MU_EARTH
 from rwasim.orbit import (
+    _BLOCK_ELEMENTS,
     KeplerianElements,
+    aircraft_track,
+    build_access_timeline,
     circular_speed,
     doppler_khz,
     eci_to_ecef,
@@ -18,7 +22,7 @@ from rwasim.orbit import (
     propagate,
     select_serving,
 )
-from rwasim.scenarios import builtin_catalog
+from rwasim.scenarios import FlightRoute, builtin_catalog, resolve_scenario
 
 GEO_RADIUS = 42164.14
 
@@ -229,3 +233,136 @@ def test_select_serving_hysteresis():
     assert select_serving(np.array([35.6]), None, 35.0, hysteresis_deg=0.5) == 0
     # ...but an established link only needs the threshold itself
     assert select_serving(els, 0, 35.0, hysteresis_deg=0.5) == 0
+
+
+def test_look_angles_stack_matches_single():
+    obs = geodetic_to_ecef(30.0, 40.0, 500.0)
+    sats = np.array([geodetic_to_ecef(31.0, 41.0, 550e3), geodetic_to_ecef(25.0, 47.0, 1200e3)])
+    vels = np.array([[1.0, -2.0, 3.0], [-4.0, 0.5, 7.0]])
+    stack = look_angles(obs, 30.0, 40.0, sats, vels)
+    for k in range(2):
+        single = look_angles(obs, 30.0, 40.0, sats[k], vels[k])
+        assert stack.elevation_deg[k] == pytest.approx(single.elevation_deg, rel=1e-12)
+        assert stack.azimuth_deg[k] == pytest.approx(single.azimuth_deg, rel=1e-12)
+        assert stack.range_rate_kms[k] == pytest.approx(single.range_rate_kms, rel=1e-12)
+
+
+# --- access timeline kernel ---
+
+ANTIMERIDIAN_HOP = FlightRoute(((0.0, 10.0, 179.9, 1000.0), (600.0, 10.0, -179.9, 1000.0)))
+
+
+def test_aircraft_speed_across_antimeridian():
+    # 0.2 deg of longitude at 10 deg latitude in 600 s: about 36.5 m/s
+    lat, lon = math.radians(10.0), math.radians(0.2)
+    central = 2.0 * math.asin(math.cos(lat) * math.sin(lon / 2.0))
+    expect_ms = central * (EARTH_RADIUS + 1.0) / 600.0 * 1000.0
+    assert expect_ms == pytest.approx(36.5, abs=0.1)
+    _, lons, _, velocity = aircraft_track(ANTIMERIDIAN_HOP, np.array([30.0, 300.0, 570.0]))
+    speed_ms = np.linalg.norm(velocity, axis=0) * 1000.0
+    assert speed_ms == pytest.approx(np.full(3, expect_ms), rel=0.01)
+    assert np.all((lons >= -180.0) & (lons < 180.0))
+
+
+def _reference_timeline(scenario, step_s):
+    """Per-step access history from the single-sample public functions."""
+    elements = expand_constellation(scenario.constellation)
+    route = scenario.route
+    n_steps = int(math.floor(scenario.duration_s / step_s + 1e-9))
+    sat_id = np.full(n_steps, -1)
+    cols = np.full((4, n_steps), np.nan)
+    current = None
+    for i in range(n_steps):
+        t = i * step_s
+        lat, lon, alt = route.position(t)
+        obs = geodetic_to_ecef(lat, lon, alt)
+        t0, t1 = max(t - 0.05, 0.0), min(t + 0.05, route.duration_s)
+        obs_vel = (geodetic_to_ecef(*route.position(t1))
+                   - geodetic_to_ecef(*route.position(t0))) / (t1 - t0)
+        states = [propagate(e, t) for e in elements]
+        r, v = eci_to_ecef(np.array([s[0] for s in states]),
+                           np.array([s[1] for s in states]), t)
+        view = look_angles(obs, lat, lon, r, v, obs_vel)
+        current = select_serving(view.elevation_deg, current,
+                                 scenario.handover_threshold_deg,
+                                 scenario.handover_hysteresis_deg)
+        if current is not None:
+            sat_id[i] = current
+            cols[:, i] = [view.elevation_deg[current], view.azimuth_deg[current],
+                          view.slant_range_km[current], view.range_rate_kms[current]]
+    return sat_id, cols
+
+
+def _assert_kernel_matches_reference(scenario, step_s):
+    access = build_access_timeline(scenario, step_s)
+    sat_id, cols = _reference_timeline(scenario, step_s)
+    assert np.array_equal(access.sat_id, sat_id)
+    got = np.array([access.elevation_deg, access.azimuth_deg,
+                    access.slant_range_km, access.range_rate_kms])
+    np.testing.assert_allclose(got, cols, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(access.doppler_khz, doppler_khz(cols[3], scenario.phy.carrier_ghz),
+                               rtol=1e-9, atol=0.0)
+    assert np.all(access.elevation_deg[access.served] >= scenario.handover_threshold_deg)
+    return access
+
+
+def _walker(base, planes, per_plane, altitude_km, inclination_deg, raan0_deg,
+            phasing, offset_deg):
+    return replace(base.constellation, altitude_km=altitude_km, planes=planes,
+                   sats_per_plane=per_plane, inclinations_deg=(inclination_deg,) * planes,
+                   raans_deg=tuple(raan0_deg + k * 360.0 / planes for k in range(planes)),
+                   phasing_factor=phasing, anomaly_offset_deg=offset_deg)
+
+
+@st.composite
+def _scenarios(draw):
+    base = resolve_scenario("scenario-7")
+    planes = draw(st.integers(1, 12))
+    per_plane = draw(st.integers(1, 300 // planes))
+    constellation = _walker(
+        base, planes, per_plane,
+        altitude_km=draw(st.floats(400.0, 36000.0)),
+        inclination_deg=draw(st.floats(0.0, 180.0)),
+        raan0_deg=draw(st.floats(0.0, 360.0)),
+        phasing=draw(st.integers(0, planes - 1)),
+        offset_deg=draw(st.floats(0.0, 360.0)))
+    step_s = draw(st.floats(1.0, 120.0))
+    n_steps = draw(st.integers(0, max(1, 3000 // constellation.total_sats)))
+    duration = n_steps * step_s
+    # waypoint legs; starting near +-180 deg makes many routes cross the antimeridian
+    lat = draw(st.floats(-80.0, 80.0))
+    lon = draw(st.one_of(st.floats(-180.0, 180.0), st.sampled_from([179.95, -179.95])))
+    legs = draw(st.integers(1, 4))
+    span = max(duration, 1.0)
+    points = [(0.0, lat, lon, draw(st.floats(0.0, 3000.0)))]
+    for k in range(1, legs + 1):
+        lat = min(85.0, max(-85.0, lat + draw(st.floats(-0.2, 0.2))))
+        lon = (lon + draw(st.floats(-0.2, 0.2)) + 180.0) % 360.0 - 180.0
+        t = span if k == legs else k * span / legs
+        points.append((t, lat, lon, draw(st.floats(0.0, 3000.0))))
+    return replace(base, constellation=constellation, route=FlightRoute(tuple(points)),
+                   duration_s=duration,
+                   handover_threshold_deg=draw(st.floats(0.0, 60.0)),
+                   handover_hysteresis_deg=draw(st.floats(0.0, 2.0))), step_s
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_scenarios())
+def test_kernel_matches_per_step_reference(case):
+    scenario, step_s = case
+    _assert_kernel_matches_reference(scenario, step_s)
+
+
+def test_kernel_handover_across_block_boundary():
+    # 300 satellites over an antimeridian hop: three blocks of 54 time
+    # steps, and a handover on the first step of the second block
+    base = resolve_scenario("scenario-7")
+    scenario = replace(
+        base, constellation=_walker(base, 12, 25, 550.0, 53.0, 0.0, 1, 11.0),
+        route=ANTIMERIDIAN_HOP, duration_s=600.0, handover_threshold_deg=20.0)
+    rows = _BLOCK_ELEMENTS // scenario.constellation.total_sats
+    access = _assert_kernel_matches_reference(scenario, 4.0)
+    assert len(access) > 2 * rows
+    ids = access.sat_id
+    switches = np.flatnonzero((ids[1:] != ids[:-1]) & (ids[1:] >= 0) & (ids[:-1] >= 0)) + 1
+    assert np.any(np.abs(switches - rows * np.round(switches / rows)) <= 1)

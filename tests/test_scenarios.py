@@ -202,6 +202,13 @@ def test_route_interpolates_and_clamps():
     assert route.position(500.0) == pytest.approx((51.0, 12.0, 300.0))
 
 
+def test_route_crosses_antimeridian_the_short_way():
+    route = FlightRoute(((0.0, 10.0, 179.9, 1000.0), (600.0, 10.0, -179.9, 1000.0)))
+    assert route.position(150.0)[1] == pytest.approx(179.95)
+    assert route.position(450.0)[1] == pytest.approx(-179.95)
+    assert route.position(300.0)[1] == pytest.approx(-180.0)
+
+
 def test_route_validation():
     with pytest.raises(ConfigError):
         FlightRoute(())
