@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .blades import BladeSchedule, blocked_intervals
+from .blades import BladeSchedule
 from .errors import ConfigError
 
 FRAME_MS = 10.0
@@ -248,19 +248,26 @@ def awgn_ber(mcs: Mcs, cnr_db, coded: bool = True):
 
 # === frame simulation ===
 
-@dataclass(frozen=True)
-class SlotResult:
-    """Outcome of one slot."""
+@dataclass(frozen=True, eq=False)
+class SlotTable:
+    """Per-slot outcomes of a frame simulation, one numpy column per field.
 
-    slot_index: int
-    t_start_ms: float
-    erased: bool          # blocked by a rotor blade
-    decoded: bool         # delivered its payload without error
-    payload_bits: int
-    bit_errors: int
-    cnr_db: float
-    ber: float            # channel BER applied to this slot (1 if erased)
-    decode_prob: float    # probability of an error-free block
+    Row ``i`` is slot ``i``, in slot order.  An erased slot carries a BER
+    of 1, a decode probability of 0 and all of its payload as bit errors.
+    """
+
+    slot_index: np.ndarray    # int64
+    t_start_ms: np.ndarray    # float64
+    erased: np.ndarray        # bool: blocked by a rotor blade
+    decoded: np.ndarray       # bool: delivered its payload without error
+    payload_bits: np.ndarray  # int64
+    bit_errors: np.ndarray    # int64
+    cnr_db: np.ndarray        # float64
+    ber: np.ndarray           # channel BER applied to the slot (1 if erased)
+    decode_prob: np.ndarray   # probability of an error-free block
+
+    def __len__(self) -> int:
+        return len(self.slot_index)
 
 
 @dataclass(frozen=True)
@@ -282,6 +289,49 @@ def _per_frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, frame_index)))
 
 
+def _blocked_ms(
+    schedules: list[BladeSchedule | None],
+    frame_offsets_ms: np.ndarray,
+    num: Numerology,
+) -> np.ndarray:
+    """Blade-blocked time (ms) of every slot, as a (frames, slots) array.
+
+    Frame ``f`` sees the blade pulses of :func:`rwasim.blades.blocked_intervals`
+    over one frame at phase ``frame_offsets_ms[f] % period``: pulse ``j``
+    starts at ``(k0 + j) * period - phase``, is clipped to the frame and
+    adds its overlap to every slot it touches.  All frames take pulse
+    ``j`` together and pulses are added in order, so each slot sums the
+    same terms in the same order as a walk over its frame's intervals.
+    Slots blocked for exactly the erase threshold (blade edges on slot
+    boundaries) are decided by this arithmetic, so it must not change.
+    """
+    spf, slot_ms = num.slots_per_frame, num.slot_ms
+    blocked = np.zeros((len(schedules), spf))
+    rows = np.flatnonzero([s is not None and s.blocked_ms > 0.0 for s in schedules])
+    if rows.size == 0:
+        return blocked
+    width = np.array([schedules[f].blocked_ms for f in rows])[:, None]
+    period = np.array([schedules[f].period_ms for f in rows])[:, None]
+    phase = np.asarray(frame_offsets_ms, dtype=float)[rows, None] % period
+    k0 = np.floor((-phase - width) / period)
+    slot = np.arange(spf)
+    lo = slot * slot_ms
+    total = np.zeros((rows.size, spf))
+    # k0 lies up to about 2 * phase / period pulses before the first one
+    # that reaches the frame, so pulses past k0 + ceil((FRAME_MS + width)
+    # / period) + 3 start after the frame ends; one more is slack for rounding
+    for j in range(int(np.max(np.ceil((FRAME_MS + width) / period))) + 4):
+        start = (k0 + j) * period - phase
+        stop = start + width
+        hit = (stop > 0.0) & (start < FRAME_MS)
+        start, stop = np.maximum(start, 0.0), np.minimum(stop, FRAME_MS)
+        touched = hit & (slot >= np.floor(start / slot_ms)) & (slot < np.ceil(stop / slot_ms))
+        overlap = np.minimum(stop, lo + slot_ms) - np.maximum(start, lo)
+        total += np.where(touched, overlap, 0.0)
+    blocked[rows] = total
+    return blocked
+
+
 def simulate_frames(
     phy: PhyConfig,
     cnr_db,
@@ -291,8 +341,8 @@ def simulate_frames(
     mode: str = "mc",
     seed: int = 0,
     erase_threshold: float = 0.5,
-) -> list[SlotResult]:
-    """Simulate ``n_frames`` 10 ms frames slot by slot.
+) -> SlotTable:
+    """Simulate ``n_frames`` 10 ms frames at slot resolution.
 
     Parameters
     ----------
@@ -310,7 +360,7 @@ def simulate_frames(
     erase_threshold : fraction of a slot that must be blocked for the
         slot to be erased.  0 means any nonzero overlap erases.
 
-    Returns the per-slot results in slot order.
+    Returns the per-slot outcomes as a :class:`SlotTable` in slot order.
     """
     if mode not in ("mc", "expected"):
         raise ValueError("mode must be 'mc' or 'expected'")
@@ -324,7 +374,7 @@ def simulate_frames(
     n_slots = n_frames * spf
     payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
 
-    cnr = np.asarray(cnr_db, dtype=float)
+    cnr = np.array(cnr_db, dtype=float)  # a copy: the table keeps it as a column
     if cnr.ndim == 0:
         cnr_slots = np.full(n_slots, float(cnr))
     elif cnr.shape == (n_frames,):
@@ -341,47 +391,45 @@ def simulate_frames(
     if frame_offsets_ms is None:
         frame_offsets_ms = np.arange(n_frames, dtype=float) * FRAME_MS
 
-    ber_slots = awgn_ber(phy.mcs, cnr_slots)
-    results: list[SlotResult] = []
-    for f in range(n_frames):
-        sched = schedules[f]
-        blocked = np.zeros(spf)
-        if sched is not None and sched.blocked_ms > 0.0:
-            phase = float(frame_offsets_ms[f]) % sched.period_ms
-            for start, stop in blocked_intervals(sched, FRAME_MS, phase):
-                first = int(start / num.slot_ms)
-                last = min(int(np.ceil(stop / num.slot_ms)), spf)
-                for s in range(first, last):
-                    lo = s * num.slot_ms
-                    blocked[s] += min(stop, lo + num.slot_ms) - max(start, lo)
-        if erase_threshold == 0.0:
-            erased = blocked > 0.0
-        else:
-            erased = blocked >= erase_threshold * num.slot_ms
+    blocked = _blocked_ms(schedules, frame_offsets_ms, num)
+    # an unblocked slot is never erased, even where the threshold is 0 or
+    # so small that erase_threshold * slot_ms underflows to 0
+    erased = ((blocked > 0.0) & (blocked >= erase_threshold * num.slot_ms)).ravel()
 
-        rng = _per_frame_rng(seed, f) if mode == "mc" else None
-        for s in range(spf):
-            i = f * spf + s
-            t_start = f * FRAME_MS + s * num.slot_ms
-            if erased[s]:
-                results.append(SlotResult(i, t_start, True, False, payload,
-                                          payload, float(cnr_slots[i]), 1.0, 0.0))
-                continue
-            p = float(ber_slots[i])
-            decode_prob = float((1.0 - p) ** payload)
-            if mode == "mc":
-                errors = int(rng.binomial(payload, p))
-                decoded = errors == 0
-            else:
-                errors = int(round(p * payload))
-                decoded = decode_prob > 0.5
-            results.append(SlotResult(i, t_start, False, decoded, payload,
-                                      errors, float(cnr_slots[i]), p, decode_prob))
-    return results
+    channel_ber = awgn_ber(phy.mcs, cnr_slots)
+    ber = np.where(erased, 1.0, channel_ber)
+    decode_prob = np.where(erased, 0.0, (1.0 - channel_ber) ** payload)
+    if mode == "mc":
+        bit_errors = np.full(n_slots, payload, dtype=np.int64)
+        clear = ~erased.reshape(n_frames, spf)
+        frame_errors = bit_errors.reshape(n_frames, spf)
+        frame_ber = channel_ber.reshape(n_frames, spf)
+        for f in range(n_frames):
+            # one array draw gives the same values as one scalar draw per slot
+            frame_errors[f, clear[f]] = _per_frame_rng(seed, f).binomial(
+                payload, frame_ber[f, clear[f]])
+        decoded = ~erased & (bit_errors == 0)
+    else:
+        bit_errors = np.where(erased, payload, np.round(channel_ber * payload)).astype(np.int64)
+        decoded = decode_prob > 0.5
+
+    t_start = (np.arange(n_frames)[:, None] * FRAME_MS
+               + np.arange(spf) * num.slot_ms).ravel()
+    return SlotTable(
+        slot_index=np.arange(n_slots, dtype=np.int64),
+        t_start_ms=t_start,
+        erased=erased,
+        decoded=decoded,
+        payload_bits=np.full(n_slots, payload, dtype=np.int64),
+        bit_errors=bit_errors,
+        cnr_db=cnr_slots,
+        ber=ber,
+        decode_prob=decode_prob,
+    )
 
 
-def aggregate(results: list[SlotResult], elapsed_ms: float, mode: str = "mc") -> FrameStats:
-    """Roll per-slot results up into run-level statistics.
+def aggregate(slots: SlotTable, elapsed_ms: float, mode: str = "mc") -> FrameStats:
+    """Roll a slot table up into run-level statistics.
 
     BER is total bit errors over total payload bits with erased slots
     counting every bit as an error.  The data rate counts only payload
@@ -390,17 +438,18 @@ def aggregate(results: list[SlotResult], elapsed_ms: float, mode: str = "mc") ->
     """
     if elapsed_ms <= 0.0:
         raise ValueError("elapsed_ms must be > 0")
-    n_slots = len(results)
+    n_slots = len(slots)
     if n_slots == 0:
-        raise ValueError("cannot aggregate an empty slot list")
-    total_bits = sum(r.payload_bits for r in results)
-    n_erased = sum(r.erased for r in results)
+        raise ValueError("cannot aggregate an empty slot table")
+    payload = slots.payload_bits
+    total_bits = int(payload.sum())
+    n_erased = int(slots.erased.sum())
     if mode == "expected":
-        errors = sum(r.ber * r.payload_bits for r in results)
-        delivered = sum(r.payload_bits * r.decode_prob for r in results)
+        errors = float(np.sum(slots.ber * payload))
+        delivered = float(np.sum(payload * slots.decode_prob))
     else:
-        errors = sum(r.bit_errors for r in results)
-        delivered = sum(r.payload_bits for r in results if r.decoded)
+        errors = int(slots.bit_errors.sum())
+        delivered = int(payload[slots.decoded].sum())
     return FrameStats(
         n_slots=n_slots,
         n_erased=n_erased,

@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .linkbudget import (compute_cnr, off_boresight_gain, path_loss,
                          pointing_offset, rescale_cnr)
 from .orbit import AccessTimeline, build_access_timeline
-from .phy import FRAME_MS, FrameStats, SlotResult, aggregate, simulate_frames
+from .phy import FRAME_MS, FrameStats, SlotTable, aggregate, simulate_frames
 from .scenarios import ScenarioSpec
 
 
@@ -187,7 +187,7 @@ class RunResult:
     access: AccessTimeline
     link: LinkTimeline
     blade_rows: list[BladeRow]
-    slots: list[SlotResult]
+    slots: SlotTable
     stats: FrameStats
     report: dict
 
@@ -263,7 +263,7 @@ def run_scenario(
 
     n_samples = len(access)
     if n_samples == 0 or n_frames == 0:
-        slots: list[SlotResult] = []
+        slots = simulate_frames(scenario.phy, 0.0, 0)  # an empty table
         stats = FrameStats(0, 0, 0, max(n_frames, 1) * FRAME_MS, 0.0, 0.0, 0.0)
     else:
         frame_times_s = np.arange(n_frames) * (scenario.duration_s / n_frames)
@@ -314,7 +314,7 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
     """Write access.csv, link.csv, slots.csv, blades.csv and report.json."""
     target = Path(out_dir) / result.scenario.id
     target.mkdir(parents=True, exist_ok=True)
-    access, link = result.access, result.link
+    access, link, slots = result.access, result.link, result.slots
 
     _write_csv(target / "access.csv",
                ["time_s", "sat_id", "elevation_deg", "azimuth_deg",
@@ -335,8 +335,9 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
     _write_csv(target / "slots.csv",
                ["slot_index", "t_start_ms", "erased", "cnr_db",
                 "payload_bits", "bit_errors"],
-               ((s.slot_index, s.t_start_ms, s.erased, s.cnr_db,
-                 s.payload_bits, s.bit_errors) for s in result.slots))
+               zip(slots.slot_index.tolist(), slots.t_start_ms.tolist(),
+                   slots.erased.tolist(), slots.cnr_db.tolist(),
+                   slots.payload_bits.tolist(), slots.bit_errors.tolist()))
 
     if result.blade_rows:
         _write_csv(target / "blades.csv",

@@ -177,10 +177,11 @@ class ConstellationSpec:
 class FlightRoute:
     """Aircraft track as timed geodetic waypoints.
 
-    ``points`` rows are (time_s, lat_deg, lon_deg, alt_m); positions
-    between waypoints are linear in the geodetic coordinates and clamped
-    beyond the ends.  Longitudes are unwrapped first, so a hop across
-    the antimeridian takes the short way round.
+    ``points`` rows are (time_s, lat_deg, lon_deg, alt_m), the first at
+    time 0 (the start of the flight); positions between waypoints are
+    linear in the geodetic coordinates and clamped beyond the ends.
+    Longitudes are unwrapped first, so a hop across the antimeridian
+    takes the short way round.
     """
 
     points: tuple[tuple[float, float, float, float], ...]
@@ -189,6 +190,9 @@ class FlightRoute:
         if len(self.points) == 0:
             raise ConfigError("a route needs at least one waypoint", field="points")
         times = [p[0] for p in self.points]
+        if times[0] != 0.0:
+            # the access timeline starts at t = 0 and runs for duration_s
+            raise ConfigError("the first waypoint time must be 0 s", field="points")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("waypoint times must be strictly increasing",
                               field="points")
@@ -205,7 +209,7 @@ class FlightRoute:
 
     @property
     def duration_s(self) -> float:
-        return self.points[-1][0] - self.points[0][0]
+        return self.points[-1][0]
 
     def track(self, times_s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lat_deg, lon_deg, alt_m) arrays at ``times_s`` (clamped to the track).
@@ -316,6 +320,10 @@ class ScenarioSpec:
             raise ConfigError("cnr_prime_bandwidth_mhz must be > 0",
                               field="cnr_prime_bandwidth_mhz")
         validate_channel(self.phy, self.direction)
+        if self.aircraft.bandwidth_mhz != self.phy.bandwidth_mhz:
+            raise ConfigError(
+                f"aircraft channel is {self.aircraft.bandwidth_mhz} MHz but the "
+                f"PHY carries {self.phy.bandwidth_mhz} MHz", field="bandwidth_mhz")
 
     @property
     def payload(self) -> RfPayloadSpec:

@@ -80,7 +80,7 @@ def test_criterion_01_blade_slot_pattern():
                     mcs=Mcs("QPSK", 0.5))
     slots = simulate_frames(phy, 40.0, 100, schedules=sched, mode="expected")
     runs = []  # run-length encoding of the erasure flags
-    for flag in (s.erased for s in slots):
+    for flag in slots.erased.tolist():
         if runs and runs[-1][0] == flag:
             runs[-1][1] += 1
         else:
@@ -215,10 +215,10 @@ def test_criterion_09_phy_oracle():
         payload = transport_block_size(78, mcs)
         n_frames = max(1, math.ceil(1e6 / (payload * 20)))
         slots = simulate_frames(phy, cnr_db, n_frames, mode="mc", seed=7)
-        n_bits = sum(s.payload_bits for s in slots)
+        n_bits = int(slots.payload_bits.sum())
         assert n_bits >= 1e6
         p = float(awgn_ber(mcs, cnr_db))
-        errors = sum(s.bit_errors for s in slots)
+        errors = int(slots.bit_errors.sum())
         sigma = math.sqrt(n_bits * p * (1.0 - p))
         assert abs(errors - n_bits * p) < 3.0 * sigma, modulation
 

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rwasim.blades import BladeGeometry, RotorSpec, build_schedule
+from rwasim.blades import (BladeGeometry, BladeSchedule, RotorSpec, blocked_intervals,
+                           build_schedule)
 from rwasim.errors import ConfigError
 from rwasim.phy import (
     FRAME_MS,
@@ -12,7 +13,8 @@ from rwasim.phy import (
     NTN_BANDS,
     NUMEROLOGIES,
     PhyConfig,
-    SlotResult,
+    SlotTable,
+    _per_frame_rng,
     aggregate,
     awgn_ber,
     numerology_for,
@@ -187,7 +189,7 @@ def test_q_function_basics():
 def test_clear_slots_at_high_cnr():
     slots = simulate_frames(_phy(), 300.0, 2, mode="mc", seed=1)
     assert len(slots) == 40
-    assert all(not s.erased and s.bit_errors == 0 and s.decoded for s in slots)
+    assert not slots.erased.any() and not slots.bit_errors.any() and slots.decoded.all()
 
 
 def test_montecarlo_matches_analytic_ber():
@@ -198,10 +200,10 @@ def test_montecarlo_matches_analytic_ber():
         payload = transport_block_size(78, mcs)
         n_frames = max(1, math.ceil(1e6 / (payload * 20)))
         slots = simulate_frames(phy, cnr_db, n_frames, mode="mc", seed=7)
-        n_bits = sum(s.payload_bits for s in slots)
+        n_bits = int(slots.payload_bits.sum())
         assert n_bits >= 1e6
         p = float(awgn_ber(mcs, cnr_db))
-        errors = sum(s.bit_errors for s in slots)
+        errors = int(slots.bit_errors.sum())
         sigma = math.sqrt(n_bits * p * (1.0 - p))
         assert abs(errors - n_bits * p) < 3.0 * sigma, modulation
 
@@ -214,7 +216,7 @@ def test_erasure_pattern_3_28():
     sched = build_schedule(rotor, BladeGeometry(1.0, 1.6 * rotor.rate_deg_per_ms))
     phy = _phy()
     slots = simulate_frames(phy, 40.0, 100, schedules=sched, mode="expected")
-    flags = [s.erased for s in slots]
+    flags = slots.erased.tolist()
 
     runs = []  # (value, length) run-length encoding
     for flag in flags:
@@ -235,7 +237,7 @@ def test_full_blockage_erases_everything():
     rotor = RotorSpec(4, 0.5, 400, 0.5, 0.5, 5.2)
     sched = build_schedule(rotor, BladeGeometry(0.05, 90.0))  # arcs touch
     slots = simulate_frames(_phy(), 40.0, 3, schedules=sched, mode="expected")
-    assert all(s.erased for s in slots)
+    assert slots.erased.all()
     stats = aggregate(slots, 3 * FRAME_MS, mode="expected")
     assert stats.ber == 1.0
     assert stats.slot_loss_fraction == 1.0
@@ -248,10 +250,14 @@ def test_erase_threshold_zero_any_overlap():
     rotor = RotorSpec(1, 0.1, rpm, 1.0, 0.5, 5.0)
     sched = build_schedule(rotor, BladeGeometry(1.0, 0.2 * rotor.rate_deg_per_ms))
     majority = simulate_frames(_phy(), 40.0, 1, schedules=sched, mode="expected")
-    assert not any(s.erased for s in majority)
+    assert not majority.erased.any()
     any_overlap = simulate_frames(_phy(), 40.0, 1, schedules=sched,
                                   mode="expected", erase_threshold=0.0)
-    assert any_overlap[0].erased and not any(s.erased for s in any_overlap[1:])
+    assert any_overlap.erased[0] and not any_overlap.erased[1:].any()
+    # a threshold whose ms value underflows to 0 still erases only blocked slots
+    tiny = simulate_frames(_phy(), 40.0, 1, schedules=sched,
+                           mode="expected", erase_threshold=5e-324)
+    assert np.array_equal(tiny.erased, any_overlap.erased)
 
 
 def test_slot_loss_converges_to_duty_cycle():
@@ -271,7 +277,7 @@ def test_rotor_clock_spans_frames():
     rotor = RotorSpec(2, 0.1, rpm, 1.0, 0.5, 5.0)
     sched = build_schedule(rotor, BladeGeometry(1.0, 2.0 * rotor.rate_deg_per_ms))
     slots = simulate_frames(_phy(), 40.0, 2, schedules=sched, mode="expected")
-    erased_t = [s.t_start_ms for s in slots if s.erased]
+    erased_t = slots.t_start_ms[slots.erased]
     assert erased_t == pytest.approx([0.0, 0.5, 1.0, 1.5, 16.0, 16.5, 17.0, 17.5])
 
 
@@ -279,17 +285,17 @@ def test_simulation_deterministic_per_seed():
     phy = _phy()
     a = simulate_frames(phy, 0.0, 4, mode="mc", seed=42)
     b = simulate_frames(phy, 0.0, 4, mode="mc", seed=42)
-    assert [s.bit_errors for s in a] == [s.bit_errors for s in b]
+    assert np.array_equal(a.bit_errors, b.bit_errors)
     c = simulate_frames(phy, 0.0, 4, mode="mc", seed=43)
-    assert [s.bit_errors for s in a] != [s.bit_errors for s in c]
+    assert not np.array_equal(a.bit_errors, c.bit_errors)
 
 
 def test_per_frame_cnr_array():
     phy = _phy()
     slots = simulate_frames(phy, np.array([300.0, -20.0]), 2, mode="expected")
-    first, second = slots[:20], slots[20:]
-    assert all(s.bit_errors == 0 for s in first)
-    assert all(s.bit_errors > 0 for s in second)
+    first, second = slots.bit_errors[:20], slots.bit_errors[20:]
+    assert np.all(first == 0)
+    assert np.all(second > 0)
     with pytest.raises(ValueError):
         simulate_frames(phy, np.arange(3.0), 2)
 
@@ -298,8 +304,8 @@ def test_expected_mode_is_deterministic():
     phy = _phy()
     a = simulate_frames(phy, 3.0, 5, mode="expected")
     b = simulate_frames(phy, 3.0, 5, mode="expected")
-    assert [(s.bit_errors, s.decode_prob) for s in a] == \
-           [(s.bit_errors, s.decode_prob) for s in b]
+    assert np.array_equal(a.bit_errors, b.bit_errors)
+    assert np.array_equal(a.decode_prob, b.decode_prob)
 
 
 def test_expected_matches_mc_on_average():
@@ -321,36 +327,125 @@ def test_aggregate_ber_monotone_in_cnr():
     assert all(a >= b for a, b in zip(bers, bers[1:]))
 
 
+def _reference_slots(phy, cnr_frames, schedules, offsets, mode, seed, threshold):
+    """(erased, bit_errors) per slot, walking each frame's blade intervals."""
+    num = phy.numerology
+    payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
+    erased, errors = [], []
+    for f, sched in enumerate(schedules):
+        blocked = [0.0] * num.slots_per_frame
+        if sched is not None:
+            phase = offsets[f] % sched.period_ms
+            for start, stop in blocked_intervals(sched, FRAME_MS, phase):
+                last = min(math.ceil(stop / num.slot_ms), num.slots_per_frame)
+                for s in range(int(start / num.slot_ms), last):
+                    lo = s * num.slot_ms
+                    blocked[s] += min(stop, lo + num.slot_ms) - max(start, lo)
+        rng = _per_frame_rng(seed, f)
+        p = float(awgn_ber(phy.mcs, cnr_frames[f]))
+        for b in blocked:
+            gone = b > 0.0 and b >= threshold * num.slot_ms
+            erased.append(gone)
+            if gone:
+                errors.append(payload)
+            elif mode == "mc":
+                errors.append(int(rng.binomial(payload, p)))
+            else:
+                errors.append(int(round(p * payload)))
+    return erased, errors
+
+
+@st.composite
+def _slot_cases(draw):
+    scs = draw(st.sampled_from(sorted(NUMEROLOGIES)))
+    slot_ms = NUMEROLOGIES[scs].slot_ms
+    phy = PhyConfig(2.0, 30.0, scs, draw(st.integers(1, 25)),
+                    Mcs(draw(st.sampled_from(["QPSK", "16QAM"])), 0.5))
+    n_frames = draw(st.integers(1, 6))
+    # on a half-slot grid the arithmetic is exact, so blade edges fall on
+    # slot boundaries and slots are blocked for exactly the threshold
+    aligned = draw(st.booleans())
+    grid = slot_ms / 2.0
+    pool = [None]
+    for _ in range(draw(st.integers(1, 3))):
+        n_blades = draw(st.integers(1, 5))
+        if aligned:
+            units = draw(st.integers(1, 400))
+            period = units * grid
+            blocked = draw(st.integers(0, units)) * grid
+        else:
+            period = draw(st.floats(0.3, 200.0))
+            blocked = period * draw(st.floats(0.0, 1.0))
+        rotation = n_blades * period
+        pool.append(BladeSchedule(n_blades, 360.0 / rotation, blocked, period - blocked,
+                                  rotation, n_blades * (period - blocked)))
+    schedules = [draw(st.sampled_from(pool)) for _ in range(n_frames)]
+    if aligned:
+        offsets = [draw(st.integers(0, 10**5)) * grid for _ in range(n_frames)]
+    else:
+        offsets = [draw(st.floats(0.0, 1e5)) for _ in range(n_frames)]
+    return dict(
+        phy=phy, schedules=schedules, offsets=offsets,
+        cnr_frames=[draw(st.floats(-5.0, 15.0)) for _ in range(n_frames)],
+        mode=draw(st.sampled_from(["mc", "expected"])),
+        seed=draw(st.integers(0, 2**32)),
+        threshold=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_slot_cases())
+def test_slot_table_matches_per_frame_reference(case):
+    phy = case["phy"]
+    n_frames = len(case["schedules"])
+    slots = simulate_frames(phy, np.array(case["cnr_frames"]), n_frames,
+                            schedules=case["schedules"],
+                            frame_offsets_ms=np.array(case["offsets"]),
+                            mode=case["mode"], seed=case["seed"],
+                            erase_threshold=case["threshold"])
+    erased, errors = _reference_slots(**case)
+    assert slots.erased.tolist() == erased
+    assert slots.bit_errors.tolist() == errors
+    assert len(slots) == n_frames * phy.numerology.slots_per_frame
+    gone = slots.erased
+    assert np.array_equal(slots.bit_errors[gone], slots.payload_bits[gone])
+    assert np.all((slots.ber[~gone] >= 0.0) & (slots.ber[~gone] <= 0.5))
+
+
 # --- aggregation ---
 
-def _slot(i, erased, payload=1000, errors=0):
-    return SlotResult(i, i * 0.5, erased, not erased and errors == 0,
-                      payload, payload if erased else errors,
-                      10.0, 1.0 if erased else 0.0, 0.0 if erased else 1.0)
+def _table(erased, payload=1000):
+    # error-free clear slots and fully errored erased slots
+    erased = np.asarray(erased, dtype=bool)
+    n = len(erased)
+    return SlotTable(
+        slot_index=np.arange(n), t_start_ms=np.arange(n) * 0.5, erased=erased,
+        decoded=~erased, payload_bits=np.full(n, payload),
+        bit_errors=np.where(erased, payload, 0), cnr_db=np.full(n, 10.0),
+        ber=np.where(erased, 1.0, 0.0), decode_prob=np.where(erased, 0.0, 1.0))
 
 
 def test_aggregate_ten_percent_erased():
-    slots = [_slot(i, erased=(i % 10 == 0)) for i in range(100)]
+    slots = _table([i % 10 == 0 for i in range(100)])
     stats = aggregate(slots, 50.0)
     assert stats.ber == pytest.approx(0.10)
     assert stats.slot_loss_fraction == pytest.approx(0.10)
 
 
 def test_aggregate_all_clear():
-    slots = [_slot(i, erased=False) for i in range(31)]
+    slots = _table([False] * 31)
     stats = aggregate(slots, 15.5)
     assert stats.ber == 0.0
     assert stats.data_rate_mbps == pytest.approx(31 * 1000 / (15.5 * 1e3))
 
 
 def test_aggregate_3_of_31():
-    slots = [_slot(i, erased=(i < 3)) for i in range(31)]
+    slots = _table([i < 3 for i in range(31)])
     stats = aggregate(slots, 15.5)
     assert stats.slot_loss_fraction == pytest.approx(3 / 31, abs=1e-9)
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
-        aggregate([], 10.0)
+        aggregate(_table([]), 10.0)
     with pytest.raises(ValueError):
-        aggregate([_slot(0, False)], 0.0)
+        aggregate(_table([False]), 0.0)

@@ -220,6 +220,14 @@ def test_route_validation():
         FlightRoute(((0.0, 50.0, 10.0, -2.0),))
 
 
+def test_route_must_start_at_time_zero():
+    # a later start would hold the aircraft still until then and never
+    # fly the end of the route
+    with pytest.raises(ConfigError) as exc:
+        FlightRoute(((100.0, 10.0, 20.0, 0.0), (700.0, 10.0, 20.2, 0.0)))
+    assert exc.value.field == "points"
+
+
 def test_loiter_starts_north_of_center():
     route = loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, 600.0)
     t0, lat0, lon0, alt0 = route.points[0]
@@ -361,6 +369,16 @@ def test_scenario_checks_channel_conformance():
                      mcs=Mcs("QPSK", 0.5))
     with pytest.raises(ConfigError):
         _scenario(phy=wide)
+
+
+def test_scenario_rejects_bandwidth_mismatch():
+    # the CNR noise bandwidth (aircraft) and the PHY channel must agree
+    wide = PhyConfig(carrier_ghz=2.0, bandwidth_mhz=10.0, scs_khz=15, n_rb=25,
+                     mcs=Mcs("QPSK", 0.5))
+    with pytest.raises(ConfigError) as exc:
+        _scenario(phy=wide)
+    assert exc.value.field == "bandwidth_mhz"
+    _scenario(aircraft=_aircraft(bandwidth_mhz=10.0), phy=wide)
 
 
 def test_rain_rate_steps_at_profile_times():
