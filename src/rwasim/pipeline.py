@@ -7,7 +7,7 @@ so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -294,20 +294,26 @@ def run_scenario(
 
 # === CSV / JSON output ===
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".10g")
+# Rows per `%` call: bounds the formatted text held in memory at once.
+_CSV_CHUNK_ROWS = 4096
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length numpy columns as CSV with CRLF line ends.
+
+    Int and bool columns are written as ``%d``, float columns as
+    ``%.10g``.  The body is formatted a chunk of rows at a time, each
+    chunk with a single ``%`` over its flattened values.
+    """
+    n_rows = len(columns[0])
+    row_spec = ",".join("%d" if col.dtype.kind in "biu" else "%.10g"
+                        for col in columns) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+            values = tuple(itertools.chain.from_iterable(zip(*chunk)))
+            fh.write(row_spec * len(chunk[0]) % values)
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
@@ -319,32 +325,30 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
     _write_csv(target / "access.csv",
                ["time_s", "sat_id", "elevation_deg", "azimuth_deg",
                 "slant_range_km", "range_rate_kms", "doppler_khz"],
-               ((access.times_s[i], int(access.sat_id[i]), access.elevation_deg[i],
-                 access.azimuth_deg[i], access.slant_range_km[i],
-                 access.range_rate_kms[i], access.doppler_khz[i])
-                for i in range(len(access))))
+               [access.times_s, access.sat_id, access.elevation_deg,
+                access.azimuth_deg, access.slant_range_km,
+                access.range_rate_kms, access.doppler_khz])
 
     _write_csv(target / "link.csv",
                ["time_s", "fspl_db", "gas_db", "rain_db", "cloud_db",
                 "total_db", "doppler_khz", "cnr_db"],
-               ((link.times_s[i], link.fspl_db[i], link.gas_db[i],
-                 link.rain_db[i], link.cloud_db[i], link.total_db[i],
-                 link.doppler_khz[i], link.cnr_db[i])
-                for i in range(len(link.times_s))))
+               [link.times_s, link.fspl_db, link.gas_db, link.rain_db,
+                link.cloud_db, link.total_db, link.doppler_khz, link.cnr_db])
 
     _write_csv(target / "slots.csv",
                ["slot_index", "t_start_ms", "erased", "cnr_db",
-                "payload_bits", "bit_errors"],
-               zip(slots.slot_index.tolist(), slots.t_start_ms.tolist(),
-                   slots.erased.tolist(), slots.cnr_db.tolist(),
-                   slots.payload_bits.tolist(), slots.bit_errors.tolist()))
+                "payload_bits", "bit_errors", "ber", "decode_prob"],
+               [slots.slot_index, slots.t_start_ms, slots.erased,
+                slots.cnr_db, slots.payload_bits, slots.bit_errors,
+                slots.ber, slots.decode_prob])
 
     if result.blade_rows:
         _write_csv(target / "blades.csv",
                    ["elevation_deg", "d_rotor_m", "phi_deg", "t_int_ms",
                     "t_lnk_ms", "duty_cycle"],
-                   ((r.elevation_deg, r.radius_m, r.arc_deg, r.blocked_ms,
-                     r.clear_ms, r.duty_cycle) for r in result.blade_rows))
+                   np.array([(r.elevation_deg, r.radius_m, r.arc_deg,
+                              r.blocked_ms, r.clear_ms, r.duty_cycle)
+                             for r in result.blade_rows], dtype=float).T)
 
     with (target / "report.json").open("w") as fh:
         json.dump(result.report, fh, indent=2, sort_keys=True)
@@ -393,7 +397,8 @@ def sweep_cnr(
 
 
 def write_sweep_csv(rows, path: str | Path) -> None:
-    _write_csv(Path(path), ["cnr_db", "ber", "data_rate_mbps"], rows)
+    _write_csv(Path(path), ["cnr_db", "ber", "data_rate_mbps"],
+               np.array(rows, dtype=float).reshape(-1, 3).T)
 
 
 # === report comparison ===

@@ -1,14 +1,21 @@
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rwasim.cli import main
 from rwasim.errors import ConfigError
 from rwasim.phy import FRAME_MS, Mcs, PhyConfig
 from rwasim.pipeline import (
+    _CSV_CHUNK_ROWS,
+    _write_csv,
     compare_reports,
     run_scenario,
     sweep_cnr,
@@ -137,6 +144,29 @@ def test_report_recomputable_from_csvs(tmp_path):
         decoded_bits / (rep["n_frames"] * FRAME_MS) / 1000.0, rel=1e-9)
 
 
+def test_report_recomputable_from_csvs_expected_mode(tmp_path):
+    # expected mode reports unrounded BER x payload and decode-probability
+    # weighted payload, so these come from the ber and decode_prob columns
+    spec = builtin_catalog().scenarios["scenario-7"]
+    run_scenario(spec, step_s=10.0, n_frames=200, mode="expected", seed=0,
+                 out_dir=tmp_path)
+    target = tmp_path / "scenario-7"
+    rep = json.loads((target / "report.json").read_text())
+    slots = _read_csv(target / "slots.csv")
+
+    bits = [float(r["payload_bits"]) for r in slots]
+    erased = sum(int(r["erased"]) for r in slots)
+    assert rep["n_slots"] == len(slots)
+    assert rep["n_erased"] == erased > 0
+    assert rep["slot_loss_fraction"] == pytest.approx(erased / len(slots))
+    errors = sum(float(r["ber"]) * b for r, b in zip(slots, bits))
+    assert rep["ber"] == pytest.approx(errors / sum(bits), rel=1e-9)
+    delivered = sum(float(r["decode_prob"]) * b for r, b in zip(slots, bits))
+    assert rep["data_rate_mbps"] > 0.0
+    assert rep["data_rate_mbps"] == pytest.approx(
+        delivered / (rep["n_frames"] * FRAME_MS) / 1000.0, rel=1e-9)
+
+
 def test_same_seed_reruns_are_byte_identical(tmp_path):
     for sub in ("a", "b"):
         run_scenario(_overhead_geo(gain_over_t=12.0), step_s=5.0, n_frames=20,
@@ -176,6 +206,13 @@ def test_zero_frames_still_reports_geometry():
     assert rep["access_percent"] == 100.0
 
 
+def test_zero_frames_writes_header_only_slots_csv(tmp_path):
+    run_scenario(_overhead_geo(), step_s=5.0, n_frames=0, out_dir=tmp_path)
+    assert (tmp_path / "geo-overhead" / "slots.csv").read_bytes() == (
+        b"slot_index,t_start_ms,erased,cnr_db,payload_bits,bit_errors,"
+        b"ber,decode_prob\r\n")
+
+
 def test_rotorcraft_run_writes_blade_table(tmp_path):
     spec = builtin_catalog().scenarios["scenario-15b"]
     result = run_scenario(spec, step_s=60.0, n_frames=10, mode="expected",
@@ -198,6 +235,52 @@ def test_write_outputs_returns_scenario_directory(tmp_path):
                           mode="expected")
     target = write_outputs(result, tmp_path)
     assert target == tmp_path / "geo-overhead"
+
+
+# === CSV writer ===
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3]
+_COLUMN_ELEMENTS = {
+    np.int64: st.integers(-2**63, 2**63 - 1),
+    np.bool_: st.booleans(),
+    np.float64: st.sampled_from(_EDGE_FLOATS) | st.floats(width=64),
+}
+
+
+def _reference_csv(header, columns) -> bytes:
+    """The row-by-row csv.writer format the columnar writer must match."""
+    def fmt(value):
+        if isinstance(value, (bool, np.bool_, int, np.integer)):
+            return str(int(value))
+        return format(value, ".10g")
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue().encode()
+
+
+@st.composite
+def _csv_tables(draw):
+    n_rows = draw(st.sampled_from([0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS,
+                                   _CSV_CHUNK_ROWS + 1]))
+    dtypes = draw(st.lists(st.sampled_from(list(_COLUMN_ELEMENTS)),
+                           min_size=1, max_size=5))
+    return [draw(arrays(dtype, n_rows, elements=_COLUMN_ELEMENTS[dtype]))
+            for dtype in dtypes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_csv_tables())
+def test_write_csv_matches_row_wise_reference(columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == _reference_csv(header, columns)
 
 
 # === CNR sweep ===
