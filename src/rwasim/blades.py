@@ -5,13 +5,20 @@ short arc of every rotation.  The model reduces the rotor to a timing
 pattern: each of the ``n_blades`` blades blocks the link for a fixed
 interval once per rotation, and the link is clear in between.  The arc
 blocked by one blade depends on where the antenna boresight crosses the
-rotor disk, which in turn depends on the satellite elevation.
+rotor disk, which in turn depends on the satellite elevation.  The
+geometry functions take scalars or numpy arrays of elevations; the
+single-elevation schedule API is a thin wrapper over them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+# relative change of blocked time that rebuilds the schedule in force
+REGEN_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -97,35 +104,39 @@ def interference_point(rotor: RotorSpec, elevation_deg: float) -> float | None:
     Returns ``None`` when the crossing lies beyond the blade tip, i.e.
     the blades never cut the boresight at this elevation.
     """
-    if not 0.0 < elevation_deg <= 90.0:
-        raise ValueError("elevation_deg must be in (0, 90]")
-    reach = rotor.rotor_height_m / math.tan(math.radians(elevation_deg))
-    radius = abs(rotor.shaft_offset_m - reach)
-    if radius > rotor.tip_radius_m:
-        return None
-    return radius
+    radius = float(crossing(rotor, elevation_deg)[0])
+    return None if radius == math.inf else radius
 
 
-def blockage_arc(blade_width_m: float, radius_m: float) -> float:
+def blockage_arc(blade_width_m: float, radius_m):
     """Rotor arc (degrees) hidden by a blade of the given chord.
 
     The blade is treated as a rectangle of width ``blade_width_m``
     crossing the boresight at ``radius_m`` from the shaft; the blocked
     arc is the chord width expressed as an angle at that radius, capped
-    at a full circle.
+    at a full circle.  An infinite radius (no crossing) hides nothing.
     """
-    if radius_m <= 0:
-        return 360.0
-    arc = 360.0 * blade_width_m / (2.0 * math.pi * radius_m)
-    return min(arc, 360.0)
+    radius = np.asarray(radius_m, dtype=float)
+    with np.errstate(divide="ignore"):
+        arc = 360.0 * blade_width_m / (2.0 * math.pi * radius)
+    return np.where(radius <= 0, 360.0, np.minimum(arc, 360.0))[()]
 
 
-def blade_geometry(rotor: RotorSpec, elevation_deg: float) -> BladeGeometry | None:
-    """Crossing geometry for a rotor at one elevation; None when clear."""
-    radius = interference_point(rotor, elevation_deg)
-    if radius is None:
-        return None
-    return BladeGeometry(radius_m=radius, arc_deg=blockage_arc(rotor.blade_width_m, radius))
+def crossing(rotor: RotorSpec, elevation_deg) -> tuple[np.ndarray, np.ndarray]:
+    """Where the boresight crosses the rotor disk, at each elevation.
+
+    Returns ``(radius_m, arc_deg)``: the crossing's distance from the
+    shaft (see :func:`interference_point`) and the arc one blade hides
+    there (see :func:`blockage_arc`).  Where the crossing lies beyond
+    the blade tip they are inf and 0.
+    """
+    el = np.asarray(elevation_deg, dtype=float)
+    if not np.all((el > 0.0) & (el <= 90.0)):
+        raise ValueError("elevation_deg must be in (0, 90]")
+    reach = rotor.rotor_height_m / np.tan(np.radians(el))
+    radius = np.abs(rotor.shaft_offset_m - reach)
+    radius = np.where(radius > rotor.tip_radius_m, np.inf, radius)
+    return radius, blockage_arc(rotor.blade_width_m, radius)
 
 
 def build_schedule(rotor: RotorSpec, geometry: BladeGeometry) -> BladeSchedule:
@@ -135,15 +146,19 @@ def build_schedule(rotor: RotorSpec, geometry: BladeGeometry) -> BladeSchedule:
     overlap (``n_blades * arc > 360``), which would leave no clear time.
     Use :func:`schedule_for_elevation` for the clamped variant.
     """
-    rate = rotor.rate_deg_per_ms
-    blocked = geometry.arc_deg / rate
-    rotation = rotor.rotation_ms
-    total_clear = rotation - rotor.n_blades * blocked
-    if total_clear < 0:
+    blocked = geometry.arc_deg / rotor.rate_deg_per_ms
+    if rotor.n_blades * blocked > rotor.rotation_ms:
         raise ValueError("blade arcs overlap: n_blades * blocked exceeds one rotation")
+    return _schedule(rotor, blocked)
+
+
+def _schedule(rotor: RotorSpec, blocked: float) -> BladeSchedule:
+    rotation = rotor.rotation_ms
+    # a clamped arc may leave a rounding-sized negative clear time
+    total_clear = max(rotation - rotor.n_blades * blocked, 0.0)
     return BladeSchedule(
         n_blades=rotor.n_blades,
-        rate_deg_per_ms=rate,
+        rate_deg_per_ms=rotor.rate_deg_per_ms,
         blocked_ms=blocked,
         clear_ms=total_clear / rotor.n_blades,
         rotation_ms=rotation,
@@ -151,18 +166,20 @@ def build_schedule(rotor: RotorSpec, geometry: BladeGeometry) -> BladeSchedule:
     )
 
 
-def schedule_for_elevation(rotor: RotorSpec, elevation_deg: float) -> BladeSchedule:
-    """Blockage schedule at one elevation, degenerate cases included.
+def blocked_ms(rotor: RotorSpec, elevation_deg) -> np.ndarray:
+    """Per-blade blocked time (ms) at each elevation, degenerate cases included.
 
-    When the boresight misses the blades entirely the schedule has zero
-    blocked time; when the blade arcs overlap it is clamped to fully
-    blocked (zero clear time).
+    When the boresight misses the blades the blocked time is zero; when
+    the blade arcs overlap it is clamped to one blade period (fully
+    blocked).
     """
-    geometry = blade_geometry(rotor, elevation_deg)
-    if geometry is None:
-        geometry = BladeGeometry(radius_m=math.inf, arc_deg=0.0)
-    arc = min(geometry.arc_deg, 360.0 / rotor.n_blades)
-    return build_schedule(rotor, BladeGeometry(geometry.radius_m, arc))
+    arc = crossing(rotor, elevation_deg)[1]
+    return np.minimum(arc, 360.0 / rotor.n_blades) / rotor.rate_deg_per_ms
+
+
+def schedule_for_elevation(rotor: RotorSpec, elevation_deg: float) -> BladeSchedule:
+    """Blockage schedule at one elevation (see :func:`blocked_ms`)."""
+    return _schedule(rotor, float(blocked_ms(rotor, elevation_deg)))
 
 
 def blocked_intervals(
@@ -217,29 +234,32 @@ def speed_ratios(
 
 def schedule_timeline(
     rotor: RotorSpec,
-    elevations_deg: list[float],
-    regen_fraction: float = 0.05,
-) -> list[BladeSchedule]:
-    """Per-sample schedules, regenerated only on meaningful change.
+    elevations_deg,
+) -> tuple[np.ndarray, list[BladeSchedule]]:
+    """Schedules along a run of elevation samples, regenerated only on meaningful change.
 
     Recomputing the schedule at every elevation sample is wasteful and
     makes downstream erasure patterns jitter; the schedule is rebuilt
-    only when the blocked time moves by more than ``regen_fraction``
+    only when the blocked time moves by more than ``REGEN_FRACTION``
     relative to the schedule in force (always at the first sample and
     whenever blockage appears or disappears).
+
+    Returns ``(segment, schedules)``: one schedule per segment, built at
+    its first sample, and the segment index of every sample.
     """
-    out: list[BladeSchedule] = []
-    current: BladeSchedule | None = None
-    for el in elevations_deg:
-        candidate = schedule_for_elevation(rotor, el)
-        if current is None:
-            current = candidate
+    blocked = blocked_ms(rotor, elevations_deg)
+    starts: list[int] = []
+    have = 0.0
+    for i, want in enumerate(blocked.tolist()):
+        if not starts:
+            regenerate = True
+        elif have == 0.0 or want == 0.0:
+            regenerate = want != have
         else:
-            have, want = current.blocked_ms, candidate.blocked_ms
-            if have == 0.0 or want == 0.0:
-                if have != want:
-                    current = candidate
-            elif abs(want - have) / have > regen_fraction:
-                current = candidate
-        out.append(current)
-    return out
+            regenerate = abs(want - have) / have > REGEN_FRACTION
+        if regenerate:
+            starts.append(i)
+            have = want
+    first = np.zeros(len(blocked), dtype=bool)
+    first[starts] = True
+    return np.cumsum(first) - 1, [_schedule(rotor, b) for b in blocked[starts].tolist()]

@@ -1,6 +1,8 @@
 """Link-budget building blocks: path loss, atmosphere, gains and CNR.
 
 All gains and losses are in dB, powers in dBW, bandwidths in MHz.  The
+functions take scalars or numpy arrays, so the link timeline evaluates
+every served sample in one pass.  The
 atmosphere model is deliberately simple — frequency-band lookup tables
 and a cosecant slant-path scaling — because the simulator only needs
 representative attenuation levels, not forecast accuracy.
@@ -11,15 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .constants import BOLTZMANN_DB
 from .errors import ConfigError
 
 
-def fspl(distance_km: float, frequency_ghz: float) -> float:
+def fspl(distance_km, frequency_ghz: float):
     """Free-space path loss in dB for km/GHz inputs."""
-    if distance_km <= 0 or frequency_ghz <= 0:
+    if np.any(np.asarray(distance_km) <= 0) or frequency_ghz <= 0:
         raise ValueError("distance and frequency must be > 0")
-    return 92.45 + 20.0 * math.log10(distance_km) + 20.0 * math.log10(frequency_ghz)
+    return 92.45 + 20.0 * np.log10(distance_km) + 20.0 * math.log10(frequency_ghz)
 
 
 @dataclass(frozen=True)
@@ -74,26 +78,7 @@ class LossModel:
         return replace(self, bands=bands, **scalars)
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Total propagation loss split into its components (dB)."""
-
-    fspl_db: float
-    gas_db: float
-    rain_db: float
-    cloud_db: float
-
-    @property
-    def total_db(self) -> float:
-        return self.fspl_db + self.gas_db + self.rain_db + self.cloud_db
-
-
-def atmospheric_loss(
-    model: LossModel,
-    band: str,
-    elevation_deg: float,
-    rain_rate_mmh: float = 0.0,
-) -> tuple[float, float, float]:
+def atmospheric_loss(model: LossModel, band: str, elevation_deg, rain_rate_mmh=0.0):
     """(gas, cloud, rain) attenuation in dB along the slant path.
 
     Gas and cloud terms scale the zenith values by the cosecant of the
@@ -101,38 +86,21 @@ def atmospheric_loss(
     by the capped slant path through the rain layer.  Elevation must be
     in (0, 90].
     """
-    if not 0.0 < elevation_deg <= 90.0:
+    el = np.asarray(elevation_deg, dtype=float)
+    rate = np.asarray(rain_rate_mmh, dtype=float)
+    if not np.all((el > 0.0) & (el <= 90.0)):
         raise ValueError("elevation_deg must be in (0, 90]")
-    if rain_rate_mmh < 0.0:
+    if np.any(rate < 0.0):
         raise ValueError("rain_rate_mmh must be >= 0")
     params = model.band(band)
-    cosec = 1.0 / math.sin(math.radians(elevation_deg))
+    cosec = 1.0 / np.sin(np.radians(el))
     gas = params.zenith_gas_db * cosec
     cloud = params.zenith_cloud_db * cosec
-    if rain_rate_mmh > 0.0:
-        path = min(model.rain_height_km * cosec, model.slant_cap_km)
-        rain = params.rain_k * rain_rate_mmh ** params.rain_alpha * path
-    else:
-        rain = 0.0
-    return gas, cloud, rain
-
-
-def path_loss(
-    model: LossModel,
-    band: str,
-    distance_km: float,
-    frequency_ghz: float,
-    elevation_deg: float,
-    rain_rate_mmh: float = 0.0,
-) -> LossBreakdown:
-    """Free-space plus atmospheric loss for one geometry sample."""
-    gas, cloud, rain = atmospheric_loss(model, band, elevation_deg, rain_rate_mmh)
-    return LossBreakdown(
-        fspl_db=fspl(distance_km, frequency_ghz),
-        gas_db=gas,
-        rain_db=rain,
-        cloud_db=cloud,
-    )
+    wet = rate > 0.0
+    path = np.minimum(model.rain_height_km * cosec, model.slant_cap_km)
+    # dry samples take a dummy rate of 1: 0 ** alpha is 1 or inf for an alpha <= 0
+    rain = np.where(wet, params.rain_k * np.where(wet, rate, 1.0) ** params.rain_alpha * path, 0.0)
+    return gas, cloud, rain[()]
 
 
 # === antenna terms ===
@@ -140,12 +108,7 @@ def path_loss(
 BACKLOBE_FLOOR_DBI = -10.0
 
 
-def off_boresight_gain(
-    max_gain_dbi: float,
-    hpbw_deg: float,
-    offset_deg: float,
-    floor_dbi: float = BACKLOBE_FLOOR_DBI,
-) -> float:
+def off_boresight_gain(max_gain_dbi: float, hpbw_deg: float, offset_deg):
     """Antenna gain at an angle off boresight.
 
     Uses the common parabolic roll-off of 12 dB at one half-power
@@ -153,22 +116,22 @@ def off_boresight_gain(
     """
     if hpbw_deg <= 0:
         raise ValueError("hpbw_deg must be > 0")
-    gain = max_gain_dbi - 12.0 * (offset_deg / hpbw_deg) ** 2
-    return max(gain, floor_dbi)
+    return np.maximum(max_gain_dbi - 12.0 * (np.asarray(offset_deg) / hpbw_deg) ** 2,
+                      BACKLOBE_FLOOR_DBI)
 
 
 def pointing_offset(
     boresight_elevation_deg: float,
     boresight_azimuth_deg: float,
-    elevation_deg: float,
-    azimuth_deg: float,
-) -> float:
+    elevation_deg,
+    azimuth_deg,
+):
     """Great-circle angle between a fixed boresight and a target (deg)."""
-    el_b = math.radians(boresight_elevation_deg)
-    el_t = math.radians(elevation_deg)
-    daz = math.radians(azimuth_deg - boresight_azimuth_deg)
-    cos_angle = math.sin(el_b) * math.sin(el_t) + math.cos(el_b) * math.cos(el_t) * math.cos(daz)
-    return math.degrees(math.acos(min(1.0, max(-1.0, cos_angle))))
+    el_b = np.radians(boresight_elevation_deg)
+    el_t = np.radians(elevation_deg)
+    daz = np.radians(np.asarray(azimuth_deg) - boresight_azimuth_deg)
+    cos_angle = np.sin(el_b) * np.sin(el_t) + np.cos(el_b) * np.cos(el_t) * np.cos(daz)
+    return np.degrees(np.arccos(np.clip(cos_angle, -1.0, 1.0)))
 
 
 # === carrier-to-noise ===
@@ -176,11 +139,11 @@ def pointing_offset(
 def compute_cnr(
     eirp_dbw: float,
     gain_over_t_dbk: float,
-    loss_db: float,
+    loss_db,
     bandwidth_mhz: float,
-    pointing_penalty_db: float = 0.0,
+    pointing_penalty_db=0.0,
     margin_db: float = 0.0,
-) -> float:
+):
     """Carrier-to-noise ratio in dB over the given noise bandwidth.
 
     ``margin_db`` lumps polarization and implementation losses that the

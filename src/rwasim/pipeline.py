@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import blades as bl
 from .errors import ConfigError
-from .linkbudget import (compute_cnr, off_boresight_gain, path_loss,
+from .linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain,
                          pointing_offset, rescale_cnr)
 from .orbit import AccessTimeline, build_access_timeline
 from .phy import FRAME_MS, FrameStats, SlotTable, aggregate, simulate_frames
@@ -37,8 +36,6 @@ class LinkTimeline:
     doppler_khz: np.ndarray
     cnr_db: np.ndarray               # -inf during outages
     cnr_prime_db: np.ndarray | None  # rescaled CNR when configured
-    tx_gain_dbi: np.ndarray
-    rx_gain_over_t_dbk: np.ndarray
     bandwidth_mhz: float
 
 
@@ -49,68 +46,47 @@ def link_timeline(scenario: ScenarioSpec, access: AccessTimeline) -> LinkTimelin
     apply the aircraft pointing penalty on the receive side, uplink on
     the transmit side.
     """
-    n = len(access)
     aircraft = scenario.aircraft
-    payload = scenario.payload
-    carrier = scenario.phy.carrier_ghz
     bandwidth = aircraft.bandwidth_mhz
-    uplink = scenario.direction == "uplink"
+    served = access.served
+    el = access.elevation_deg[served]
 
-    cols = {name: np.full(n, np.nan) for name in
-            ("fspl", "gas", "rain", "cloud", "total", "tx_gain", "rx_gt")}
-    cnr = np.full(n, -np.inf)
+    fspl_db = fspl(access.slant_range_km[served], scenario.phy.carrier_ghz)
+    gas, cloud, rain = atmospheric_loss(scenario.loss_model, scenario.band, el,
+                                        scenario.rain_rate_at(access.times_s[served]))
+    total = fspl_db + gas + rain + cloud
+    if aircraft.steerable:
+        penalty = 0.0
+    else:
+        offset = pointing_offset(aircraft.boresight_elevation_deg,
+                                 aircraft.boresight_azimuth_deg,
+                                 el, access.azimuth_deg[served])
+        penalty = aircraft.max_gain_dbi - off_boresight_gain(
+            aircraft.max_gain_dbi, aircraft.beamwidth_mid_deg, offset)
+    if scenario.direction == "uplink":
+        eirp, gain_over_t = aircraft.eirp_dbw, scenario.payload.gain_over_t_dbk
+    else:
+        eirp, gain_over_t = scenario.payload.beam_eirp_dbw, aircraft.receive_gain_over_t_dbk
+    cnr = compute_cnr(eirp, gain_over_t, total, bandwidth,
+                      pointing_penalty_db=penalty, margin_db=scenario.margin_db)
 
-    for i in range(n):
-        if access.sat_id[i] < 0:
-            continue
-        el = float(access.elevation_deg[i])
-        rain_rate = scenario.rain_rate_at(float(access.times_s[i]))
-        loss = path_loss(scenario.loss_model, scenario.band,
-                         float(access.slant_range_km[i]), carrier, el, rain_rate)
-        if aircraft.steerable:
-            penalty = 0.0
-        else:
-            offset = pointing_offset(aircraft.boresight_elevation_deg,
-                                     aircraft.boresight_azimuth_deg,
-                                     el, float(access.azimuth_deg[i]))
-            gain = off_boresight_gain(aircraft.max_gain_dbi,
-                                      aircraft.beamwidth_mid_deg, offset)
-            penalty = aircraft.max_gain_dbi - gain
-        if uplink:
-            eirp = aircraft.eirp_dbw
-            gain_over_t = payload.gain_over_t_dbk
-            tx_gain = aircraft.max_gain_dbi - penalty
-            rx_gt = gain_over_t
-        else:
-            eirp = payload.beam_eirp_dbw
-            gain_over_t = aircraft.receive_gain_over_t_dbk
-            tx_gain = np.nan  # payload specified by EIRP, not gain
-            rx_gt = gain_over_t - penalty
-        cols["fspl"][i] = loss.fspl_db
-        cols["gas"][i] = loss.gas_db
-        cols["rain"][i] = loss.rain_db
-        cols["cloud"][i] = loss.cloud_db
-        cols["total"][i] = loss.total_db
-        cols["tx_gain"][i] = tx_gain
-        cols["rx_gt"][i] = rx_gt
-        cnr[i] = compute_cnr(eirp, gain_over_t, loss.total_db, bandwidth,
-                             pointing_penalty_db=penalty,
-                             margin_db=scenario.margin_db)
+    def column(values, fill=np.nan):
+        out = np.full(len(access), fill)
+        out[served] = values
+        return out
 
+    cnr_db = column(cnr, -np.inf)
     cnr_prime = None
     if scenario.cnr_prime_bandwidth_mhz is not None:
-        cnr_prime = np.where(
-            np.isfinite(cnr),
-            rescale_cnr(cnr, bandwidth, scenario.cnr_prime_bandwidth_mhz),
-            -np.inf)
+        cnr_prime = column(rescale_cnr(cnr, bandwidth, scenario.cnr_prime_bandwidth_mhz),
+                           -np.inf)
 
     return LinkTimeline(
         times_s=access.times_s,
-        fspl_db=cols["fspl"], gas_db=cols["gas"], rain_db=cols["rain"],
-        cloud_db=cols["cloud"], total_db=cols["total"],
+        fspl_db=column(fspl_db), gas_db=column(gas), rain_db=column(rain),
+        cloud_db=column(cloud), total_db=column(total),
         doppler_khz=access.doppler_khz,
-        cnr_db=cnr, cnr_prime_db=cnr_prime,
-        tx_gain_dbi=cols["tx_gain"], rx_gain_over_t_dbk=cols["rx_gt"],
+        cnr_db=cnr_db, cnr_prime_db=cnr_prime,
         bandwidth_mhz=bandwidth,
     )
 
@@ -132,41 +108,28 @@ class BladeRow:
 def blade_overlay(
     scenario: ScenarioSpec,
     access: AccessTimeline,
-) -> tuple[list[bl.BladeSchedule | None], list[BladeRow]]:
-    """Per-sample blade schedules plus the distinct-segment rows.
+) -> tuple[tuple[np.ndarray, list[bl.BladeSchedule]], list[BladeRow]]:
+    """Blade-schedule segments of the access samples plus one row per segment.
 
-    Returns (schedules, rows): one schedule (or None) per access sample,
-    and one row per segment where the schedule was regenerated (the 5 %
-    blocked-time rule in :func:`rwasim.blades.schedule_timeline`).
+    Returns ``((segment, schedules), rows)``: the index into
+    ``schedules`` of the schedule in force at each access sample (-1 in
+    outages and without a rotor), one schedule per segment where the
+    schedule was regenerated (the 5 % blocked-time rule in
+    :func:`rwasim.blades.schedule_timeline`), and one row per segment.
     """
     rotor = scenario.aircraft.rotor
-    n = len(access)
+    segment = np.full(len(access), -1)
     if rotor is None:
-        return [None] * n, []
-    schedules: list[bl.BladeSchedule | None] = [None] * n
-    rows: list[BladeRow] = []
-    current: bl.BladeSchedule | None = None
-    served_els: list[float] = []
-    served_idx: list[int] = []
-    for i in range(n):
-        if access.sat_id[i] >= 0:
-            served_els.append(float(access.elevation_deg[i]))
-            served_idx.append(i)
-    for sched, el, i in zip(bl.schedule_timeline(rotor, served_els),
-                            served_els, served_idx):
-        schedules[i] = sched
-        if sched is not current:
-            current = sched
-            geometry = bl.blade_geometry(rotor, el)
-            rows.append(BladeRow(
-                elevation_deg=el,
-                radius_m=math.inf if geometry is None else geometry.radius_m,
-                arc_deg=0.0 if geometry is None else geometry.arc_deg,
-                blocked_ms=sched.blocked_ms,
-                clear_ms=sched.clear_ms,
-                duty_cycle=sched.duty_cycle,
-            ))
-    return schedules, rows
+        return (segment, []), []
+    served = access.served
+    el = access.elevation_deg[served]
+    served_segment, schedules = bl.schedule_timeline(rotor, el)
+    segment[served] = served_segment
+    first_el = el[np.flatnonzero(np.diff(served_segment, prepend=-1))]
+    radius, arc = bl.crossing(rotor, first_el)
+    rows = [BladeRow(e, r, a, s.blocked_ms, s.clear_ms, s.duty_cycle)
+            for e, r, a, s in zip(first_el.tolist(), radius.tolist(), arc.tolist(), schedules)]
+    return (segment, schedules), rows
 
 
 # === reports ===
@@ -259,7 +222,7 @@ def run_scenario(
     """
     access = build_access_timeline(scenario, step_s)
     link = link_timeline(scenario, access)
-    schedules, blade_rows = blade_overlay(scenario, access)
+    (segment, schedules), blade_rows = blade_overlay(scenario, access)
 
     n_samples = len(access)
     if n_samples == 0 or n_frames == 0:
@@ -269,7 +232,7 @@ def run_scenario(
         frame_times_s = np.arange(n_frames) * (scenario.duration_s / n_frames)
         frame_idx = np.minimum((frame_times_s / step_s).astype(int), n_samples - 1)
         frame_cnr = link.cnr_db[frame_idx]
-        frame_schedules = [schedules[i] for i in frame_idx]
+        frame_schedules = [None if k < 0 else schedules[k] for k in segment[frame_idx].tolist()]
         phase = scenario.blade_phase_ms
         if scenario.randomize_blade_phase:
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB1ADE)))

@@ -31,7 +31,6 @@ from .phy import Mcs, PhyConfig, validate_channel
 BANDS = ("S", "Ku", "Ka")
 DIRECTIONS = ("uplink", "downlink")
 ANTENNA_POSITIONS = ("main_body", "under_blades")
-PATTERNS = ("single", "star", "delta")
 
 # degrees of latitude per km on the spherical Earth
 _DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS)
@@ -49,7 +48,6 @@ class AircraftSpec:
     """
 
     name: str
-    antenna_type: str                   # free text: patch, phased array, ...
     steerable: bool
     band: str
     bandwidth_mhz: float
@@ -112,20 +110,13 @@ class RfPayloadSpec:
     """One satellite communications payload (per band)."""
 
     band: str
-    antenna_type: str
-    beams: int
     beam_eirp_dbw: float
-    hpbw_deg: float
     gain_over_t_dbk: float
 
     def __post_init__(self) -> None:
         if self.band not in BANDS:
             raise ConfigError(f"unknown band {self.band!r} (choose from {BANDS})",
                               field="band")
-        if self.beams < 1:
-            raise ConfigError("beams must be >= 1", field="beams")
-        if self.hpbw_deg <= 0:
-            raise ConfigError("hpbw_deg must be > 0", field="hpbw_deg")
 
 
 @dataclass(frozen=True)
@@ -138,7 +129,6 @@ class ConstellationSpec:
     inclinations_deg: tuple[float, ...]   # one per plane
     raans_deg: tuple[float, ...]          # one per plane
     sats_per_plane: int
-    pattern: str                          # single, star or delta
     payloads: dict[str, RfPayloadSpec]
     phasing_factor: int = 0
     anomaly_offset_deg: float = 0.0
@@ -154,9 +144,6 @@ class ConstellationSpec:
                               field="inclination_deg")
         if len(self.raans_deg) != self.planes:
             raise ConfigError("need one RAAN per plane", field="raan_deg")
-        if self.pattern not in PATTERNS:
-            raise ConfigError(f"unknown pattern {self.pattern!r} "
-                              f"(choose from {PATTERNS})", field="pattern")
         for band in self.payloads:
             if band not in BANDS:
                 raise ConfigError(f"unknown payload band {band!r}",
@@ -329,15 +316,15 @@ class ScenarioSpec:
     def payload(self) -> RfPayloadSpec:
         return self.constellation.payloads[self.band]
 
-    def rain_rate_at(self, t: float) -> float:
-        """Rain rate (mm/h) at flight time ``t`` from the step profile."""
-        rate = 0.0
-        for start, value in self.rain_profile:
-            if t >= start:
-                rate = value
-            else:
-                break
-        return rate
+    def rain_rate_at(self, t):
+        """Rain rate (mm/h) at flight time(s) ``t`` from the step profile.
+
+        The last step starting at or before ``t`` wins, also among steps
+        with equal start times; before the first step the rate is 0.
+        """
+        profile = np.array(self.rain_profile, dtype=float).reshape(-1, 2)
+        rates = np.concatenate(([0.0], profile[:, 1]))
+        return rates[np.searchsorted(profile[:, 0], t, side="right")]
 
 
 @dataclass(frozen=True)
@@ -384,7 +371,6 @@ def _parse_aircraft(name: str, obj: dict) -> AircraftSpec:
     rotor = obj.get("rotor")
     return AircraftSpec(
         name=name,
-        antenna_type=_require(obj, "antenna_type", name),
         steerable=bool(_require(obj, "steerable", name)),
         band=_require(obj, "band", name),
         bandwidth_mhz=float(_require(obj, "bandwidth_mhz", name)),
@@ -431,10 +417,7 @@ def _parse_raans(value, planes: int) -> tuple[float, ...]:
 def _parse_payload(band: str, obj: dict) -> RfPayloadSpec:
     return RfPayloadSpec(
         band=band,
-        antenna_type=_require(obj, "antenna_type", f"payload {band}"),
-        beams=int(_require(obj, "beams", f"payload {band}")),
         beam_eirp_dbw=float(_require(obj, "beam_eirp_dbw", f"payload {band}")),
-        hpbw_deg=float(_require(obj, "hpbw_deg", f"payload {band}")),
         gain_over_t_dbk=float(_require(obj, "gain_over_t_dbk", f"payload {band}")),
     )
 
@@ -451,7 +434,6 @@ def _parse_constellation(name: str, obj: dict) -> ConstellationSpec:
                                     planes, "inclination_deg"),
         raans_deg=_parse_raans(obj.get("raan_deg", 0.0), planes),
         sats_per_plane=int(_require(obj, "sats_per_plane", name)),
-        pattern=_require(obj, "pattern", name),
         payloads=payloads,
         phasing_factor=int(obj.get("phasing_factor", 0)),
         anomaly_offset_deg=float(obj.get("anomaly_offset_deg", 0.0)),
@@ -628,7 +610,6 @@ def _rotor_to_dict(rotor: RotorSpec) -> dict:
 def _aircraft_to_dict(a: AircraftSpec) -> dict:
     lo, hi = a.beamwidth_deg
     return {
-        "antenna_type": a.antenna_type,
         "steerable": a.steerable,
         "band": a.band,
         "bandwidth_mhz": a.bandwidth_mhz,
@@ -651,15 +632,11 @@ def _constellation_to_dict(c: ConstellationSpec) -> dict:
         "inclination_deg": list(c.inclinations_deg),
         "raan_deg": list(c.raans_deg),
         "sats_per_plane": c.sats_per_plane,
-        "pattern": c.pattern,
         "phasing_factor": c.phasing_factor,
         "anomaly_offset_deg": c.anomaly_offset_deg,
         "payloads": {
             band: {
-                "antenna_type": p.antenna_type,
-                "beams": p.beams,
                 "beam_eirp_dbw": p.beam_eirp_dbw,
-                "hpbw_deg": p.hpbw_deg,
                 "gain_over_t_dbk": p.gain_over_t_dbk,
             }
             for band, p in c.payloads.items()

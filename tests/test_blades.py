@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from rwasim.blades import (
     BladeGeometry,
     RotorSpec,
-    blade_geometry,
     blockage_arc,
     blocked_intervals,
     build_schedule,
@@ -98,11 +97,14 @@ def test_schedule_overlapping_arcs_rejected():
 
 
 def test_schedule_for_elevation_clamps():
-    # tiny radius blows the arc past 360/n; the clamped schedule is fully blocked
-    rotor = RotorSpec(4, 0.5, 400, 0.5, 0.5, 5.2)
-    sched = schedule_for_elevation(rotor, 45.0)  # crossing at the shaft
-    assert sched.blocked_ms == pytest.approx(sched.period_ms)
-    assert sched.total_clear_ms == pytest.approx(0.0, abs=1e-12)
+    # tiny radius blows the arc past 360/n; the clamped schedule is fully blocked.
+    # At 3 blades and 380 rpm, n * ((360 / n) / rate) rounds above 360 / rate:
+    # the clear time is held at 0 instead of going negative or raising
+    for rotor in (RotorSpec(4, 0.5, 400, 0.5, 0.5, 5.2), RotorSpec(3, 0.5, 380, 0.5, 0.5, 5.2)):
+        sched = schedule_for_elevation(rotor, 45.0)  # crossing at the shaft
+        assert sched.blocked_ms == pytest.approx(sched.period_ms)
+        assert sched.total_clear_ms == pytest.approx(0.0, abs=1e-12)
+        assert sched.clear_ms >= 0.0
 
 
 def test_schedule_for_elevation_miss_is_clear():
@@ -228,16 +230,16 @@ def test_blocked_measure_over_full_periods(phase, periods):
 def test_timeline_regeneration_threshold():
     rotor = RotorSpec(4, 0.29, 400, 3.45, 0.5, 5.2)
     # 0.1 deg of elevation drift moves blocked time well under 5%: reused
-    reused = schedule_timeline(rotor, [50.0, 50.1, 50.2])
-    assert reused[0] is reused[1] is reused[2]
+    segment, schedules = schedule_timeline(rotor, [50.0, 50.1, 50.2])
+    assert segment.tolist() == [0, 0, 0] and len(schedules) == 1
     # a 20 deg jump forces a rebuild
-    rebuilt = schedule_timeline(rotor, [50.0, 70.0])
-    assert rebuilt[0] is not rebuilt[1]
-    assert rebuilt[1].blocked_ms < rebuilt[0].blocked_ms
+    segment, schedules = schedule_timeline(rotor, [50.0, 70.0])
+    assert segment.tolist() == [0, 1]
+    assert schedules[1].blocked_ms < schedules[0].blocked_ms
 
 
 def test_timeline_tracks_blockage_appearing():
     rotor = RotorSpec(4, 0.29, 400, 0.0, 0.5, 1.0)
-    tl = schedule_timeline(rotor, [5.0, 45.0])  # miss, then hit
-    assert tl[0].blocked_ms == 0.0
-    assert tl[1].blocked_ms > 0.0
+    segment, schedules = schedule_timeline(rotor, [5.0, 45.0])  # miss, then hit
+    assert schedules[segment[0]].blocked_ms == 0.0
+    assert schedules[segment[1]].blocked_ms > 0.0

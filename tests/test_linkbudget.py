@@ -11,7 +11,6 @@ from rwasim.linkbudget import (
     compute_cnr,
     fspl,
     off_boresight_gain,
-    path_loss,
     pointing_offset,
     rescale_cnr,
 )
@@ -86,18 +85,24 @@ def test_loss_model_overrides():
     assert custom.band("S") == MODEL.band("S")
 
 
+def _total_loss(band, distance_km, frequency_ghz, el, rain_rate_mmh=0.0):
+    """Free-space plus atmospheric loss, summed as the link timeline does."""
+    gas, cloud, rain = atmospheric_loss(MODEL, band, el, rain_rate_mmh)
+    free = fspl(distance_km, frequency_ghz)
+    return free, gas, cloud, rain, free + gas + rain + cloud
+
+
 def test_path_loss_totals():
-    breakdown = path_loss(MODEL, "Ka", 1000.0, 20.0, 40.0, rain_rate_mmh=25.0)
-    parts = (breakdown.fspl_db + breakdown.gas_db
-             + breakdown.rain_db + breakdown.cloud_db)
-    assert breakdown.total_db == pytest.approx(parts, rel=1e-12)
-    assert breakdown.fspl_db == pytest.approx(fspl(1000.0, 20.0))
+    free, gas, cloud, rain, total = _total_loss("Ka", 1000.0, 20.0, 40.0, rain_rate_mmh=25.0)
+    parts = free + gas + rain + cloud
+    assert total == pytest.approx(parts, rel=1e-12)
+    assert free == pytest.approx(fspl(1000.0, 20.0))
 
 
 @given(rate=st.floats(0.1, 100.0), el=st.floats(5.0, 90.0))
 def test_rain_strictly_increases_loss(rate, el):
-    dry = path_loss(MODEL, "Ku", 2000.0, 14.0, el).total_db
-    wet = path_loss(MODEL, "Ku", 2000.0, 14.0, el, rain_rate_mmh=rate).total_db
+    dry = _total_loss("Ku", 2000.0, 14.0, el)[-1]
+    wet = _total_loss("Ku", 2000.0, 14.0, el, rain_rate_mmh=rate)[-1]
     assert wet > dry
 
 

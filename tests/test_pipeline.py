@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rwasim.blades import (REGEN_FRACTION, RotorSpec, blockage_arc, interference_point,
+                           schedule_for_elevation)
 from rwasim.cli import main
+from rwasim.constants import EARTH_ROTATION_RATE
 from rwasim.errors import ConfigError
+from rwasim.linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain,
+                               pointing_offset, rescale_cnr)
+from rwasim.orbit import AccessTimeline, build_access_timeline, circular_speed
 from rwasim.phy import FRAME_MS, Mcs, PhyConfig
 from rwasim.pipeline import (
     _CSV_CHUNK_ROWS,
     _write_csv,
+    blade_overlay,
     compare_reports,
+    link_timeline,
     run_scenario,
     sweep_cnr,
     write_outputs,
@@ -29,6 +38,7 @@ from rwasim.scenarios import (
     RfPayloadSpec,
     ScenarioSpec,
     builtin_catalog,
+    loiter_route,
     serialize_scenario,
 )
 
@@ -50,15 +60,13 @@ def _overhead_geo(gain_over_t=22.0, lon=5.0, threshold=10.0, duration=60.0,
     flight: access is 100 %, there are no handovers, and the link
     barely moves -- a controllable fixture for output-format tests.
     """
-    payload = RfPayloadSpec(band="S", antenna_type="patch", beams=1,
-                            beam_eirp_dbw=40.0, hpbw_deg=20.0,
-                            gain_over_t_dbk=gain_over_t)
+    payload = RfPayloadSpec(band="S", beam_eirp_dbw=40.0, gain_over_t_dbk=gain_over_t)
     constellation = ConstellationSpec(
         name="GEO-S", altitude_km=35786.0, planes=1, inclinations_deg=(6.0,),
-        raans_deg=(20.0,), sats_per_plane=1, pattern="single",
+        raans_deg=(20.0,), sats_per_plane=1,
         payloads={"S": payload}, anomaly_offset_deg=-15.0)
     aircraft = AircraftSpec(
-        name="testbed", antenna_type="patch", steerable=True, band="S",
+        name="testbed", steerable=True, band="S",
         bandwidth_mhz=5.0, beamwidth_deg=(60.0, 60.0), max_gain_dbi=6.0,
         position="main_body", tx_power_dbw=10.0)
     route = FlightRoute(((0.0, 0.0, lon, 100.0),
@@ -235,6 +243,191 @@ def test_write_outputs_returns_scenario_directory(tmp_path):
                           mode="expected")
     target = write_outputs(result, tmp_path)
     assert target == tmp_path / "geo-overhead"
+
+
+# === link budget and blade overlay against a per-sample reference ===
+
+def _rain_reference(profile, t):
+    rate = 0.0
+    for start, value in profile:
+        if t >= start:
+            rate = value
+    return rate
+
+
+def _reference_link(scenario, access):
+    """fspl, gas, rain, cloud, total and CNR rows, one sample at a time."""
+    aircraft = scenario.aircraft
+    cols = np.full((6, len(access)), np.nan)
+    cols[5] = -np.inf
+    for i in np.flatnonzero(access.served):
+        el, az = float(access.elevation_deg[i]), float(access.azimuth_deg[i])
+        rate = _rain_reference(scenario.rain_profile, float(access.times_s[i]))
+        gas, cloud, rain = atmospheric_loss(scenario.loss_model, scenario.band, el, rate)
+        free = fspl(float(access.slant_range_km[i]), scenario.phy.carrier_ghz)
+        total = free + gas + rain + cloud
+        penalty = 0.0
+        if not aircraft.steerable:
+            offset = pointing_offset(aircraft.boresight_elevation_deg,
+                                     aircraft.boresight_azimuth_deg, el, az)
+            penalty = aircraft.max_gain_dbi - off_boresight_gain(
+                aircraft.max_gain_dbi, aircraft.beamwidth_mid_deg, offset)
+        if scenario.direction == "uplink":
+            eirp, gain_over_t = aircraft.eirp_dbw, scenario.payload.gain_over_t_dbk
+        else:
+            eirp, gain_over_t = scenario.payload.beam_eirp_dbw, aircraft.receive_gain_over_t_dbk
+        cols[:, i] = [free, gas, rain, cloud, total,
+                      compute_cnr(eirp, gain_over_t, total, aircraft.bandwidth_mhz,
+                                  pointing_penalty_db=penalty, margin_db=scenario.margin_db)]
+    return cols
+
+
+def _reference_blades(rotor, access):
+    """Segment index per sample and segment rows under the 5 % rule, one sample at a time."""
+    segment = np.full(len(access), -1)
+    rows = []
+    current = None
+    for i in np.flatnonzero(access.served):
+        el = float(access.elevation_deg[i])
+        candidate = schedule_for_elevation(rotor, el)
+        have, want = (None, None) if current is None else (current.blocked_ms, candidate.blocked_ms)
+        if (current is None
+                or ((have == 0.0 or want == 0.0) and have != want)
+                or (have != 0.0 and want != 0.0 and abs(want - have) / have > REGEN_FRACTION)):
+            current = candidate
+            radius = interference_point(rotor, el)
+            rows.append((el, math.inf if radius is None else radius,
+                         0.0 if radius is None else blockage_arc(rotor.blade_width_m, radius),
+                         current.blocked_ms, current.clear_ms, current.duty_cycle))
+        segment[i] = len(rows) - 1
+    return segment, np.array(rows, dtype=float).reshape(-1, 6)
+
+
+@st.composite
+def _link_cases(draw):
+    base = builtin_catalog().scenarios[draw(st.sampled_from(sorted(builtin_catalog().scenarios)))]
+    step_s = draw(st.sampled_from([1.0, 7.5, 60.0]))
+    n = draw(st.integers(0, 60))
+    times = np.arange(n) * step_s
+    served = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    # slow drifts keep a blade schedule in force, jumps rebuild it
+    steps = draw(st.lists(st.one_of(st.floats(-0.3, 0.3), st.floats(-60.0, 60.0)),
+                          min_size=n, max_size=n))
+    el = np.clip(draw(st.floats(0.5, 90.0)) + np.cumsum(steps), 0.5, 90.0)
+    azimuth = np.array(draw(st.lists(st.floats(0.0, 359.99), min_size=n, max_size=n)))
+    slant = np.array(draw(st.lists(st.floats(300.0, 40000.0), min_size=n, max_size=n)))
+    access = AccessTimeline(
+        times_s=times, sat_id=np.where(served, 0, -1),
+        elevation_deg=np.where(served, el, np.nan),
+        azimuth_deg=np.where(served, azimuth, np.nan),
+        slant_range_km=np.where(served, slant, np.nan),
+        range_rate_kms=np.zeros(n), doppler_khz=np.zeros(n),
+        threshold_deg=0.0, carrier_ghz=base.phy.carrier_ghz)
+
+    rotor = draw(st.one_of(st.none(), st.builds(
+        RotorSpec, n_blades=st.integers(1, 6), blade_width_m=st.floats(0.05, 3.0),
+        rpm=st.sampled_from([380.0, 395.0, 400.0, 1280.0]) | st.floats(100.0, 3000.0),
+        shaft_offset_m=st.floats(0.0, 4.0), rotor_height_m=st.floats(0.1, 1.0),
+        tip_radius_m=st.floats(0.5, 6.0))))
+    aircraft = replace(
+        base.aircraft, steerable=draw(st.booleans()),
+        boresight_elevation_deg=draw(st.floats(0.0, 90.0)),
+        boresight_azimuth_deg=draw(st.floats(0.0, 360.0)),
+        position="main_body" if rotor is None else "under_blades", rotor=rotor)
+    directions = ["downlink"] + (["uplink"] if aircraft.tx_power_dbw is not None else [])
+    # rain steps land on sample times, between them, and share start times
+    starts = sorted(draw(st.lists(st.one_of(st.sampled_from(list(times) or [0.0]),
+                                            st.floats(0.0, max(n * step_s, 1.0))),
+                                  max_size=5)))
+    profile = tuple((t, draw(st.sampled_from([0.0, 5.0]) | st.floats(0.0, 60.0)))
+                    for t in starts)
+    scenario = replace(
+        base, aircraft=aircraft, direction=draw(st.sampled_from(directions)),
+        phy=replace(base.phy, ntn_band=None), rain_profile=profile,
+        margin_db=draw(st.floats(0.0, 5.0)),
+        cnr_prime_bandwidth_mhz=draw(st.none() | st.floats(1.0, 400.0)))
+    return scenario, access
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_link_cases())
+def test_link_and_blades_match_per_sample_reference(case):
+    scenario, access = case
+    link = link_timeline(scenario, access)
+    want = _reference_link(scenario, access)
+    got = np.array([link.fspl_db, link.gas_db, link.rain_db, link.cloud_db,
+                    link.total_db, link.cnr_db])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    if scenario.cnr_prime_bandwidth_mhz is None:
+        assert link.cnr_prime_db is None
+    else:
+        np.testing.assert_allclose(
+            link.cnr_prime_db,
+            np.where(access.served, rescale_cnr(want[5], scenario.aircraft.bandwidth_mhz,
+                                                scenario.cnr_prime_bandwidth_mhz), -np.inf),
+            rtol=1e-12, atol=0.0)
+
+    (segment, schedules), rows = blade_overlay(scenario, access)
+    rotor = scenario.aircraft.rotor
+    if rotor is None:
+        assert np.all(segment == -1) and schedules == [] and rows == []
+        return
+    want_segment, want_rows = _reference_blades(rotor, access)
+    assert np.array_equal(segment, want_segment)
+    got_rows = np.array([(r.elevation_deg, r.radius_m, r.arc_deg, r.blocked_ms,
+                          r.clear_ms, r.duty_cycle) for r in rows], dtype=float).reshape(-1, 6)
+    np.testing.assert_allclose(got_rows, want_rows, rtol=1e-12, atol=0.0)
+    assert [s.blocked_ms for s in schedules] == [r.blocked_ms for r in rows]
+    assert all(s.clear_ms >= 0.0 for s in schedules)
+
+
+# === whole random scenarios ===
+
+@st.composite
+def _run_cases(draw):
+    base = builtin_catalog().scenarios[draw(st.sampled_from(sorted(builtin_catalog().scenarios)))]
+    planes = draw(st.integers(1, 6))
+    altitude = draw(st.floats(500.0, 2000.0))
+    constellation = replace(
+        base.constellation, altitude_km=altitude, planes=planes,
+        sats_per_plane=draw(st.integers(1, 10)),
+        inclinations_deg=(draw(st.floats(30.0, 100.0)),) * planes,
+        raans_deg=tuple(k * 360.0 / planes for k in range(planes)),
+        phasing_factor=draw(st.integers(0, planes - 1)),
+        anomaly_offset_deg=draw(st.floats(0.0, 360.0)))
+    duration = draw(st.floats(60.0, 1800.0))
+    speed_ms = draw(st.floats(5.0, 80.0))
+    # loiter centres stay away from the poles
+    route = loiter_route(draw(st.floats(-60.0, 60.0)), draw(st.floats(-180.0, 180.0)),
+                         draw(st.floats(0.0, 3000.0)), draw(st.floats(1.0, 20.0)),
+                         speed_ms, duration)
+    scenario = replace(base, constellation=constellation, route=route, duration_s=duration,
+                       handover_threshold_deg=draw(st.floats(0.0, 40.0)))
+    return (scenario, speed_ms / 1000.0, draw(st.floats(5.0, 120.0)),
+            draw(st.integers(1, 20)), draw(st.sampled_from(["mc", "expected"])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_run_cases())
+def test_random_scenario_invariants(case):
+    scenario, aircraft_kms, step_s, n_frames, mode, seed = case
+    try:
+        result = run_scenario(scenario, step_s=step_s, n_frames=n_frames, mode=mode, seed=seed)
+    except RuntimeError:
+        assert not np.any(build_access_timeline(scenario, step_s).served)
+        return
+    access, slots = result.access, result.slots
+    served = access.served
+    assert np.all(access.elevation_deg[served] >= scenario.handover_threshold_deg)
+    a = scenario.constellation.orbit_radius_km
+    # the 1 % covers the waypoint track's interpolation and the flight altitude
+    limit = circular_speed(a) + EARTH_ROTATION_RATE * a + 1.01 * aircraft_kms
+    assert np.all(np.abs(access.range_rate_kms[served]) <= limit)
+    n_slots = n_frames * scenario.phy.numerology.slots_per_frame
+    assert len(slots) == result.report["n_slots"] == n_slots
+    clear = ~slots.erased
+    assert np.all((slots.ber[clear] >= 0.0) & (slots.ber[clear] <= 0.5))
 
 
 # === CSV writer ===
