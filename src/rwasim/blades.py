@@ -7,7 +7,8 @@ interval once per rotation, and the link is clear in between.  The arc
 blocked by one blade depends on where the antenna boresight crosses the
 rotor disk, which in turn depends on the satellite elevation.  The
 geometry functions take scalars or numpy arrays of elevations; the
-single-elevation schedule API is a thin wrapper over them.
+single-elevation schedule API is a thin wrapper over them, and
+:func:`slot_blocked_ms` gives the per-slot blocked time the PHY sees.
 """
 
 from __future__ import annotations
@@ -67,27 +68,27 @@ class BladeGeometry:
 
 @dataclass(frozen=True)
 class BladeSchedule:
-    """Periodic blockage timing produced by one rotor at one elevation.
+    """Periodic blockage timing of a rotor, at one or many elevations.
 
     Every ``rotation_ms / n_blades`` milliseconds a blade blocks the
     link for ``blocked_ms``; the remaining ``clear_ms`` of each blade
-    period is usable.
+    period is usable.  Fields are floats or per-segment (or per-frame) arrays.
     """
 
-    n_blades: int
-    rate_deg_per_ms: float
-    blocked_ms: float       # per-blade blockage duration
-    clear_ms: float         # per-gap clear duration
-    rotation_ms: float      # full rotation
-    total_clear_ms: float   # clear time per rotation
+    n_blades: int | np.ndarray
+    rate_deg_per_ms: float | np.ndarray
+    blocked_ms: float | np.ndarray       # per-blade blockage duration
+    clear_ms: float | np.ndarray         # per-gap clear duration
+    rotation_ms: float | np.ndarray      # full rotation
+    total_clear_ms: float | np.ndarray   # clear time per rotation
 
     @property
-    def period_ms(self) -> float:
+    def period_ms(self) -> float | np.ndarray:
         """Blade-to-blade period (blocked + clear)."""
         return self.rotation_ms / self.n_blades
 
     @property
-    def duty_cycle(self) -> float:
+    def duty_cycle(self) -> float | np.ndarray:
         """Fraction of time the link is blocked."""
         return self.n_blades * self.blocked_ms / self.rotation_ms
 
@@ -149,17 +150,18 @@ def build_schedule(rotor: RotorSpec, geometry: BladeGeometry) -> BladeSchedule:
     blocked = geometry.arc_deg / rotor.rate_deg_per_ms
     if rotor.n_blades * blocked > rotor.rotation_ms:
         raise ValueError("blade arcs overlap: n_blades * blocked exceeds one rotation")
-    return _schedule(rotor, blocked)
+    return schedule(rotor, blocked)
 
 
-def _schedule(rotor: RotorSpec, blocked: float) -> BladeSchedule:
+def schedule(rotor: RotorSpec, blocked_ms) -> BladeSchedule:
+    """Schedule of ``rotor`` for a per-blade blocked time, columnar for an array."""
     rotation = rotor.rotation_ms
     # a clamped arc may leave a rounding-sized negative clear time
-    total_clear = max(rotation - rotor.n_blades * blocked, 0.0)
+    total_clear = np.maximum(rotation - rotor.n_blades * blocked_ms, 0.0)
     return BladeSchedule(
         n_blades=rotor.n_blades,
         rate_deg_per_ms=rotor.rate_deg_per_ms,
-        blocked_ms=blocked,
+        blocked_ms=blocked_ms,
         clear_ms=total_clear / rotor.n_blades,
         rotation_ms=rotation,
         total_clear_ms=total_clear,
@@ -179,7 +181,7 @@ def blocked_ms(rotor: RotorSpec, elevation_deg) -> np.ndarray:
 
 def schedule_for_elevation(rotor: RotorSpec, elevation_deg: float) -> BladeSchedule:
     """Blockage schedule at one elevation (see :func:`blocked_ms`)."""
-    return _schedule(rotor, float(blocked_ms(rotor, elevation_deg)))
+    return schedule(rotor, float(blocked_ms(rotor, elevation_deg)))
 
 
 def blocked_intervals(
@@ -235,7 +237,7 @@ def speed_ratios(
 def schedule_timeline(
     rotor: RotorSpec,
     elevations_deg,
-) -> tuple[np.ndarray, list[BladeSchedule]]:
+) -> tuple[np.ndarray, BladeSchedule]:
     """Schedules along a run of elevation samples, regenerated only on meaningful change.
 
     Recomputing the schedule at every elevation sample is wasteful and
@@ -244,8 +246,9 @@ def schedule_timeline(
     relative to the schedule in force (always at the first sample and
     whenever blockage appears or disappears).
 
-    Returns ``(segment, schedules)``: one schedule per segment, built at
-    its first sample, and the segment index of every sample.
+    Returns ``(segment, schedules)``: the segment index of every sample
+    and one columnar schedule with one entry per segment, built at the
+    segment's first sample.
     """
     blocked = blocked_ms(rotor, elevations_deg)
     starts: list[int] = []
@@ -262,4 +265,50 @@ def schedule_timeline(
             have = want
     first = np.zeros(len(blocked), dtype=bool)
     first[starts] = True
-    return np.cumsum(first) - 1, [_schedule(rotor, b) for b in blocked[starts].tolist()]
+    return np.cumsum(first) - 1, schedule(rotor, blocked[starts])
+
+
+def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
+                    slots_per_frame: int) -> np.ndarray:
+    """Blade-blocked time (ms) of every slot, as a (frames, slots) array.
+
+    ``schedules`` applies to every frame or has one entry per frame (0 ms
+    blocked: a clear frame).  Frame ``f`` starts at ``frame_offsets_ms[f]``
+    on a continuous rotor clock.
+
+    Frame ``f`` sees the blade pulses of :func:`blocked_intervals` over
+    one frame at phase ``frame_offsets_ms[f] % period``: pulse ``j``
+    starts at ``(k0 + j) * period - phase``, is clipped to the frame and
+    adds its overlap to every slot it touches.  All frames take pulse
+    ``j`` together and pulses are added in order, so each slot sums the
+    same terms in the same order as a walk over its frame's intervals.
+    Slots blocked for exactly the erase threshold (blade edges on slot
+    boundaries) are decided by this arithmetic, so it must not change.
+    """
+    offsets = np.asarray(frame_offsets_ms, dtype=float)
+    frame_ms = slots_per_frame * slot_ms
+    blocked = np.zeros((len(offsets), slots_per_frame))
+    width = np.broadcast_to(schedules.blocked_ms, offsets.shape)
+    rows = np.flatnonzero(width > 0.0)
+    if rows.size == 0:
+        return blocked
+    period = np.broadcast_to(schedules.period_ms, offsets.shape)[rows, None]
+    width = width[rows, None]
+    phase = offsets[rows, None] % period
+    k0 = np.floor((-phase - width) / period)
+    slot = np.arange(slots_per_frame)
+    lo = slot * slot_ms
+    total = np.zeros((rows.size, slots_per_frame))
+    # k0 lies up to about 2 * phase / period pulses before the first one
+    # that reaches the frame, so pulses past k0 + ceil((frame_ms + width)
+    # / period) + 3 start after the frame ends; one more is slack for rounding
+    for j in range(int(np.max(np.ceil((frame_ms + width) / period))) + 4):
+        start = (k0 + j) * period - phase
+        stop = start + width
+        hit = (stop > 0.0) & (start < frame_ms)
+        start, stop = np.maximum(start, 0.0), np.minimum(stop, frame_ms)
+        touched = hit & (slot >= np.floor(start / slot_ms)) & (slot < np.ceil(stop / slot_ms))
+        overlap = np.minimum(stop, lo + slot_ms) - np.maximum(start, lo)
+        total += np.where(touched, overlap, 0.0)
+    blocked[rows] = total
+    return blocked

@@ -11,7 +11,7 @@ representative attenuation levels, not forecast accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,6 +34,11 @@ class BandAtmosphere:
     zenith_cloud_db: float    # cloud/fog attenuation looking straight up
     rain_k: float             # specific rain attenuation: k * R^alpha dB/km
     rain_alpha: float
+
+    def __post_init__(self) -> None:
+        for name in ("zenith_gas_db", "zenith_cloud_db", "rain_k"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError("must be >= 0", field=name)
 
 
 # Representative mid-band coefficients for the bands the simulator uses.
@@ -58,6 +63,11 @@ class LossModel:
     rain_height_km: float = 3.0
     slant_cap_km: float = 20.0
 
+    def __post_init__(self) -> None:
+        for name in ("rain_height_km", "slant_cap_km"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError("must be > 0", field=name)
+
     def band(self, name: str) -> BandAtmosphere:
         try:
             return self.bands[name]
@@ -73,9 +83,17 @@ class LossModel:
         bands = dict(self.bands)
         for name, params in overrides.get("bands", {}).items():
             base = bands.get(name, BandAtmosphere(0.0, 0.0, 0.0, 1.0))
-            bands[name] = replace(base, **params)
+            bands[name] = _replace_known(base, params)
         scalars = {k: v for k, v in overrides.items() if k != "bands"}
-        return replace(self, bands=bands, **scalars)
+        return _replace_known(self, {**scalars, "bands": bands})
+
+
+def _replace_known(obj, changes: dict):
+    """``dataclasses.replace`` that names an unknown key in a ConfigError."""
+    unknown = sorted(set(changes) - {f.name for f in fields(obj)})
+    if unknown:
+        raise ConfigError(f"unknown loss-model key(s) {unknown}", field=unknown[0])
+    return replace(obj, **changes)
 
 
 def atmospheric_loss(model: LossModel, band: str, elevation_deg, rain_rate_mmh=0.0):

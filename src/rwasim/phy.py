@@ -3,7 +3,7 @@
 Covers the frame structure (numerology tables), the satellite band
 catalog with channel validation, an AWGN bit-error-rate abstraction for
 the supported modulations, and a frame simulator that combines a CNR
-timeline with rotor-blade erasures into per-slot outcomes.
+timeline with each slot's rotor-blade blocked time into per-slot outcomes.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .blades import BladeSchedule
 from .errors import ConfigError
 
 FRAME_MS = 10.0
@@ -289,55 +288,11 @@ def _per_frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, frame_index)))
 
 
-def _blocked_ms(
-    schedules: list[BladeSchedule | None],
-    frame_offsets_ms: np.ndarray,
-    num: Numerology,
-) -> np.ndarray:
-    """Blade-blocked time (ms) of every slot, as a (frames, slots) array.
-
-    Frame ``f`` sees the blade pulses of :func:`rwasim.blades.blocked_intervals`
-    over one frame at phase ``frame_offsets_ms[f] % period``: pulse ``j``
-    starts at ``(k0 + j) * period - phase``, is clipped to the frame and
-    adds its overlap to every slot it touches.  All frames take pulse
-    ``j`` together and pulses are added in order, so each slot sums the
-    same terms in the same order as a walk over its frame's intervals.
-    Slots blocked for exactly the erase threshold (blade edges on slot
-    boundaries) are decided by this arithmetic, so it must not change.
-    """
-    spf, slot_ms = num.slots_per_frame, num.slot_ms
-    blocked = np.zeros((len(schedules), spf))
-    rows = np.flatnonzero([s is not None and s.blocked_ms > 0.0 for s in schedules])
-    if rows.size == 0:
-        return blocked
-    width = np.array([schedules[f].blocked_ms for f in rows])[:, None]
-    period = np.array([schedules[f].period_ms for f in rows])[:, None]
-    phase = np.asarray(frame_offsets_ms, dtype=float)[rows, None] % period
-    k0 = np.floor((-phase - width) / period)
-    slot = np.arange(spf)
-    lo = slot * slot_ms
-    total = np.zeros((rows.size, spf))
-    # k0 lies up to about 2 * phase / period pulses before the first one
-    # that reaches the frame, so pulses past k0 + ceil((FRAME_MS + width)
-    # / period) + 3 start after the frame ends; one more is slack for rounding
-    for j in range(int(np.max(np.ceil((FRAME_MS + width) / period))) + 4):
-        start = (k0 + j) * period - phase
-        stop = start + width
-        hit = (stop > 0.0) & (start < FRAME_MS)
-        start, stop = np.maximum(start, 0.0), np.minimum(stop, FRAME_MS)
-        touched = hit & (slot >= np.floor(start / slot_ms)) & (slot < np.ceil(stop / slot_ms))
-        overlap = np.minimum(stop, lo + slot_ms) - np.maximum(start, lo)
-        total += np.where(touched, overlap, 0.0)
-    blocked[rows] = total
-    return blocked
-
-
 def simulate_frames(
     phy: PhyConfig,
     cnr_db,
     n_frames: int,
-    schedules: list[BladeSchedule | None] | BladeSchedule | None = None,
-    frame_offsets_ms: np.ndarray | None = None,
+    blocked_ms: np.ndarray | None = None,
     mode: str = "mc",
     seed: int = 0,
     erase_threshold: float = 0.5,
@@ -349,11 +304,9 @@ def simulate_frames(
     cnr_db : scalar, per-frame array (len ``n_frames``) or per-slot
         array.  Frames hold their CNR for all their slots when a
         per-frame array is given.
-    schedules : blade schedule applied to every frame, or one per frame
-        (None entries mean no rotor).  Blade timing runs on a continuous
-        rotor clock: ``frame_offsets_ms`` gives each frame's position on
-        that clock (defaults to contiguous frames), so the blockage
-        phase advances across frames instead of restarting.
+    blocked_ms : rotor-blade blocked time (ms) of every slot, as a
+        (``n_frames``, slots per frame) array, for example from
+        :func:`rwasim.blades.slot_blocked_ms`.  None means no rotor.
     mode : "mc" draws per-slot bit errors from a binomial distribution
         with per-frame derived seeds; "expected" is deterministic and
         records the expected error count.
@@ -384,14 +337,9 @@ def simulate_frames(
     else:
         raise ValueError("cnr_db must be scalar, per-frame or per-slot")
 
-    if isinstance(schedules, BladeSchedule) or schedules is None:
-        schedules = [schedules] * n_frames
-    if len(schedules) != n_frames:
-        raise ValueError("need one blade schedule (or None) per frame")
-    if frame_offsets_ms is None:
-        frame_offsets_ms = np.arange(n_frames, dtype=float) * FRAME_MS
-
-    blocked = _blocked_ms(schedules, frame_offsets_ms, num)
+    blocked = np.zeros((n_frames, spf)) if blocked_ms is None else np.asarray(blocked_ms, float)
+    if blocked.shape != (n_frames, spf):
+        raise ValueError(f"blocked_ms must have shape ({n_frames}, {spf}), got {blocked.shape}")
     # an unblocked slot is never erased, even where the threshold is 0 or
     # so small that erase_threshold * slot_ms underflows to 0
     erased = ((blocked > 0.0) & (blocked >= erase_threshold * num.slot_ms)).ravel()

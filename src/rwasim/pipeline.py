@@ -108,27 +108,28 @@ class BladeRow:
 def blade_overlay(
     scenario: ScenarioSpec,
     access: AccessTimeline,
-) -> tuple[tuple[np.ndarray, list[bl.BladeSchedule]], list[BladeRow]]:
+) -> tuple[tuple[np.ndarray, bl.BladeSchedule | None], list[BladeRow]]:
     """Blade-schedule segments of the access samples plus one row per segment.
 
-    Returns ``((segment, schedules), rows)``: the index into
-    ``schedules`` of the schedule in force at each access sample (-1 in
-    outages and without a rotor), one schedule per segment where the
-    schedule was regenerated (the 5 % blocked-time rule in
-    :func:`rwasim.blades.schedule_timeline`), and one row per segment.
+    Returns ``((segment, schedules), rows)``: the segment in force at
+    each access sample (-1 in outages and without a rotor), a columnar
+    schedule with one entry per segment (None without a rotor; segments
+    start where :func:`rwasim.blades.schedule_timeline` regenerates it)
+    and one row per segment.
     """
     rotor = scenario.aircraft.rotor
     segment = np.full(len(access), -1)
     if rotor is None:
-        return (segment, []), []
+        return (segment, None), []
     served = access.served
     el = access.elevation_deg[served]
     served_segment, schedules = bl.schedule_timeline(rotor, el)
     segment[served] = served_segment
     first_el = el[np.flatnonzero(np.diff(served_segment, prepend=-1))]
     radius, arc = bl.crossing(rotor, first_el)
-    rows = [BladeRow(e, r, a, s.blocked_ms, s.clear_ms, s.duty_cycle)
-            for e, r, a, s in zip(first_el.tolist(), radius.tolist(), arc.tolist(), schedules)]
+    rows = [BladeRow(*row) for row in zip(
+        first_el.tolist(), radius.tolist(), arc.tolist(), schedules.blocked_ms.tolist(),
+        schedules.clear_ms.tolist(), schedules.duty_cycle.tolist())]
     return (segment, schedules), rows
 
 
@@ -231,8 +232,6 @@ def run_scenario(
     else:
         frame_times_s = np.arange(n_frames) * (scenario.duration_s / n_frames)
         frame_idx = np.minimum((frame_times_s / step_s).astype(int), n_samples - 1)
-        frame_cnr = link.cnr_db[frame_idx]
-        frame_schedules = [None if k < 0 else schedules[k] for k in segment[frame_idx].tolist()]
         phase = scenario.blade_phase_ms
         if scenario.randomize_blade_phase:
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB1ADE)))
@@ -242,10 +241,15 @@ def run_scenario(
         # times); a flight-time clock would strobe the rotor whenever
         # the frame spacing hits a multiple of the blade period.
         offsets = np.arange(n_frames) * FRAME_MS + phase
-        slots = simulate_frames(scenario.phy, frame_cnr, n_frames,
-                                schedules=frame_schedules,
-                                frame_offsets_ms=offsets,
-                                mode=mode, seed=seed)
+        blocked = None
+        if schedules is not None:
+            # segment -1 (an outage) picks the appended 0 ms: no blockage
+            frame_blocked = np.append(schedules.blocked_ms, 0.0)[segment[frame_idx]]
+            num = scenario.phy.numerology
+            blocked = bl.slot_blocked_ms(bl.schedule(scenario.aircraft.rotor, frame_blocked),
+                                         offsets, num.slot_ms, num.slots_per_frame)
+        slots = simulate_frames(scenario.phy, link.cnr_db[frame_idx], n_frames,
+                                blocked_ms=blocked, mode=mode, seed=seed)
         stats = aggregate(slots, n_frames * FRAME_MS, mode=mode)
 
     report = build_report(scenario, access, link, stats, step_s, seed, mode, n_frames)
@@ -342,18 +346,21 @@ def sweep_cnr(
         raise ConfigError("points must be >= 1", field="points")
     if cnr_max_db < cnr_min_db:
         raise ConfigError("cnr-max must be >= cnr-min", field="cnr_max_db")
-    schedule = None
+    blocked = None
     if scenario.aircraft.rotor is not None:
         access = build_access_timeline(scenario, access_step_s)
         served = access.served
         if np.any(served):
             mean_el = float(np.mean(access.elevation_deg[served]))
             schedule = bl.schedule_for_elevation(scenario.aircraft.rotor, mean_el)
+            num = scenario.phy.numerology
+            blocked = bl.slot_blocked_ms(schedule, np.arange(n_frames) * FRAME_MS,
+                                         num.slot_ms, num.slots_per_frame)
     grid = np.linspace(cnr_min_db, cnr_max_db, points)
     rows = []
     for j, cnr in enumerate(grid):
         slots = simulate_frames(scenario.phy, float(cnr), n_frames,
-                                schedules=schedule, mode=mode, seed=seed + j)
+                                blocked_ms=blocked, mode=mode, seed=seed + j)
         stats = aggregate(slots, n_frames * FRAME_MS, mode=mode)
         rows.append((float(cnr), stats.ber, stats.data_rate_mbps))
     return rows
@@ -369,7 +376,7 @@ def write_sweep_csv(rows, path: str | Path) -> None:
 def compare_reports(report_a: dict, report_b: dict, path: str = "") -> dict:
     """Field-by-field difference of two run reports (b minus a).
 
-    Numeric fields yield deltas, nested objects recurse, and other
+    Numeric fields (not bools) yield deltas, nested objects recurse, and other
     fields are listed side by side when they differ.  Raises
     :class:`ConfigError` when the reports do not share a schema.
     """
@@ -385,15 +392,8 @@ def compare_reports(report_a: dict, report_b: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if isinstance(a, dict) and isinstance(b, dict):
             out[key] = compare_reports(a, b, where)
-        elif isinstance(a, bool) or isinstance(b, bool):
-            if a != b:
-                out[key] = {"a": a, "b": b}
-        elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
             out[key] = b - a
-        elif a is None or b is None:
-            if a is not b:
-                out[key] = {"a": a, "b": b}
-        else:
-            if a != b:
-                out[key] = {"a": a, "b": b}
+        elif a != b:
+            out[key] = {"a": a, "b": b}
     return out

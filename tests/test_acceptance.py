@@ -18,6 +18,7 @@ from rwasim.blades import (
     BladeGeometry,
     RotorSpec,
     build_schedule,
+    slot_blocked_ms,
     speed_ratios,
 )
 from rwasim.constants import EARTH_RADIUS, MU_EARTH
@@ -78,7 +79,10 @@ def test_criterion_01_blade_slot_pattern():
 
     phy = PhyConfig(carrier_ghz=2.0, bandwidth_mhz=30.0, scs_khz=30, n_rb=78,
                     mcs=Mcs("QPSK", 0.5))
-    slots = simulate_frames(phy, 40.0, 100, schedules=sched, mode="expected")
+    slots = simulate_frames(phy, 40.0, 100, mode="expected",
+                            blocked_ms=slot_blocked_ms(sched, np.arange(100) * FRAME_MS,
+                                                       phy.numerology.slot_ms,
+                                                       phy.numerology.slots_per_frame))
     runs = []  # run-length encoding of the erasure flags
     for flag in slots.erased.tolist():
         if runs and runs[-1][0] == flag:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,8 +9,10 @@ from rwasim.blades import (
     RotorSpec,
     blockage_arc,
     blocked_intervals,
+    blocked_ms,
     build_schedule,
     interference_point,
+    schedule,
     schedule_for_elevation,
     schedule_timeline,
     speed_ratios,
@@ -231,15 +234,38 @@ def test_timeline_regeneration_threshold():
     rotor = RotorSpec(4, 0.29, 400, 3.45, 0.5, 5.2)
     # 0.1 deg of elevation drift moves blocked time well under 5%: reused
     segment, schedules = schedule_timeline(rotor, [50.0, 50.1, 50.2])
-    assert segment.tolist() == [0, 0, 0] and len(schedules) == 1
+    assert segment.tolist() == [0, 0, 0] and len(schedules.blocked_ms) == 1
     # a 20 deg jump forces a rebuild
     segment, schedules = schedule_timeline(rotor, [50.0, 70.0])
     assert segment.tolist() == [0, 1]
-    assert schedules[1].blocked_ms < schedules[0].blocked_ms
+    assert schedules.blocked_ms[1] < schedules.blocked_ms[0]
 
 
 def test_timeline_tracks_blockage_appearing():
     rotor = RotorSpec(4, 0.29, 400, 0.0, 0.5, 1.0)
     segment, schedules = schedule_timeline(rotor, [5.0, 45.0])  # miss, then hit
-    assert schedules[segment[0]].blocked_ms == 0.0
-    assert schedules[segment[1]].blocked_ms > 0.0
+    assert schedules.blocked_ms[segment[0]] == 0.0
+    assert schedules.blocked_ms[segment[1]] > 0.0
+
+
+SCHEDULE_COLUMNS = ("n_blades", "rate_deg_per_ms", "blocked_ms", "clear_ms", "rotation_ms",
+                    "total_clear_ms", "period_ms", "duty_cycle")
+
+
+@pytest.mark.parametrize("rotor", [RotorSpec(4, 0.5, 400, 0.5, 0.5, 5.2),
+                                   RotorSpec(3, 0.5, 380, 0.5, 0.5, 5.2)])
+def test_columnar_schedule_equals_scalar_schedules(rotor):
+    # misses (0 ms), hits, and crossings at the shaft that clamp to a full
+    # blade period (for 3 blades at 380 rpm the clear time clamps to 0)
+    el = np.array([2.0, 5.0, 20.0, 30.0, 45.0, 50.0, 61.6, 70.0, 89.0, 90.0])
+    blocked = blocked_ms(rotor, el)
+    full = 360.0 / rotor.n_blades / rotor.rate_deg_per_ms
+    assert np.any(blocked == 0.0) and np.any(blocked == full)
+    assert np.any((blocked > 0.0) & (blocked < full))
+    columnar = schedule(rotor, blocked)
+    for i, b in enumerate(blocked.tolist()):
+        scalar = schedule(rotor, float(b))
+        for name in SCHEDULE_COLUMNS:
+            got = float(np.broadcast_to(getattr(columnar, name), blocked.shape)[i])
+            assert got.hex() == float(getattr(scalar, name)).hex(), (name, i)
+        assert scalar.clear_ms >= 0.0

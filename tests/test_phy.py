@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwasim.blades import (BladeGeometry, BladeSchedule, RotorSpec, blocked_intervals,
-                           build_schedule)
+                           build_schedule, slot_blocked_ms)
 from rwasim.errors import ConfigError
 from rwasim.phy import (
     FRAME_MS,
@@ -33,6 +34,13 @@ def _phy(**kw):
                 mcs=QPSK_HALF, ntn_band="n256")
     base.update(kw)
     return PhyConfig(**base)
+
+
+def _blocked(sched, n_frames, phy=None):
+    # back-to-back frames on a rotor clock that starts with the first frame
+    num = (phy or _phy()).numerology
+    return slot_blocked_ms(sched, np.arange(n_frames) * FRAME_MS, num.slot_ms,
+                           num.slots_per_frame)
 
 
 # --- frame structure ---
@@ -215,7 +223,7 @@ def test_erasure_pattern_3_28():
     rotor = RotorSpec(3, 0.1, rpm, 1.0, 0.5, 5.0)
     sched = build_schedule(rotor, BladeGeometry(1.0, 1.6 * rotor.rate_deg_per_ms))
     phy = _phy()
-    slots = simulate_frames(phy, 40.0, 100, schedules=sched, mode="expected")
+    slots = simulate_frames(phy, 40.0, 100, _blocked(sched, 100, phy), mode="expected")
     flags = slots.erased.tolist()
 
     runs = []  # (value, length) run-length encoding
@@ -236,7 +244,7 @@ def test_erasure_pattern_3_28():
 def test_full_blockage_erases_everything():
     rotor = RotorSpec(4, 0.5, 400, 0.5, 0.5, 5.2)
     sched = build_schedule(rotor, BladeGeometry(0.05, 90.0))  # arcs touch
-    slots = simulate_frames(_phy(), 40.0, 3, schedules=sched, mode="expected")
+    slots = simulate_frames(_phy(), 40.0, 3, _blocked(sched, 3), mode="expected")
     assert slots.erased.all()
     stats = aggregate(slots, 3 * FRAME_MS, mode="expected")
     assert stats.ber == 1.0
@@ -249,13 +257,13 @@ def test_erase_threshold_zero_any_overlap():
     rpm = 360.0 / (0.006 * 1 * 100.0)  # single blade, 100 ms period
     rotor = RotorSpec(1, 0.1, rpm, 1.0, 0.5, 5.0)
     sched = build_schedule(rotor, BladeGeometry(1.0, 0.2 * rotor.rate_deg_per_ms))
-    majority = simulate_frames(_phy(), 40.0, 1, schedules=sched, mode="expected")
+    majority = simulate_frames(_phy(), 40.0, 1, _blocked(sched, 1), mode="expected")
     assert not majority.erased.any()
-    any_overlap = simulate_frames(_phy(), 40.0, 1, schedules=sched,
+    any_overlap = simulate_frames(_phy(), 40.0, 1, _blocked(sched, 1),
                                   mode="expected", erase_threshold=0.0)
     assert any_overlap.erased[0] and not any_overlap.erased[1:].any()
     # a threshold whose ms value underflows to 0 still erases only blocked slots
-    tiny = simulate_frames(_phy(), 40.0, 1, schedules=sched,
+    tiny = simulate_frames(_phy(), 40.0, 1, _blocked(sched, 1),
                            mode="expected", erase_threshold=5e-324)
     assert np.array_equal(tiny.erased, any_overlap.erased)
 
@@ -265,7 +273,7 @@ def test_slot_loss_converges_to_duty_cycle():
     rpm = 360.0 / (0.006 * 2 * 16.0)
     rotor = RotorSpec(2, 0.1, rpm, 1.0, 0.5, 5.0)
     sched = build_schedule(rotor, BladeGeometry(1.0, 2.0 * rotor.rate_deg_per_ms))
-    slots = simulate_frames(_phy(), 40.0, 40, schedules=sched, mode="expected")
+    slots = simulate_frames(_phy(), 40.0, 40, _blocked(sched, 40), mode="expected")
     stats = aggregate(slots, 40 * FRAME_MS, mode="expected")
     assert abs(stats.slot_loss_fraction - sched.duty_cycle) <= 1.0 / len(slots)
 
@@ -276,7 +284,7 @@ def test_rotor_clock_spans_frames():
     rpm = 360.0 / (0.006 * 2 * 16.0)
     rotor = RotorSpec(2, 0.1, rpm, 1.0, 0.5, 5.0)
     sched = build_schedule(rotor, BladeGeometry(1.0, 2.0 * rotor.rate_deg_per_ms))
-    slots = simulate_frames(_phy(), 40.0, 2, schedules=sched, mode="expected")
+    slots = simulate_frames(_phy(), 40.0, 2, _blocked(sched, 2), mode="expected")
     erased_t = slots.t_start_ms[slots.erased]
     assert erased_t == pytest.approx([0.0, 0.5, 1.0, 1.5, 16.0, 16.5, 17.0, 17.5])
 
@@ -288,6 +296,14 @@ def test_simulation_deterministic_per_seed():
     assert np.array_equal(a.bit_errors, b.bit_errors)
     c = simulate_frames(phy, 0.0, 4, mode="mc", seed=43)
     assert not np.array_equal(a.bit_errors, c.bit_errors)
+
+
+def test_blocked_ms_must_be_frames_by_slots():
+    phy = _phy()  # 20 slots per frame
+    simulate_frames(phy, 40.0, 3, np.zeros((3, 20)))
+    for shape in [(3, 19), (3, 21), (2, 20), (4, 20), (60,), (3, 20, 1), ()]:
+        with pytest.raises(ValueError, match="blocked_ms"):
+            simulate_frames(phy, 40.0, 3, np.zeros(shape))
 
 
 def test_per_frame_cnr_array():
@@ -355,6 +371,9 @@ def _reference_slots(phy, cnr_frames, schedules, offsets, mode, seed, threshold)
     return erased, errors
 
 
+NO_ROTOR = BladeSchedule(1, 360.0, 0.0, 1.0, 1.0, 1.0)
+
+
 @st.composite
 def _slot_cases(draw):
     scs = draw(st.sampled_from(sorted(NUMEROLOGIES)))
@@ -396,10 +415,14 @@ def _slot_cases(draw):
 @given(case=_slot_cases())
 def test_slot_table_matches_per_frame_reference(case):
     phy = case["phy"]
+    num = phy.numerology
     n_frames = len(case["schedules"])
-    slots = simulate_frames(phy, np.array(case["cnr_frames"]), n_frames,
-                            schedules=case["schedules"],
-                            frame_offsets_ms=np.array(case["offsets"]),
+    # one columnar schedule with an entry per frame; frames without a rotor block 0 ms
+    frames = [NO_ROTOR if s is None else s for s in case["schedules"]]
+    columnar = BladeSchedule(*(np.array([getattr(s, f.name) for s in frames])
+                               for f in dataclasses.fields(BladeSchedule)))
+    blocked = slot_blocked_ms(columnar, case["offsets"], num.slot_ms, num.slots_per_frame)
+    slots = simulate_frames(phy, np.array(case["cnr_frames"]), n_frames, blocked,
                             mode=case["mode"], seed=case["seed"],
                             erase_threshold=case["threshold"])
     erased, errors = _reference_slots(**case)

@@ -370,15 +370,15 @@ def test_link_and_blades_match_per_sample_reference(case):
     (segment, schedules), rows = blade_overlay(scenario, access)
     rotor = scenario.aircraft.rotor
     if rotor is None:
-        assert np.all(segment == -1) and schedules == [] and rows == []
+        assert np.all(segment == -1) and schedules is None and rows == []
         return
     want_segment, want_rows = _reference_blades(rotor, access)
     assert np.array_equal(segment, want_segment)
     got_rows = np.array([(r.elevation_deg, r.radius_m, r.arc_deg, r.blocked_ms,
                           r.clear_ms, r.duty_cycle) for r in rows], dtype=float).reshape(-1, 6)
     np.testing.assert_allclose(got_rows, want_rows, rtol=1e-12, atol=0.0)
-    assert [s.blocked_ms for s in schedules] == [r.blocked_ms for r in rows]
-    assert all(s.clear_ms >= 0.0 for s in schedules)
+    assert schedules.blocked_ms.tolist() == [r.blocked_ms for r in rows]
+    assert np.all(schedules.clear_ms >= 0.0)
 
 
 # === whole random scenarios ===
@@ -536,9 +536,15 @@ def test_compare_shows_numeric_deltas_and_value_pairs():
     other = json.loads(json.dumps(rep))
     other["cnr_db"]["avg"] += 2.0
     other["band"] = "Ka"
+    assert rep["cnr_prime_db"] is None
+    other["cnr_prime_db"] = dict(rep["cnr_db"])
     diff = compare_reports(rep, other)
     assert diff["cnr_db"]["avg"] == pytest.approx(2.0)
     assert diff["band"] == {"a": "S", "b": "Ka"}
+    assert diff["cnr_prime_db"] == {"a": None, "b": rep["cnr_db"]}
+    # bools are values, not numbers: a pair when they differ, nothing when equal
+    assert compare_reports({"x": True, "y": False}, {"x": False, "y": False}) == {
+        "x": {"a": True, "b": False}}
 
 
 def test_compare_rejects_schema_mismatch():
@@ -586,6 +592,15 @@ def test_cli_invalid_scenario_file_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(path)]) == 2
+
+
+def test_cli_misspelled_loss_model_key_is_config_error(tmp_path, capsys):
+    doc = serialize_scenario(_overhead_geo())
+    doc["scenarios"][0]["loss_model"] = {"rain_heigth_km": 3.0}
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "rain_heigth_km" in capsys.readouterr().err
 
 
 def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):

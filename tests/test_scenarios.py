@@ -423,6 +423,30 @@ def test_documents_with_unread_keys_still_load():
     assert parse_catalog(doc).scenarios["scenario-11"] == spec
 
 
+@pytest.mark.parametrize("override, field", [
+    ({"rain_height_km": -3}, "rain_height_km"),
+    ({"rain_height_km": 0}, "rain_height_km"),
+    ({"slant_cap_km": -20}, "slant_cap_km"),
+    ({"bands": {"Ka": {"zenith_gas_db": -0.6}}}, "zenith_gas_db"),
+    ({"bands": {"Ka": {"zenith_cloud_db": -0.8}}}, "zenith_cloud_db"),
+    ({"bands": {"Ka": {"rain_k": -0.15}}}, "rain_k"),
+    ({"rain_heigth_km": 3}, "rain_heigth_km"),
+    ({"bands": {"Ka": {"rain_kk": 0.15}}}, "rain_kk"),
+    ({"bands": {"W": {"rain_k": -1.0}}}, "rain_k"),
+    (None, None),
+    ({"bands": {"Ka": {"zenith_gas_db": 0, "zenith_cloud_db": 0, "rain_k": 0}}}, None),
+])
+def test_loss_model_overrides_are_validated(override, field):
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])
+    doc["scenarios"][0]["loss_model"] = override
+    if field is None:  # no overrides, and zero coefficients, are valid
+        parse_catalog(doc)
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_catalog(doc)
+    assert err.value.field == field
+
+
 def test_resolve_by_builtin_id():
     assert resolve_scenario("scenario-19").id == "scenario-19"
 
