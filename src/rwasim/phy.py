@@ -22,6 +22,10 @@ SYMBOLS_PER_SLOT = 14
 # bits per modulation symbol
 MODULATION_ORDER = {"QPSK": 2, "16QAM": 4, "64QAM": 6}
 
+# Second word of the "mc" stream's seed, ``SeedSequence((seed, MC_STREAM_TAG))``;
+# fixed, so a run's draws depend on its seed alone.
+MC_STREAM_TAG = 0x6D63
+
 
 # === frame structure ===
 
@@ -282,12 +286,6 @@ class FrameStats:
     slot_loss_fraction: float
 
 
-def _per_frame_rng(seed: int, frame_index: int) -> np.random.Generator:
-    # Seeds derive from (run seed, frame index) so a future parallel
-    # dispatch of frames cannot change the drawn values.
-    return np.random.default_rng(np.random.SeedSequence((seed, frame_index)))
-
-
 def simulate_frames(
     phy: PhyConfig,
     cnr_db,
@@ -307,8 +305,9 @@ def simulate_frames(
     blocked_ms : rotor-blade blocked time (ms) of every slot, as a
         (``n_frames``, slots per frame) array, for example from
         :func:`rwasim.blades.slot_blocked_ms`.  None means no rotor.
-    mode : "mc" draws per-slot bit errors from a binomial distribution
-        with per-frame derived seeds; "expected" is deterministic and
+    mode : "mc" draws the bit errors of every clear slot, in slot
+        order, in one binomial draw from a stream seeded with
+        ``(seed, MC_STREAM_TAG)``; "expected" is deterministic and
         records the expected error count.
     erase_threshold : fraction of a slot that must be blocked for the
         slot to be erased.  0 means any nonzero overlap erases.
@@ -348,15 +347,12 @@ def simulate_frames(
     ber = np.where(erased, 1.0, channel_ber)
     decode_prob = np.where(erased, 0.0, (1.0 - channel_ber) ** payload)
     if mode == "mc":
+        rng = np.random.default_rng(np.random.SeedSequence((seed, MC_STREAM_TAG)))
         bit_errors = np.full(n_slots, payload, dtype=np.int64)
-        clear = ~erased.reshape(n_frames, spf)
-        frame_errors = bit_errors.reshape(n_frames, spf)
-        frame_ber = channel_ber.reshape(n_frames, spf)
-        for f in range(n_frames):
-            # one array draw gives the same values as one scalar draw per slot
-            frame_errors[f, clear[f]] = _per_frame_rng(seed, f).binomial(
-                payload, frame_ber[f, clear[f]])
-        decoded = ~erased & (bit_errors == 0)
+        clear = ~erased
+        # one array draw gives the same values as one scalar draw per clear slot
+        bit_errors[clear] = rng.binomial(payload, channel_ber[clear])
+        decoded = clear & (bit_errors == 0)
     else:
         bit_errors = np.where(erased, payload, np.round(channel_ber * payload)).astype(np.int64)
         decoded = decode_prob > 0.5

@@ -338,17 +338,26 @@ class Catalog:
 
 # === JSON parsing ===
 
-def _require(obj: dict, key: str, where: str):
+def _require(obj: dict, key: str, where: str, kind=None):
+    """``obj[key]``, converted with ``_number`` when ``kind`` is given."""
     if key not in obj:
         raise ConfigError(f"missing required key in {where}", field=key)
-    return obj[key]
+    return obj[key] if kind is None else _number(obj[key], key, kind)
+
+
+def _number(value, field: str, kind=float):
+    """``kind(value)``, or a ConfigError naming ``field`` when that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"expected a number, got {value!r}", field=field) from None
 
 
 def _beamwidth(value) -> tuple[float, float]:
     if isinstance(value, (int, float)):
         return (float(value), float(value))
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (float(value[0]), float(value[1]))
+        return (_number(value[0], "beamwidth_deg"), _number(value[1], "beamwidth_deg"))
     raise ConfigError("beamwidth_deg must be a number or [min, max]",
                       field="beamwidth_deg")
 
@@ -356,12 +365,12 @@ def _beamwidth(value) -> tuple[float, float]:
 def _parse_rotor(obj: dict) -> RotorSpec:
     try:
         return RotorSpec(
-            n_blades=int(_require(obj, "n_blades", "rotor")),
-            blade_width_m=float(_require(obj, "blade_width_m", "rotor")),
-            rpm=float(_require(obj, "rpm", "rotor")),
-            shaft_offset_m=float(_require(obj, "shaft_offset_m", "rotor")),
-            rotor_height_m=float(_require(obj, "rotor_height_m", "rotor")),
-            tip_radius_m=float(_require(obj, "tip_radius_m", "rotor")),
+            n_blades=_require(obj, "n_blades", "rotor", int),
+            blade_width_m=_require(obj, "blade_width_m", "rotor", float),
+            rpm=_require(obj, "rpm", "rotor", float),
+            shaft_offset_m=_require(obj, "shaft_offset_m", "rotor", float),
+            rotor_height_m=_require(obj, "rotor_height_m", "rotor", float),
+            tip_radius_m=_require(obj, "tip_radius_m", "rotor", float),
         )
     except ValueError as exc:
         raise ConfigError(str(exc), field="rotor") from exc
@@ -373,17 +382,20 @@ def _parse_aircraft(name: str, obj: dict) -> AircraftSpec:
         name=name,
         steerable=bool(_require(obj, "steerable", name)),
         band=_require(obj, "band", name),
-        bandwidth_mhz=float(_require(obj, "bandwidth_mhz", name)),
+        bandwidth_mhz=_require(obj, "bandwidth_mhz", name, float),
         beamwidth_deg=_beamwidth(_require(obj, "beamwidth_deg", name)),
-        max_gain_dbi=float(_require(obj, "max_gain_dbi", name)),
+        max_gain_dbi=_require(obj, "max_gain_dbi", name, float),
         position=_require(obj, "position", name),
-        tx_power_dbw=None if obj.get("tx_power_dbw") is None else float(obj["tx_power_dbw"]),
-        rx_noise_temp_k=float(obj.get("rx_noise_temp_k", 400.0)),
+        tx_power_dbw=(None if obj.get("tx_power_dbw") is None
+                      else _number(obj["tx_power_dbw"], "tx_power_dbw")),
+        rx_noise_temp_k=_number(obj.get("rx_noise_temp_k", 400.0), "rx_noise_temp_k"),
         rx_gain_over_t_dbk=(None if obj.get("rx_gain_over_t_dbk") is None
-                            else float(obj["rx_gain_over_t_dbk"])),
+                            else _number(obj["rx_gain_over_t_dbk"], "rx_gain_over_t_dbk")),
         rotor=None if rotor is None else _parse_rotor(rotor),
-        boresight_elevation_deg=float(obj.get("boresight_elevation_deg", 90.0)),
-        boresight_azimuth_deg=float(obj.get("boresight_azimuth_deg", 0.0)),
+        boresight_elevation_deg=_number(obj.get("boresight_elevation_deg", 90.0),
+                                        "boresight_elevation_deg"),
+        boresight_azimuth_deg=_number(obj.get("boresight_azimuth_deg", 0.0),
+                                      "boresight_azimuth_deg"),
     )
 
 
@@ -391,7 +403,7 @@ def _per_plane(value, planes: int, key: str) -> tuple[float, ...]:
     if isinstance(value, (int, float)):
         return (float(value),) * planes
     if isinstance(value, (list, tuple)) and len(value) == planes:
-        return tuple(float(v) for v in value)
+        return tuple(_number(v, key) for v in value)
     raise ConfigError(f"must be a number or a list with one entry per plane",
                       field=key)
 
@@ -402,12 +414,12 @@ def _parse_raans(value, planes: int) -> tuple[float, ...]:
     if isinstance(value, (list, tuple)):
         if len(value) != planes:
             raise ConfigError("need one RAAN per plane", field="raan_deg")
-        return tuple(float(v) for v in value)
+        return tuple(_number(v, "raan_deg") for v in value)
     if isinstance(value, (int, float)):
         spacing, start = float(value), 0.0
     elif isinstance(value, dict):
-        spacing = float(_require(value, "spacing_deg", "raan_deg"))
-        start = float(value.get("start_deg", 0.0))
+        spacing = _require(value, "spacing_deg", "raan_deg", float)
+        start = _number(value.get("start_deg", 0.0), "start_deg")
     else:
         raise ConfigError("raan_deg must be a list, a spacing or a rule object",
                           field="raan_deg")
@@ -417,26 +429,26 @@ def _parse_raans(value, planes: int) -> tuple[float, ...]:
 def _parse_payload(band: str, obj: dict) -> RfPayloadSpec:
     return RfPayloadSpec(
         band=band,
-        beam_eirp_dbw=float(_require(obj, "beam_eirp_dbw", f"payload {band}")),
-        gain_over_t_dbk=float(_require(obj, "gain_over_t_dbk", f"payload {band}")),
+        beam_eirp_dbw=_require(obj, "beam_eirp_dbw", f"payload {band}", float),
+        gain_over_t_dbk=_require(obj, "gain_over_t_dbk", f"payload {band}", float),
     )
 
 
 def _parse_constellation(name: str, obj: dict) -> ConstellationSpec:
-    planes = int(_require(obj, "planes", name))
+    planes = _require(obj, "planes", name, int)
     payloads = {band: _parse_payload(band, p)
                 for band, p in _require(obj, "payloads", name).items()}
     return ConstellationSpec(
         name=name,
-        altitude_km=float(_require(obj, "altitude_km", name)),
+        altitude_km=_require(obj, "altitude_km", name, float),
         planes=planes,
         inclinations_deg=_per_plane(_require(obj, "inclination_deg", name),
                                     planes, "inclination_deg"),
         raans_deg=_parse_raans(obj.get("raan_deg", 0.0), planes),
-        sats_per_plane=int(_require(obj, "sats_per_plane", name)),
+        sats_per_plane=_require(obj, "sats_per_plane", name, int),
         payloads=payloads,
-        phasing_factor=int(obj.get("phasing_factor", 0)),
-        anomaly_offset_deg=float(obj.get("anomaly_offset_deg", 0.0)),
+        phasing_factor=_number(obj.get("phasing_factor", 0), "phasing_factor", int),
+        anomaly_offset_deg=_number(obj.get("anomaly_offset_deg", 0.0), "anomaly_offset_deg"),
     )
 
 
@@ -444,17 +456,18 @@ def _parse_route(obj: dict, scenario_id: str) -> FlightRoute:
     kind = _require(obj, "type", f"{scenario_id}.flight")
     if kind == "waypoints":
         pts = _require(obj, "points", f"{scenario_id}.flight")
-        return FlightRoute(tuple(tuple(float(x) for x in p) for p in pts))
+        return FlightRoute(tuple(tuple(_number(x, "points") for x in p) for p in pts))
     if kind == "loiter":
         return loiter_route(
-            center_lat_deg=float(_require(obj, "center_lat_deg", "flight")),
-            center_lon_deg=float(_require(obj, "center_lon_deg", "flight")),
-            altitude_m=float(_require(obj, "altitude_m", "flight")),
-            radius_km=float(_require(obj, "radius_km", "flight")),
-            speed_ms=float(_require(obj, "speed_ms", "flight")),
-            duration_s=float(_require(obj, "duration_s", "flight")),
-            waypoint_interval_s=float(obj.get("waypoint_interval_s", 5.0)),
-            start_bearing_deg=float(obj.get("start_bearing_deg", 0.0)),
+            center_lat_deg=_require(obj, "center_lat_deg", "flight", float),
+            center_lon_deg=_require(obj, "center_lon_deg", "flight", float),
+            altitude_m=_require(obj, "altitude_m", "flight", float),
+            radius_km=_require(obj, "radius_km", "flight", float),
+            speed_ms=_require(obj, "speed_ms", "flight", float),
+            duration_s=_require(obj, "duration_s", "flight", float),
+            waypoint_interval_s=_number(obj.get("waypoint_interval_s", 5.0),
+                                        "waypoint_interval_s"),
+            start_bearing_deg=_number(obj.get("start_bearing_deg", 0.0), "start_bearing_deg"),
         )
     raise ConfigError(f"unknown flight type {kind!r} (waypoints or loiter)",
                       field="flight.type")
@@ -463,29 +476,29 @@ def _parse_route(obj: dict, scenario_id: str) -> FlightRoute:
 def _parse_mcs(obj: dict) -> Mcs:
     return Mcs(
         modulation=_require(obj, "modulation", "mcs"),
-        code_rate=float(_require(obj, "code_rate", "mcs")),
-        coding_gain_db=float(obj.get("coding_gain_db", 6.0)),
+        code_rate=_require(obj, "code_rate", "mcs", float),
+        coding_gain_db=_number(obj.get("coding_gain_db", 6.0), "coding_gain_db"),
     )
 
 
 def _parse_phy(obj: dict) -> PhyConfig:
     return PhyConfig(
-        carrier_ghz=float(_require(obj, "carrier_ghz", "phy")),
-        bandwidth_mhz=float(_require(obj, "bandwidth_mhz", "phy")),
-        scs_khz=int(_require(obj, "scs_khz", "phy")),
-        n_rb=int(_require(obj, "n_rb", "phy")),
+        carrier_ghz=_require(obj, "carrier_ghz", "phy", float),
+        bandwidth_mhz=_require(obj, "bandwidth_mhz", "phy", float),
+        scs_khz=_require(obj, "scs_khz", "phy", int),
+        n_rb=_require(obj, "n_rb", "phy", int),
         mcs=_parse_mcs(_require(obj, "mcs", "phy")),
         ntn_band=obj.get("ntn_band"),
-        overhead=float(obj.get("overhead", 0.0)),
+        overhead=_number(obj.get("overhead", 0.0), "overhead"),
     )
 
 
 def _parse_loss_model(obj: dict | None) -> LossModel:
     if obj is None:
         return LossModel()
-    overrides = {k: float(v) for k, v in obj.items() if k != "bands"}
+    overrides = {k: _number(v, k) for k, v in obj.items() if k != "bands"}
     if "bands" in obj:
-        overrides["bands"] = {name: {k: float(v) for k, v in params.items()}
+        overrides["bands"] = {name: {k: _number(v, k) for k, v in params.items()}
                               for name, params in obj["bands"].items()}
     return LossModel().with_overrides(overrides)
 
@@ -502,7 +515,7 @@ def _parse_scenario(obj: dict, catalog_aircraft: dict, catalog_constellations: d
         raise UnknownReferenceError(
             f"scenario {sid} references undefined constellation "
             f"{constellation_name!r}", field="constellation")
-    duration_s = float(_require(obj, "duration_h", sid)) * 3600.0
+    duration_s = _require(obj, "duration_h", sid, float) * 3600.0
     flight = dict(_require(obj, "flight", sid))
     if flight.get("type") == "loiter":
         flight.setdefault("duration_s", duration_s)
@@ -515,15 +528,17 @@ def _parse_scenario(obj: dict, catalog_aircraft: dict, catalog_constellations: d
         duration_s=duration_s,
         route=_parse_route(flight, sid),
         phy=_parse_phy(_require(obj, "phy", sid)),
-        handover_threshold_deg=float(_require(obj, "handover_threshold_deg", sid)),
-        handover_hysteresis_deg=float(obj.get("handover_hysteresis_deg", 0.5)),
-        rain_profile=tuple((float(t), float(r))
+        handover_threshold_deg=_require(obj, "handover_threshold_deg", sid, float),
+        handover_hysteresis_deg=_number(obj.get("handover_hysteresis_deg", 0.5),
+                                        "handover_hysteresis_deg"),
+        rain_profile=tuple((_number(t, "rain_profile"), _number(r, "rain_profile"))
                            for t, r in obj.get("rain_profile", [])),
-        margin_db=float(obj.get("margin_db", 0.0)),
+        margin_db=_number(obj.get("margin_db", 0.0), "margin_db"),
         cnr_prime_bandwidth_mhz=(None if obj.get("cnr_prime_bandwidth_mhz") is None
-                                 else float(obj["cnr_prime_bandwidth_mhz"])),
+                                 else _number(obj["cnr_prime_bandwidth_mhz"],
+                                              "cnr_prime_bandwidth_mhz")),
         loss_model=_parse_loss_model(obj.get("loss_model")),
-        blade_phase_ms=float(obj.get("blade_phase_ms", 0.0)),
+        blade_phase_ms=_number(obj.get("blade_phase_ms", 0.0), "blade_phase_ms"),
         randomize_blade_phase=bool(obj.get("randomize_blade_phase", False)),
     )
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rwasim.blades import (
     BladeGeometry,
@@ -15,8 +15,10 @@ from rwasim.blades import (
     schedule,
     schedule_for_elevation,
     schedule_timeline,
+    slot_blocked_ms,
     speed_ratios,
 )
+from rwasim.phy import FRAME_MS, NUMEROLOGIES
 
 H135 = RotorSpec(n_blades=4, blade_width_m=0.29, rpm=400,
                  shaft_offset_m=3.45, rotor_height_m=0.5, tip_radius_m=5.2)
@@ -228,6 +230,32 @@ def test_blocked_measure_over_full_periods(phase, periods):
         assert b <= c  # disjoint and sorted
     total = sum(b - a for a, b in ivals)
     assert total == pytest.approx(periods * sched.blocked_ms, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_blades=st.integers(1, 6),
+    rpm=st.floats(100.0, 2000.0),
+    fraction=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    scs=st.sampled_from(sorted(NUMEROLOGIES)),
+    n_frames=st.integers(200, 2000),
+    start_ms=st.floats(0.0, 1e6),
+)
+def test_slot_blocked_mean_tends_to_blocked_fraction(n_blades, rpm, fraction, scs,
+                                                      n_frames, start_ms):
+    # Every whole blade period of the run holds exactly blocked_ms; the rest
+    # is shorter than a period, so it holds at most a partial pulse at each
+    # end, together no more than blocked_ms.  Over a run of T ms the mean
+    # blocked share of a slot is then within blocked_ms / T of the fraction.
+    rotor = RotorSpec(n_blades, 0.3, rpm, 1.0, 0.5, 5.0)
+    sched = schedule(rotor, fraction * rotor.rotation_ms / n_blades)
+    num = NUMEROLOGIES[scs]
+    offsets = start_ms + np.arange(n_frames) * FRAME_MS
+    blocked = slot_blocked_ms(sched, offsets, num.slot_ms, num.slots_per_frame)
+    assert blocked.shape == (n_frames, num.slots_per_frame)
+    run_ms = n_frames * FRAME_MS
+    mean = float(np.mean(blocked / num.slot_ms))
+    assert abs(mean - sched.blocked_ms / sched.period_ms) <= sched.blocked_ms / run_ms + 1e-9
 
 
 def test_timeline_regeneration_threshold():

@@ -10,12 +10,12 @@ from rwasim.blades import (BladeGeometry, BladeSchedule, RotorSpec, blocked_inte
 from rwasim.errors import ConfigError
 from rwasim.phy import (
     FRAME_MS,
+    MC_STREAM_TAG,
     Mcs,
     NTN_BANDS,
     NUMEROLOGIES,
     PhyConfig,
     SlotTable,
-    _per_frame_rng,
     aggregate,
     awgn_ber,
     numerology_for,
@@ -325,11 +325,14 @@ def test_expected_mode_is_deterministic():
 
 
 def test_expected_matches_mc_on_average():
+    # about 10,000 expected bit errors, so binomial noise is 1 % relative
+    # and the 5 % bound sits near 5 sigma
     phy = _phy()
-    exp = aggregate(simulate_frames(phy, 4.0, 50, mode="expected"),
-                    50 * FRAME_MS, mode="expected")
-    mc = aggregate(simulate_frames(phy, 4.0, 50, mode="mc", seed=3),
-                   50 * FRAME_MS, mode="mc")
+    n_frames = 10_000
+    exp = aggregate(simulate_frames(phy, 4.0, n_frames, mode="expected"),
+                    n_frames * FRAME_MS, mode="expected")
+    mc = aggregate(simulate_frames(phy, 4.0, n_frames, mode="mc", seed=3),
+                   n_frames * FRAME_MS, mode="mc")
     assert mc.ber == pytest.approx(exp.ber, rel=0.05)
 
 
@@ -344,9 +347,14 @@ def test_aggregate_ber_monotone_in_cnr():
 
 
 def _reference_slots(phy, cnr_frames, schedules, offsets, mode, seed, threshold):
-    """(erased, bit_errors) per slot, walking each frame's blade intervals."""
+    """(erased, bit_errors) per slot, walking each frame's blade intervals.
+
+    In "mc" mode every clear slot draws one scalar, in slot order, from
+    the run's single stream.
+    """
     num = phy.numerology
     payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, MC_STREAM_TAG)))
     erased, errors = [], []
     for f, sched in enumerate(schedules):
         blocked = [0.0] * num.slots_per_frame
@@ -357,7 +365,6 @@ def _reference_slots(phy, cnr_frames, schedules, offsets, mode, seed, threshold)
                 for s in range(int(start / num.slot_ms), last):
                     lo = s * num.slot_ms
                     blocked[s] += min(stop, lo + num.slot_ms) - max(start, lo)
-        rng = _per_frame_rng(seed, f)
         p = float(awgn_ber(phy.mcs, cnr_frames[f]))
         for b in blocked:
             gone = b > 0.0 and b >= threshold * num.slot_ms

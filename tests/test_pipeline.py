@@ -603,6 +603,20 @@ def test_cli_misspelled_loss_model_key_is_config_error(tmp_path, capsys):
     assert "rain_heigth_km" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("loss_model, field", [
+    ({"rain_height_km": "high"}, "rain_height_km"),
+    # "band" for "bands": a band object where a number belongs
+    ({"band": {"Ka": {"rain_k": 0.2}}}, "band"),
+])
+def test_cli_non_numeric_value_is_config_error(tmp_path, capsys, loss_model, field):
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])
+    doc["scenarios"][0]["loss_model"] = loss_model
+    path = tmp_path / "non-numeric.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
 def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
     token = _scenario_file(tmp_path, _overhead_geo(lon=180.0))
     assert main(["run", "--scenario", token, "--step", "10",

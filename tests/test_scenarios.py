@@ -433,6 +433,9 @@ def test_documents_with_unread_keys_still_load():
     ({"rain_heigth_km": 3}, "rain_heigth_km"),
     ({"bands": {"Ka": {"rain_kk": 0.15}}}, "rain_kk"),
     ({"bands": {"W": {"rain_k": -1.0}}}, "rain_k"),
+    ({"rain_height_km": "high"}, "rain_height_km"),
+    ({"band": {"Ka": {"rain_k": 0.2}}}, "band"),  # "band" for "bands": an object, not a number
+    ({"bands": {"Ka": {"rain_k": [0.2]}}}, "rain_k"),
     (None, None),
     ({"bands": {"Ka": {"zenith_gas_db": 0, "zenith_cloud_db": 0, "rain_k": 0}}}, None),
 ])
@@ -445,6 +448,40 @@ def test_loss_model_overrides_are_validated(override, field):
     with pytest.raises(ConfigError) as err:
         parse_catalog(doc)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("where, key, value, field", [
+    ("scenario", "margin_db", "none", "margin_db"),
+    ("scenario", "rain_profile", [[0.0, "heavy"]], "rain_profile"),
+    ("phy", "n_rb", "many", "n_rb"),
+    ("phy", "n_rb", float("inf"), "n_rb"),
+    ("mcs", "code_rate", None, "code_rate"),
+    ("aircraft", "max_gain_dbi", {"dbi": 17.0}, "max_gain_dbi"),
+    ("aircraft", "beamwidth_deg", [1.0, "wide"], "beamwidth_deg"),
+    ("constellation", "sats_per_plane", "22x", "sats_per_plane"),
+    ("constellation", "raan_deg", {"spacing_deg": "thirty"}, "spacing_deg"),
+    ("constellation", "inclination_deg", [53.5] * 11 + ["steep"], "inclination_deg"),
+])
+def test_non_numeric_values_are_config_errors(where, key, value, field):
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])
+    scenario = doc["scenarios"][0]
+    obj = {"scenario": scenario, "phy": scenario["phy"], "mcs": scenario["phy"]["mcs"],
+           "aircraft": doc["aircraft"]["UAV-1"],
+           "constellation": doc["constellations"]["LEO-2"]}[where]
+    obj[key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_catalog(doc)
+    assert err.value.field == field
+
+
+def test_numeric_strings_still_load():
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])
+    scenario = doc["scenarios"][0]
+    scenario["loss_model"] = {"rain_height_km": "3.5"}
+    scenario["phy"]["n_rb"] = str(scenario["phy"]["n_rb"])
+    spec = parse_catalog(doc).scenarios["scenario-6"]
+    assert spec.loss_model.rain_height_km == 3.5
+    assert spec.phy == builtin_catalog().scenarios["scenario-6"].phy
 
 
 def test_resolve_by_builtin_id():
