@@ -433,11 +433,11 @@ def test_documents_with_unread_keys_still_load():
     ({"rain_heigth_km": 3}, "rain_heigth_km"),
     ({"bands": {"Ka": {"rain_kk": 0.15}}}, "rain_kk"),
     ({"bands": {"W": {"rain_k": -1.0}}}, "rain_k"),
+    (None, None),
+    ({"bands": {"Ka": {"zenith_gas_db": 0, "zenith_cloud_db": 0, "rain_k": 0}}}, None),
     ({"rain_height_km": "high"}, "rain_height_km"),
     ({"band": {"Ka": {"rain_k": 0.2}}}, "band"),  # "band" for "bands": an object, not a number
     ({"bands": {"Ka": {"rain_k": [0.2]}}}, "rain_k"),
-    (None, None),
-    ({"bands": {"Ka": {"zenith_gas_db": 0, "zenith_cloud_db": 0, "rain_k": 0}}}, None),
 ])
 def test_loss_model_overrides_are_validated(override, field):
     doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])
