@@ -16,13 +16,24 @@ from .pipeline import compare_reports, run_scenario, sweep_cnr, write_sweep_csv
 from .scenarios import builtin_catalog, resolve_scenario
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for a non-negative integer; anything else exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_run(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("run", help="simulate one scenario end to end")
     p.add_argument("--scenario", required=True,
                    help="built-in scenario id or path to a scenario JSON file")
     p.add_argument("--step", type=float, default=1.0,
                    help="access-timeline step in seconds (default 1)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="random seed (default 0)")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     p.add_argument("--mode", choices=("mc", "expected"), default="mc",
                    help="bit-error draw mode (default mc)")
@@ -37,7 +48,7 @@ def _add_sweep(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--cnr-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--mode", choices=("mc", "expected"), default="mc")
     p.add_argument("--out", default="out")
 

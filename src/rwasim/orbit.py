@@ -314,15 +314,59 @@ def aircraft_track(
 # satellite-steps per block of the elevation scan: bounds its temporaries
 _BLOCK_ELEMENTS = 2 ** 14
 
+# Slack (rad) on the candidate bound for rounding: arccos of a dot
+# product of unit vectors near 1 is off by up to sqrt(2 * 2.2e-16) ~ 2e-8
+# rad, the other terms and the computed elevations by ~1e-15.
+_CANDIDATE_MARGIN_RAD = 1e-6
+
+
+def _angle(u, v):
+    """Angle (rad) between unit vectors."""
+    return np.arccos(np.clip(_dot(u, v), -1.0, 1.0))
+
+
+def _scan_block(elevation, col, threshold_deg, acquire_deg):
+    """`select_serving` over the rows of one block, event by event.
+
+    ``elevation`` is (rows x candidates) and ``col`` the column served on
+    entry (-1 for none).  Instead of one call per row it jumps to the next
+    row where the served satellite drops below the threshold, or, in an
+    outage, to the next row whose best satellite clears ``acquire_deg``.
+    Returns the served column of each row, -1 during outages.
+    """
+    n = len(elevation)
+    served = np.full(n, -1)
+    i = 0
+    while i < n:
+        if col < 0:
+            hits = np.flatnonzero(elevation[i:].max(axis=1) >= acquire_deg)
+            if len(hits) == 0:
+                break
+            i += hits[0]
+            col = int(np.argmax(elevation[i]))
+        drops = np.flatnonzero(~(elevation[i:, col] >= threshold_deg))
+        end = n if len(drops) == 0 else i + drops[0]
+        served[i:end] = col
+        if end == n:
+            break
+        i = end
+        col = int(np.argmax(elevation[i]))
+        if not elevation[i, col] >= threshold_deg:
+            col = -1
+            i += 1
+    return served
+
 
 def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> AccessTimeline:
     """Propagate the constellation over the flight and pick the server.
 
     One sample per ``step_s`` over the scenario duration (end
-    exclusive); a zero-duration flight yields an empty timeline.
-    Elevations of every satellite are computed in blocks of time steps
-    and scanned for handovers row by row; the full geometry is then
-    evaluated for the serving satellite only.
+    exclusive); a zero-duration flight yields an empty timeline.  Time
+    steps go in blocks.  Per block, only the candidate satellites (those
+    that can reach the handover threshold on some row of the block) get
+    elevations, which are scanned for handovers by event with the rule
+    of `select_serving`; the full geometry is then evaluated for the
+    serving satellite only.
     """
     if step_s <= 0:
         raise ValueError("step_s must be > 0")
@@ -340,23 +384,49 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     theta = EARTH_ROTATION_RATE * times
     lat, lon, obs_pos, obs_vel = aircraft_track(scenario.route, times)
     up = _enu_axes(lat, lon)[2]
+    obs_radius = np.sqrt(_dot(obs_pos, obs_pos))
 
+    threshold = scenario.handover_threshold_deg
+    # hysteresis >= 0, so candidates for the threshold cover acquisitions
+    acquire = threshold + scenario.handover_hysteresis_deg
+    # largest angular rate of a satellite direction in the Earth-fixed frame
+    sweep_rate = n_rate + EARTH_ROTATION_RATE
     sat_id = np.full(n_steps, -1, dtype=int)
-    current: int | None = None
+    current = -1
     rows = max(1, _BLOCK_ELEMENTS // len(elements))
     for lo in range(0, n_steps, rows):
         block = slice(lo, lo + rows)
-        u = u0 + n_rate * times[block, None]
-        sat = _rotate_to_ecef(*_eci_position(a, u, p, q), theta[block, None])
+        t = times[block]
+        mid = lo + (len(t) - 1) // 2
+        # Earth central angle of every satellite at the middle row.  At any
+        # row it is at least this minus the satellite's drift and the
+        # aircraft's move (triangle inequality), and elevation falls as it
+        # grows, so a satellite beyond `reach` + drift + move stays under
+        # the threshold on every row; `reach` uses the lowest aircraft.
+        up_mid = tuple(c[mid] for c in up)
+        sat_mid = _rotate_to_ecef(*_eci_position(a, u0 + n_rate * times[mid], p, q), theta[mid])
+        central = _angle(up_mid, tuple(s / a for s in sat_mid))
+        drift = min(sweep_rate * max(times[mid] - t[0], t[-1] - times[mid]), math.pi)
+        up_move = float(np.max(_angle(up_mid, tuple(c[block] for c in up))))
+        reach = math.radians(90.0 - threshold) - math.asin(
+            min(1.0, float(np.min(obs_radius[block])) * math.cos(math.radians(threshold)) / a))
+        keep = central <= reach + drift + up_move + _CANDIDATE_MARGIN_RAD
+        if current >= 0:
+            keep[current] = True   # scanned for the row it drops
+        cand = np.flatnonzero(keep)
+        if len(cand) == 0:
+            current = -1
+            continue
+
+        u = u0[cand] + n_rate * t[:, None]
+        sat = _rotate_to_ecef(*_eci_position(a, u, tuple(c[cand] for c in p),
+                                             tuple(c[cand] for c in q)), theta[block, None])
         rel = tuple(s - o[block, None] for s, o in zip(sat, obs_pos))
         elevation = _elevation_deg(rel, np.sqrt(_dot(rel, rel)),
                                    tuple(c[block, None] for c in up))
-        for i, row in enumerate(elevation, lo):
-            current = select_serving(row, current,
-                                     scenario.handover_threshold_deg,
-                                     scenario.handover_hysteresis_deg)
-            if current is not None:
-                sat_id[i] = current
+        col = int(np.searchsorted(cand, current)) if current >= 0 else -1
+        sat_id[block] = np.append(cand, -1)[_scan_block(elevation, col, threshold, acquire)]
+        current = int(sat_id[lo + len(t) - 1])
 
     cols = {name: np.full(n_steps, np.nan) for name in
             ("elevation", "azimuth", "slant_range", "range_rate")}

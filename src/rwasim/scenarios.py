@@ -281,6 +281,10 @@ class ScenarioSpec:
         if not 0.0 <= self.handover_threshold_deg < 90.0:
             raise ConfigError("handover_threshold_deg must be in [0, 90)",
                               field="handover_threshold_deg")
+        if not 0.0 <= self.handover_hysteresis_deg < math.inf:
+            # a negative margin would acquire below the mask, to drop it a step later
+            raise ConfigError("handover_hysteresis_deg must be finite and >= 0",
+                              field="handover_hysteresis_deg")
         if self.band != self.aircraft.band:
             raise ConfigError(
                 f"scenario band {self.band} but aircraft antenna is "
@@ -346,11 +350,34 @@ def _require(obj: dict, key: str, where: str, kind=None):
 
 
 def _number(value, field: str, kind=float):
-    """``kind(value)``, or a ConfigError naming ``field`` when that fails."""
+    """``kind(value)``, or a ConfigError naming ``field`` when that fails.
+
+    An ``int`` field takes whole numbers only: 41, 41.0 and "41" load,
+    41.9 does not.
+    """
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"expected a number, got {value!r}", field=field) from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"expected a whole number, got {value!r}", field=field)
+    return number
+
+
+def _object(value, field: str) -> dict:
+    """``value`` if it is a JSON object, else a ConfigError naming ``field``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"expected an object, got {value!r}", field=field)
+    return value
+
+
+def _rows(value, width: int, field: str) -> tuple[tuple[float, ...], ...]:
+    """A list of ``width``-number lists as float tuples, else a ConfigError."""
+    if not (isinstance(value, (list, tuple)) and all(
+            isinstance(row, (list, tuple)) and len(row) == width for row in value)):
+        raise ConfigError(f"expected a list of {width}-number lists, got {value!r}",
+                          field=field)
+    return tuple(tuple(_number(x, field) for x in row) for row in value)
 
 
 def _beamwidth(value) -> tuple[float, float]:
@@ -391,7 +418,7 @@ def _parse_aircraft(name: str, obj: dict) -> AircraftSpec:
         rx_noise_temp_k=_number(obj.get("rx_noise_temp_k", 400.0), "rx_noise_temp_k"),
         rx_gain_over_t_dbk=(None if obj.get("rx_gain_over_t_dbk") is None
                             else _number(obj["rx_gain_over_t_dbk"], "rx_gain_over_t_dbk")),
-        rotor=None if rotor is None else _parse_rotor(rotor),
+        rotor=None if rotor is None else _parse_rotor(_object(rotor, "rotor")),
         boresight_elevation_deg=_number(obj.get("boresight_elevation_deg", 90.0),
                                         "boresight_elevation_deg"),
         boresight_azimuth_deg=_number(obj.get("boresight_azimuth_deg", 0.0),
@@ -436,8 +463,8 @@ def _parse_payload(band: str, obj: dict) -> RfPayloadSpec:
 
 def _parse_constellation(name: str, obj: dict) -> ConstellationSpec:
     planes = _require(obj, "planes", name, int)
-    payloads = {band: _parse_payload(band, p)
-                for band, p in _require(obj, "payloads", name).items()}
+    payloads = {band: _parse_payload(band, _object(p, "payloads"))
+                for band, p in _object(_require(obj, "payloads", name), "payloads").items()}
     return ConstellationSpec(
         name=name,
         altitude_km=_require(obj, "altitude_km", name, float),
@@ -455,8 +482,7 @@ def _parse_constellation(name: str, obj: dict) -> ConstellationSpec:
 def _parse_route(obj: dict, scenario_id: str) -> FlightRoute:
     kind = _require(obj, "type", f"{scenario_id}.flight")
     if kind == "waypoints":
-        pts = _require(obj, "points", f"{scenario_id}.flight")
-        return FlightRoute(tuple(tuple(_number(x, "points") for x in p) for p in pts))
+        return FlightRoute(_rows(_require(obj, "points", f"{scenario_id}.flight"), 4, "points"))
     if kind == "loiter":
         return loiter_route(
             center_lat_deg=_require(obj, "center_lat_deg", "flight", float),
@@ -487,7 +513,7 @@ def _parse_phy(obj: dict) -> PhyConfig:
         bandwidth_mhz=_require(obj, "bandwidth_mhz", "phy", float),
         scs_khz=_require(obj, "scs_khz", "phy", int),
         n_rb=_require(obj, "n_rb", "phy", int),
-        mcs=_parse_mcs(_require(obj, "mcs", "phy")),
+        mcs=_parse_mcs(_object(_require(obj, "mcs", "phy"), "mcs")),
         ntn_band=obj.get("ntn_band"),
         overhead=_number(obj.get("overhead", 0.0), "overhead"),
     )
@@ -496,10 +522,12 @@ def _parse_phy(obj: dict) -> PhyConfig:
 def _parse_loss_model(obj: dict | None) -> LossModel:
     if obj is None:
         return LossModel()
-    overrides = {k: _number(v, k) for k, v in obj.items() if k != "bands"}
+    overrides = {k: _number(v, k) for k, v in _object(obj, "loss_model").items()
+                 if k != "bands"}
     if "bands" in obj:
-        overrides["bands"] = {name: {k: _number(v, k) for k, v in params.items()}
-                              for name, params in obj["bands"].items()}
+        overrides["bands"] = {name: {k: _number(v, k)
+                                     for k, v in _object(params, "bands").items()}
+                              for name, params in _object(obj["bands"], "bands").items()}
     return LossModel().with_overrides(overrides)
 
 
@@ -516,7 +544,7 @@ def _parse_scenario(obj: dict, catalog_aircraft: dict, catalog_constellations: d
             f"scenario {sid} references undefined constellation "
             f"{constellation_name!r}", field="constellation")
     duration_s = _require(obj, "duration_h", sid, float) * 3600.0
-    flight = dict(_require(obj, "flight", sid))
+    flight = dict(_object(_require(obj, "flight", sid), "flight"))
     if flight.get("type") == "loiter":
         flight.setdefault("duration_s", duration_s)
     return ScenarioSpec(
@@ -527,12 +555,11 @@ def _parse_scenario(obj: dict, catalog_aircraft: dict, catalog_constellations: d
         band=_require(obj, "band", sid),
         duration_s=duration_s,
         route=_parse_route(flight, sid),
-        phy=_parse_phy(_require(obj, "phy", sid)),
+        phy=_parse_phy(_object(_require(obj, "phy", sid), "phy")),
         handover_threshold_deg=_require(obj, "handover_threshold_deg", sid, float),
         handover_hysteresis_deg=_number(obj.get("handover_hysteresis_deg", 0.5),
                                         "handover_hysteresis_deg"),
-        rain_profile=tuple((_number(t, "rain_profile"), _number(r, "rain_profile"))
-                           for t, r in obj.get("rain_profile", [])),
+        rain_profile=_rows(obj.get("rain_profile", []), 2, "rain_profile"),
         margin_db=_number(obj.get("margin_db", 0.0), "margin_db"),
         cnr_prime_bandwidth_mhz=(None if obj.get("cnr_prime_bandwidth_mhz") is None
                                  else _number(obj["cnr_prime_bandwidth_mhz"],
@@ -547,13 +574,17 @@ def parse_catalog(doc: dict) -> Catalog:
     """Build a validated catalog from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
-    aircraft = {name: _parse_aircraft(name, spec)
-                for name, spec in doc.get("aircraft", {}).items()}
-    constellations = {name: _parse_constellation(name, spec)
-                      for name, spec in doc.get("constellations", {}).items()}
+    aircraft = {name: _parse_aircraft(name, _object(spec, "aircraft"))
+                for name, spec in _object(doc.get("aircraft", {}), "aircraft").items()}
+    constellations = {
+        name: _parse_constellation(name, _object(spec, "constellations"))
+        for name, spec in _object(doc.get("constellations", {}), "constellations").items()}
+    scenario_list = doc.get("scenarios", [])
+    if not isinstance(scenario_list, list):
+        raise ConfigError("scenarios must be a list", field="scenarios")
     scenarios: dict[str, ScenarioSpec] = {}
-    for obj in doc.get("scenarios", []):
-        spec = _parse_scenario(obj, aircraft, constellations)
+    for obj in scenario_list:
+        spec = _parse_scenario(_object(obj, "scenarios"), aircraft, constellations)
         if spec.id in scenarios:
             raise ConfigError(f"duplicate scenario id {spec.id!r}", field="id")
         scenarios[spec.id] = spec

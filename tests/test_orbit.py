@@ -366,3 +366,63 @@ def test_kernel_handover_across_block_boundary():
     ids = access.sat_id
     switches = np.flatnonzero((ids[1:] != ids[:-1]) & (ids[1:] >= 0) & (ids[:-1] >= 0)) + 1
     assert np.any(np.abs(switches - rows * np.round(switches / rows)) <= 1)
+
+
+# --- candidate filter and event scan ---
+
+def _walker_scenario(planes, per_plane, altitude_km, inclination_deg, route, duration_s,
+                     threshold_deg):
+    base = resolve_scenario("scenario-7")
+    return replace(base, constellation=_walker(base, planes, per_plane, altitude_km,
+                                               inclination_deg, 0.0, 1, 11.0),
+                   route=route, duration_s=duration_s, handover_threshold_deg=threshold_deg)
+
+
+def test_kernel_fast_aircraft_moves_the_candidate_set():
+    # 30 deg of longitude per 40 s leg, 3 deg per 4 s step: over a block of
+    # 54 rows the aircraft's zenith moves far more than a satellite drifts
+    points = tuple((40.0 * k, 20.0, (30.0 * k + 180.0) % 360.0 - 180.0, 1000.0)
+                   for k in range(16))
+    scenario = _walker_scenario(12, 25, 550.0, 53.0, FlightRoute(points), 600.0, 20.0)
+    access = _assert_kernel_matches_reference(scenario, 4.0)
+    assert access.handover_count() >= 10
+
+
+def test_kernel_outage_across_block_boundary():
+    # a 40 deg mask over 300 satellites: an outage over rows 85 to 125
+    # runs from the second block of 54 rows into the third
+    scenario = _walker_scenario(12, 25, 550.0, 53.0, ANTIMERIDIAN_HOP, 600.0, 40.0)
+    access = _assert_kernel_matches_reference(scenario, 4.0)
+    rows = _BLOCK_ELEMENTS // scenario.constellation.total_sats
+    starts = np.arange(rows, len(access), rows)
+    ids = access.sat_id
+    assert np.any(access.served)
+    assert np.any((ids[starts - 1] < 0) & (ids[starts] < 0))
+
+
+@pytest.mark.parametrize("threshold_deg", [0.0, 85.0])
+def test_kernel_extreme_thresholds(threshold_deg):
+    # one equatorial plane passing over an aircraft on the equator, so
+    # satellites reach the zenith; at 85 deg each is served for seconds
+    route = FlightRoute(((0.0, 0.0, 10.0, 500.0), (600.0, 0.0, 10.2, 500.0)))
+    scenario = _walker_scenario(1, 40, 550.0, 0.0, route, 600.0, threshold_deg)
+    access = _assert_kernel_matches_reference(scenario, 1.0)
+    assert len(np.unique(access.sat_id[access.served])) >= 2
+
+
+def test_kernel_single_geo_satellite():
+    base = resolve_scenario("scenario-15b")
+    access = _assert_kernel_matches_reference(replace(base, duration_s=1800.0), 10.0)
+    assert np.all(access.served)
+
+
+def test_kernel_climb_changes_the_reach():
+    # a geostationary satellite 50 deg of arc from an aircraft climbing to
+    # 6,000 km: it clears a 30 deg mask from the ground but not from the
+    # top, and the reach falls by more than the satellite drifts
+    base = resolve_scenario("scenario-15b")
+    route = FlightRoute(((0.0, 0.0, 50.0, 0.0), (600.0, 0.0, 50.0, 6.0e6)))
+    scenario = replace(base, constellation=_walker(base, 1, 1, 35786.0, 0.0, 0.0, 0, 0.0),
+                       route=route, duration_s=600.0, handover_threshold_deg=30.0)
+    access = _assert_kernel_matches_reference(scenario, 10.0)
+    assert access.served[0] and not access.served[-1]

@@ -617,6 +617,19 @@ def test_cli_non_numeric_value_is_config_error(tmp_path, capsys, loss_model, fie
     assert f"error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "scenario-7", "--step", "60", "--frames", "5"],
+    ["sweep", "--scenario", "scenario-7", "--cnr-min", "0", "--cnr-max", "10",
+     "--points", "2", "--frames", "5"],
+])
+def test_cli_negative_seed_is_argument_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
     token = _scenario_file(tmp_path, _overhead_geo(lon=180.0))
     assert main(["run", "--scenario", token, "--step", "10",

@@ -461,13 +461,30 @@ def test_loss_model_overrides_are_validated(override, field):
     ("constellation", "sats_per_plane", "22x", "sats_per_plane"),
     ("constellation", "raan_deg", {"spacing_deg": "thirty"}, "spacing_deg"),
     ("constellation", "inclination_deg", [53.5] * 11 + ["steep"], "inclination_deg"),
+    # wrong container types
+    ("scenario", "loss_model", {"bands": [1, 2]}, "bands"),
+    ("scenario", "loss_model", [1], "loss_model"),
+    ("scenario", "rain_profile", [[0.0]], "rain_profile"),
+    ("scenario", "rain_profile", 5, "rain_profile"),
+    ("scenario", "phy", 5, "phy"),
+    # integer fields take whole numbers only
+    ("phy", "n_rb", 41.9, "n_rb"),
+    ("constellation", "sats_per_plane", 22.7, "sats_per_plane"),
+    # the hysteresis margin must be finite and >= 0
+    ("scenario", "handover_hysteresis_deg", -3.0, "handover_hysteresis_deg"),
+    ("scenario", "handover_hysteresis_deg", float("nan"), "handover_hysteresis_deg"),
+    ("scenario", "handover_hysteresis_deg", float("inf"), "handover_hysteresis_deg"),
+    # more container shapes
+    ("doc", "scenarios", 5, "scenarios"),
+    ("aircraft", "rotor", 5, "rotor"),
+    ("scenario", "flight", {"type": "waypoints", "points": [[0.0, 60.0, 25.0]]}, "points"),
 ])
 def test_non_numeric_values_are_config_errors(where, key, value, field):
     doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])
     scenario = doc["scenarios"][0]
     obj = {"scenario": scenario, "phy": scenario["phy"], "mcs": scenario["phy"]["mcs"],
            "aircraft": doc["aircraft"]["UAV-1"],
-           "constellation": doc["constellations"]["LEO-2"]}[where]
+           "constellation": doc["constellations"]["LEO-2"], "doc": doc}[where]
     obj[key] = value
     with pytest.raises(ConfigError) as err:
         parse_catalog(doc)
@@ -479,9 +496,11 @@ def test_numeric_strings_still_load():
     scenario = doc["scenarios"][0]
     scenario["loss_model"] = {"rain_height_km": "3.5"}
     scenario["phy"]["n_rb"] = str(scenario["phy"]["n_rb"])
+    doc["constellations"]["LEO-2"]["sats_per_plane"] = 22.0
     spec = parse_catalog(doc).scenarios["scenario-6"]
     assert spec.loss_model.rain_height_km == 3.5
     assert spec.phy == builtin_catalog().scenarios["scenario-6"].phy
+    assert spec.constellation == builtin_catalog().constellations["LEO-2"]
 
 
 def test_resolve_by_builtin_id():
