@@ -264,21 +264,69 @@ def run_scenario(
 # Rows per `%` call: bounds the formatted text held in memory at once.
 _CSV_CHUNK_ROWS = 4096
 
+# Neighbouring columns are formatted once per run of equal rows while
+# their joint number of runs stays at or below this share of the rows.
+_RUN_SHARE = 0.25
+
+
+def _run_heads(col: np.ndarray) -> np.ndarray:
+    """True on the first row and on each row that differs from the one above.
+
+    Floats compare by bit pattern, so -0.0 and 0.0 differ and repeated
+    NaNs form one run.
+    """
+    if col.dtype.kind == "f":
+        col = col.view(f"i{col.itemsize}")
+    heads = np.empty(len(col), dtype=bool)
+    heads[:1] = True
+    np.not_equal(col[1:], col[:-1], out=heads[1:])
+    return heads
+
+
+def _format_runs(specs: list[str], columns: list[np.ndarray], heads: np.ndarray) -> np.ndarray:
+    """The text of ``columns`` on every row, formatted once per run head."""
+    starts = np.flatnonzero(heads)
+    values = itertools.chain.from_iterable(zip(*(col[starts].tolist() for col in columns)))
+    text = ((",".join(specs) + "\n") * len(starts) % tuple(values)).split("\n")[:-1]
+    return np.array(text, dtype=object)[np.cumsum(heads) - 1]
+
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length numpy columns as CSV with CRLF line ends.
 
     Int and bool columns are written as ``%d``, float columns as
-    ``%.10g``.  The body is formatted a chunk of rows at a time, each
-    chunk with a single ``%`` over its flattened values.
+    ``%.10g``.  Neighbouring columns that change on few rows (see
+    ``_RUN_SHARE``) are grouped and formatted once per run of equal
+    rows, then enter the row as ``%s``.  The body is formatted a chunk
+    of rows at a time, each chunk with a single ``%`` over its
+    flattened values.
     """
     n_rows = len(columns[0])
-    row_spec = ",".join("%d" if col.dtype.kind in "biu" else "%.10g"
-                        for col in columns) + "\r\n"
+    limit = n_rows * _RUN_SHARE
+    fields = []   # (spec, column) per field of the row
+    group = None  # (specs, columns, joint run heads) of the open group
+    for col in columns:
+        spec = "%d" if col.dtype.kind in "biu" else "%.10g"
+        heads = _run_heads(col)
+        if group is not None:
+            joint = group[2] | heads
+            if np.count_nonzero(joint) <= limit:
+                group = (group[0] + [spec], group[1] + [col], joint)
+                continue
+            fields.append(("%s", _format_runs(*group)))
+            group = None
+        if np.count_nonzero(heads) <= limit:
+            group = ([spec], [col], heads)
+        else:
+            fields.append((spec, col))
+    if group is not None:
+        fields.append(("%s", _format_runs(*group)))
+
+    row_spec = ",".join(spec for spec, _ in fields) + "\r\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for _, col in fields]
             values = tuple(itertools.chain.from_iterable(zip(*chunk)))
             fh.write(row_spec * len(chunk[0]) % values)
 

@@ -3,7 +3,7 @@ import io
 import json
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -456,17 +456,44 @@ def _reference_csv(header, columns) -> bytes:
     return buf.getvalue().encode()
 
 
+# a few values repeated in runs; the fixed pools put -0.0 next to 0.0
+# and NaNs of either sign next to the infinities
+_RUN_POOLS = {
+    np.int64: st.lists(_COLUMN_ELEMENTS[np.int64], min_size=1, max_size=4),
+    np.bool_: st.just([False, True]),
+    np.float64: (st.sampled_from([[0.0, -0.0], [math.nan, -math.nan, math.inf, -math.inf]])
+                 | st.lists(_COLUMN_ELEMENTS[np.float64], min_size=1, max_size=4)),
+}
+
+
 @st.composite
 def _csv_tables(draw):
-    n_rows = draw(st.sampled_from([0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS,
-                                   _CSV_CHUNK_ROWS + 1]))
-    dtypes = draw(st.lists(st.sampled_from(list(_COLUMN_ELEMENTS)),
-                           min_size=1, max_size=5))
-    return [draw(arrays(dtype, n_rows, elements=_COLUMN_ELEMENTS[dtype]))
-            for dtype in dtypes]
+    """Columns of free values and of runs, the runs often shared by neighbours."""
+    n_rows = draw(st.sampled_from([0, 1, 2, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS,
+                                   _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns, heads = [], None
+    for dtype in draw(st.lists(st.sampled_from(list(_COLUMN_ELEMENTS)),
+                               min_size=1, max_size=6)):
+        layout = draw(st.sampled_from(["free", "new runs", "shared runs"]))
+        if layout == "free":
+            columns.append(draw(arrays(dtype, n_rows, elements=_COLUMN_ELEMENTS[dtype])))
+            continue
+        if layout == "new runs" or heads is None:
+            # runs start on a share of the rows on either side of the
+            # writer's grouping limit, and never next to a chunk boundary
+            share = draw(st.sampled_from([0.0, 0.002, 0.05, 0.2, 0.25, 0.3, 0.7]))
+            heads = rng.random(n_rows) < share
+            for boundary in range(_CSV_CHUNK_ROWS, n_rows, _CSV_CHUNK_ROWS):
+                heads[boundary - 3:boundary + 3] = False
+            heads[:1] = True
+        pool = np.array(draw(_RUN_POOLS[dtype]), dtype=dtype)
+        run_values = pool[rng.integers(len(pool), size=np.count_nonzero(heads))]
+        columns.append(run_values[np.cumsum(heads) - 1])
+    return columns
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(_csv_tables())
 def test_write_csv_matches_row_wise_reference(columns):
     header = [f"c{j}" for j in range(len(columns))]
@@ -474,6 +501,44 @@ def test_write_csv_matches_row_wise_reference(columns):
         path = Path(tmp) / "table.csv"
         _write_csv(path, header, columns)
         assert path.read_bytes() == _reference_csv(header, columns)
+
+
+def _csv_cells(data: bytes) -> list[tuple[bytes, ...]]:
+    """The cells of each column of a CSV file, header first."""
+    return list(zip(*(line.split(b",") for line in data.split(b"\r\n")[:-1])))
+
+
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+def test_write_outputs_match_row_wise_reference(tmp_path, mode):
+    # the rotor scenario writes all four tables
+    result = run_scenario(builtin_catalog().scenarios["scenario-15b"], step_s=60.0,
+                          n_frames=20, mode=mode, seed=0, out_dir=tmp_path)
+    access, link, slots = result.access, result.link, result.slots
+    tables = {
+        "access.csv": {
+            "time_s": access.times_s, "sat_id": access.sat_id,
+            "elevation_deg": access.elevation_deg, "azimuth_deg": access.azimuth_deg,
+            "slant_range_km": access.slant_range_km,
+            "range_rate_kms": access.range_rate_kms, "doppler_khz": access.doppler_khz},
+        "link.csv": {
+            "time_s": link.times_s, "fspl_db": link.fspl_db, "gas_db": link.gas_db,
+            "rain_db": link.rain_db, "cloud_db": link.cloud_db, "total_db": link.total_db,
+            "doppler_khz": link.doppler_khz, "cnr_db": link.cnr_db},
+        "slots.csv": {
+            "slot_index": slots.slot_index, "t_start_ms": slots.t_start_ms,
+            "erased": slots.erased, "cnr_db": slots.cnr_db,
+            "payload_bits": slots.payload_bits, "bit_errors": slots.bit_errors,
+            "ber": slots.ber, "decode_prob": slots.decode_prob},
+        "blades.csv": dict(zip(
+            ["elevation_deg", "d_rotor_m", "phi_deg", "t_int_ms", "t_lnk_ms", "duty_cycle"],
+            zip(*map(astuple, result.blade_rows)))),
+    }
+    for name, table in tables.items():
+        got = (tmp_path / "scenario-15b" / name).read_bytes()
+        want = _reference_csv(list(table), list(table.values()))
+        for column, got_cells, want_cells in zip(table, _csv_cells(got), _csv_cells(want)):
+            assert got_cells == want_cells, f"{name}: {column}"
+        assert got == want, name
 
 
 # === CNR sweep ===
@@ -627,6 +692,28 @@ def test_cli_negative_seed_is_argument_error(tmp_path, capsys, argv):
         main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")])
     assert exit_.value.code == 2
     assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--step", "60", "--frames", "-1"], "--frames: must be >= 0"),
+    (["run", "--step", "0", "--frames", "5"], "--step: must be > 0"),
+    (["run", "--step", "-10", "--frames", "5"], "--step: must be > 0"),
+    (["run", "--step", "nan", "--frames", "5"], "--step: must be finite"),
+    (["run", "--step", "inf", "--frames", "5"], "--step: must be finite"),
+    (["sweep", "--cnr-min", "0", "--cnr-max", "10", "--points", "2", "--frames", "-3"],
+     "--frames: must be >= 0"),
+    (["sweep", "--cnr-min", "nan", "--cnr-max", "10", "--points", "2", "--frames", "5"],
+     "--cnr-min: must be finite"),
+    (["sweep", "--cnr-min", "0", "--cnr-max", "inf", "--points", "2", "--frames", "5"],
+     "--cnr-max: must be finite"),
+], ids=["run-frames-negative", "run-step-zero", "run-step-negative", "run-step-nan",
+        "run-step-inf", "sweep-frames-negative", "sweep-cnr-min-nan", "sweep-cnr-max-inf"])
+def test_cli_bad_number_is_argument_error(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--scenario", "scenario-7", "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
