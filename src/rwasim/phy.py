@@ -8,10 +8,10 @@ timeline with each slot's rotor-blade blocked time into per-slot outcomes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ConfigError
 
@@ -210,8 +210,16 @@ def transport_block_size(n_rb: int, mcs: Mcs, overhead: float = 0.0) -> int:
 # === AWGN error rates ===
 
 def q_function(x):
-    """Gaussian tail probability Q(x)."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    """Gaussian tail probability Q(x), with the shape of ``x``.
+
+    ``math.erfc`` is evaluated once per distinct value of ``x``; the
+    inputs here hold one CNR per frame or per sweep point, so there are
+    few of them.
+    """
+    x = np.asarray(x, dtype=float)
+    values, inverse = np.unique(x, return_inverse=True)
+    q = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in values.tolist()])
+    return q[inverse].reshape(x.shape)
 
 
 def uncoded_ber(modulation: str, eb_n0_db):
@@ -327,12 +335,18 @@ def simulate_frames(
     payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
 
     cnr = np.array(cnr_db, dtype=float)  # a copy: the table keeps it as a column
+    # BER and decode probability are computed once per distinct CNR and
+    # gathered to the slots through ``slot_value``
+    values, inverse = np.unique(cnr, return_inverse=True)
     if cnr.ndim == 0:
         cnr_slots = np.full(n_slots, float(cnr))
+        slot_value = np.zeros(n_slots, dtype=np.intp)
     elif cnr.shape == (n_frames,):
         cnr_slots = np.repeat(cnr, spf)
+        slot_value = np.repeat(inverse.ravel(), spf)
     elif cnr.shape == (n_slots,):
         cnr_slots = cnr
+        slot_value = inverse.ravel()
     else:
         raise ValueError("cnr_db must be scalar, per-frame or per-slot")
 
@@ -343,9 +357,10 @@ def simulate_frames(
     # so small that erase_threshold * slot_ms underflows to 0
     erased = ((blocked > 0.0) & (blocked >= erase_threshold * num.slot_ms)).ravel()
 
-    channel_ber = awgn_ber(phy.mcs, cnr_slots)
+    value_ber = awgn_ber(phy.mcs, values)
+    channel_ber = value_ber[slot_value]
     ber = np.where(erased, 1.0, channel_ber)
-    decode_prob = np.where(erased, 0.0, (1.0 - channel_ber) ** payload)
+    decode_prob = np.where(erased, 0.0, ((1.0 - value_ber) ** payload)[slot_value])
     if mode == "mc":
         rng = np.random.default_rng(np.random.SeedSequence((seed, MC_STREAM_TAG)))
         bit_errors = np.full(n_slots, payload, dtype=np.int64)

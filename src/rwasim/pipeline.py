@@ -231,7 +231,9 @@ def run_scenario(
         stats = FrameStats(0, 0, 0, max(n_frames, 1) * FRAME_MS, 0.0, 0.0, 0.0)
     else:
         frame_times_s = np.arange(n_frames) * (scenario.duration_s / n_frames)
-        frame_idx = np.minimum((frame_times_s / step_s).astype(int), n_samples - 1)
+        # the last sample at or before each frame's start; times_s starts
+        # at 0, so the index is in [0, n_samples - 1]
+        frame_idx = np.searchsorted(access.times_s, frame_times_s, side="right") - 1
         phase = scenario.blade_phase_ms
         if scenario.randomize_blade_phase:
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB1ADE)))

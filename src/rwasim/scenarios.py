@@ -353,12 +353,15 @@ def _number(value, field: str, kind=float):
     """``kind(value)``, or a ConfigError naming ``field`` when that fails.
 
     An ``int`` field takes whole numbers only: 41, 41.0 and "41" load,
-    41.9 does not.
+    41.9 does not.  NaN and infinities, which ``json`` reads from
+    ``NaN`` and ``Infinity``, are rejected.
     """
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"expected a number, got {value!r}", field=field) from None
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ConfigError(f"expected a finite number, got {value!r}", field=field)
     if kind is int and isinstance(value, float) and number != value:
         raise ConfigError(f"expected a whole number, got {value!r}", field=field)
     return number
@@ -382,7 +385,7 @@ def _rows(value, width: int, field: str) -> tuple[tuple[float, ...], ...]:
 
 def _beamwidth(value) -> tuple[float, float]:
     if isinstance(value, (int, float)):
-        return (float(value), float(value))
+        return (_number(value, "beamwidth_deg"),) * 2
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return (_number(value[0], "beamwidth_deg"), _number(value[1], "beamwidth_deg"))
     raise ConfigError("beamwidth_deg must be a number or [min, max]",
@@ -428,7 +431,7 @@ def _parse_aircraft(name: str, obj: dict) -> AircraftSpec:
 
 def _per_plane(value, planes: int, key: str) -> tuple[float, ...]:
     if isinstance(value, (int, float)):
-        return (float(value),) * planes
+        return (_number(value, key),) * planes
     if isinstance(value, (list, tuple)) and len(value) == planes:
         return tuple(_number(v, key) for v in value)
     raise ConfigError(f"must be a number or a list with one entry per plane",
@@ -443,7 +446,7 @@ def _parse_raans(value, planes: int) -> tuple[float, ...]:
             raise ConfigError("need one RAAN per plane", field="raan_deg")
         return tuple(_number(v, "raan_deg") for v in value)
     if isinstance(value, (int, float)):
-        spacing, start = float(value), 0.0
+        spacing, start = _number(value, "raan_deg"), 0.0
     elif isinstance(value, dict):
         spacing = _require(value, "spacing_deg", "raan_deg", float)
         start = _number(value.get("start_deg", 0.0), "start_deg")

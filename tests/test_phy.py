@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +195,42 @@ def test_q_function_basics():
     assert float(q_function(3.0)) == pytest.approx(0.00134990, rel=1e-4)
 
 
+@pytest.mark.parametrize("x, q", [
+    (0.0, 0.5),
+    (1.0, 0.158655253931457051),
+    (3.0, 1.34989803163009453e-3),
+    (5.0, 2.86651571879193912e-7),
+])
+def test_q_function_high_precision(x, q):
+    assert float(q_function(x)) == pytest.approx(q, rel=1e-14, abs=0.0)
+
+
+def test_q_function_edges():
+    assert float(q_function(math.inf)) == 0.0
+    assert float(q_function(-math.inf)) == 1.0
+    assert math.isnan(float(q_function(math.nan)))
+    # repeated values, NaNs among them, each get their own result
+    x = np.array([math.nan, 1.0, -math.inf, 1.0, math.nan, math.inf, 0.0, -0.0])
+    assert np.array_equal(q_function(x), [float(q_function(v)) for v in x], equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4), (0,), (2, 0)])
+def test_q_function_keeps_input_shape(shape):
+    x = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape).round(1)
+    q = q_function(x)
+    assert np.shape(q) == shape
+    assert np.array_equal(np.ravel(q), [float(q_function(float(v))) for v in x.ravel()])
+
+
+def test_import_leaves_scipy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import rwasim.cli; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 # --- frame simulation ---
 
 def test_clear_slots_at_high_cnr():
@@ -314,6 +353,38 @@ def test_per_frame_cnr_array():
     assert np.all(second > 0)
     with pytest.raises(ValueError):
         simulate_frames(phy, np.arange(3.0), 2)
+
+
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+def test_cnr_input_forms_agree(mode):
+    phy = _phy()  # 20 slots per frame
+    spf = phy.numerology.slots_per_frame
+    blocked = np.zeros((6, spf))
+    blocked[2, 5:9] = phy.numerology.slot_ms  # some erased slots
+    runs = {name: simulate_frames(phy, cnr, 6, blocked, mode=mode, seed=3)
+            for name, cnr in [("scalar", 4.5), ("per-frame", np.full(6, 4.5)),
+                              ("per-slot", np.full(6 * spf, 4.5))]}
+    for name in ("per-frame", "per-slot"):
+        for col in ("cnr_db", "ber", "decode_prob", "bit_errors", "decoded"):
+            assert np.array_equal(getattr(runs[name], col), getattr(runs["scalar"], col)), col
+
+    # distinct CNRs per frame, repeated, and per slot: every slot's columns
+    # follow from awgn_ber over the returned cnr_db column, slot by slot
+    payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
+    per_frame = np.array([3.0, 7.5, 3.0, -1.0, 7.5, 3.0])
+    per_slot = np.repeat(per_frame, spf) + np.tile(np.linspace(-0.5, 0.5, spf), 6)
+    for cnr in (per_frame, per_slot):
+        slots = simulate_frames(phy, cnr, 6, blocked, mode=mode, seed=3)
+        clear = ~slots.erased
+        ref = awgn_ber(phy.mcs, slots.cnr_db)
+        assert np.array_equal(slots.ber[clear], ref[clear])
+        assert np.array_equal(slots.decode_prob[clear], (1.0 - ref[clear]) ** payload)
+        if mode == "expected":
+            assert np.array_equal(slots.bit_errors[clear], np.round(ref[clear] * payload))
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence((3, MC_STREAM_TAG)))
+            assert np.array_equal(slots.bit_errors[clear], rng.binomial(payload, ref[clear]))
+    assert np.array_equal(slots.cnr_db, per_slot)
 
 
 def test_expected_mode_is_deterministic():

@@ -430,6 +430,40 @@ def test_random_scenario_invariants(case):
     assert np.all((slots.ber[clear] >= 0.0) & (slots.ber[clear] <= 0.5))
 
 
+@st.composite
+def _fractional_step_cases(draw):
+    sid = draw(st.sampled_from(sorted(builtin_catalog().scenarios)))
+    step_s = draw(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1, 2.5])
+                  | st.floats(0.05, 5.0).filter(lambda s: s != round(s)))
+    n_frames = draw(st.integers(1, 400))
+    # frames a whole number of steps apart start on sample times, where a
+    # float quotient of time and step can round to either neighbour
+    spacing = draw(st.integers(1, 4)) * step_s if draw(st.booleans()) else draw(
+        st.floats(0.01, 6.0))
+    duration = min(n_frames * spacing, 1800.0)
+    return sid, duration, step_s, n_frames, draw(st.sampled_from(["mc", "expected"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_fractional_step_cases())
+def test_frames_take_the_sample_at_their_start(case):
+    sid, duration, step_s, n_frames, mode = case
+    scenario = replace(builtin_catalog().scenarios[sid], duration_s=duration)
+    try:
+        result = run_scenario(scenario, step_s=step_s, n_frames=n_frames, mode=mode)
+    except RuntimeError:
+        assert not np.any(build_access_timeline(scenario, step_s).served)
+        return
+    times = result.access.times_s
+    assert times[0] == 0.0 and np.all(np.diff(times) > 0.0)
+    spf = scenario.phy.numerology.slots_per_frame
+    starts = np.arange(n_frames) * (scenario.duration_s / n_frames)
+    for frame, start in enumerate(starts):
+        sample = np.flatnonzero(times <= start)[-1]
+        cnr = result.slots.cnr_db[frame * spf:(frame + 1) * spf]
+        assert np.all(cnr == result.link.cnr_db[sample]), (frame, start, sample)
+
+
 # === CSV writer ===
 
 _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,

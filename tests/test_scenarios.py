@@ -478,6 +478,9 @@ def test_loss_model_overrides_are_validated(override, field):
     ("doc", "scenarios", 5, "scenarios"),
     ("aircraft", "rotor", 5, "rotor"),
     ("scenario", "flight", {"type": "waypoints", "points": [[0.0, 60.0, 25.0]]}, "points"),
+    # strings float() reads as non-finite numbers
+    ("scenario", "margin_db", "nan", "margin_db"),
+    ("aircraft", "max_gain_dbi", "-Infinity", "max_gain_dbi"),
 ])
 def test_non_numeric_values_are_config_errors(where, key, value, field):
     doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])
@@ -489,6 +492,49 @@ def test_non_numeric_values_are_config_errors(where, key, value, field):
     with pytest.raises(ConfigError) as err:
         parse_catalog(doc)
     assert err.value.field == field
+
+
+def _numeric_leaves(obj, key=None):
+    """(container, index, key) of each number in a serialized document.
+
+    A list contributes its first and last entries only: the parser reads
+    every entry of a list the same way, and the flight paths hold
+    thousands of them.  ``key`` is the nearest object key above the leaf.
+    """
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = [(i, obj[i]) for i in sorted({0, len(obj) - 1})] if obj else []
+    else:
+        return
+    for index, value in items:
+        leaf_key = index if isinstance(obj, dict) else key
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield obj, index, leaf_key
+        else:
+            yield from _numeric_leaves(value, leaf_key)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("sid", sorted(SCENARIO_IDS))
+def test_non_finite_numbers_are_config_errors(sid, bad):
+    doc = serialize_scenario(builtin_catalog().scenarios[sid])
+    leaves = list(_numeric_leaves(doc))
+    assert len(leaves) > 40
+    for container, index, key in leaves:
+        good = container[index]
+        container[index] = bad
+        with pytest.raises(ConfigError) as err:
+            parse_catalog(doc)
+        assert err.value.field == key
+        container[index] = good
+    # the document is whole again, and its JSON form with NaN or Infinity
+    # in place of a number fails the same way
+    assert parse_catalog(doc).scenarios[sid] == builtin_catalog().scenarios[sid]
+    doc["scenarios"][0]["margin_db"] = bad
+    with pytest.raises(ConfigError) as err:
+        parse_catalog(json.loads(json.dumps(doc)))
+    assert err.value.field == "margin_db"
 
 
 def test_numeric_strings_still_load():

@@ -1,0 +1,192 @@
+"""Record the north-star timings of rwasim from fresh interpreters.
+
+Run from the root of a checkout:
+
+    python3 tools/bench_north_star.py --repeats 5 no-scipy=.
+
+Each ``LABEL=CHECKOUT`` pair names a checkout whose ``src/`` is put on
+``PYTHONPATH``.  Every command below runs in a new interpreter, once per
+repeat and per checkout; the checkouts take turns command by command,
+and which goes first rotates from repeat to repeat, so drift in machine
+speed falls on all of them alike:
+
+- ``rwasim run`` for each built-in scenario in ``mc`` and ``expected``
+  mode at ``--step 1 --frames 1000 --seed 0``;
+- one 26-point ``rwasim sweep`` per mode;
+- ``python -c "import rwasim.cli"``.
+
+For each checkout it writes ``BENCH_<LABEL>.json`` to the current
+directory: the median and quartiles of every command's wall time and
+of the per-repeat total, the core count and the Python and numpy
+versions (scipy's too when it is installed).  It exits 1 if a command
+fails or if a repeat writes files that differ in any byte from the
+first repeat's.  Stdlib only: the recorder itself imports nothing the
+timed commands pay for.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import hashlib
+import importlib.metadata
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+SCENARIOS = ("scenario-11", "scenario-15a", "scenario-15b",
+             "scenario-19", "scenario-6", "scenario-7")
+MODES = ("mc", "expected")
+RUN_ARGS = ("--step", "1", "--frames", "1000", "--seed", "0")
+SWEEP_SCENARIO = "scenario-7"
+SWEEP_ARGS = ("--cnr-min", "-5", "--cnr-max", "20", "--points", "26",
+              "--frames", "1000", "--seed", "0")
+
+
+def commands() -> dict[str, tuple[list[str], bool]]:
+    """Command name -> (arguments after ``python``, whether it takes ``--out``)."""
+    cmds = {}
+    for sid in SCENARIOS:
+        for mode in MODES:
+            cmds[f"run {sid} {mode}"] = (["-m", "rwasim.cli", "run", "--scenario", sid,
+                                          "--mode", mode, *RUN_ARGS], True)
+    for mode in MODES:
+        cmds[f"sweep {SWEEP_SCENARIO} {mode}"] = (
+            ["-m", "rwasim.cli", "sweep", "--scenario", SWEEP_SCENARIO, "--mode", mode,
+             *SWEEP_ARGS], True)
+    cmds["import rwasim.cli"] = (["-c", "import rwasim.cli"], False)
+    return cmds
+
+
+def _quartiles(samples: list[float]) -> dict[str, float]:
+    if len(samples) == 1:
+        q1 = med = q3 = samples[0]
+    else:
+        q1, med, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def _same_tree(a: Path, b: Path) -> bool:
+    """True when ``a`` and ``b`` hold the same files with the same bytes."""
+    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    return files_a == files_b and all(
+        filecmp.cmp(a / f, b / f, shallow=False) for f in files_a)
+
+
+def _source_digest(src: Path) -> str:
+    """SHA-256 over the package sources, by relative path and content."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in (src / "rwasim").rglob("*")
+                       if p.is_file() and "__pycache__" not in p.parts):
+        h.update(str(path.relative_to(src)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def _versions() -> dict[str, str]:
+    versions = {"python": platform.python_version()}
+    for name in ("numpy", "scipy"):
+        try:
+            versions[name] = importlib.metadata.version(name)
+        except importlib.metadata.PackageNotFoundError:
+            pass
+    return versions
+
+
+def _time_command(args: list[str], src: Path, out: Path | None) -> float:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, *args] + ([] if out is None else ["--out", str(out)])
+    t0 = perf_counter()
+    proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    seconds = perf_counter() - t0
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    return seconds
+
+
+def record(checkouts: dict[str, Path], repeats: int, work: Path,
+           keep: Path | None) -> dict[str, dict]:
+    """Time every command ``repeats`` times per checkout, taking turns."""
+    cmds = commands()
+    times = {label: {name: [] for name in cmds} for label in checkouts}
+    pairs = list(checkouts.items())
+    for rep in range(repeats):
+        turns = pairs[rep % len(pairs):] + pairs[:rep % len(pairs)]  # who goes first rotates
+        for name, (args, writes) in cmds.items():
+            for label, root in turns:
+                out = work / label / str(rep) / name.replace(" ", "_") if writes else None
+                times[label][name].append(_time_command(args, root / "src", out))
+                if out is not None and rep > 0:
+                    if not _same_tree(work / label / "0" / name.replace(" ", "_"), out):
+                        raise SystemExit(f"error: {label}: repeat {rep} of {name!r} "
+                                         f"wrote different files from repeat 0")
+                    shutil.rmtree(out)
+        print(f"repeat {rep + 1}/{repeats} done", file=sys.stderr)
+
+    if keep is not None:
+        for label in checkouts:
+            shutil.copytree(work / label / "0", keep / label, dirs_exist_ok=True)
+
+    results = {}
+    for label, root in checkouts.items():
+        per_cmd = times[label]
+        totals = [sum(per_cmd[name][rep] for name in cmds) for rep in range(repeats)]
+        results[label] = {
+            "label": label,
+            "source_sha256": _source_digest(root / "src"),
+            "repeats": repeats,
+            "cores": os.cpu_count(),
+            "machine": platform.machine(),
+            "versions": _versions(),
+            "unit": "s",
+            "commands": {name: {**_quartiles(samples), "samples": samples}
+                         for name, samples in per_cmd.items()},
+            "total": {**_quartiles(totals), "samples": totals},
+        }
+    return results
+
+
+def _checkout(text: str) -> tuple[str, Path]:
+    label, sep, path = text.partition("=")
+    root = Path(path).resolve()
+    if not sep or not label or not (root / "src" / "rwasim" / "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(
+            f"expected LABEL=CHECKOUT with CHECKOUT/src/rwasim, got {text!r}")
+    return label, root
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkouts", nargs="+", type=_checkout, metavar="LABEL=CHECKOUT")
+    parser.add_argument("--repeats", type=int, default=5, help="runs per command (default 5)")
+    parser.add_argument("--keep-outputs", type=Path, default=None, metavar="DIR",
+                        help="copy each checkout's first-repeat outputs to DIR/<LABEL>")
+    args = parser.parse_args(argv)
+    checkouts = dict(args.checkouts)
+    if len(checkouts) != len(args.checkouts):
+        parser.error("labels must be distinct")
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+
+    with tempfile.TemporaryDirectory(prefix="bench-north-star-") as work:
+        results = record(checkouts, args.repeats, Path(work), args.keep_outputs)
+    for label, result in results.items():
+        path = Path(f"BENCH_{label}.json")
+        path.write_text(json.dumps(result, indent=2) + "\n")
+        total = result["total"]
+        print(f"{label}: total {total['median']:.3f} s "
+              f"[{total['q1']:.3f}, {total['q3']:.3f}], "
+              f"import {result['commands']['import rwasim.cli']['median']:.3f} s -> {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
