@@ -6,8 +6,7 @@ pattern: each of the ``n_blades`` blades blocks the link for a fixed
 interval once per rotation, and the link is clear in between.  The arc
 blocked by one blade depends on where the antenna boresight crosses the
 rotor disk, which in turn depends on the satellite elevation.  The
-geometry functions take scalars or numpy arrays of elevations; the
-single-elevation schedule API is a thin wrapper over them, and
+geometry functions take scalars or numpy arrays of elevations, and
 :func:`slot_blocked_ms` gives the per-slot blocked time the PHY sees.
 """
 
@@ -36,15 +35,16 @@ class RotorSpec:
     def __post_init__(self) -> None:
         if self.n_blades < 1:
             raise ValueError("n_blades must be >= 1")
-        if self.blade_width_m <= 0:
+        # written so that NaN fails them
+        if not self.blade_width_m > 0:
             raise ValueError("blade_width_m must be > 0")
-        if self.rpm <= 0:
+        if not self.rpm > 0:
             raise ValueError("rpm must be > 0")
-        if self.rotor_height_m <= 0:
+        if not self.rotor_height_m > 0:
             raise ValueError("rotor_height_m must be > 0")
-        if self.tip_radius_m <= 0:
+        if not self.tip_radius_m > 0:
             raise ValueError("tip_radius_m must be > 0")
-        if self.shaft_offset_m < 0:
+        if not self.shaft_offset_m >= 0:
             raise ValueError("shaft_offset_m must be >= 0")
 
     @property
@@ -93,22 +93,6 @@ class BladeSchedule:
         return self.n_blades * self.blocked_ms / self.rotation_ms
 
 
-def interference_point(rotor: RotorSpec, elevation_deg: float) -> float | None:
-    """Distance from the rotor shaft to the boresight/disk crossing.
-
-    The antenna sits ``rotor_height_m`` below the rotor plane and
-    ``shaft_offset_m`` from the shaft axis.  Looking up at elevation
-    ``elevation_deg`` the boresight pierces the rotor plane at a
-    horizontal distance ``rotor_height / tan(el)`` from the antenna,
-    which may fall on either side of the shaft.
-
-    Returns ``None`` when the crossing lies beyond the blade tip, i.e.
-    the blades never cut the boresight at this elevation.
-    """
-    radius = float(crossing(rotor, elevation_deg)[0])
-    return None if radius == math.inf else radius
-
-
 def blockage_arc(blade_width_m: float, radius_m):
     """Rotor arc (degrees) hidden by a blade of the given chord.
 
@@ -126,10 +110,16 @@ def blockage_arc(blade_width_m: float, radius_m):
 def crossing(rotor: RotorSpec, elevation_deg) -> tuple[np.ndarray, np.ndarray]:
     """Where the boresight crosses the rotor disk, at each elevation.
 
+    The antenna sits ``rotor_height_m`` below the rotor plane and
+    ``shaft_offset_m`` from the shaft axis.  Looking up at elevation
+    ``el`` the boresight pierces the rotor plane at a horizontal distance
+    ``rotor_height / tan(el)`` from the antenna, which may fall on either
+    side of the shaft.
+
     Returns ``(radius_m, arc_deg)``: the crossing's distance from the
-    shaft (see :func:`interference_point`) and the arc one blade hides
-    there (see :func:`blockage_arc`).  Where the crossing lies beyond
-    the blade tip they are inf and 0.
+    shaft and the arc one blade hides there (see :func:`blockage_arc`).
+    Where the crossing lies beyond the blade tip, so the blades never cut
+    the boresight, they are inf and 0.
     """
     el = np.asarray(elevation_deg, dtype=float)
     if not np.all((el > 0.0) & (el <= 90.0)):
@@ -145,7 +135,7 @@ def build_schedule(rotor: RotorSpec, geometry: BladeGeometry) -> BladeSchedule:
 
     Raises ``ValueError`` if the blocked arcs of the individual blades
     overlap (``n_blades * arc > 360``), which would leave no clear time.
-    Use :func:`schedule_for_elevation` for the clamped variant.
+    :func:`blocked_ms` gives the clamped blocked time at an elevation.
     """
     blocked = geometry.arc_deg / rotor.rate_deg_per_ms
     if rotor.n_blades * blocked > rotor.rotation_ms:
@@ -177,41 +167,6 @@ def blocked_ms(rotor: RotorSpec, elevation_deg) -> np.ndarray:
     """
     arc = crossing(rotor, elevation_deg)[1]
     return np.minimum(arc, 360.0 / rotor.n_blades) / rotor.rate_deg_per_ms
-
-
-def schedule_for_elevation(rotor: RotorSpec, elevation_deg: float) -> BladeSchedule:
-    """Blockage schedule at one elevation (see :func:`blocked_ms`)."""
-    return schedule(rotor, float(blocked_ms(rotor, elevation_deg)))
-
-
-def blocked_intervals(
-    schedule: BladeSchedule,
-    span_ms: float,
-    phase_ms: float = 0.0,
-) -> list[tuple[float, float]]:
-    """Blocked [start, stop) intervals covering ``[0, span_ms)``.
-
-    ``phase_ms`` is the time already elapsed in the blade period at
-    t = 0, so a rotor that has been spinning since an earlier origin can
-    be windowed consistently.  Intervals are clipped to the span and an
-    interference-free schedule yields an empty list.
-    """
-    if schedule.blocked_ms <= 0.0 or span_ms <= 0.0:
-        return []
-    period = schedule.period_ms
-    # first blade arrival at or before the window start
-    k = math.floor((-phase_ms - schedule.blocked_ms) / period)
-    out: list[tuple[float, float]] = []
-    while True:
-        start = k * period - phase_ms
-        stop = start + schedule.blocked_ms
-        k += 1
-        if stop <= 0.0:
-            continue
-        if start >= span_ms:
-            break
-        out.append((max(start, 0.0), min(stop, span_ms)))
-    return out
 
 
 def speed_ratios(
@@ -276,9 +231,9 @@ def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
     blocked: a clear frame).  Frame ``f`` starts at ``frame_offsets_ms[f]``
     on a continuous rotor clock.
 
-    Frame ``f`` sees the blade pulses of :func:`blocked_intervals` over
-    one frame at phase ``frame_offsets_ms[f] % period``: pulse ``j``
-    starts at ``(k0 + j) * period - phase``, is clipped to the frame and
+    Frame ``f`` sees the blade pulses that start every period over one
+    frame at phase ``frame_offsets_ms[f] % period``: pulse ``j`` starts
+    at ``(k0 + j) * period - phase``, is clipped to the frame and
     adds its overlap to every slot it touches.  All frames take pulse
     ``j`` together and pulses are added in order, so each slot sums the
     same terms in the same order as a walk over its frame's intervals.

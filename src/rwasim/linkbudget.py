@@ -37,7 +37,7 @@ class BandAtmosphere:
 
     def __post_init__(self) -> None:
         for name in ("zenith_gas_db", "zenith_cloud_db", "rain_k"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:  # NaN fails too
                 raise ConfigError("must be >= 0", field=name)
 
 
@@ -65,7 +65,7 @@ class LossModel:
 
     def __post_init__(self) -> None:
         for name in ("rain_height_km", "slant_cap_km"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ConfigError("must be > 0", field=name)
 
     def band(self, name: str) -> BandAtmosphere:

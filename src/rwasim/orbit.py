@@ -50,9 +50,9 @@ class KeplerianElements:
 
 # === array kernels ===
 # Vectors travel as (x, y, z) tuples of broadcastable arrays, so a
-# (steps x satellites) block never grows a third axis.  The public
-# single-sample functions below are thin wrappers over these, and the
-# access timeline uses them directly: there is one propagation path.
+# (steps x satellites) block never grows a third axis.  `propagate`
+# wraps them for one satellite, and the access timeline uses them
+# directly: there is one propagation path.
 
 def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -120,7 +120,7 @@ def _view(rel, v_rel, lat_deg, lon_deg):
     return elevation, azimuth, dist, _dot(rel, v_rel) / dist
 
 
-# === single-sample API ===
+# === one satellite ===
 
 def propagate(elements: KeplerianElements, t: float) -> tuple[np.ndarray, np.ndarray]:
     """ECI position (km) and velocity (km/s) of one satellite at time t."""
@@ -131,70 +131,7 @@ def propagate(elements: KeplerianElements, t: float) -> tuple[np.ndarray, np.nda
     return np.array(_eci_position(a, u, p, q)), np.array(_eci_velocity(a, n, u, p, q))
 
 
-def eci_to_ecef(
-    position: np.ndarray,
-    velocity: np.ndarray,
-    t: float,
-    sidereal_angle0_rad: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate inertial state into the Earth-fixed frame at time t.
-
-    The returned velocity is as seen by an Earth-fixed observer, i.e.
-    it includes the frame-rotation (transport) term.  Works on single
-    vectors or (..., 3) stacks.
-    """
-    theta = sidereal_angle0_rad + EARTH_ROTATION_RATE * t
-    position = np.moveaxis(np.asarray(position, dtype=float), -1, 0)
-    velocity = np.moveaxis(np.asarray(velocity, dtype=float), -1, 0)
-    r_ecef = _rotate_to_ecef(*position, theta)
-    v_ecef = _ecef_velocity(velocity, r_ecef, theta)
-    return np.stack(r_ecef, axis=-1), np.stack(v_ecef, axis=-1)
-
-
-def geodetic_to_ecef(lat_deg: float, lon_deg: float, alt_m: float) -> np.ndarray:
-    """ECEF position (km) of a point on/above the spherical Earth."""
-    return np.array(_geodetic_to_ecef(lat_deg, lon_deg, alt_m))
-
-
 # === topocentric view ===
-
-@dataclass(frozen=True)
-class SatView:
-    """A satellite as seen from the aircraft at one instant."""
-
-    elevation_deg: float
-    azimuth_deg: float        # clockwise from north
-    slant_range_km: float
-    range_rate_kms: float     # positive receding
-
-
-def look_angles(
-    observer_ecef: np.ndarray,
-    observer_lat_deg: float,
-    observer_lon_deg: float,
-    sat_ecef: np.ndarray,
-    sat_vel_ecef: np.ndarray,
-    observer_vel_ecef: np.ndarray | None = None,
-) -> SatView:
-    """Topocentric elevation/azimuth/range/range-rate of one satellite.
-
-    The range rate is the line-of-sight projection of the relative
-    velocity; pass the observer's Earth-fixed velocity for a moving
-    aircraft (defaults to a fixed observer).  Also takes (..., 3)
-    satellite stacks, and the view's fields are then arrays.
-    """
-    rel = np.asarray(sat_ecef, dtype=float) - np.asarray(observer_ecef, dtype=float)
-    if not np.all(np.any(rel, axis=-1)):
-        raise ValueError("satellite and observer positions coincide")
-    v_rel = np.asarray(sat_vel_ecef, dtype=float)
-    if observer_vel_ecef is not None:
-        v_rel = v_rel - np.asarray(observer_vel_ecef, dtype=float)
-    view = _view(np.moveaxis(rel, -1, 0), np.moveaxis(v_rel, -1, 0),
-                 observer_lat_deg, observer_lon_deg)
-    if rel.ndim == 1:
-        view = tuple(float(v) for v in view)
-    return SatView(*view)
-
 
 def doppler_khz(range_rate_kms: float, carrier_ghz: float) -> float:
     """Doppler shift in kHz; approaching satellites shift positive."""
@@ -228,32 +165,6 @@ def expand_constellation(spec: ConstellationSpec) -> list[KeplerianElements]:
     return out
 
 
-# === handover ===
-
-def select_serving(
-    elevations_deg: np.ndarray,
-    current: int | None,
-    threshold_deg: float,
-    hysteresis_deg: float = 0.5,
-) -> int | None:
-    """Choose the serving satellite for one time step.
-
-    The current satellite is kept while it stays above the handover
-    threshold.  When it drops below (or there is none), the link hands
-    over to the visible satellite with maximum elevation; acquiring
-    from an outage additionally requires clearing the threshold by the
-    hysteresis margin so a satellite hovering at the mask edge does not
-    toggle access on and off.  Returns None during an outage.
-    """
-    if current is not None and elevations_deg[current] >= threshold_deg:
-        return current
-    best = int(np.argmax(elevations_deg))
-    needed = threshold_deg + (hysteresis_deg if current is None else 0.0)
-    if elevations_deg[best] >= needed:
-        return best
-    return None
-
-
 # === access timeline ===
 
 @dataclass
@@ -263,9 +174,9 @@ class AccessTimeline:
     times_s: np.ndarray
     sat_id: np.ndarray           # int, -1 during outages
     elevation_deg: np.ndarray
-    azimuth_deg: np.ndarray
+    azimuth_deg: np.ndarray      # clockwise from north
     slant_range_km: np.ndarray
-    range_rate_kms: np.ndarray
+    range_rate_kms: np.ndarray   # positive receding
     doppler_khz: np.ndarray
     threshold_deg: float
     carrier_ghz: float
@@ -326,12 +237,19 @@ def _angle(u, v):
 
 
 def _scan_block(elevation, col, threshold_deg, acquire_deg):
-    """`select_serving` over the rows of one block, event by event.
+    """The handover rule over the rows of one block, event by event.
+
+    The served satellite is kept while it is at or above the threshold.
+    When it drops below, the link hands over to the highest satellite if
+    that one is at or above the threshold, else goes into an outage.
+    From an outage, the highest satellite is acquired once it clears
+    ``acquire_deg`` (the threshold plus the hysteresis), so a satellite
+    hovering at the mask edge does not toggle access on and off.
 
     ``elevation`` is (rows x candidates) and ``col`` the column served on
-    entry (-1 for none).  Instead of one call per row it jumps to the next
-    row where the served satellite drops below the threshold, or, in an
-    outage, to the next row whose best satellite clears ``acquire_deg``.
+    entry (-1 for none).  Instead of deciding row by row it jumps to the
+    next row where the served satellite drops below the threshold, or, in
+    an outage, to the next row whose best satellite clears ``acquire_deg``.
     Returns the served column of each row, -1 during outages.
     """
     n = len(elevation)
@@ -365,8 +283,8 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     steps go in blocks.  Per block, only the candidate satellites (those
     that can reach the handover threshold on some row of the block) get
     elevations, which are scanned for handovers by event with the rule
-    of `select_serving`; the full geometry is then evaluated for the
-    serving satellite only.
+    of `_scan_block`; the full geometry is then evaluated for the serving
+    satellite only.
     """
     if step_s <= 0:
         raise ValueError("step_s must be > 0")

@@ -107,7 +107,7 @@ class Mcs:
             )
         if not 0.0 < self.code_rate <= 1.0:
             raise ConfigError("code_rate must be in (0, 1]", field="code_rate")
-        if self.coding_gain_db < 0.0:
+        if not self.coding_gain_db >= 0.0:  # NaN fails too
             raise ConfigError("coding_gain_db must be >= 0", field="coding_gain_db")
 
     @property
@@ -307,9 +307,8 @@ def simulate_frames(
 
     Parameters
     ----------
-    cnr_db : scalar, per-frame array (len ``n_frames``) or per-slot
-        array.  Frames hold their CNR for all their slots when a
-        per-frame array is given.
+    cnr_db : scalar, or per-frame array (len ``n_frames``).  Frames hold
+        their CNR for all their slots.
     blocked_ms : rotor-blade blocked time (ms) of every slot, as a
         (``n_frames``, slots per frame) array, for example from
         :func:`rwasim.blades.slot_blocked_ms`.  None means no rotor.
@@ -334,21 +333,16 @@ def simulate_frames(
     n_slots = n_frames * spf
     payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
 
-    cnr = np.array(cnr_db, dtype=float)  # a copy: the table keeps it as a column
-    # BER and decode probability are computed once per distinct CNR and
-    # gathered to the slots through ``slot_value``
-    values, inverse = np.unique(cnr, return_inverse=True)
-    if cnr.ndim == 0:
-        cnr_slots = np.full(n_slots, float(cnr))
-        slot_value = np.zeros(n_slots, dtype=np.intp)
-    elif cnr.shape == (n_frames,):
-        cnr_slots = np.repeat(cnr, spf)
-        slot_value = np.repeat(inverse.ravel(), spf)
-    elif cnr.shape == (n_slots,):
-        cnr_slots = cnr
-        slot_value = inverse.ravel()
-    else:
-        raise ValueError("cnr_db must be scalar, per-frame or per-slot")
+    cnr = np.asarray(cnr_db, dtype=float)
+    if cnr.shape not in ((), (n_frames,)):
+        raise ValueError("cnr_db must be scalar or per-frame")
+    # BER and decode probability per frame (q_function calls erfc once per
+    # distinct value), then repeated to the slots
+    frame_ber = awgn_ber(phy.mcs, cnr)
+    frame_decode = (1.0 - frame_ber) ** payload
+
+    def to_slots(x):
+        return np.repeat(np.broadcast_to(x, (n_frames,)), spf)
 
     blocked = np.zeros((n_frames, spf)) if blocked_ms is None else np.asarray(blocked_ms, float)
     if blocked.shape != (n_frames, spf):
@@ -357,10 +351,9 @@ def simulate_frames(
     # so small that erase_threshold * slot_ms underflows to 0
     erased = ((blocked > 0.0) & (blocked >= erase_threshold * num.slot_ms)).ravel()
 
-    value_ber = awgn_ber(phy.mcs, values)
-    channel_ber = value_ber[slot_value]
+    channel_ber = to_slots(frame_ber)
     ber = np.where(erased, 1.0, channel_ber)
-    decode_prob = np.where(erased, 0.0, ((1.0 - value_ber) ** payload)[slot_value])
+    decode_prob = np.where(erased, 0.0, to_slots(frame_decode))
     if mode == "mc":
         rng = np.random.default_rng(np.random.SeedSequence((seed, MC_STREAM_TAG)))
         bit_errors = np.full(n_slots, payload, dtype=np.int64)
@@ -381,7 +374,7 @@ def simulate_frames(
         decoded=decoded,
         payload_bits=np.full(n_slots, payload, dtype=np.int64),
         bit_errors=bit_errors,
-        cnr_db=cnr_slots,
+        cnr_db=to_slots(cnr),
         ber=ber,
         decode_prob=decode_prob,
     )

@@ -397,12 +397,13 @@ def sweep_cnr(
     if cnr_max_db < cnr_min_db:
         raise ConfigError("cnr-max must be >= cnr-min", field="cnr_max_db")
     blocked = None
-    if scenario.aircraft.rotor is not None:
+    rotor = scenario.aircraft.rotor
+    if rotor is not None:
         access = build_access_timeline(scenario, access_step_s)
         served = access.served
         if np.any(served):
             mean_el = float(np.mean(access.elevation_deg[served]))
-            schedule = bl.schedule_for_elevation(scenario.aircraft.rotor, mean_el)
+            schedule = bl.schedule(rotor, float(bl.blocked_ms(rotor, mean_el)))
             num = scenario.phy.numerology
             blocked = bl.slot_blocked_ms(schedule, np.arange(n_frames) * FRAME_MS,
                                          num.slot_ms, num.slots_per_frame)

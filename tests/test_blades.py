@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blade_intervals import blocked_intervals
 from rwasim.blades import (
     BladeGeometry,
     RotorSpec,
     blockage_arc,
-    blocked_intervals,
     blocked_ms,
     build_schedule,
-    interference_point,
+    crossing,
     schedule,
-    schedule_for_elevation,
     schedule_timeline,
     slot_blocked_ms,
     speed_ratios,
@@ -43,25 +42,26 @@ def test_rotor_validation():
 def test_interference_point_no_offset():
     # antenna directly under the shaft, elevation 45: crossing at height/tan(45)
     rotor = RotorSpec(4, 0.29, 400, 0.0, 0.5, 5.2)
-    assert interference_point(rotor, 45.0) == pytest.approx(0.5)
+    assert crossing(rotor, 45.0)[0] == pytest.approx(0.5)
 
 
 def test_interference_point_vertical():
     rotor = RotorSpec(4, 0.29, 400, 1.0, 0.5, 5.2)
-    assert interference_point(rotor, 90.0) == pytest.approx(1.0)
+    assert crossing(rotor, 90.0)[0] == pytest.approx(1.0)
 
 
 def test_interference_point_miss():
     # shallow elevation pushes the crossing beyond the blade tip
     rotor = RotorSpec(4, 0.29, 400, 0.0, 0.5, 1.0)
-    assert interference_point(rotor, 10.0) is None
+    radius, arc = crossing(rotor, 10.0)
+    assert radius == math.inf and arc == 0.0
 
 
 def test_interference_point_domain():
     with pytest.raises(ValueError):
-        interference_point(H135, 0.0)
+        crossing(H135, 0.0)
     with pytest.raises(ValueError):
-        interference_point(H135, 90.5)
+        crossing(H135, 90.5)
 
 
 def test_blockage_arc_oracle():
@@ -101,12 +101,16 @@ def test_schedule_overlapping_arcs_rejected():
         build_schedule(rotor, BladeGeometry(0.01, 100.0))
 
 
+def _schedule_at(rotor, elevation_deg):
+    return schedule(rotor, float(blocked_ms(rotor, elevation_deg)))
+
+
 def test_schedule_for_elevation_clamps():
     # tiny radius blows the arc past 360/n; the clamped schedule is fully blocked.
     # At 3 blades and 380 rpm, n * ((360 / n) / rate) rounds above 360 / rate:
     # the clear time is held at 0 instead of going negative or raising
     for rotor in (RotorSpec(4, 0.5, 400, 0.5, 0.5, 5.2), RotorSpec(3, 0.5, 380, 0.5, 0.5, 5.2)):
-        sched = schedule_for_elevation(rotor, 45.0)  # crossing at the shaft
+        sched = _schedule_at(rotor, 45.0)  # crossing at the shaft
         assert sched.blocked_ms == pytest.approx(sched.period_ms)
         assert sched.total_clear_ms == pytest.approx(0.0, abs=1e-12)
         assert sched.clear_ms >= 0.0
@@ -114,7 +118,7 @@ def test_schedule_for_elevation_clamps():
 
 def test_schedule_for_elevation_miss_is_clear():
     rotor = RotorSpec(4, 0.29, 400, 0.0, 0.5, 1.0)
-    sched = schedule_for_elevation(rotor, 5.0)
+    sched = _schedule_at(rotor, 5.0)
     assert sched.blocked_ms == 0.0
     assert sched.total_clear_ms == pytest.approx(sched.rotation_ms)
 
@@ -123,7 +127,7 @@ def test_alpha900_average_blockage():
     # the small-UAV rotor blocks for ~1.6 ms and clears for ~14 ms per blade
     # period around its typical service elevation
     alpha = RotorSpec(3, 0.093, 1280, 0.5, 0.12, 0.9)
-    sched = schedule_for_elevation(alpha, 61.6)
+    sched = _schedule_at(alpha, 61.6)
     assert sched.blocked_ms == pytest.approx(1.6, abs=0.1)
     assert sched.clear_ms == pytest.approx(13.9, abs=0.3)
 
@@ -213,7 +217,7 @@ def test_blocked_intervals_truncated():
 
 def test_blocked_intervals_empty_when_clear():
     rotor = RotorSpec(4, 0.29, 400, 0.0, 0.5, 1.0)
-    sched = schedule_for_elevation(rotor, 5.0)
+    sched = _schedule_at(rotor, 5.0)
     assert blocked_intervals(sched, 100.0) == []
 
 

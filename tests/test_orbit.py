@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rwasim import orbit
-from rwasim.constants import EARTH_RADIUS, MU_EARTH
+from rwasim.constants import EARTH_RADIUS, EARTH_ROTATION_RATE, MU_EARTH
 from rwasim.orbit import (
     _BLOCK_ELEMENTS,
     KeplerianElements,
@@ -15,14 +15,10 @@ from rwasim.orbit import (
     build_access_timeline,
     circular_speed,
     doppler_khz,
-    eci_to_ecef,
     expand_constellation,
-    geodetic_to_ecef,
-    look_angles,
     mean_motion,
     orbital_period,
     propagate,
-    select_serving,
 )
 from rwasim.scenarios import FlightRoute, builtin_catalog, resolve_scenario
 
@@ -77,62 +73,80 @@ def test_propagate_velocity_orthogonal_to_radius():
     assert float(pos @ vel) == pytest.approx(0.0, abs=1e-6)
 
 
+def _parked(lat_deg, lon_deg, alt_m=0.0, duration_s=1.0):
+    return FlightRoute(((0.0, lat_deg, lon_deg, alt_m), (duration_s, lat_deg, lon_deg, alt_m)))
+
+
+def _one_satellite_access(altitude_km, inclination_deg, raan_deg, phase_deg, route,
+                          duration_s=1.0, step_s=1.0):
+    """Access timeline of one satellite, served whenever it is above the horizon.
+
+    ``phase_deg`` is its argument of latitude at t = 0.
+    """
+    base = resolve_scenario("scenario-7")
+    constellation = _walker(base, 1, 1, altitude_km, inclination_deg, raan_deg, 0, phase_deg)
+    return build_access_timeline(
+        replace(base, constellation=constellation, route=route, duration_s=duration_s,
+                handover_threshold_deg=0.0, handover_hysteresis_deg=0.0), step_s)
+
+
 def test_eci_to_ecef_identity_at_epoch():
-    pos = np.array([7000.0, 0.0, 0.0])
-    vel = np.array([0.0, 7.5, 0.0])
-    r, _ = eci_to_ecef(pos, vel, 0.0)
-    assert r == pytest.approx(pos)
+    # the frames coincide at t = 0: a satellite on its ascending node at
+    # RAAN 40 deg is straight above 0 N 40 E
+    access = _one_satellite_access(720.0, 53.0, 40.0, 0.0, _parked(0.0, 40.0))
+    assert access.elevation_deg[0] == pytest.approx(90.0, abs=1e-6)
+    assert access.slant_range_km[0] == pytest.approx(720.0, rel=1e-12)
 
 
 def test_eci_to_ecef_quarter_day_swaps_axes():
     # after a quarter sidereal rotation the inertial +x direction appears
-    # at -y in the Earth-fixed frame
-    quarter = 0.25 * 2.0 * math.pi / 7.2921159e-5
-    pos = np.array([7000.0, 0.0, 0.0])
-    r, _ = eci_to_ecef(pos, np.zeros(3), quarter)
-    assert r[0] == pytest.approx(0.0, abs=1e-6)
-    assert r[1] == pytest.approx(-7000.0, rel=1e-9)
+    # at -y in the Earth-fixed frame, above 0 N 90 W
+    quarter = 0.25 * 2.0 * math.pi / EARTH_ROTATION_RATE
+    radius = EARTH_RADIUS + 720.0
+    phase_deg = -math.degrees(mean_motion(radius) * quarter) % 360.0  # at +x after a quarter day
+    access = _one_satellite_access(720.0, 0.0, 0.0, phase_deg,
+                                   _parked(0.0, -90.0, 0.0, 2 * quarter),
+                                   duration_s=2 * quarter, step_s=quarter)
+    assert access.times_s[1] == quarter
+    assert access.elevation_deg[1] == pytest.approx(90.0, abs=1e-6)
+    assert access.slant_range_km[1] == pytest.approx(720.0, rel=1e-9)
 
 
 def test_geostationary_velocity_near_zero():
-    # equatorial satellite at GEO radius: Earth-fixed speed ~ 0
-    el = KeplerianElements(GEO_RADIUS, 0.0, 0.0, 0.0)
-    for t in (0.0, 10000.0, 43082.0):
-        pos, vel = propagate(el, t)
-        _, v_ecef = eci_to_ecef(pos, vel, t)
-        assert float(np.linalg.norm(v_ecef)) * 1000.0 < 5.0  # m/s
+    # equatorial satellite at GEO radius: still in the Earth-fixed frame,
+    # so seen off its sub-satellite point its range rate stays near zero
+    route = _parked(20.0, 30.0, 0.0, 50000.0)
+    access = _one_satellite_access(GEO_RADIUS - EARTH_RADIUS, 0.0, 0.0, 0.0, route,
+                                   duration_s=50000.0, step_s=10000.0)
+    assert np.all(access.served)
+    assert np.all(np.abs(access.range_rate_kms) * 1000.0 < 5.0)  # m/s
 
 
 def test_zenith_pass_geometry():
-    obs = geodetic_to_ecef(0.0, 0.0, 0.0)
-    sat = np.array([EARTH_RADIUS + 720.0, 0.0, 0.0])
-    view = look_angles(obs, 0.0, 0.0, sat, np.array([0.0, 7.5, 0.0]))
-    assert view.elevation_deg == pytest.approx(90.0)
-    assert view.slant_range_km == pytest.approx(720.0)
+    access = _one_satellite_access(720.0, 0.0, 0.0, 0.0, _parked(0.0, 0.0))
+    assert access.elevation_deg[0] == pytest.approx(90.0)
+    assert access.slant_range_km[0] == pytest.approx(720.0)
     # at closest approach the range rate vanishes (velocity tangential)
-    assert view.range_rate_kms == pytest.approx(0.0, abs=1e-12)
+    assert access.range_rate_kms[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_look_angles_cardinal_azimuth():
-    obs = geodetic_to_ecef(0.0, 0.0, 0.0)
-    # satellite displaced toward geographic north shows azimuth 0
-    north = geodetic_to_ecef(5.0, 0.0, 720e3)
-    view = look_angles(obs, 0.0, 0.0, north, np.zeros(3))
-    assert view.azimuth_deg == pytest.approx(0.0, abs=1e-9)
-    east = geodetic_to_ecef(0.0, 5.0, 720e3)
-    view = look_angles(obs, 0.0, 0.0, east, np.zeros(3))
-    assert view.azimuth_deg == pytest.approx(90.0, abs=1e-9)
+    # a satellite 5 deg of arc north, east, south or west of the aircraft
+    for inclination_deg, phase_deg, azimuth_deg in [(90.0, 5.0, 0.0), (0.0, 5.0, 90.0),
+                                                    (90.0, -5.0, 180.0), (0.0, -5.0, 270.0)]:
+        access = _one_satellite_access(720.0, inclination_deg, 0.0, phase_deg, _parked(0.0, 0.0))
+        turn = (access.azimuth_deg[0] - azimuth_deg + 180.0) % 360.0 - 180.0
+        assert turn == pytest.approx(0.0, abs=1e-9), azimuth_deg
 
 
 def test_look_angles_observer_velocity_shifts_range_rate():
-    obs = geodetic_to_ecef(0.0, 0.0, 0.0)
-    sat = np.array([EARTH_RADIUS + 720.0, 0.0, 0.0])
-    v_sat = np.array([1.0, 0.0, 0.0])  # receding radially
-    fixed = look_angles(obs, 0.0, 0.0, sat, v_sat)
-    chasing = look_angles(obs, 0.0, 0.0, sat, v_sat,
-                          observer_vel_ecef=np.array([1.0, 0.0, 0.0]))
-    assert fixed.range_rate_kms == pytest.approx(1.0)
-    assert chasing.range_rate_kms == pytest.approx(0.0, abs=1e-12)
+    # a satellite at the zenith, seen from a parked aircraft and from one
+    # climbing straight toward it at 1 km/s
+    parked = _one_satellite_access(720.0, 0.0, 0.0, 0.0, _parked(0.0, 0.0, 0.0, 10.0))
+    climbing = _one_satellite_access(720.0, 0.0, 0.0, 0.0,
+                                     FlightRoute(((0.0, 0.0, 0.0, 0.0), (10.0, 0.0, 0.0, 1e4))))
+    assert parked.range_rate_kms[0] == pytest.approx(0.0, abs=1e-12)
+    assert climbing.range_rate_kms[0] == pytest.approx(-1.0, rel=1e-9)
 
 
 def test_doppler_oracles():
@@ -149,18 +163,16 @@ def test_doppler_antisymmetric_and_linear(rate, f):
 
 
 def test_range_rate_matches_numeric_derivative():
-    # LEO pass over a fixed observer: analytic range rate vs finite difference
-    el = KeplerianElements(EARTH_RADIUS + 1050.0, 89.0, 0.0, -20.0)
-    obs = geodetic_to_ecef(45.0, 0.0, 0.0)
+    # LEO pass over a parked aircraft at 45 N, sampled every 50 ms: the
+    # range rate agrees with the slope of the range between samples
     dt = 0.05
-    for t in np.linspace(0.0, 600.0, 31):
-        views = []
-        for tt in (t, t + dt):
-            pos, vel = propagate(el, float(tt))
-            r, v = eci_to_ecef(pos, vel, float(tt))
-            views.append(look_angles(obs, 45.0, 0.0, r, v))
-        numeric = (views[1].slant_range_km - views[0].slant_range_km) / dt
-        assert views[0].range_rate_kms == pytest.approx(numeric, abs=1e-3)
+    access = _one_satellite_access(1050.0, 89.0, 0.0, 25.0, _parked(45.0, 0.0, 0.0, 600.0),
+                                   duration_s=600.0, step_s=dt)
+    assert np.all(access.served)
+    slope = np.diff(access.slant_range_km) / dt
+    mean_rate = 0.5 * (access.range_rate_kms[1:] + access.range_rate_kms[:-1])
+    assert np.ptp(access.range_rate_kms) > 5.0  # the pass turns from approach to recession
+    np.testing.assert_allclose(mean_rate, slope, rtol=0.0, atol=1e-6)
 
 
 # --- constellation expansion ---
@@ -208,45 +220,34 @@ def test_delta_constellation_phasing():
 
 
 # --- serving selection ---
+# The rule as the per-step oracle below states it; the kernel tests hold
+# build_access_timeline to the oracle.
 
 def test_select_serving_single_visible():
-    els = np.array([50.0])
-    assert select_serving(els, None, 35.0) == 0
+    assert _serve(-1, np.array([50.0]), 35.0, 0.5) == 0
 
 
 def test_select_serving_handover_on_drop():
     els = np.array([34.0, 60.0])
     # serving sat 0 fell below the 35 deg mask: hand over to the best
-    assert select_serving(els, 0, 35.0) == 1
+    assert _serve(0, els, 35.0, 0.5) == 1
     # but while it holds the mask nothing changes
-    assert select_serving(np.array([36.0, 60.0]), 0, 35.0) == 0
+    assert _serve(0, np.array([36.0, 60.0]), 35.0, 0.5) == 0
 
 
 def test_select_serving_outage():
     els = np.array([10.0, 20.0])
-    assert select_serving(els, 0, 35.0) is None
-    assert select_serving(els, None, 35.0) is None
+    assert _serve(0, els, 35.0, 0.5) == -1
+    assert _serve(-1, els, 35.0, 0.5) == -1
 
 
 def test_select_serving_hysteresis():
     # acquiring from an outage needs threshold + hysteresis...
     els = np.array([35.2])
-    assert select_serving(els, None, 35.0, hysteresis_deg=0.5) is None
-    assert select_serving(np.array([35.6]), None, 35.0, hysteresis_deg=0.5) == 0
+    assert _serve(-1, els, 35.0, 0.5) == -1
+    assert _serve(-1, np.array([35.6]), 35.0, 0.5) == 0
     # ...but an established link only needs the threshold itself
-    assert select_serving(els, 0, 35.0, hysteresis_deg=0.5) == 0
-
-
-def test_look_angles_stack_matches_single():
-    obs = geodetic_to_ecef(30.0, 40.0, 500.0)
-    sats = np.array([geodetic_to_ecef(31.0, 41.0, 550e3), geodetic_to_ecef(25.0, 47.0, 1200e3)])
-    vels = np.array([[1.0, -2.0, 3.0], [-4.0, 0.5, 7.0]])
-    stack = look_angles(obs, 30.0, 40.0, sats, vels)
-    for k in range(2):
-        single = look_angles(obs, 30.0, 40.0, sats[k], vels[k])
-        assert stack.elevation_deg[k] == pytest.approx(single.elevation_deg, rel=1e-12)
-        assert stack.azimuth_deg[k] == pytest.approx(single.azimuth_deg, rel=1e-12)
-        assert stack.range_rate_kms[k] == pytest.approx(single.range_rate_kms, rel=1e-12)
+    assert _serve(0, els, 35.0, 0.5) == 0
 
 
 # --- access timeline kernel ---
@@ -266,45 +267,135 @@ def test_aircraft_speed_across_antimeridian():
     assert np.all((lons >= -180.0) & (lons < 180.0))
 
 
-def _reference_timeline(scenario, step_s):
-    """Per-step access history from the single-sample public functions."""
-    elements = expand_constellation(scenario.constellation)
+# --- independent per-step oracle ---
+# Plain numpy from the textbook definitions: rotation matrices for the
+# orbit plane and the Earth, omega x r by np.cross, an ENU matrix for the
+# local horizon.  It shares no code with rwasim.orbit but doppler_khz, so
+# it checks the kernel's frames, look angles, range rate and handover
+# rule, not only its blocking and bookkeeping.
+
+OMEGA_EARTH = np.array([0.0, 0.0, EARTH_ROTATION_RATE])
+
+
+def _rot_x(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def _rot_z(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _enu(lat_deg, lon_deg):
+    """Rows: the east, north and up unit vectors, in ECEF."""
+    lat, lon = math.radians(lat_deg), math.radians(lon_deg)
+    return np.array([
+        [-math.sin(lon), math.cos(lon), 0.0],
+        [-math.sin(lat) * math.cos(lon), -math.sin(lat) * math.sin(lon), math.cos(lat)],
+        [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)],
+    ])
+
+
+def _aircraft_ecef(lat_deg, lon_deg, alt_m):
+    return (EARTH_RADIUS + alt_m / 1000.0) * _enu(lat_deg, lon_deg)[2]
+
+
+def _serve(current, elevation_deg, threshold_deg, hysteresis_deg):
+    """The serving satellite for one step, -1 in an outage.
+
+    Keep the current satellite while it is at or above the threshold,
+    else take the highest one; from an outage that one must clear the
+    threshold plus the hysteresis.
+    """
+    if current >= 0 and elevation_deg[current] >= threshold_deg:
+        return current
+    best = int(np.argmax(elevation_deg))
+    needed = threshold_deg + (hysteresis_deg if current < 0 else 0.0)
+    return best if elevation_deg[best] >= needed else -1
+
+
+# Absolute floors for values that cross zero: rounding moves a range rate
+# by about 1e-13 km/s (the aircraft velocity is a difference of positions
+# over 0.1 s) and an elevation by about 1e-10 deg.
+RANGE_RATE_ATOL_KMS = 1e-9
+ELEVATION_ATOL_DEG = 1e-9
+# satellites whose elevations differ by less than this are one choice
+TIE_DEG = ELEVATION_ATOL_DEG
+
+
+def _reference_timeline(scenario, step_s, ties=None):
+    """Per-step serving satellite and its (elevation, azimuth, range, range rate).
+
+    Satellites can coincide (several equatorial planes of a Walker shell),
+    and then rounding alone picks one.  So on a step that hands over or
+    acquires, the satellite that ``ties`` (a kernel's ``sat_id``) names
+    there is taken in place of the highest one if it is within ``TIE_DEG``
+    of it.
+    """
+    spec = scenario.constellation
+    a = spec.orbit_radius_km
+    n = math.sqrt(MU_EARTH / a ** 3)
+    # plane-major: satellite k of plane p, Walker phasing F * 360 / total per plane
+    plane = np.array([_rot_z(math.radians(raan)) @ _rot_x(math.radians(inc))
+                      for inc, raan in zip(spec.inclinations_deg, spec.raans_deg)
+                      for _ in range(spec.sats_per_plane)])
+    phase = np.radians([spec.anomaly_offset_deg + k * 360.0 / spec.sats_per_plane
+                        + p * spec.phasing_factor * 360.0 / spec.total_sats
+                        for p in range(spec.planes) for k in range(spec.sats_per_plane)])
     route = scenario.route
     n_steps = int(math.floor(scenario.duration_s / step_s + 1e-9))
     sat_id = np.full(n_steps, -1)
     cols = np.full((4, n_steps), np.nan)
-    current = None
+    current = -1
     for i in range(n_steps):
         t = i * step_s
+        u = phase + n * t
+        cos_u, sin_u, zero = np.cos(u), np.sin(u), np.zeros_like(u)
+        to_ecef = _rot_z(-EARTH_ROTATION_RATE * t) @ plane
+        r = a * np.einsum("kij,kj->ki", to_ecef, np.stack([cos_u, sin_u, zero], 1))
+        v = (a * n * np.einsum("kij,kj->ki", to_ecef, np.stack([-sin_u, cos_u, zero], 1))
+             - np.cross(OMEGA_EARTH, r))
         lat, lon, alt = route.position(t)
-        obs = geodetic_to_ecef(lat, lon, alt)
         t0, t1 = max(t - 0.05, 0.0), min(t + 0.05, route.duration_s)
-        obs_vel = (geodetic_to_ecef(*route.position(t1))
-                   - geodetic_to_ecef(*route.position(t0))) / (t1 - t0)
-        states = [propagate(e, t) for e in elements]
-        r, v = eci_to_ecef(np.array([s[0] for s in states]),
-                           np.array([s[1] for s in states]), t)
-        view = look_angles(obs, lat, lon, r, v, obs_vel)
-        current = select_serving(view.elevation_deg, current,
-                                 scenario.handover_threshold_deg,
-                                 scenario.handover_hysteresis_deg)
-        if current is not None:
+        obs_vel = (_aircraft_ecef(*route.position(t1))
+                   - _aircraft_ecef(*route.position(t0))) / (t1 - t0)
+        rel = r - _aircraft_ecef(lat, lon, alt)
+        east, north, up = _enu(lat, lon) @ rel.T
+        elevation = np.degrees(np.arctan2(up, np.hypot(east, north)))
+        pick = _serve(current, elevation, scenario.handover_threshold_deg,
+                      scenario.handover_hysteresis_deg)
+        if (pick >= 0 and pick != current and ties is not None and ties[i] >= 0
+                and elevation[ties[i]] >= elevation[pick] - TIE_DEG):
+            pick = int(ties[i])
+        current = pick
+        if current >= 0:
+            dist = np.linalg.norm(rel[current])
             sat_id[i] = current
-            cols[:, i] = [view.elevation_deg[current], view.azimuth_deg[current],
-                          view.slant_range_km[current], view.range_rate_kms[current]]
+            cols[:, i] = [elevation[current],
+                          math.degrees(math.atan2(east[current], north[current])) % 360.0,
+                          dist, rel[current] @ (v[current] - obs_vel) / dist]
     return sat_id, cols
 
 
 def _assert_kernel_matches_reference(scenario, step_s):
     access = build_access_timeline(scenario, step_s)
-    sat_id, cols = _reference_timeline(scenario, step_s)
+    sat_id, (elevation, azimuth, slant_range, range_rate) = _reference_timeline(
+        scenario, step_s, ties=access.sat_id)
     assert np.array_equal(access.sat_id, sat_id)
-    got = np.array([access.elevation_deg, access.azimuth_deg,
-                    access.slant_range_km, access.range_rate_kms])
-    np.testing.assert_allclose(got, cols, rtol=1e-9, atol=0.0)
-    np.testing.assert_allclose(access.doppler_khz, doppler_khz(cols[3], scenario.phy.carrier_ghz),
-                               rtol=1e-9, atol=0.0)
-    assert np.all(access.elevation_deg[access.served] >= scenario.handover_threshold_deg)
+    np.testing.assert_allclose(access.elevation_deg, elevation, rtol=1e-9,
+                               atol=ELEVATION_ATOL_DEG)
+    np.testing.assert_allclose(access.slant_range_km, slant_range, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(access.range_rate_kms, range_rate, rtol=1e-9,
+                               atol=RANGE_RATE_ATOL_KMS)
+    carrier = scenario.phy.carrier_ghz
+    np.testing.assert_allclose(access.doppler_khz, doppler_khz(range_rate, carrier), rtol=1e-9,
+                               atol=abs(doppler_khz(RANGE_RATE_ATOL_KMS, carrier)))
+    served = access.served
+    turn = (access.azimuth_deg[served] - azimuth[served] + 180.0) % 360.0 - 180.0
+    np.testing.assert_allclose(turn, 0.0, rtol=0.0, atol=1e-9 * 360.0)
+    assert np.all(np.isnan(access.azimuth_deg[~served]))
+    assert np.all(access.elevation_deg[served] >= scenario.handover_threshold_deg)
     return access
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwasim.blades import (BladeGeometry, BladeSchedule, RotorSpec, blocked_intervals,
-                           build_schedule, slot_blocked_ms)
+from blade_intervals import blocked_intervals
+from rwasim.blades import BladeGeometry, BladeSchedule, RotorSpec, build_schedule, slot_blocked_ms
 from rwasim.errors import ConfigError
 from rwasim.phy import (
     FRAME_MS,
@@ -351,8 +351,9 @@ def test_per_frame_cnr_array():
     first, second = slots.bit_errors[:20], slots.bit_errors[20:]
     assert np.all(first == 0)
     assert np.all(second > 0)
-    with pytest.raises(ValueError):
-        simulate_frames(phy, np.arange(3.0), 2)
+    for cnr in (np.arange(3.0), np.zeros(40)):  # not per frame; 40 is per slot
+        with pytest.raises(ValueError, match="cnr_db"):
+            simulate_frames(phy, cnr, 2)
 
 
 @pytest.mark.parametrize("mode", ["mc", "expected"])
@@ -361,30 +362,26 @@ def test_cnr_input_forms_agree(mode):
     spf = phy.numerology.slots_per_frame
     blocked = np.zeros((6, spf))
     blocked[2, 5:9] = phy.numerology.slot_ms  # some erased slots
-    runs = {name: simulate_frames(phy, cnr, 6, blocked, mode=mode, seed=3)
-            for name, cnr in [("scalar", 4.5), ("per-frame", np.full(6, 4.5)),
-                              ("per-slot", np.full(6 * spf, 4.5))]}
-    for name in ("per-frame", "per-slot"):
-        for col in ("cnr_db", "ber", "decode_prob", "bit_errors", "decoded"):
-            assert np.array_equal(getattr(runs[name], col), getattr(runs["scalar"], col)), col
+    scalar = simulate_frames(phy, 4.5, 6, blocked, mode=mode, seed=3)
+    per_frame = simulate_frames(phy, np.full(6, 4.5), 6, blocked, mode=mode, seed=3)
+    for col in ("cnr_db", "ber", "decode_prob", "bit_errors", "decoded"):
+        assert np.array_equal(getattr(per_frame, col), getattr(scalar, col)), col
 
-    # distinct CNRs per frame, repeated, and per slot: every slot's columns
-    # follow from awgn_ber over the returned cnr_db column, slot by slot
+    # distinct CNRs per frame, some repeated: every slot's columns follow
+    # from awgn_ber over the returned cnr_db column, slot by slot
     payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
-    per_frame = np.array([3.0, 7.5, 3.0, -1.0, 7.5, 3.0])
-    per_slot = np.repeat(per_frame, spf) + np.tile(np.linspace(-0.5, 0.5, spf), 6)
-    for cnr in (per_frame, per_slot):
-        slots = simulate_frames(phy, cnr, 6, blocked, mode=mode, seed=3)
-        clear = ~slots.erased
-        ref = awgn_ber(phy.mcs, slots.cnr_db)
-        assert np.array_equal(slots.ber[clear], ref[clear])
-        assert np.array_equal(slots.decode_prob[clear], (1.0 - ref[clear]) ** payload)
-        if mode == "expected":
-            assert np.array_equal(slots.bit_errors[clear], np.round(ref[clear] * payload))
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence((3, MC_STREAM_TAG)))
-            assert np.array_equal(slots.bit_errors[clear], rng.binomial(payload, ref[clear]))
-    assert np.array_equal(slots.cnr_db, per_slot)
+    cnr = np.array([3.0, 7.5, 3.0, -1.0, 7.5, 3.0])
+    slots = simulate_frames(phy, cnr, 6, blocked, mode=mode, seed=3)
+    assert np.array_equal(slots.cnr_db, np.repeat(cnr, spf))
+    clear = ~slots.erased
+    ref = awgn_ber(phy.mcs, slots.cnr_db)
+    assert np.array_equal(slots.ber[clear], ref[clear])
+    assert np.array_equal(slots.decode_prob[clear], (1.0 - ref[clear]) ** payload)
+    if mode == "expected":
+        assert np.array_equal(slots.bit_errors[clear], np.round(ref[clear] * payload))
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence((3, MC_STREAM_TAG)))
+        assert np.array_equal(slots.bit_errors[clear], rng.binomial(payload, ref[clear]))
 
 
 def test_expected_mode_is_deterministic():

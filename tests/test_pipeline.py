@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rwasim.blades import (REGEN_FRACTION, RotorSpec, blockage_arc, interference_point,
-                           schedule_for_elevation)
+from rwasim.blades import REGEN_FRACTION, RotorSpec, blocked_ms, crossing, schedule
 from rwasim.cli import main
 from rwasim.constants import EARTH_ROTATION_RATE
 from rwasim.errors import ConfigError
@@ -111,6 +110,19 @@ def test_report_json_matches_in_memory_report(tmp_path):
                           mode="expected", out_dir=tmp_path)
     on_disk = json.loads((tmp_path / "geo-overhead" / "report.json").read_text())
     assert on_disk == json.loads(json.dumps(result.report))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+@pytest.mark.parametrize("sid", sorted(builtin_catalog().scenarios))
+def test_report_json_is_strict(tmp_path, sid, mode):
+    # NaN and Infinity are not JSON, though Python's json reads and writes them
+    assert main(["run", "--scenario", sid, "--mode", mode, "--step", "60", "--frames", "20",
+                 "--out", str(tmp_path)]) == 0
+    json.loads((tmp_path / sid / "report.json").read_text(), parse_constant=_reject_constant)
 
 
 def test_report_recomputable_from_csvs(tmp_path):
@@ -289,16 +301,15 @@ def _reference_blades(rotor, access):
     current = None
     for i in np.flatnonzero(access.served):
         el = float(access.elevation_deg[i])
-        candidate = schedule_for_elevation(rotor, el)
+        candidate = schedule(rotor, float(blocked_ms(rotor, el)))
         have, want = (None, None) if current is None else (current.blocked_ms, candidate.blocked_ms)
         if (current is None
                 or ((have == 0.0 or want == 0.0) and have != want)
                 or (have != 0.0 and want != 0.0 and abs(want - have) / have > REGEN_FRACTION)):
             current = candidate
-            radius = interference_point(rotor, el)
-            rows.append((el, math.inf if radius is None else radius,
-                         0.0 if radius is None else blockage_arc(rotor.blade_width_m, radius),
-                         current.blocked_ms, current.clear_ms, current.duty_cycle))
+            radius, arc = crossing(rotor, el)
+            rows.append((el, radius, arc, current.blocked_ms, current.clear_ms,
+                         current.duty_cycle))
         segment[i] = len(rows) - 1
     return segment, np.array(rows, dtype=float).reshape(-1, 6)
 

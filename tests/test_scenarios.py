@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rwasim.blades import RotorSpec
 from rwasim.constants import EARTH_RADIUS
 from rwasim.errors import ConfigError, ScenarioFormatError, UnknownReferenceError
+from rwasim.linkbudget import BandAtmosphere, LossModel
 from rwasim.phy import Mcs, PhyConfig
 from rwasim.scenarios import (
     AircraftSpec,
@@ -448,6 +450,40 @@ def test_loss_model_overrides_are_validated(override, field):
     with pytest.raises(ConfigError) as err:
         parse_catalog(doc)
     assert err.value.field == field
+
+
+ALPHA_900 = dict(n_blades=3, blade_width_m=0.093, rpm=1280.0, shaft_offset_m=0.5,
+                 rotor_height_m=0.12, tip_radius_m=0.9)
+
+
+@pytest.mark.parametrize("owner, field", [
+    *[("rotor", f) for f in ("blade_width_m", "rpm", "shaft_offset_m", "rotor_height_m",
+                             "tip_radius_m")],
+    ("loss_model", "rain_height_km"),
+    ("loss_model", "slant_cap_km"),
+    *[("band", f) for f in ("zenith_gas_db", "zenith_cloud_db", "rain_k")],
+    ("mcs", "coding_gain_db"),
+])
+def test_nan_fails_range_checks(owner, field):
+    # library callers bypass the parser's finite check, so the range
+    # checks themselves must reject NaN
+    nan = math.nan
+    if owner == "rotor":
+        with pytest.raises(ValueError, match=field):
+            RotorSpec(**{**ALPHA_900, field: nan})
+        return
+    with pytest.raises(ConfigError) as err:
+        if owner == "loss_model":
+            LossModel().with_overrides({field: nan})
+        elif owner == "band":
+            LossModel().with_overrides({"bands": {"Ka": {field: nan}}})
+        else:
+            Mcs("QPSK", 0.5, **{field: nan})
+    assert err.value.field == field
+    if owner == "band":
+        with pytest.raises(ConfigError):
+            BandAtmosphere(**{"zenith_gas_db": 0.6, "zenith_cloud_db": 0.8, "rain_k": 0.15,
+                              "rain_alpha": 1.0, field: nan})
 
 
 @pytest.mark.parametrize("where, key, value, field", [
