@@ -39,6 +39,8 @@ class BandAtmosphere:
         for name in ("zenith_gas_db", "zenith_cloud_db", "rain_k"):
             if not getattr(self, name) >= 0.0:  # NaN fails too
                 raise ConfigError("must be >= 0", field=name)
+        if not self.rain_alpha > 0.0:
+            raise ConfigError("must be > 0", field="rain_alpha")
 
 
 # Representative mid-band coefficients for the bands the simulator uses.
@@ -116,8 +118,7 @@ def atmospheric_loss(model: LossModel, band: str, elevation_deg, rain_rate_mmh=0
     cloud = params.zenith_cloud_db * cosec
     wet = rate > 0.0
     path = np.minimum(model.rain_height_km * cosec, model.slant_cap_km)
-    # dry samples take a dummy rate of 1: 0 ** alpha is 1 or inf for an alpha <= 0
-    rain = np.where(wet, params.rain_k * np.where(wet, rate, 1.0) ** params.rain_alpha * path, 0.0)
+    rain = np.where(wet, params.rain_k * rate ** params.rain_alpha * path, 0.0)
     return gas, cloud, rain[()]
 
 

@@ -142,27 +142,20 @@ def doppler_khz(range_rate_kms: float, carrier_ghz: float) -> float:
 
 # === constellation expansion ===
 
-def expand_constellation(spec: ConstellationSpec) -> list[KeplerianElements]:
-    """Element sets for every satellite, plane-major order.
+def expand_constellation(spec: ConstellationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inclination, RAAN and argument of latitude at the epoch (deg) of
+    every satellite, as columns in plane-major order.
 
     Satellites are evenly phased within each plane; the Walker phasing
     factor shifts consecutive planes by ``F * 360 / total`` degrees of
     along-track phase.
     """
-    a = spec.orbit_radius_km
-    out: list[KeplerianElements] = []
     per_plane = 360.0 / spec.sats_per_plane
     inter_plane = spec.phasing_factor * 360.0 / spec.total_sats
-    for p in range(spec.planes):
-        for k in range(spec.sats_per_plane):
-            out.append(KeplerianElements(
-                semi_major_axis_km=a,
-                inclination_deg=spec.inclinations_deg[p],
-                raan_deg=spec.raans_deg[p] % 360.0,
-                arg_latitude_deg=(spec.anomaly_offset_deg + k * per_plane
-                                  + p * inter_plane) % 360.0,
-            ))
-    return out
+    phase = (spec.anomaly_offset_deg + np.arange(spec.sats_per_plane) * per_plane
+             + np.arange(spec.planes)[:, None] * inter_plane) % 360.0
+    return (np.repeat(spec.inclinations_deg, spec.sats_per_plane),
+            np.repeat(np.mod(spec.raans_deg, 360.0), spec.sats_per_plane), phase.ravel())
 
 
 # === access timeline ===
@@ -222,8 +215,13 @@ def aircraft_track(
     return lat[:n], lon[:n], here, velocity
 
 
-# satellite-steps per block of the elevation scan: bounds its temporaries
-_BLOCK_ELEMENTS = 2 ** 14
+# Flight time per block of the candidate bound.  A block costs a central
+# angle per satellite, and its candidates grow with the drift over it.
+_BLOCK_SPAN_S = 240.0
+
+# (row, satellite) pairs per chunk of blocks: bounds the temporaries of
+# the candidate and elevation passes for any flight length and step
+_CHUNK_PAIRS = 2 ** 13
 
 # Slack (rad) on the candidate bound for rounding: arccos of a dot
 # product of unit vectors near 1 is off by up to sqrt(2 * 2.2e-16) ~ 2e-8
@@ -236,67 +234,74 @@ def _angle(u, v):
     return np.arccos(np.clip(_dot(u, v), -1.0, 1.0))
 
 
-def _scan_block(elevation, col, threshold_deg, acquire_deg):
-    """The handover rule over the rows of one block, event by event.
+def _scan_chunk(row, sat, elevation, served, current, threshold_deg, acquire_deg):
+    """Apply the handover rule to one chunk by event.
 
-    The served satellite is kept while it is at or above the threshold.
-    When it drops below, the link hands over to the highest satellite if
-    that one is at or above the threshold, else goes into an outage.
-    From an outage, the highest satellite is acquired once it clears
-    ``acquire_deg`` (the threshold plus the hysteresis), so a satellite
-    hovering at the mask edge does not toggle access on and off.
-
-    ``elevation`` is (rows x candidates) and ``col`` the column served on
-    entry (-1 for none).  Instead of deciding row by row it jumps to the
-    next row where the served satellite drops below the threshold, or, in
-    an outage, to the next row whose best satellite clears ``acquire_deg``.
-    Returns the served column of each row, -1 during outages.
+    ``row``, ``sat`` and ``elevation`` are the chunk's (row, candidate)
+    pairs, satellite-major; a satellite with no pair on a row is below the
+    threshold there.  From ``current`` (-1 for none) on entry, each row's
+    satellite goes into ``served`` (all -1), jumping to the row where the
+    served satellite drops or, in an outage, to the next row whose best
+    satellite clears ``acquire_deg``.  Returns the satellite at the end.
     """
-    n = len(elevation)
-    served = np.full(n, -1)
+    n_rows = len(served)
+    highest = np.full(n_rows, -np.inf)
+    np.maximum.at(highest, row, elevation)
+    top = elevation == highest[row]
+    best = np.full(n_rows, np.iinfo(sat.dtype).max)
+    np.minimum.at(best, row[top], sat[top])   # ties go to the lowest id
+    acquired = np.flatnonzero(highest >= acquire_deg)
+    # a satellite's pairs on consecutive rows have consecutive keys; the stride
+    # n_rows + 1 keeps its last row from running into the next one's first
+    key = sat * (n_rows + 1) + row
+    held = elevation >= threshold_deg
+    stop = np.flatnonzero(~held | (np.diff(key, append=-1) != 1))
+    drop = row[stop] + held[stop]   # the first row after each run
     i = 0
-    while i < n:
-        if col < 0:
-            hits = np.flatnonzero(elevation[i:].max(axis=1) >= acquire_deg)
-            if len(hits) == 0:
+    while i < n_rows:
+        if current >= 0:
+            target = current * (n_rows + 1) + i
+            at = np.searchsorted(key, target)
+            end = drop[np.searchsorted(stop, at)] if at < len(key) and key[at] == target else i
+            served[i:end] = current
+            if end == n_rows:
                 break
-            i += hits[0]
-            col = int(np.argmax(elevation[i]))
-        drops = np.flatnonzero(~(elevation[i:, col] >= threshold_deg))
-        end = n if len(drops) == 0 else i + drops[0]
-        served[i:end] = col
-        if end == n:
-            break
-        i = end
-        col = int(np.argmax(elevation[i]))
-        if not elevation[i, col] >= threshold_deg:
-            col = -1
-            i += 1
-    return served
+            i, current = end, best[end] if highest[end] >= threshold_deg else -1
+        else:
+            k = np.searchsorted(acquired, i)
+            if k == len(acquired):
+                break
+            i, current = acquired[k], best[acquired[k]]
+    return current
 
 
 def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> AccessTimeline:
     """Propagate the constellation over the flight and pick the server.
 
-    One sample per ``step_s`` over the scenario duration (end
-    exclusive); a zero-duration flight yields an empty timeline.  Time
-    steps go in blocks.  Per block, only the candidate satellites (those
-    that can reach the handover threshold on some row of the block) get
-    elevations, which are scanned for handovers by event with the rule
-    of `_scan_block`; the full geometry is then evaluated for the serving
-    satellite only.
+    One sample per ``step_s`` over the scenario duration (end exclusive);
+    a zero-duration flight yields an empty timeline.  The served satellite
+    is kept while it is at or above the handover threshold; when it drops
+    below, the link hands over to the highest satellite if that one holds
+    the threshold, else goes into an outage, from which the highest
+    satellite is acquired once it clears the threshold plus the
+    hysteresis, so a satellite at the mask edge does not toggle access.
+    Ties go to the lowest satellite id.
+
+    Steps go in blocks of ``_BLOCK_SPAN_S`` and blocks in chunks of about
+    ``_CHUNK_PAIRS`` (row, candidate) pairs, and `_scan_chunk` applies the
+    rule to a chunk by event.  The full geometry is then computed for the
+    served satellite only.
     """
     if step_s <= 0:
         raise ValueError("step_s must be > 0")
     n_steps = int(math.floor(scenario.duration_s / step_s + 1e-9))
     carrier = scenario.phy.carrier_ghz
 
-    elements = expand_constellation(scenario.constellation)
+    inclination, raan, phase = expand_constellation(scenario.constellation)
     a = scenario.constellation.orbit_radius_km
     n_rate = mean_motion(a)
-    u0 = np.radians([e.arg_latitude_deg for e in elements])
-    p, q = _plane_basis(np.radians([e.inclination_deg for e in elements]),
-                        np.radians([e.raan_deg for e in elements]))
+    u0 = np.radians(phase)
+    p, q = _plane_basis(np.radians(inclination), np.radians(raan))
 
     times = np.arange(n_steps, dtype=float) * step_s
     theta = EARTH_ROTATION_RATE * times
@@ -309,65 +314,60 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     acquire = threshold + scenario.handover_hysteresis_deg
     # largest angular rate of a satellite direction in the Earth-fixed frame
     sweep_rate = n_rate + EARTH_ROTATION_RATE
+    # a block's pairs with all satellites, a pass's angles and rows fit in _CHUNK_PAIRS
+    rows = max(1, min(int(_BLOCK_SPAN_S / step_s), _CHUNK_PAIRS // len(u0)))
+    per_pass = rows * max(1, _CHUNK_PAIRS // max(len(u0), rows))
     sat_id = np.full(n_steps, -1, dtype=int)
     current = -1
-    rows = max(1, _BLOCK_ELEMENTS // len(elements))
-    for lo in range(0, n_steps, rows):
-        block = slice(lo, lo + rows)
-        t = times[block]
-        mid = lo + (len(t) - 1) // 2
-        # Earth central angle of every satellite at the middle row.  At any
-        # row it is at least this minus the satellite's drift and the
-        # aircraft's move (triangle inequality), and elevation falls as it
-        # grows, so a satellite beyond `reach` + drift + move stays under
-        # the threshold on every row; `reach` uses the lowest aircraft.
-        up_mid = tuple(c[mid] for c in up)
-        sat_mid = _rotate_to_ecef(*_eci_position(a, u0 + n_rate * times[mid], p, q), theta[mid])
-        central = _angle(up_mid, tuple(s / a for s in sat_mid))
-        drift = min(sweep_rate * max(times[mid] - t[0], t[-1] - times[mid]), math.pi)
-        up_move = float(np.max(_angle(up_mid, tuple(c[block] for c in up))))
-        reach = math.radians(90.0 - threshold) - math.asin(
-            min(1.0, float(np.min(obs_radius[block])) * math.cos(math.radians(threshold)) / a))
-        keep = central <= reach + drift + up_move + _CANDIDATE_MARGIN_RAD
-        if current >= 0:
-            keep[current] = True   # scanned for the row it drops
-        cand = np.flatnonzero(keep)
-        if len(cand) == 0:
-            current = -1
-            continue
+    for lo in range(0, n_steps, per_pass):
+        starts = np.arange(lo, min(n_steps, lo + per_pass), rows)
+        ends = np.minimum(starts + rows, n_steps)
+        # Earth central angle of every satellite at each block's middle
+        # row.  At any row of the block it is at least this minus the
+        # satellite's drift and the aircraft's move (triangle inequality),
+        # and elevation falls as it grows, so a satellite beyond `reach` +
+        # drift + move stays under the threshold on every row of the
+        # block; `reach` uses the block's lowest aircraft.
+        mid = (starts + ends - 1) // 2
+        sat_mid = _rotate_to_ecef(*_eci_position(a, u0 + n_rate * times[mid, None], p, q),
+                                  theta[mid, None])
+        central = _angle(tuple(c[mid, None] for c in up), tuple(s / a for s in sat_mid))
+        drift = np.minimum(sweep_rate * np.maximum(times[mid] - times[starts],
+                                                   times[ends - 1] - times[mid]), math.pi)
+        up_move = np.maximum.reduceat(_angle(tuple(c[np.repeat(mid, ends - starts)] for c in up),
+                                             tuple(c[lo:ends[-1]] for c in up)), starts - lo)
+        reach = math.radians(90.0 - threshold) - np.arcsin(np.minimum(
+            1.0, np.minimum.reduceat(obs_radius[lo:ends[-1]], starts - lo)
+            * math.cos(math.radians(threshold)) / a))
+        keep = central <= (reach + drift + up_move + _CANDIDATE_MARGIN_RAD)[:, None]
+        pairs = np.count_nonzero(keep, axis=1) * (ends - starts)
+        cuts = np.flatnonzero(np.diff((np.cumsum(pairs) - pairs) // _CHUNK_PAIRS)) + 1
+        for first, last, chunk in zip(np.split(starts, cuts), np.split(ends, cuts),
+                                      np.split(keep, cuts)):
+            # each candidate on every row of its block, satellite-major
+            cand, block = np.nonzero(chunk.T)
+            lens = (last - first)[block]
+            sat = np.repeat(cand, lens)
+            at = np.arange(sat.size) + np.repeat(first[block] - np.cumsum(lens) + lens, lens)
+            row = at - first[0]
+            u = u0[sat] + n_rate * times[at]
+            pos = _rotate_to_ecef(*_eci_position(a, u, tuple(c[sat] for c in p),
+                                                 tuple(c[sat] for c in q)), theta[at])
+            rel = tuple(s - o[at] for s, o in zip(pos, obs_pos))
+            elevation = _elevation_deg(rel, np.sqrt(_dot(rel, rel)), tuple(c[at] for c in up))
+            current = _scan_chunk(row, sat, elevation, sat_id[first[0]:last[-1]], current,
+                                  threshold, acquire)
 
-        u = u0[cand] + n_rate * t[:, None]
-        sat = _rotate_to_ecef(*_eci_position(a, u, tuple(c[cand] for c in p),
-                                             tuple(c[cand] for c in q)), theta[block, None])
-        rel = tuple(s - o[block, None] for s, o in zip(sat, obs_pos))
-        elevation = _elevation_deg(rel, np.sqrt(_dot(rel, rel)),
-                                   tuple(c[block, None] for c in up))
-        col = int(np.searchsorted(cand, current)) if current >= 0 else -1
-        sat_id[block] = np.append(cand, -1)[_scan_block(elevation, col, threshold, acquire)]
-        current = int(sat_id[lo + len(t) - 1])
-
-    cols = {name: np.full(n_steps, np.nan) for name in
-            ("elevation", "azimuth", "slant_range", "range_rate")}
     served = np.flatnonzero(sat_id >= 0)
     ids = sat_id[served]
     u = u0[ids] + n_rate * times[served]
     p_s, q_s = tuple(c[ids] for c in p), tuple(c[ids] for c in q)
     sat_pos = _rotate_to_ecef(*_eci_position(a, u, p_s, q_s), theta[served])
     sat_vel = _ecef_velocity(_eci_velocity(a, n_rate, u, p_s, q_s), sat_pos, theta[served])
-    view = _view(tuple(s - o for s, o in zip(sat_pos, obs_pos[:, served])),
-                 tuple(s - o for s, o in zip(sat_vel, obs_vel[:, served])),
-                 lat[served], lon[served])
-    for name, values in zip(cols, view):
-        cols[name][served] = values
-
-    return AccessTimeline(
-        times_s=times,
-        sat_id=sat_id,
-        elevation_deg=cols["elevation"],
-        azimuth_deg=cols["azimuth"],
-        slant_range_km=cols["slant_range"],
-        range_rate_kms=cols["range_rate"],
-        doppler_khz=doppler_khz(cols["range_rate"], carrier),
-        threshold_deg=scenario.handover_threshold_deg,
-        carrier_ghz=carrier,
-    )
+    rel = tuple(s - o for s, o in zip(sat_pos, obs_pos[:, served]))
+    v_rel = tuple(s - o for s, o in zip(sat_vel, obs_vel[:, served]))
+    view = np.full((4, n_steps), np.nan)   # elevation, azimuth, range, range rate
+    for column, values in zip(view, _view(rel, v_rel, lat[served], lon[served])):
+        column[served] = values
+    return AccessTimeline(times, sat_id, *view, doppler_khz(view[3], carrier),
+                          threshold_deg=threshold, carrier_ghz=carrier)

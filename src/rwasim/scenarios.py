@@ -232,9 +232,9 @@ def loiter_route(
     are dense enough (default 5 s) that linear interpolation between
     them stays smooth for range-rate purposes.
     """
-    if radius_km <= 0 or speed_ms <= 0:
+    if not (radius_km > 0 and speed_ms > 0):  # NaN fails too
         raise ConfigError("radius_km and speed_ms must be > 0", field="flight")
-    if duration_s < 0:
+    if not duration_s >= 0:
         raise ConfigError("duration must be >= 0", field="flight")
     omega = (speed_ms / 1000.0) / radius_km  # rad/s along the circle
     n = max(1, math.ceil(duration_s / waypoint_interval_s)) + 1

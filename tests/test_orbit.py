@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from rwasim import orbit
 from rwasim.constants import EARTH_RADIUS, EARTH_ROTATION_RATE, MU_EARTH
 from rwasim.orbit import (
-    _BLOCK_ELEMENTS,
+    _BLOCK_SPAN_S,
+    _CHUNK_PAIRS,
     KeplerianElements,
     aircraft_track,
     build_access_timeline,
@@ -179,43 +181,41 @@ def test_range_rate_matches_numeric_derivative():
 
 def test_leo1_expansion():
     cat = builtin_catalog()
-    elements = expand_constellation(cat.constellations["LEO-1"])
-    assert len(elements) == 288
+    inclination, raan, phase = expand_constellation(cat.constellations["LEO-1"])
+    assert len(inclination) == len(raan) == len(phase) == 288
     # third plane of the 15-degree spacing rule
     per_plane = 24
-    assert elements[2 * per_plane].raan_deg == pytest.approx(30.0)
-    assert all(e.inclination_deg == pytest.approx(89.0) for e in elements)
+    assert raan[2 * per_plane] == pytest.approx(30.0)
+    assert np.all(inclination == pytest.approx(89.0))
     # in-plane phasing is uniform
-    assert elements[1].arg_latitude_deg - elements[0].arg_latitude_deg == pytest.approx(15.0)
+    assert phase[1] - phase[0] == pytest.approx(15.0)
 
 
 def test_geo_expansion():
     cat = builtin_catalog()
-    elements = expand_constellation(cat.constellations["GEO"])
-    assert len(elements) == 1
-    assert elements[0].inclination_deg == pytest.approx(6.0)
-    assert elements[0].semi_major_axis_km == pytest.approx(EARTH_RADIUS + 35786.0)
+    inclination, raan, phase = expand_constellation(cat.constellations["GEO"])
+    assert len(inclination) == len(raan) == len(phase) == 1
+    assert inclination[0] == pytest.approx(6.0)
+    assert cat.constellations["GEO"].orbit_radius_km == pytest.approx(EARTH_RADIUS + 35786.0)
 
 
 def test_meo_expansion():
     cat = builtin_catalog()
-    elements = expand_constellation(cat.constellations["MEO"])
-    assert len(elements) == 24
-    incs = sorted({e.inclination_deg for e in elements})
-    assert incs == [pytest.approx(70.0), pytest.approx(90.0)]
-    raans = [elements[i * 6].raan_deg for i in range(4)]
-    assert raans == [pytest.approx(0.0), pytest.approx(90.0),
-                     pytest.approx(45.0), pytest.approx(135.0)]
+    inclination, raan, phase = expand_constellation(cat.constellations["MEO"])
+    assert len(inclination) == len(raan) == len(phase) == 24
+    assert sorted(set(inclination)) == [pytest.approx(70.0), pytest.approx(90.0)]
+    assert list(raan[::6]) == [pytest.approx(0.0), pytest.approx(90.0),
+                               pytest.approx(45.0), pytest.approx(135.0)]
 
 
 def test_delta_constellation_phasing():
     cat = builtin_catalog()
     leo2 = cat.constellations["LEO-2"]
-    elements = expand_constellation(leo2)
-    assert len(elements) == 264
+    _, _, phase = expand_constellation(leo2)
+    assert len(phase) == 264
     if leo2.phasing_factor:
         shift = leo2.phasing_factor * 360.0 / leo2.total_sats
-        diff = (elements[22].arg_latitude_deg - elements[0].arg_latitude_deg) % 360.0
+        diff = (phase[22] - phase[0]) % 360.0
         assert diff == pytest.approx(shift % 360.0)
 
 
@@ -454,31 +454,87 @@ def _lone_satellite_passes():
                    handover_hysteresis_deg=0.0), 2.0
 
 
+def _meo_passes():
+    """24 MEO satellites over a slow aircraft, 500 steps of 30 s.
+
+    Several satellites clear the 10 deg mask at once, so with blocks of 8
+    rows and 256 pairs a chunk, a candidate pass of 80 rows holds several
+    chunks, and the served satellite carries over chunk edges inside a pass.
+    """
+    base = resolve_scenario("scenario-7")
+    route = FlightRoute(((0.0, 40.0, 10.0, 500.0), (15000.0, 41.0, 12.0, 500.0)))
+    return replace(base, constellation=_walker(base, 3, 8, 8000.0, 55.0, 0.0, 1, 0.0),
+                   route=route, duration_s=15000.0, handover_threshold_deg=10.0), 30.0
+
+
 @settings(max_examples=40, deadline=None)
-@given(case=_scenarios(),
-       block_elements=st.floats(6.0, 14.0).map(lambda k: int(2.0 ** k)))
-@example(case=_lone_satellite_passes(), block_elements=64)
-def test_kernel_matches_per_step_reference(case, block_elements):
-    # blocks of 64 to 2^14 satellite-steps, drawn log-uniform, often split
-    # a flight, so handovers, outages and the candidate bound meet block edges
+@given(case=_scenarios(), block_span_s=st.floats(1.0, 2000.0),
+       chunk_pairs=st.floats(2.0, 14.0).map(lambda k: int(2.0 ** k)))
+@example(case=_lone_satellite_passes(), block_span_s=128.0, chunk_pairs=2 ** 14)
+@example(case=_meo_passes(), block_span_s=240.0, chunk_pairs=256)
+def test_kernel_matches_per_step_reference(case, block_span_s, chunk_pairs):
+    # blocks of 1 s to 2000 s and chunks of 4 to 2^14 pairs, drawn
+    # log-uniform, often split a flight, so handovers, outages and the
+    # candidate bound meet block and chunk edges
     scenario, step_s = case
-    with mock.patch.object(orbit, "_BLOCK_ELEMENTS", block_elements):
+    with mock.patch.object(orbit, "_BLOCK_SPAN_S", block_span_s), \
+            mock.patch.object(orbit, "_CHUNK_PAIRS", chunk_pairs):
         _assert_kernel_matches_reference(scenario, step_s)
 
 
-def test_kernel_handover_across_block_boundary():
-    # 300 satellites over an antimeridian hop: three blocks of 54 time
-    # steps, and a handover on the first step of the second block
+def _block_rows(scenario, step_s):
+    """Rows per block of the kernel's candidate bound."""
+    return max(1, min(int(_BLOCK_SPAN_S / step_s),
+                      _CHUNK_PAIRS // scenario.constellation.total_sats))
+
+
+def _chunk_starts(scenario, step_s):
+    """The kernel's access timeline, checked, and the first rows of its
+    chunks after the first, as the kernel cut them."""
+    sizes = []
+    scan = orbit._scan_chunk
+
+    def spy(row, sat, elevation, served, *rest):
+        sizes.append(len(served))
+        return scan(row, sat, elevation, served, *rest)
+
+    with mock.patch.object(orbit, "_scan_chunk", spy):
+        access = _assert_kernel_matches_reference(scenario, step_s)
+    return access, np.cumsum(sizes)[:-1]
+
+
+def _switches(sat_id):
+    """Rows that hand over from one satellite to another."""
+    return np.flatnonzero((sat_id[1:] != sat_id[:-1]) & (sat_id[1:] >= 0) & (sat_id[:-1] >= 0)) + 1
+
+
+def _handover_scenario():
+    # 300 satellites over an antimeridian hop, 150 steps of 4 s, with
+    # handovers on steps 43, 54 and 115
     base = resolve_scenario("scenario-7")
-    scenario = replace(
+    return replace(
         base, constellation=_walker(base, 12, 25, 550.0, 53.0, 0.0, 1, 11.0),
         route=ANTIMERIDIAN_HOP, duration_s=600.0, handover_threshold_deg=20.0)
-    rows = _BLOCK_ELEMENTS // scenario.constellation.total_sats
+
+
+def test_kernel_handover_across_block_boundary():
+    # blocks of 27 steps, and a handover on the first step of the third
+    scenario = _handover_scenario()
+    rows = _block_rows(scenario, 4.0)
     access = _assert_kernel_matches_reference(scenario, 4.0)
     assert len(access) > 2 * rows
-    ids = access.sat_id
-    switches = np.flatnonzero((ids[1:] != ids[:-1]) & (ids[1:] >= 0) & (ids[:-1] >= 0)) + 1
+    switches = _switches(access.sat_id)
     assert np.any(np.abs(switches - rows * np.round(switches / rows)) <= 1)
+
+
+def test_kernel_handover_on_chunk_edge():
+    # three pairs a satellite: blocks of 3 steps, chunks of 9, and the
+    # handover on step 54 is the first step of a chunk
+    scenario = _handover_scenario()
+    with mock.patch.object(orbit, "_CHUNK_PAIRS", 3 * scenario.constellation.total_sats):
+        access, starts = _chunk_starts(scenario, 4.0)
+    assert len(starts) > 2
+    assert np.intersect1d(_switches(access.sat_id), starts).size > 0
 
 
 # --- candidate filter and event scan ---
@@ -493,7 +549,7 @@ def _walker_scenario(planes, per_plane, altitude_km, inclination_deg, route, dur
 
 def test_kernel_fast_aircraft_moves_the_candidate_set():
     # 30 deg of longitude per 40 s leg, 3 deg per 4 s step: over a block of
-    # 54 rows the aircraft's zenith moves far more than a satellite drifts
+    # 27 rows the aircraft's zenith moves far more than a satellite drifts
     points = tuple((40.0 * k, 20.0, (30.0 * k + 180.0) % 360.0 - 180.0, 1000.0)
                    for k in range(16))
     scenario = _walker_scenario(12, 25, 550.0, 53.0, FlightRoute(points), 600.0, 20.0)
@@ -503,14 +559,58 @@ def test_kernel_fast_aircraft_moves_the_candidate_set():
 
 def test_kernel_outage_across_block_boundary():
     # a 40 deg mask over 300 satellites: an outage over rows 85 to 125
-    # runs from the second block of 54 rows into the third
+    # runs across the block edge at row 108
     scenario = _walker_scenario(12, 25, 550.0, 53.0, ANTIMERIDIAN_HOP, 600.0, 40.0)
     access = _assert_kernel_matches_reference(scenario, 4.0)
-    rows = _BLOCK_ELEMENTS // scenario.constellation.total_sats
+    rows = _block_rows(scenario, 4.0)
     starts = np.arange(rows, len(access), rows)
     ids = access.sat_id
     assert np.any(access.served)
     assert np.any((ids[starts - 1] < 0) & (ids[starts] < 0))
+
+
+def test_kernel_outage_on_chunk_edge():
+    # chunks of 9 steps: the outage over rows 85 to 125 runs across four
+    # chunk edges, and the link is acquired on row 126, the first of a chunk
+    scenario = _walker_scenario(12, 25, 550.0, 53.0, ANTIMERIDIAN_HOP, 600.0, 40.0)
+    with mock.patch.object(orbit, "_CHUNK_PAIRS", 3 * scenario.constellation.total_sats):
+        access, starts = _chunk_starts(scenario, 4.0)
+    ids = access.sat_id
+    assert np.any((ids[starts - 1] < 0) & (ids[starts] < 0))
+    assert np.any((ids[starts - 1] < 0) & (ids[starts] >= 0))
+
+
+def test_kernel_memory_is_bounded():
+    # 288 satellites under a 10 deg mask over 50,000 steps of 1 s: about
+    # 12 candidates a step, so one chunk for the whole flight would hold
+    # 625,000 pairs and take several times the bound below
+    n_steps = 50_000
+    base = resolve_scenario("scenario-7")
+    route = FlightRoute(((0.0, 50.0, 10.0, 1000.0), (float(n_steps), 52.0, 14.0, 1000.0)))
+    scenario = replace(base, route=route, duration_s=float(n_steps), handover_threshold_deg=10.0)
+    assert scenario.constellation.total_sats == 288
+    tracemalloc.start()
+    try:
+        access = build_access_timeline(scenario, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(access) == n_steps
+    # step-sized columns: the aircraft track, interpolated at 3 * n_steps
+    # times, peaks at about 70 floats a step; a chunk's temporaries stay
+    # under 128 floats a pair of the budget
+    assert peak < 8 * (80 * n_steps + 128 * _CHUNK_PAIRS)
+
+
+def test_kernel_ties_go_to_the_lowest_id():
+    # two planes at RAAN 0 and 360 deg put two satellites at one position
+    base = resolve_scenario("scenario-7")
+    constellation = replace(_walker(base, 2, 1, 550.0, 53.0, 0.0, 0, 0.0), raans_deg=(0.0, 360.0))
+    route = FlightRoute(((0.0, 0.0, 10.0, 0.0), (3000.0, 0.0, 10.0, 0.0)))
+    access = build_access_timeline(replace(base, constellation=constellation, route=route,
+                                           duration_s=3000.0, handover_threshold_deg=10.0), 10.0)
+    assert np.any(access.served)
+    assert np.all(access.sat_id[access.served] == 0)
 
 
 @pytest.mark.parametrize("threshold_deg", [0.0, 85.0])

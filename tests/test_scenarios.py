@@ -257,6 +257,18 @@ def test_loiter_validation():
         loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, -600.0)
 
 
+@pytest.mark.parametrize("radius, speed, duration, message", [
+    (math.nan, 25.0, 600.0, "radius_km and speed_ms"),
+    (8.0, math.nan, 600.0, "radius_km and speed_ms"),
+    (8.0, 25.0, math.nan, "duration"),
+])
+def test_loiter_nan_fails_its_own_checks(radius, speed, duration, message):
+    # not later, as a latitude out of range
+    with pytest.raises(ConfigError, match=message) as err:
+        loiter_route(10.0, 20.0, 500.0, radius, speed, duration)
+    assert err.value.field == "flight"
+
+
 @given(
     lat=st.floats(-70.0, 70.0),
     radius=st.floats(1.0, 20.0),
@@ -461,7 +473,7 @@ ALPHA_900 = dict(n_blades=3, blade_width_m=0.093, rpm=1280.0, shaft_offset_m=0.5
                              "tip_radius_m")],
     ("loss_model", "rain_height_km"),
     ("loss_model", "slant_cap_km"),
-    *[("band", f) for f in ("zenith_gas_db", "zenith_cloud_db", "rain_k")],
+    *[("band", f) for f in ("zenith_gas_db", "zenith_cloud_db", "rain_k", "rain_alpha")],
     ("mcs", "coding_gain_db"),
 ])
 def test_nan_fails_range_checks(owner, field):
