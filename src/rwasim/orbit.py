@@ -212,7 +212,8 @@ def aircraft_track(
     velocity = np.divide(pos_after - pos_before, dt,
                          out=np.zeros_like(pos_after), where=dt > 0)
     n = len(times_s)
-    return lat[:n], lon[:n], here, velocity
+    # copies, so the (3, 3 * T) interpolation they were cut from can be freed
+    return lat[:n].copy(), lon[:n].copy(), here.copy(), velocity
 
 
 # Flight time per block of the candidate bound.  A block costs a central

@@ -241,7 +241,7 @@ def uncoded_ber(modulation: str, eb_n0_db):
     return np.minimum(ber, 0.5)
 
 
-def awgn_ber(mcs: Mcs, cnr_db, coded: bool = True):
+def awgn_ber(mcs: Mcs, cnr_db):
     """Channel bit error rate at the given CNR (dB).
 
     The symbol rate is assumed to fill the noise bandwidth (Nyquist), so
@@ -251,9 +251,7 @@ def awgn_ber(mcs: Mcs, cnr_db, coded: bool = True):
     """
     cnr = np.asarray(cnr_db, dtype=float)
     info_bits = mcs.bits_per_symbol * mcs.code_rate
-    eb_n0 = cnr - 10.0 * np.log10(info_bits)
-    if coded:
-        eb_n0 = eb_n0 + mcs.coding_gain_db
+    eb_n0 = cnr - 10.0 * np.log10(info_bits) + mcs.coding_gain_db
     return uncoded_ber(mcs.modulation, eb_n0)
 
 

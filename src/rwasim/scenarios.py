@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .blades import RotorSpec
 from .constants import EARTH_RADIUS
 from .errors import ConfigError, ScenarioFormatError, UnknownReferenceError
 from .linkbudget import LossModel
-from .phy import Mcs, PhyConfig, validate_channel
+from .phy import PhyConfig, validate_channel
 
 BANDS = ("S", "Ku", "Ka")
 DIRECTIONS = ("uplink", "downlink")
@@ -343,10 +344,10 @@ class Catalog:
 # === JSON parsing ===
 
 def _require(obj: dict, key: str, where: str, kind=None):
-    """``obj[key]``, converted with ``_number`` when ``kind`` is given."""
+    """``obj[key]``, read as a field annotated ``kind`` when that is given."""
     if key not in obj:
         raise ConfigError(f"missing required key in {where}", field=key)
-    return obj[key] if kind is None else _number(obj[key], key, kind)
+    return obj[key] if kind is None else _read(obj[key], key, kind)
 
 
 def _number(value, field: str, kind=float):
@@ -374,6 +375,55 @@ def _object(value, field: str) -> dict:
     return value
 
 
+@cache
+def _field_types(cls) -> dict:
+    """The annotations of ``cls``'s fields as types, not deferred strings."""
+    return get_type_hints(cls)
+
+
+def _read(value, key: str, kind):
+    """``value`` read as the JSON form of a field annotated ``kind``.
+
+    Numbers go through ``_number``, a ``bool`` takes JSON true or false,
+    a ``str`` takes a string, a nested spec takes an object, and
+    ``X | None`` takes null as well.
+    """
+    args = get_args(kind)
+    if type(None) in args:
+        if value is None:
+            return None
+        kind, = (arg for arg in args if arg is not type(None))
+    if kind in (float, int):
+        return _number(value, key, kind)
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            expected = "true or false" if kind is bool else "a string"
+            raise ConfigError(f"expected {expected}, got {value!r}", field=key)
+        return value
+    return _build(kind, _object(value, key), key)
+
+
+def _build(cls, obj: dict, where: str, **given):
+    """A ``cls`` from the fields in ``given`` and the rest read from ``obj``.
+
+    Each field not in ``given`` is read under its own name by ``_read``.
+    An absent field takes the dataclass default; an absent field without
+    one is a ConfigError naming its key.
+    """
+    types = _field_types(cls)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        if f.name in obj:
+            given[f.name] = _read(obj[f.name], f.name, types[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key in {where}", field=f.name)
+    try:
+        return cls(**given)
+    except ValueError as exc:  # RotorSpec's range checks
+        raise ConfigError(str(exc), field=where) from exc
+
+
 def _rows(value, width: int, field: str) -> tuple[tuple[float, ...], ...]:
     """A list of ``width``-number lists as float tuples, else a ConfigError."""
     if not (isinstance(value, (list, tuple)) and all(
@@ -392,41 +442,9 @@ def _beamwidth(value) -> tuple[float, float]:
                       field="beamwidth_deg")
 
 
-def _parse_rotor(obj: dict) -> RotorSpec:
-    try:
-        return RotorSpec(
-            n_blades=_require(obj, "n_blades", "rotor", int),
-            blade_width_m=_require(obj, "blade_width_m", "rotor", float),
-            rpm=_require(obj, "rpm", "rotor", float),
-            shaft_offset_m=_require(obj, "shaft_offset_m", "rotor", float),
-            rotor_height_m=_require(obj, "rotor_height_m", "rotor", float),
-            tip_radius_m=_require(obj, "tip_radius_m", "rotor", float),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="rotor") from exc
-
-
 def _parse_aircraft(name: str, obj: dict) -> AircraftSpec:
-    rotor = obj.get("rotor")
-    return AircraftSpec(
-        name=name,
-        steerable=bool(_require(obj, "steerable", name)),
-        band=_require(obj, "band", name),
-        bandwidth_mhz=_require(obj, "bandwidth_mhz", name, float),
-        beamwidth_deg=_beamwidth(_require(obj, "beamwidth_deg", name)),
-        max_gain_dbi=_require(obj, "max_gain_dbi", name, float),
-        position=_require(obj, "position", name),
-        tx_power_dbw=(None if obj.get("tx_power_dbw") is None
-                      else _number(obj["tx_power_dbw"], "tx_power_dbw")),
-        rx_noise_temp_k=_number(obj.get("rx_noise_temp_k", 400.0), "rx_noise_temp_k"),
-        rx_gain_over_t_dbk=(None if obj.get("rx_gain_over_t_dbk") is None
-                            else _number(obj["rx_gain_over_t_dbk"], "rx_gain_over_t_dbk")),
-        rotor=None if rotor is None else _parse_rotor(_object(rotor, "rotor")),
-        boresight_elevation_deg=_number(obj.get("boresight_elevation_deg", 90.0),
-                                        "boresight_elevation_deg"),
-        boresight_azimuth_deg=_number(obj.get("boresight_azimuth_deg", 0.0),
-                                      "boresight_azimuth_deg"),
-    )
+    return _build(AircraftSpec, obj, name, name=name,
+                  beamwidth_deg=_beamwidth(_require(obj, "beamwidth_deg", name)))
 
 
 def _per_plane(value, planes: int, key: str) -> tuple[float, ...]:
@@ -456,29 +474,16 @@ def _parse_raans(value, planes: int) -> tuple[float, ...]:
     return tuple(start + spacing * p for p in range(planes))
 
 
-def _parse_payload(band: str, obj: dict) -> RfPayloadSpec:
-    return RfPayloadSpec(
-        band=band,
-        beam_eirp_dbw=_require(obj, "beam_eirp_dbw", f"payload {band}", float),
-        gain_over_t_dbk=_require(obj, "gain_over_t_dbk", f"payload {band}", float),
-    )
-
-
 def _parse_constellation(name: str, obj: dict) -> ConstellationSpec:
     planes = _require(obj, "planes", name, int)
-    payloads = {band: _parse_payload(band, _object(p, "payloads"))
+    payloads = {band: _build(RfPayloadSpec, _object(p, "payloads"), f"payload {band}",
+                             band=band)
                 for band, p in _object(_require(obj, "payloads", name), "payloads").items()}
-    return ConstellationSpec(
-        name=name,
-        altitude_km=_require(obj, "altitude_km", name, float),
-        planes=planes,
+    return _build(
+        ConstellationSpec, obj, name, name=name, planes=planes, payloads=payloads,
         inclinations_deg=_per_plane(_require(obj, "inclination_deg", name),
                                     planes, "inclination_deg"),
         raans_deg=_parse_raans(obj.get("raan_deg", 0.0), planes),
-        sats_per_plane=_require(obj, "sats_per_plane", name, int),
-        payloads=payloads,
-        phasing_factor=_number(obj.get("phasing_factor", 0), "phasing_factor", int),
-        anomaly_offset_deg=_number(obj.get("anomaly_offset_deg", 0.0), "anomaly_offset_deg"),
     )
 
 
@@ -487,39 +492,16 @@ def _parse_route(obj: dict, scenario_id: str) -> FlightRoute:
     if kind == "waypoints":
         return FlightRoute(_rows(_require(obj, "points", f"{scenario_id}.flight"), 4, "points"))
     if kind == "loiter":
+        # the optional keys are passed only when present: loiter_route holds their defaults
         return loiter_route(
-            center_lat_deg=_require(obj, "center_lat_deg", "flight", float),
-            center_lon_deg=_require(obj, "center_lon_deg", "flight", float),
-            altitude_m=_require(obj, "altitude_m", "flight", float),
-            radius_km=_require(obj, "radius_km", "flight", float),
-            speed_ms=_require(obj, "speed_ms", "flight", float),
-            duration_s=_require(obj, "duration_s", "flight", float),
-            waypoint_interval_s=_number(obj.get("waypoint_interval_s", 5.0),
-                                        "waypoint_interval_s"),
-            start_bearing_deg=_number(obj.get("start_bearing_deg", 0.0), "start_bearing_deg"),
+            **{key: _require(obj, key, "flight", float)
+               for key in ("center_lat_deg", "center_lon_deg", "altitude_m",
+                           "radius_km", "speed_ms", "duration_s")},
+            **{key: _number(obj[key], key)
+               for key in ("waypoint_interval_s", "start_bearing_deg") if key in obj},
         )
     raise ConfigError(f"unknown flight type {kind!r} (waypoints or loiter)",
                       field="flight.type")
-
-
-def _parse_mcs(obj: dict) -> Mcs:
-    return Mcs(
-        modulation=_require(obj, "modulation", "mcs"),
-        code_rate=_require(obj, "code_rate", "mcs", float),
-        coding_gain_db=_number(obj.get("coding_gain_db", 6.0), "coding_gain_db"),
-    )
-
-
-def _parse_phy(obj: dict) -> PhyConfig:
-    return PhyConfig(
-        carrier_ghz=_require(obj, "carrier_ghz", "phy", float),
-        bandwidth_mhz=_require(obj, "bandwidth_mhz", "phy", float),
-        scs_khz=_require(obj, "scs_khz", "phy", int),
-        n_rb=_require(obj, "n_rb", "phy", int),
-        mcs=_parse_mcs(_object(_require(obj, "mcs", "phy"), "mcs")),
-        ntn_band=obj.get("ntn_band"),
-        overhead=_number(obj.get("overhead", 0.0), "overhead"),
-    )
 
 
 def _parse_loss_model(obj: dict | None) -> LossModel:
@@ -535,42 +517,24 @@ def _parse_loss_model(obj: dict | None) -> LossModel:
 
 
 def _parse_scenario(obj: dict, catalog_aircraft: dict, catalog_constellations: dict) -> ScenarioSpec:
-    sid = _require(obj, "id", "scenario")
-    aircraft_name = _require(obj, "aircraft", sid)
-    if aircraft_name not in catalog_aircraft:
-        raise UnknownReferenceError(
-            f"scenario {sid} references undefined aircraft {aircraft_name!r}",
-            field="aircraft")
-    constellation_name = _require(obj, "constellation", sid)
-    if constellation_name not in catalog_constellations:
-        raise UnknownReferenceError(
-            f"scenario {sid} references undefined constellation "
-            f"{constellation_name!r}", field="constellation")
+    sid = _require(obj, "id", "scenario", str)
+    given = {}
+    for key, catalog in (("aircraft", catalog_aircraft),
+                         ("constellation", catalog_constellations)):
+        name = _require(obj, key, sid, str)
+        if name not in catalog:
+            raise UnknownReferenceError(
+                f"scenario {sid} references undefined {key} {name!r}", field=key)
+        given[key] = catalog[name]
     duration_s = _require(obj, "duration_h", sid, float) * 3600.0
     flight = dict(_object(_require(obj, "flight", sid), "flight"))
     if flight.get("type") == "loiter":
         flight.setdefault("duration_s", duration_s)
-    return ScenarioSpec(
-        id=sid,
-        aircraft=catalog_aircraft[aircraft_name],
-        constellation=catalog_constellations[constellation_name],
-        direction=_require(obj, "direction", sid),
-        band=_require(obj, "band", sid),
-        duration_s=duration_s,
-        route=_parse_route(flight, sid),
-        phy=_parse_phy(_object(_require(obj, "phy", sid), "phy")),
-        handover_threshold_deg=_require(obj, "handover_threshold_deg", sid, float),
-        handover_hysteresis_deg=_number(obj.get("handover_hysteresis_deg", 0.5),
-                                        "handover_hysteresis_deg"),
-        rain_profile=_rows(obj.get("rain_profile", []), 2, "rain_profile"),
-        margin_db=_number(obj.get("margin_db", 0.0), "margin_db"),
-        cnr_prime_bandwidth_mhz=(None if obj.get("cnr_prime_bandwidth_mhz") is None
-                                 else _number(obj["cnr_prime_bandwidth_mhz"],
-                                              "cnr_prime_bandwidth_mhz")),
-        loss_model=_parse_loss_model(obj.get("loss_model")),
-        blade_phase_ms=_number(obj.get("blade_phase_ms", 0.0), "blade_phase_ms"),
-        randomize_blade_phase=bool(obj.get("randomize_blade_phase", False)),
-    )
+    if "rain_profile" in obj:
+        given["rain_profile"] = _rows(obj["rain_profile"], 2, "rain_profile")
+    return _build(ScenarioSpec, obj, sid, id=sid, duration_s=duration_s,
+                  route=_parse_route(flight, sid),
+                  loss_model=_parse_loss_model(obj.get("loss_model")), **given)
 
 
 def parse_catalog(doc: dict) -> Catalog:
@@ -645,101 +609,36 @@ def resolve_scenario(token: str) -> ScenarioSpec:
 
 # === serialization ===
 
-def _rotor_to_dict(rotor: RotorSpec) -> dict:
-    return {
-        "n_blades": rotor.n_blades,
-        "blade_width_m": rotor.blade_width_m,
-        "rpm": rotor.rpm,
-        "shaft_offset_m": rotor.shaft_offset_m,
-        "rotor_height_m": rotor.rotor_height_m,
-        "tip_radius_m": rotor.tip_radius_m,
-    }
+def _plain(spec, *omit, **given) -> dict:
+    """The JSON object that ``_build`` reads back to ``spec``.
 
-
-def _aircraft_to_dict(a: AircraftSpec) -> dict:
-    lo, hi = a.beamwidth_deg
-    return {
-        "steerable": a.steerable,
-        "band": a.band,
-        "bandwidth_mhz": a.bandwidth_mhz,
-        "beamwidth_deg": lo if lo == hi else [lo, hi],
-        "max_gain_dbi": a.max_gain_dbi,
-        "position": a.position,
-        "tx_power_dbw": a.tx_power_dbw,
-        "rx_noise_temp_k": a.rx_noise_temp_k,
-        "rx_gain_over_t_dbk": a.rx_gain_over_t_dbk,
-        "rotor": None if a.rotor is None else _rotor_to_dict(a.rotor),
-        "boresight_elevation_deg": a.boresight_elevation_deg,
-        "boresight_azimuth_deg": a.boresight_azimuth_deg,
-    }
-
-
-def _constellation_to_dict(c: ConstellationSpec) -> dict:
-    return {
-        "altitude_km": c.altitude_km,
-        "planes": c.planes,
-        "inclination_deg": list(c.inclinations_deg),
-        "raan_deg": list(c.raans_deg),
-        "sats_per_plane": c.sats_per_plane,
-        "phasing_factor": c.phasing_factor,
-        "anomaly_offset_deg": c.anomaly_offset_deg,
-        "payloads": {
-            band: {
-                "beam_eirp_dbw": p.beam_eirp_dbw,
-                "gain_over_t_dbk": p.gain_over_t_dbk,
-            }
-            for band, p in c.payloads.items()
-        },
-    }
+    Each field not in ``omit`` or ``given`` goes under its own name, a
+    nested spec as an object; ``given`` holds the keys whose JSON form
+    differs from the field's.
+    """
+    plain = {}
+    for f in fields(spec):
+        if f.name not in omit and f.name not in given:
+            value = getattr(spec, f.name)
+            plain[f.name] = _plain(value) if is_dataclass(value) else value
+    return {**plain, **given}
 
 
 def serialize_scenario(s: ScenarioSpec) -> dict:
     """Standalone scenario document that loads back to an equal spec."""
-    phy = {
-        "carrier_ghz": s.phy.carrier_ghz,
-        "bandwidth_mhz": s.phy.bandwidth_mhz,
-        "scs_khz": s.phy.scs_khz,
-        "n_rb": s.phy.n_rb,
-        "ntn_band": s.phy.ntn_band,
-        "overhead": s.phy.overhead,
-        "mcs": {
-            "modulation": s.phy.mcs.modulation,
-            "code_rate": s.phy.mcs.code_rate,
-            "coding_gain_db": s.phy.mcs.coding_gain_db,
-        },
-    }
-    loss = {
-        "rain_height_km": s.loss_model.rain_height_km,
-        "slant_cap_km": s.loss_model.slant_cap_km,
-        "bands": {
-            name: {
-                "zenith_gas_db": b.zenith_gas_db,
-                "zenith_cloud_db": b.zenith_cloud_db,
-                "rain_k": b.rain_k,
-                "rain_alpha": b.rain_alpha,
-            }
-            for name, b in s.loss_model.bands.items()
-        },
-    }
+    a, c, loss = s.aircraft, s.constellation, s.loss_model
+    lo, hi = a.beamwidth_deg
     return {
-        "aircraft": {s.aircraft.name: _aircraft_to_dict(s.aircraft)},
-        "constellations": {s.constellation.name: _constellation_to_dict(s.constellation)},
-        "scenarios": [{
-            "id": s.id,
-            "aircraft": s.aircraft.name,
-            "constellation": s.constellation.name,
-            "direction": s.direction,
-            "band": s.band,
-            "duration_h": s.duration_s / 3600.0,
-            "flight": {"type": "waypoints", "points": [list(p) for p in s.route.points]},
-            "phy": phy,
-            "handover_threshold_deg": s.handover_threshold_deg,
-            "handover_hysteresis_deg": s.handover_hysteresis_deg,
-            "rain_profile": [list(p) for p in s.rain_profile],
-            "margin_db": s.margin_db,
-            "cnr_prime_bandwidth_mhz": s.cnr_prime_bandwidth_mhz,
-            "loss_model": loss,
-            "blade_phase_ms": s.blade_phase_ms,
-            "randomize_blade_phase": s.randomize_blade_phase,
-        }],
+        "aircraft": {a.name: _plain(a, "name", beamwidth_deg=lo if lo == hi else [lo, hi])},
+        "constellations": {c.name: _plain(
+            c, "name", "inclinations_deg", "raans_deg",
+            inclination_deg=list(c.inclinations_deg), raan_deg=list(c.raans_deg),
+            payloads={band: _plain(p, "band") for band, p in c.payloads.items()})},
+        "scenarios": [_plain(
+            s, "duration_s", "route", aircraft=a.name, constellation=c.name,
+            duration_h=s.duration_s / 3600.0,
+            flight={"type": "waypoints", "points": [list(p) for p in s.route.points]},
+            rain_profile=[list(p) for p in s.rain_profile],
+            loss_model=_plain(loss, bands={name: _plain(b) for name, b in loss.bands.items()}),
+        )],
     }

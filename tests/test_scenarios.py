@@ -1,12 +1,14 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rwasim.blades import RotorSpec
+from rwasim.cli import main
 from rwasim.constants import EARTH_RADIUS
 from rwasim.errors import ConfigError, ScenarioFormatError, UnknownReferenceError
 from rwasim.linkbudget import BandAtmosphere, LossModel
@@ -437,6 +439,35 @@ def test_documents_with_unread_keys_still_load():
     assert parse_catalog(doc).scenarios["scenario-11"] == spec
 
 
+def test_readme_example_runs_and_omitted_keys_take_spec_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario files", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--step", "60", "--frames", "5",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "demo" / "report.json").exists()
+
+    spec = load_catalog(path).scenarios["demo"]
+    scenario = doc["scenarios"][0]
+    owners = [(spec, scenario), (spec.phy, scenario["phy"]),
+              (spec.phy.mcs, scenario["phy"]["mcs"]),
+              (spec.aircraft, doc["aircraft"][spec.aircraft.name]),
+              (spec.constellation, doc["constellations"][spec.constellation.name]),
+              (spec.payload, doc["constellations"][spec.constellation.name]["payloads"]["S"])]
+    omitted = [(owner, f) for owner, obj in owners for f in fields(owner)
+               if f.name not in obj
+               and (f.default is not MISSING or f.default_factory is not MISSING)]
+    assert len(omitted) >= 10
+    for owner, f in omitted:
+        default = f.default if f.default is not MISSING else f.default_factory()
+        assert getattr(owner, f.name) == default, (type(owner).__name__, f.name)
+    # the loiter keys it omits take loiter_route's own defaults
+    flight = {k: float(v) for k, v in scenario["flight"].items() if k != "type"}
+    assert spec.route == loiter_route(**flight, duration_s=spec.duration_s)
+
+
 @pytest.mark.parametrize("override, field", [
     ({"rain_height_km": -3}, "rain_height_km"),
     ({"rain_height_km": 0}, "rain_height_km"),
@@ -529,6 +560,15 @@ def test_nan_fails_range_checks(owner, field):
     # strings float() reads as non-finite numbers
     ("scenario", "margin_db", "nan", "margin_db"),
     ("aircraft", "max_gain_dbi", "-Infinity", "max_gain_dbi"),
+    # flags take JSON true or false, and names take strings
+    ("aircraft", "steerable", "false", "steerable"),
+    ("aircraft", "steerable", 1, "steerable"),
+    ("scenario", "randomize_blade_phase", "no", "randomize_blade_phase"),
+    ("scenario", "id", 5, "id"),
+    ("scenario", "id", [1], "id"),
+    ("scenario", "aircraft", ["UAV-1"], "aircraft"),
+    ("scenario", "constellation", {"LEO-2": 1}, "constellation"),
+    ("mcs", "modulation", ["QPSK"], "modulation"),
 ])
 def test_non_numeric_values_are_config_errors(where, key, value, field):
     doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])

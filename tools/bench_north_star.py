@@ -22,11 +22,17 @@ versions (scipy's too when it is installed).  It exits 1 if a command
 fails or if a repeat writes files that differ in any byte from the
 first repeat's.  Stdlib only: the recorder itself imports nothing the
 timed commands pay for.
+
+Before the first timed command it byte-compiles each checkout's
+``src/`` with ``compileall``, so no timed command compiles: a checkout
+without ``__pycache__``, recorded under ``PYTHONDONTWRITEBYTECODE=1``,
+would otherwise recompile every module on every command.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import filecmp
 import hashlib
 import importlib.metadata
@@ -116,6 +122,9 @@ def record(checkouts: dict[str, Path], repeats: int, work: Path,
            keep: Path | None) -> dict[str, dict]:
     """Time every command ``repeats`` times per checkout, taking turns."""
     cmds = commands()
+    for root in checkouts.values():
+        if not compileall.compile_dir(root / "src", quiet=1):
+            raise SystemExit(f"error: cannot byte-compile {root / 'src'}")
     times = {label: {name: [] for name in cmds} for label in checkouts}
     pairs = list(checkouts.items())
     for rep in range(repeats):
