@@ -234,9 +234,10 @@ def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
     Frame ``f`` sees the blade pulses that start every period over one
     frame at phase ``frame_offsets_ms[f] % period``: pulse ``j`` starts
     at ``(k0 + j) * period - phase``, is clipped to the frame and
-    adds its overlap to every slot it touches.  All frames take pulse
-    ``j`` together and pulses are added in order, so each slot sums the
-    same terms in the same order as a walk over its frame's intervals.
+    adds its overlap to every slot it touches.  Pulses are taken in
+    order, each over the frames it reaches, so each slot sums the same
+    terms in the same order as a walk over its frame's intervals (a
+    pulse that misses a frame would add +0.0, which changes no sum).
     Slots blocked for exactly the erase threshold (blade edges on slot
     boundaries) are decided by this arithmetic, so it must not change.
     """
@@ -251,19 +252,23 @@ def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
     width = width[rows, None]
     phase = offsets[rows, None] % period
     k0 = np.floor((-phase - width) / period)
-    slot = np.arange(slots_per_frame)
-    lo = slot * slot_ms
-    total = np.zeros((rows.size, slots_per_frame))
     # k0 lies up to about 2 * phase / period pulses before the first one
     # that reaches the frame, so pulses past k0 + ceil((frame_ms + width)
     # / period) + 3 start after the frame ends; one more is slack for rounding
-    for j in range(int(np.max(np.ceil((frame_ms + width) / period))) + 4):
-        start = (k0 + j) * period - phase
-        stop = start + width
-        hit = (stop > 0.0) & (start < frame_ms)
-        start, stop = np.maximum(start, 0.0), np.minimum(stop, frame_ms)
-        touched = hit & (slot >= np.floor(start / slot_ms)) & (slot < np.ceil(stop / slot_ms))
-        overlap = np.minimum(stop, lo + slot_ms) - np.maximum(start, lo)
-        total += np.where(touched, overlap, 0.0)
+    n_pulses = int(np.max(np.ceil((frame_ms + width) / period))) + 4
+    start = (k0 + np.arange(n_pulses)) * period - phase   # (rows, pulses)
+    stop = start + width
+    hit = (stop > 0.0) & (start < frame_ms)
+    start, stop = np.maximum(start, 0.0), np.minimum(stop, frame_ms)
+    slot = np.arange(slots_per_frame)
+    lo = slot * slot_ms
+    total = np.zeros((rows.size, slots_per_frame))
+    for j in np.flatnonzero(hit.any(axis=0)).tolist():
+        # a pulse that reaches every frame is taken without a gather
+        reached = slice(None) if hit[:, j].all() else np.flatnonzero(hit[:, j])
+        first, last = start[reached, j][:, None], stop[reached, j][:, None]
+        touched = (slot >= np.floor(first / slot_ms)) & (slot < np.ceil(last / slot_ms))
+        overlap = np.minimum(last, lo + slot_ms) - np.maximum(first, lo)
+        total[reached] += np.where(touched, overlap, 0.0)
     blocked[rows] = total
     return blocked

@@ -9,7 +9,8 @@ timeline with each slot's rotor-blade blocked time into per-slot outcomes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -278,6 +279,10 @@ class SlotTable:
     def __len__(self) -> int:
         return len(self.slot_index)
 
+    def rows(self, start: int, stop: int) -> SlotTable:
+        """Rows ``start`` to ``stop`` as a table of views into this one."""
+        return SlotTable(*(getattr(self, f.name)[start:stop] for f in fields(self)))
+
 
 @dataclass(frozen=True)
 class FrameStats:
@@ -298,7 +303,7 @@ def simulate_frames(
     n_frames: int,
     blocked_ms: np.ndarray | None = None,
     mode: str = "mc",
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     erase_threshold: float = 0.5,
 ) -> SlotTable:
     """Simulate ``n_frames`` 10 ms frames at slot resolution.
@@ -314,6 +319,10 @@ def simulate_frames(
         order, in one binomial draw from a stream seeded with
         ``(seed, MC_STREAM_TAG)``; "expected" is deterministic and
         records the expected error count.
+    seed : an int, or a sequence of k ints.  With k seeds the frames
+        split into k equal runs, and run ``i`` draws from a stream of
+        its own seeded with ``(seed[i], MC_STREAM_TAG)``, exactly as a
+        call of its frames alone with ``seed[i]`` would.
     erase_threshold : fraction of a slot that must be blocked for the
         slot to be erased.  0 means any nonzero overlap erases.
 
@@ -325,6 +334,9 @@ def simulate_frames(
         raise ValueError("erase_threshold must be in [0, 1]")
     if n_frames < 0:
         raise ValueError("n_frames must be >= 0")
+    seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+    if not seeds or n_frames % len(seeds):
+        raise ValueError(f"{n_frames} frames do not split into {len(seeds)} equal runs")
 
     num = phy.numerology
     spf = num.slots_per_frame
@@ -353,11 +365,15 @@ def simulate_frames(
     ber = np.where(erased, 1.0, channel_ber)
     decode_prob = np.where(erased, 0.0, to_slots(frame_decode))
     if mode == "mc":
-        rng = np.random.default_rng(np.random.SeedSequence((seed, MC_STREAM_TAG)))
         bit_errors = np.full(n_slots, payload, dtype=np.int64)
         clear = ~erased
-        # one array draw gives the same values as one scalar draw per clear slot
-        bit_errors[clear] = rng.binomial(payload, channel_ber[clear])
+        # one array draw per run gives the same values as one scalar draw
+        # per clear slot; the reshapes are views, one row per run
+        shape = (len(seeds), -1)
+        for run_seed, errors, ok, p in zip(seeds, bit_errors.reshape(shape),
+                                           clear.reshape(shape), channel_ber.reshape(shape)):
+            rng = np.random.default_rng(np.random.SeedSequence((run_seed, MC_STREAM_TAG)))
+            errors[ok] = rng.binomial(payload, p[ok])
         decoded = clear & (bit_errors == 0)
     else:
         bit_errors = np.where(erased, payload, np.round(channel_ber * payload)).astype(np.int64)

@@ -355,8 +355,11 @@ def _number(value, field: str, kind=float):
 
     An ``int`` field takes whole numbers only: 41, 41.0 and "41" load,
     41.9 does not.  NaN and infinities, which ``json`` reads from
-    ``NaN`` and ``Infinity``, are rejected.
+    ``NaN`` and ``Infinity``, are rejected, and so are ``true`` and
+    ``false``, which Python would read as 1 and 0.
     """
+    if isinstance(value, bool):
+        raise ConfigError(f"expected a number, got {value!r}", field=field)
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):

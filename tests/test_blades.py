@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from blade_intervals import blocked_intervals
 from rwasim.blades import (
     BladeGeometry,
+    BladeSchedule,
     RotorSpec,
     blockage_arc,
     blocked_ms,
@@ -260,6 +262,69 @@ def test_slot_blocked_mean_tends_to_blocked_fraction(n_blades, rpm, fraction, sc
     run_ms = n_frames * FRAME_MS
     mean = float(np.mean(blocked / num.slot_ms))
     assert abs(mean - sched.blocked_ms / sched.period_ms) <= sched.blocked_ms / run_ms + 1e-9
+
+
+def _walk_blocked(schedules, offsets, slot_ms, slots_per_frame):
+    """Per-frame walk of ``blocked_intervals``: each slot sums its overlaps in pulse order."""
+    out = []
+    for sched, offset in zip(schedules, offsets):
+        blocked = [0.0] * slots_per_frame
+        phase = offset % sched.period_ms if sched.blocked_ms > 0.0 else 0.0
+        for start, stop in blocked_intervals(sched, slots_per_frame * slot_ms, phase):
+            last = min(math.ceil(stop / slot_ms), slots_per_frame)
+            for s in range(int(start / slot_ms), last):
+                lo = s * slot_ms
+                blocked[s] += min(stop, lo + slot_ms) - max(start, lo)
+        out.append(blocked)
+    return np.array(out)
+
+
+def _blade_schedule(n_blades, period, blocked):
+    rotation = n_blades * period
+    return BladeSchedule(n_blades, 360.0 / rotation, blocked, period - blocked, rotation,
+                         n_blades * (period - blocked))
+
+
+@st.composite
+def _slot_blocked_cases(draw):
+    num = NUMEROLOGIES[draw(st.sampled_from(sorted(NUMEROLOGIES)))]
+    n_frames = draw(st.integers(1, 8))
+    # on a half-slot grid the arithmetic is exact, so blade edges fall on
+    # slot boundaries; periods go down to 0.3 ms, where every pulse of a
+    # frame's span reaches every frame
+    aligned = draw(st.booleans())
+    grid = num.slot_ms / 2.0
+
+    def pick():
+        n_blades = draw(st.integers(1, 5))
+        if aligned:
+            units = draw(st.integers(1, 200))
+            return _blade_schedule(n_blades, units * grid, draw(st.integers(0, units)) * grid)
+        period = draw(st.one_of(st.floats(0.3, 2.0), st.floats(0.3, 200.0)))
+        return _blade_schedule(n_blades, period, period * draw(st.floats(0.0, 1.0)))
+
+    if draw(st.booleans()):
+        schedules = [pick()] * n_frames        # one schedule for every frame
+    else:
+        pool = [pick() for _ in range(draw(st.integers(1, 3)))]
+        schedules = [draw(st.sampled_from(pool)) for _ in range(n_frames)]
+    if aligned:
+        offsets = [draw(st.integers(0, 10**5)) * grid for _ in range(n_frames)]
+    else:
+        offsets = [draw(st.floats(0.0, 1e5)) for _ in range(n_frames)]
+    return num, schedules, offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_slot_blocked_cases())
+def test_slot_blocked_equals_per_frame_walk(case):
+    num, schedules, offsets = case
+    columnar = BladeSchedule(*(np.array([getattr(s, f.name) for s in schedules])
+                               for f in dataclasses.fields(BladeSchedule)))
+    got = slot_blocked_ms(columnar, offsets, num.slot_ms, num.slots_per_frame)
+    want = _walk_blocked(schedules, offsets, num.slot_ms, num.slots_per_frame)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
 
 
 def test_timeline_regeneration_threshold():

@@ -337,6 +337,41 @@ def test_simulation_deterministic_per_seed():
     assert not np.array_equal(a.bit_errors, c.bit_errors)
 
 
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+def test_seed_per_run_equals_one_call_per_run(mode):
+    # k seeds split the frames into k equal runs, each drawn from its own
+    # stream; seeds past 2**63 must not wrap
+    phy = _phy()
+    sched = build_schedule(RotorSpec(3, 0.5, 1280.0, 0.5, 0.5, 5.2), BladeGeometry(1.0, 20.0))
+    seeds = [0, 2**63, 2**64 + 3, 17]
+    per_run = 3
+    n_frames = per_run * len(seeds)
+    cnr = np.linspace(-3.0, 1.0, n_frames)  # every run draws bit errors
+    blocked = _blocked(sched, n_frames)
+    joint = simulate_frames(phy, cnr, n_frames, blocked, mode=mode, seed=seeds)
+    runs = [simulate_frames(phy, cnr[i * per_run:(i + 1) * per_run], per_run,
+                            blocked[i * per_run:(i + 1) * per_run], mode=mode, seed=seed)
+            for i, seed in enumerate(seeds)]
+    assert joint.erased.any()
+    assert all(run.bit_errors[~run.erased].any() for run in runs)
+    for col in ("erased", "bit_errors", "decoded"):
+        assert np.array_equal(getattr(joint, col),
+                              np.concatenate([getattr(run, col) for run in runs])), col
+    # one seed in a list is the same as the bare int
+    single = simulate_frames(phy, cnr, n_frames, blocked, mode=mode, seed=2**63)
+    assert np.array_equal(single.bit_errors,
+                          simulate_frames(phy, cnr, n_frames, blocked, mode=mode,
+                                          seed=[2**63]).bit_errors)
+
+
+def test_seeds_must_split_the_frames_evenly():
+    phy = _phy()
+    simulate_frames(phy, 3.0, 0, seed=[1, 2])
+    for n_frames, seeds in ((5, [1, 2]), (4, [])):
+        with pytest.raises(ValueError, match="equal runs"):
+            simulate_frames(phy, 3.0, n_frames, seed=seeds)
+
+
 def test_blocked_ms_must_be_frames_by_slots():
     phy = _phy()  # 20 slots per frame
     simulate_frames(phy, 40.0, 3, np.zeros((3, 20)))

@@ -3,22 +3,26 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rwasim.blades import REGEN_FRACTION, RotorSpec, blocked_ms, crossing, schedule
+from rwasim import pipeline
+from rwasim.blades import (REGEN_FRACTION, RotorSpec, blocked_ms, crossing, schedule,
+                           slot_blocked_ms)
 from rwasim.cli import main
 from rwasim.constants import EARTH_ROTATION_RATE
 from rwasim.errors import ConfigError
 from rwasim.linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain,
                                pointing_offset, rescale_cnr)
 from rwasim.orbit import AccessTimeline, build_access_timeline, circular_speed
-from rwasim.phy import FRAME_MS, Mcs, PhyConfig
+from rwasim.phy import FRAME_MS, Mcs, PhyConfig, aggregate, simulate_frames
 from rwasim.pipeline import (
     _CSV_CHUNK_ROWS,
     _write_csv,
@@ -612,6 +616,66 @@ def test_sweep_validation():
         sweep_cnr(_overhead_geo(), 0.0, 10.0, 0)
     with pytest.raises(ConfigError):
         sweep_cnr(_overhead_geo(), 10.0, 0.0, 5)
+    # a point of no frames has no BER to report
+    with pytest.raises(ConfigError) as err:
+        sweep_cnr(_overhead_geo(), 0.0, 10.0, 2, n_frames=0)
+    assert err.value.field == "n_frames"
+
+
+def _sweep_reference(spec, cnr_min, cnr_max, points, n_frames, seed, mode, access_step_s):
+    # one simulate_frames and aggregate call per grid point, point j with seed + j
+    num = spec.phy.numerology
+    access = build_access_timeline(spec, access_step_s)
+    mean_el = float(np.mean(access.elevation_deg[access.served]))
+    rotor = spec.aircraft.rotor
+    blocked = slot_blocked_ms(schedule(rotor, float(blocked_ms(rotor, mean_el))),
+                              np.arange(n_frames) * FRAME_MS, num.slot_ms, num.slots_per_frame)
+    rows = []
+    for j, cnr in enumerate(np.linspace(cnr_min, cnr_max, points).tolist()):
+        slots = simulate_frames(spec.phy, cnr, n_frames, blocked, mode=mode, seed=seed + j)
+        stats = aggregate(slots, n_frames * FRAME_MS, mode=mode)
+        rows.append((cnr, stats.ber, stats.data_rate_mbps))
+    return rows
+
+
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+@pytest.mark.parametrize("budget", [pipeline._SWEEP_SLOTS, 3 * 80 + 79, 1],
+                         ids=["one-group", "groups-of-three", "one-point-a-call"])
+def test_sweep_equals_one_simulation_per_point(mode, budget):
+    # scenario-7 has a rotor and 20 slots a frame, so a point is 80 slots;
+    # the seeds cross 2**63
+    spec = builtin_catalog().scenarios["scenario-7"]
+    seed = 2**63 - 3
+    want = _sweep_reference(spec, -5.0, 12.0, 7, 4, seed, mode, 60.0)
+    with mock.patch.object(pipeline, "_SWEEP_SLOTS", budget):
+        got = sweep_cnr(spec, -5.0, 12.0, 7, n_frames=4, seed=seed, mode=mode,
+                        access_step_s=60.0)
+    assert [row[0] for row in got] == [row[0] for row in want]
+    if mode == "mc":
+        assert got == want
+    else:
+        assert got == [pytest.approx(row, rel=1e-12, abs=0.0) for row in want]
+
+
+def _sweep_peak(spec, points):
+    tracemalloc.start()
+    try:
+        rows = sweep_cnr(spec, -5.0, 20.0, points, n_frames=20, access_step_s=60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == points
+    return peak
+
+
+def test_sweep_memory_is_bounded():
+    # scenario-19 has 80 slots a frame, so 200 points of 20 frames are
+    # 320,000 slots, about 40 times the budget of 2**13 slots a group.  A
+    # group's table and temporaries stay under 160 bytes a slot, so the
+    # long sweep peaks no higher than one point plus that.
+    spec = builtin_catalog().scenarios["scenario-19"]
+    sweep_cnr(spec, -5.0, 20.0, 1, n_frames=20, access_step_s=60.0)  # warm-up
+    assert _sweep_peak(spec, 200) < _sweep_peak(spec, 1) + 160 * 2**13
 
 
 def test_sweep_csv_format(tmp_path):
@@ -759,6 +823,13 @@ def test_cli_bad_number_is_argument_error(tmp_path, capsys, argv, message):
         main(argv + ["--scenario", "scenario-7", "--out", str(tmp_path / "out")])
     assert exit_.value.code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_of_no_frames_is_config_error(tmp_path, capsys):
+    assert main(["sweep", "--scenario", "scenario-7", "--cnr-min", "0", "--cnr-max", "10",
+                 "--points", "2", "--frames", "0", "--out", str(tmp_path / "out")]) == 2
+    assert "error: n_frames:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -569,6 +569,15 @@ def test_nan_fails_range_checks(owner, field):
     ("scenario", "aircraft", ["UAV-1"], "aircraft"),
     ("scenario", "constellation", {"LEO-2": 1}, "constellation"),
     ("mcs", "modulation", ["QPSK"], "modulation"),
+    # JSON true and false are not the numbers 1 and 0
+    ("scenario", "margin_db", True, "margin_db"),
+    ("aircraft", "max_gain_dbi", False, "max_gain_dbi"),
+    ("mcs", "code_rate", True, "code_rate"),
+    ("constellation", "sats_per_plane", True, "sats_per_plane"),
+    ("aircraft", "beamwidth_deg", [1.0, True], "beamwidth_deg"),
+    ("constellation", "inclination_deg", True, "inclination_deg"),
+    ("constellation", "raan_deg", {"spacing_deg": 30.0, "start_deg": False}, "start_deg"),
+    ("scenario", "rain_profile", [[0.0, True]], "rain_profile"),
 ])
 def test_non_numeric_values_are_config_errors(where, key, value, field):
     doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])
