@@ -11,7 +11,7 @@ representative attenuation levels, not forecast accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,23 +79,6 @@ class LossModel:
                 f"(have {sorted(self.bands)})",
                 field="band",
             ) from None
-
-    def with_overrides(self, overrides: dict) -> "LossModel":
-        """New model with scalar fields and/or band entries replaced."""
-        bands = dict(self.bands)
-        for name, params in overrides.get("bands", {}).items():
-            base = bands.get(name, BandAtmosphere(0.0, 0.0, 0.0, 1.0))
-            bands[name] = _replace_known(base, params)
-        scalars = {k: v for k, v in overrides.items() if k != "bands"}
-        return _replace_known(self, {**scalars, "bands": bands})
-
-
-def _replace_known(obj, changes: dict):
-    """``dataclasses.replace`` that names an unknown key in a ConfigError."""
-    unknown = sorted(set(changes) - {f.name for f in fields(obj)})
-    if unknown:
-        raise ConfigError(f"unknown loss-model key(s) {unknown}", field=unknown[0])
-    return replace(obj, **changes)
 
 
 def atmospheric_loss(model: LossModel, band: str, elevation_deg, rain_rate_mmh=0.0):

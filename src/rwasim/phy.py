@@ -27,6 +27,9 @@ MODULATION_ORDER = {"QPSK": 2, "16QAM": 4, "64QAM": 6}
 # fixed, so a run's draws depend on its seed alone.
 MC_STREAM_TAG = 0x6D63
 
+# A slot is erased when rotor blades block at least this fraction of it.
+ERASE_THRESHOLD = 0.5
+
 
 # === frame structure ===
 
@@ -132,6 +135,12 @@ class PhyConfig:
     mcs: Mcs
     ntn_band: str | None = None
     overhead: float = 0.0              # fraction of REs lost to control
+
+    def __post_init__(self) -> None:
+        if not self.carrier_ghz > 0.0:  # NaN fails too
+            raise ConfigError("carrier_ghz must be > 0", field="carrier_ghz")
+        if not 0.0 <= self.overhead <= 1.0:
+            raise ConfigError("overhead must be in [0, 1]", field="overhead")
 
     @property
     def numerology(self) -> Numerology:
@@ -304,7 +313,6 @@ def simulate_frames(
     blocked_ms: np.ndarray | None = None,
     mode: str = "mc",
     seed: int | Sequence[int] = 0,
-    erase_threshold: float = 0.5,
 ) -> SlotTable:
     """Simulate ``n_frames`` 10 ms frames at slot resolution.
 
@@ -315,6 +323,8 @@ def simulate_frames(
     blocked_ms : rotor-blade blocked time (ms) of every slot, as a
         (``n_frames``, slots per frame) array, for example from
         :func:`rwasim.blades.slot_blocked_ms`.  None means no rotor.
+        A slot blocked for ``ERASE_THRESHOLD`` of its length or more is
+        erased.
     mode : "mc" draws the bit errors of every clear slot, in slot
         order, in one binomial draw from a stream seeded with
         ``(seed, MC_STREAM_TAG)``; "expected" is deterministic and
@@ -323,15 +333,11 @@ def simulate_frames(
         split into k equal runs, and run ``i`` draws from a stream of
         its own seeded with ``(seed[i], MC_STREAM_TAG)``, exactly as a
         call of its frames alone with ``seed[i]`` would.
-    erase_threshold : fraction of a slot that must be blocked for the
-        slot to be erased.  0 means any nonzero overlap erases.
 
     Returns the per-slot outcomes as a :class:`SlotTable` in slot order.
     """
     if mode not in ("mc", "expected"):
         raise ValueError("mode must be 'mc' or 'expected'")
-    if not 0.0 <= erase_threshold <= 1.0:
-        raise ValueError("erase_threshold must be in [0, 1]")
     if n_frames < 0:
         raise ValueError("n_frames must be >= 0")
     seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
@@ -357,9 +363,7 @@ def simulate_frames(
     blocked = np.zeros((n_frames, spf)) if blocked_ms is None else np.asarray(blocked_ms, float)
     if blocked.shape != (n_frames, spf):
         raise ValueError(f"blocked_ms must have shape ({n_frames}, {spf}), got {blocked.shape}")
-    # an unblocked slot is never erased, even where the threshold is 0 or
-    # so small that erase_threshold * slot_ms underflows to 0
-    erased = ((blocked > 0.0) & (blocked >= erase_threshold * num.slot_ms)).ravel()
+    erased = (blocked >= ERASE_THRESHOLD * num.slot_ms).ravel()
 
     channel_ber = to_slots(frame_ber)
     ber = np.where(erased, 1.0, channel_ber)

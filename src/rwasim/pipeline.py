@@ -135,6 +135,16 @@ def blade_overlay(
 
 # === reports ===
 
+def _served(scenario: ScenarioSpec, access: AccessTimeline) -> np.ndarray:
+    """The served-sample mask; a RuntimeError when no sample is served."""
+    served = access.served
+    if not np.any(served):
+        raise RuntimeError(
+            f"scenario {scenario.id}: no satellite above "
+            f"{access.threshold_deg} deg at any sample; nothing to report")
+    return served
+
+
 def _stats(values: np.ndarray) -> dict:
     return {
         "min": float(np.min(values)),
@@ -171,11 +181,7 @@ def build_report(
     Every number is recomputable from the CSV exports; geometry and
     link statistics cover served samples only.
     """
-    served = access.served
-    if not np.any(served):
-        raise RuntimeError(
-            f"scenario {scenario.id}: no satellite above "
-            f"{access.threshold_deg} deg at any sample; nothing to report")
+    served = _served(scenario, access)
     report = {
         "scenario_id": scenario.id,
         "seed": seed,
@@ -397,10 +403,11 @@ def sweep_cnr(
 
     The scenario contributes its PHY settings and a representative
     blade schedule (taken at the mean served elevation of a coarse
-    access pass); each grid point runs ``n_frames`` frames at constant
-    CNR, and grid point ``j`` draws with seed ``seed + j``.  Points are
-    simulated in groups of up to ``_SWEEP_SLOTS`` slots, one slot table
-    per group.  Returns (cnr_db, ber, data_rate_mbps) rows.
+    access pass; a RuntimeError when a rotor's pass serves no sample);
+    each grid point runs ``n_frames`` frames at constant CNR, and grid
+    point ``j`` draws with seed ``seed + j``.  Points are simulated in
+    groups of up to ``_SWEEP_SLOTS`` slots, one slot table per group.
+    Returns (cnr_db, ber, data_rate_mbps) rows.
     """
     if points < 1:
         raise ConfigError("points must be >= 1", field="points")
@@ -413,12 +420,10 @@ def sweep_cnr(
     rotor = scenario.aircraft.rotor
     if rotor is not None:
         access = build_access_timeline(scenario, access_step_s)
-        served = access.served
-        if np.any(served):
-            mean_el = float(np.mean(access.elevation_deg[served]))
-            schedule = bl.schedule(rotor, float(bl.blocked_ms(rotor, mean_el)))
-            blocked = bl.slot_blocked_ms(schedule, np.arange(n_frames) * FRAME_MS,
-                                         num.slot_ms, num.slots_per_frame)
+        mean_el = float(np.mean(access.elevation_deg[_served(scenario, access)]))
+        schedule = bl.schedule(rotor, float(bl.blocked_ms(rotor, mean_el)))
+        blocked = bl.slot_blocked_ms(schedule, np.arange(n_frames) * FRAME_MS,
+                                     num.slot_ms, num.slots_per_frame)
     grid = np.linspace(cnr_min_db, cnr_max_db, points)
     point_slots = n_frames * num.slots_per_frame
     group = max(1, _SWEEP_SLOTS // point_slots)

@@ -26,12 +26,11 @@ import numpy as np
 from .blades import RotorSpec
 from .constants import EARTH_RADIUS
 from .errors import ConfigError, ScenarioFormatError, UnknownReferenceError
-from .linkbudget import LossModel
+from .linkbudget import DEFAULT_BAND_ATMOSPHERE, BandAtmosphere, LossModel
 from .phy import PhyConfig, validate_channel
 
 BANDS = ("S", "Ku", "Ka")
 DIRECTIONS = ("uplink", "downlink")
-ANTENNA_POSITIONS = ("main_body", "under_blades")
 
 # degrees of latitude per km on the spherical Earth
 _DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS)
@@ -42,6 +41,10 @@ _DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS)
 @dataclass(frozen=True)
 class AircraftSpec:
     """An aircraft terminal: airframe, antenna and radio front end.
+
+    A ``rotor`` puts the antenna under the blades; without one it sits
+    on the main body.  ``band`` is the link band and picks the
+    constellation's payload.
 
     ``tx_power_dbw`` and ``rx_gain_over_t_dbk`` are calibration inputs:
     the terminals in the built-in catalog carry values back-solved from
@@ -54,7 +57,6 @@ class AircraftSpec:
     bandwidth_mhz: float
     beamwidth_deg: tuple[float, float]  # (min, max); equal for a fixed width
     max_gain_dbi: float
-    position: str                       # main_body or under_blades
     tx_power_dbw: float | None = None
     rx_noise_temp_k: float = 400.0
     rx_gain_over_t_dbk: float | None = None
@@ -66,11 +68,6 @@ class AircraftSpec:
         if self.band not in BANDS:
             raise ConfigError(f"unknown band {self.band!r} (choose from {BANDS})",
                               field="band")
-        if self.position not in ANTENNA_POSITIONS:
-            raise ConfigError(
-                f"unknown antenna position {self.position!r} "
-                f"(choose from {ANTENNA_POSITIONS})",
-                field="position")
         if self.bandwidth_mhz <= 0:
             raise ConfigError("bandwidth_mhz must be > 0", field="bandwidth_mhz")
         lo, hi = self.beamwidth_deg
@@ -79,10 +76,6 @@ class AircraftSpec:
                               field="beamwidth_deg")
         if self.rx_noise_temp_k <= 0:
             raise ConfigError("rx_noise_temp_k must be > 0", field="rx_noise_temp_k")
-        if (self.position == "under_blades") != (self.rotor is not None):
-            raise ConfigError(
-                "a rotor spec is required exactly when the antenna sits "
-                "under the blades", field="rotor")
 
     @property
     def beamwidth_mid_deg(self) -> float:
@@ -108,16 +101,10 @@ class AircraftSpec:
 
 @dataclass(frozen=True)
 class RfPayloadSpec:
-    """One satellite communications payload (per band)."""
+    """One satellite communications payload, keyed by its band in a constellation."""
 
-    band: str
     beam_eirp_dbw: float
     gain_over_t_dbk: float
-
-    def __post_init__(self) -> None:
-        if self.band not in BANDS:
-            raise ConfigError(f"unknown band {self.band!r} (choose from {BANDS})",
-                              field="band")
 
 
 @dataclass(frozen=True)
@@ -237,6 +224,8 @@ def loiter_route(
         raise ConfigError("radius_km and speed_ms must be > 0", field="flight")
     if not duration_s >= 0:
         raise ConfigError("duration must be >= 0", field="flight")
+    if not waypoint_interval_s > 0:
+        raise ConfigError("waypoint_interval_s must be > 0", field="waypoint_interval_s")
     omega = (speed_ms / 1000.0) / radius_km  # rad/s along the circle
     n = max(1, math.ceil(duration_s / waypoint_interval_s)) + 1
     times = np.arange(n) * waypoint_interval_s
@@ -260,7 +249,6 @@ class ScenarioSpec:
     aircraft: AircraftSpec
     constellation: ConstellationSpec
     direction: str                      # uplink or downlink
-    band: str
     duration_s: float
     route: FlightRoute
     phy: PhyConfig
@@ -286,10 +274,6 @@ class ScenarioSpec:
             # a negative margin would acquire below the mask, to drop it a step later
             raise ConfigError("handover_hysteresis_deg must be finite and >= 0",
                               field="handover_hysteresis_deg")
-        if self.band != self.aircraft.band:
-            raise ConfigError(
-                f"scenario band {self.band} but aircraft antenna is "
-                f"{self.aircraft.band}", field="band")
         if self.band not in self.constellation.payloads:
             raise ConfigError(
                 f"constellation {self.constellation.name} has no {self.band} "
@@ -316,6 +300,11 @@ class ScenarioSpec:
             raise ConfigError(
                 f"aircraft channel is {self.aircraft.bandwidth_mhz} MHz but the "
                 f"PHY carries {self.phy.bandwidth_mhz} MHz", field="bandwidth_mhz")
+
+    @property
+    def band(self) -> str:
+        """The link band: the aircraft antenna's."""
+        return self.aircraft.band
 
     @property
     def payload(self) -> RfPayloadSpec:
@@ -436,27 +425,19 @@ def _rows(value, width: int, field: str) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(_number(x, field) for x in row) for row in value)
 
 
-def _beamwidth(value) -> tuple[float, float]:
+def _numbers(value, n: int, key: str) -> tuple[float, ...]:
+    """A number repeated ``n`` times, or a list of ``n`` numbers, as a tuple."""
     if isinstance(value, (int, float)):
-        return (_number(value, "beamwidth_deg"),) * 2
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (_number(value[0], "beamwidth_deg"), _number(value[1], "beamwidth_deg"))
-    raise ConfigError("beamwidth_deg must be a number or [min, max]",
-                      field="beamwidth_deg")
+        return (_number(value, key),) * n
+    if isinstance(value, (list, tuple)) and len(value) == n:
+        return tuple(_number(v, key) for v in value)
+    raise ConfigError(f"must be a number or a list of {n} numbers", field=key)
 
 
 def _parse_aircraft(name: str, obj: dict) -> AircraftSpec:
     return _build(AircraftSpec, obj, name, name=name,
-                  beamwidth_deg=_beamwidth(_require(obj, "beamwidth_deg", name)))
-
-
-def _per_plane(value, planes: int, key: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (_number(value, key),) * planes
-    if isinstance(value, (list, tuple)) and len(value) == planes:
-        return tuple(_number(v, key) for v in value)
-    raise ConfigError(f"must be a number or a list with one entry per plane",
-                      field=key)
+                  beamwidth_deg=_numbers(_require(obj, "beamwidth_deg", name),
+                                         2, "beamwidth_deg"))
 
 
 def _parse_raans(value, planes: int) -> tuple[float, ...]:
@@ -479,13 +460,12 @@ def _parse_raans(value, planes: int) -> tuple[float, ...]:
 
 def _parse_constellation(name: str, obj: dict) -> ConstellationSpec:
     planes = _require(obj, "planes", name, int)
-    payloads = {band: _build(RfPayloadSpec, _object(p, "payloads"), f"payload {band}",
-                             band=band)
+    payloads = {band: _build(RfPayloadSpec, _object(p, "payloads"), f"payload {band}")
                 for band, p in _object(_require(obj, "payloads", name), "payloads").items()}
     return _build(
         ConstellationSpec, obj, name, name=name, planes=planes, payloads=payloads,
-        inclinations_deg=_per_plane(_require(obj, "inclination_deg", name),
-                                    planes, "inclination_deg"),
+        inclinations_deg=_numbers(_require(obj, "inclination_deg", name),
+                                  planes, "inclination_deg"),
         raans_deg=_parse_raans(obj.get("raan_deg", 0.0), planes),
     )
 
@@ -508,15 +488,20 @@ def _parse_route(obj: dict, scenario_id: str) -> FlightRoute:
 
 
 def _parse_loss_model(obj: dict | None) -> LossModel:
+    """The default model with the keys of ``obj`` replaced; an unknown key is a ConfigError."""
     if obj is None:
         return LossModel()
-    overrides = {k: _number(v, k) for k, v in _object(obj, "loss_model").items()
-                 if k != "bands"}
-    if "bands" in obj:
-        overrides["bands"] = {name: {k: _number(v, k)
-                                     for k, v in _object(params, "bands").items()}
-                              for name, params in _object(obj["bands"], "bands").items()}
-    return LossModel().with_overrides(overrides)
+    bands = {name: _object(params, "bands") for name, params
+             in _object(_object(obj, "loss_model").get("bands", {}), "bands").items()}
+    unknown = sorted(set(obj) - {f.name for f in fields(LossModel)}) + sorted(
+        set().union(*bands.values()) - {f.name for f in fields(BandAtmosphere)})
+    if unknown:
+        raise ConfigError(f"unknown loss-model key(s) {unknown}", field=unknown[0])
+    # a band entry replaces the coefficients it names; a new band starts with no attenuation
+    for name, params in bands.items():
+        base = DEFAULT_BAND_ATMOSPHERE.get(name, BandAtmosphere(0.0, 0.0, 0.0, 1.0))
+        bands[name] = _build(BandAtmosphere, {**_plain(base), **params}, f"bands.{name}")
+    return _build(LossModel, obj, "loss_model", bands={**DEFAULT_BAND_ATMOSPHERE, **bands})
 
 
 def _parse_scenario(obj: dict, catalog_aircraft: dict, catalog_constellations: dict) -> ScenarioSpec:
@@ -636,7 +621,7 @@ def serialize_scenario(s: ScenarioSpec) -> dict:
         "constellations": {c.name: _plain(
             c, "name", "inclinations_deg", "raans_deg",
             inclination_deg=list(c.inclinations_deg), raan_deg=list(c.raans_deg),
-            payloads={band: _plain(p, "band") for band, p in c.payloads.items()})},
+            payloads={band: _plain(p) for band, p in c.payloads.items()})},
         "scenarios": [_plain(
             s, "duration_s", "route", aircraft=a.name, constellation=c.name,
             duration_h=s.duration_s / 3600.0,

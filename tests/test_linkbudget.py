@@ -75,16 +75,6 @@ def test_unknown_band_rejected():
         atmospheric_loss(MODEL, "X", 40.0)
 
 
-def test_loss_model_overrides():
-    custom = MODEL.with_overrides(
-        {"rain_height_km": 4.0, "bands": {"Ka": {"rain_k": 0.2}}})
-    assert custom.rain_height_km == 4.0
-    assert custom.band("Ka").rain_k == 0.2
-    # untouched values survive
-    assert custom.band("Ka").zenith_gas_db == MODEL.band("Ka").zenith_gas_db
-    assert custom.band("S") == MODEL.band("S")
-
-
 def _total_loss(band, distance_km, frequency_ghz, el, rain_rate_mmh=0.0):
     """Free-space plus atmospheric loss, summed as the link timeline does."""
     gas, cloud, rain = atmospheric_loss(MODEL, band, el, rain_rate_mmh)

@@ -291,20 +291,14 @@ def test_full_blockage_erases_everything():
 
 
 def test_erase_threshold_zero_any_overlap():
-    # a blockage covering 40% of one slot: majority rule keeps the slot,
-    # any-overlap mode erases it
+    # a blockage covering 40% of one slot: the majority rule keeps the slot
     rpm = 360.0 / (0.006 * 1 * 100.0)  # single blade, 100 ms period
     rotor = RotorSpec(1, 0.1, rpm, 1.0, 0.5, 5.0)
     sched = build_schedule(rotor, BladeGeometry(1.0, 0.2 * rotor.rate_deg_per_ms))
-    majority = simulate_frames(_phy(), 40.0, 1, _blocked(sched, 1), mode="expected")
+    blocked = _blocked(sched, 1)
+    assert 0.0 < blocked[0, 0] < 0.5 * _phy().numerology.slot_ms
+    majority = simulate_frames(_phy(), 40.0, 1, blocked, mode="expected")
     assert not majority.erased.any()
-    any_overlap = simulate_frames(_phy(), 40.0, 1, _blocked(sched, 1),
-                                  mode="expected", erase_threshold=0.0)
-    assert any_overlap.erased[0] and not any_overlap.erased[1:].any()
-    # a threshold whose ms value underflows to 0 still erases only blocked slots
-    tiny = simulate_frames(_phy(), 40.0, 1, _blocked(sched, 1),
-                           mode="expected", erase_threshold=5e-324)
-    assert np.array_equal(tiny.erased, any_overlap.erased)
 
 
 def test_slot_loss_converges_to_duty_cycle():
@@ -449,7 +443,7 @@ def test_aggregate_ber_monotone_in_cnr():
     assert all(a >= b for a, b in zip(bers, bers[1:]))
 
 
-def _reference_slots(phy, cnr_frames, schedules, offsets, mode, seed, threshold):
+def _reference_slots(phy, cnr_frames, schedules, offsets, mode, seed):
     """(erased, bit_errors) per slot, walking each frame's blade intervals.
 
     In "mc" mode every clear slot draws one scalar, in slot order, from
@@ -470,7 +464,7 @@ def _reference_slots(phy, cnr_frames, schedules, offsets, mode, seed, threshold)
                     blocked[s] += min(stop, lo + num.slot_ms) - max(start, lo)
         p = float(awgn_ber(phy.mcs, cnr_frames[f]))
         for b in blocked:
-            gone = b > 0.0 and b >= threshold * num.slot_ms
+            gone = b >= 0.5 * num.slot_ms  # majority rule
             erased.append(gone)
             if gone:
                 errors.append(payload)
@@ -517,8 +511,7 @@ def _slot_cases(draw):
         phy=phy, schedules=schedules, offsets=offsets,
         cnr_frames=[draw(st.floats(-5.0, 15.0)) for _ in range(n_frames)],
         mode=draw(st.sampled_from(["mc", "expected"])),
-        seed=draw(st.integers(0, 2**32)),
-        threshold=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))))
+        seed=draw(st.integers(0, 2**32)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -533,8 +526,7 @@ def test_slot_table_matches_per_frame_reference(case):
                                for f in dataclasses.fields(BladeSchedule)))
     blocked = slot_blocked_ms(columnar, case["offsets"], num.slot_ms, num.slots_per_frame)
     slots = simulate_frames(phy, np.array(case["cnr_frames"]), n_frames, blocked,
-                            mode=case["mode"], seed=case["seed"],
-                            erase_threshold=case["threshold"])
+                            mode=case["mode"], seed=case["seed"])
     erased, errors = _reference_slots(**case)
     assert slots.erased.tolist() == erased
     assert slots.bit_errors.tolist() == errors

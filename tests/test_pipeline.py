@@ -63,7 +63,7 @@ def _overhead_geo(gain_over_t=22.0, lon=5.0, threshold=10.0, duration=60.0,
     flight: access is 100 %, there are no handovers, and the link
     barely moves -- a controllable fixture for output-format tests.
     """
-    payload = RfPayloadSpec(band="S", beam_eirp_dbw=40.0, gain_over_t_dbk=gain_over_t)
+    payload = RfPayloadSpec(beam_eirp_dbw=40.0, gain_over_t_dbk=gain_over_t)
     constellation = ConstellationSpec(
         name="GEO-S", altitude_km=35786.0, planes=1, inclinations_deg=(6.0,),
         raans_deg=(20.0,), sats_per_plane=1,
@@ -71,12 +71,12 @@ def _overhead_geo(gain_over_t=22.0, lon=5.0, threshold=10.0, duration=60.0,
     aircraft = AircraftSpec(
         name="testbed", steerable=True, band="S",
         bandwidth_mhz=5.0, beamwidth_deg=(60.0, 60.0), max_gain_dbi=6.0,
-        position="main_body", tx_power_dbw=10.0)
+        tx_power_dbw=10.0)
     route = FlightRoute(((0.0, 0.0, lon, 100.0),
                          (duration + 60.0, 0.0, lon, 100.0)))
     base = dict(
         id="geo-overhead", aircraft=aircraft, constellation=constellation,
-        direction="uplink", band="S", duration_s=duration, route=route,
+        direction="uplink", duration_s=duration, route=route,
         phy=PhyConfig(carrier_ghz=2.0, bandwidth_mhz=5.0, scs_khz=15,
                       n_rb=25, mcs=Mcs("QPSK", 0.5)),
         handover_threshold_deg=threshold)
@@ -347,8 +347,7 @@ def _link_cases(draw):
     aircraft = replace(
         base.aircraft, steerable=draw(st.booleans()),
         boresight_elevation_deg=draw(st.floats(0.0, 90.0)),
-        boresight_azimuth_deg=draw(st.floats(0.0, 360.0)),
-        position="main_body" if rotor is None else "under_blades", rotor=rotor)
+        boresight_azimuth_deg=draw(st.floats(0.0, 360.0)), rotor=rotor)
     directions = ["downlink"] + (["uplink"] if aircraft.tx_power_dbw is not None else [])
     # rain steps land on sample times, between them, and share start times
     starts = sorted(draw(st.lists(st.one_of(st.sampled_from(list(times) or [0.0]),
@@ -760,12 +759,30 @@ def test_cli_unknown_scenario_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_invalid_scenario_file_is_config_error(tmp_path, capsys):
+_LOITER = {"type": "loiter", "center_lat_deg": 0.0, "center_lon_deg": 5.0,
+           "altitude_m": 100.0, "radius_km": 1.0, "speed_ms": 20.0}
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc["aircraft"]["testbed"].update(band="X"), "band"),
+    (lambda doc: doc["scenarios"][0]["phy"].update(overhead=2.0), "overhead"),
+    (lambda doc: doc["scenarios"][0]["phy"].update(overhead=-0.5), "overhead"),
+    # the fixture's PHY has no NTN band, so no band range checks the carrier
+    (lambda doc: doc["scenarios"][0]["phy"].update(carrier_ghz=0), "carrier_ghz"),
+    (lambda doc: doc["scenarios"][0]["phy"].update(carrier_ghz=-2.0), "carrier_ghz"),
+    (lambda doc: doc["scenarios"][0].update(flight={**_LOITER, "waypoint_interval_s": 0}),
+     "waypoint_interval_s"),
+    (lambda doc: doc["scenarios"][0].update(flight={**_LOITER, "waypoint_interval_s": -5}),
+     "waypoint_interval_s"),
+], ids=["band-X", "overhead-2", "overhead-negative", "carrier-zero", "carrier-negative",
+        "interval-zero", "interval-negative"])
+def test_cli_invalid_scenario_file_is_config_error(tmp_path, capsys, edit, field):
     doc = serialize_scenario(_overhead_geo())
-    doc["scenarios"][0]["band"] = "Ka"       # antenna is S band: must fail
+    edit(doc)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
-    assert main(["run", "--scenario", str(path)]) == 2
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
 
 
 def test_cli_misspelled_loss_model_key_is_config_error(tmp_path, capsys):
@@ -838,6 +855,17 @@ def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
     assert main(["run", "--scenario", token, "--step", "10",
                  "--out", str(tmp_path / "out")]) == 3
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_cli_sweep_without_service_is_exit_3(tmp_path, capsys):
+    # without a served sample there is no elevation to lay the rotor's blades at
+    spec = _overhead_geo(lon=180.0)
+    rotor = builtin_catalog().aircraft["HELI-Ku"].rotor
+    token = _scenario_file(tmp_path, replace(spec, aircraft=replace(spec.aircraft, rotor=rotor)))
+    assert main(["sweep", "--scenario", token, "--cnr-min", "30", "--cnr-max", "30",
+                 "--points", "1", "--frames", "5", "--out", str(tmp_path / "out")]) == 3
+    assert "runtime error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "geo-overhead" / "sweep.csv").exists()
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):

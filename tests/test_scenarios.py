@@ -74,7 +74,6 @@ def test_builtin_aircraft_spot_checks():
     uav2 = cat.aircraft["UAV-2"]
     assert uav2.band == "S"
     assert uav2.max_gain_dbi == 5.15
-    assert uav2.position == "under_blades"
     assert uav2.rotor is not None and uav2.rotor.n_blades == 3
     uam = cat.aircraft["UAM"]
     assert uam.steerable
@@ -113,7 +112,6 @@ def _aircraft(**overrides) -> AircraftSpec:
         bandwidth_mhz=5.0,
         beamwidth_deg=(60.0, 60.0),
         max_gain_dbi=6.0,
-        position="main_body",
         tx_power_dbw=10.0,
     )
     base.update(overrides)
@@ -148,8 +146,6 @@ def test_aircraft_validation():
     with pytest.raises(ConfigError):
         _aircraft(band="X")
     with pytest.raises(ConfigError):
-        _aircraft(position="tail")
-    with pytest.raises(ConfigError):
         _aircraft(bandwidth_mhz=0.0)
     with pytest.raises(ConfigError):
         _aircraft(beamwidth_deg=(10.0, 5.0))
@@ -157,19 +153,15 @@ def test_aircraft_validation():
         _aircraft(rx_noise_temp_k=-1.0)
 
 
-def test_rotor_required_exactly_under_blades():
-    uav2 = builtin_catalog().aircraft["UAV-2"]
-    with pytest.raises(ConfigError):
-        _aircraft(position="under_blades")          # no rotor given
-    with pytest.raises(ConfigError):
-        _aircraft(rotor=uav2.rotor)                 # rotor on a main_body mount
-
-
 def test_payload_validation():
-    good = dict(band="S", beam_eirp_dbw=8.0, gain_over_t_dbk=-21.0)
-    RfPayloadSpec(**good)
-    with pytest.raises(ConfigError):
-        RfPayloadSpec(**{**good, "band": "L"})
+    # a payload's band is its key in the constellation, which checks it
+    payload = RfPayloadSpec(beam_eirp_dbw=8.0, gain_over_t_dbk=-21.0)
+    good = dict(name="t", altitude_km=720.0, planes=1, inclinations_deg=(53.0,),
+                raans_deg=(0.0,), sats_per_plane=1)
+    ConstellationSpec(**good, payloads={"S": payload})
+    with pytest.raises(ConfigError) as err:
+        ConstellationSpec(**good, payloads={"L": payload})
+    assert err.value.field == "payloads"
 
 
 def test_constellation_validation():
@@ -257,6 +249,10 @@ def test_loiter_validation():
         loiter_route(50.0, 15.0, 400.0, 8.0, -1.0, 600.0)
     with pytest.raises(ConfigError):
         loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, -600.0)
+    for interval in (0.0, -5.0, math.nan):
+        with pytest.raises(ConfigError) as err:
+            loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, 600.0, waypoint_interval_s=interval)
+        assert err.value.field == "waypoint_interval_s"
 
 
 @pytest.mark.parametrize("radius, speed, duration, message", [
@@ -294,7 +290,7 @@ _PHY = PhyConfig(carrier_ghz=2.0, bandwidth_mhz=5.0, scs_khz=15, n_rb=25,
 
 
 def _scenario(**overrides) -> ScenarioSpec:
-    payload = RfPayloadSpec(band="S", beam_eirp_dbw=8.0, gain_over_t_dbk=-21.0)
+    payload = RfPayloadSpec(beam_eirp_dbw=8.0, gain_over_t_dbk=-21.0)
     base = dict(
         id="unit",
         aircraft=_aircraft(),
@@ -303,7 +299,6 @@ def _scenario(**overrides) -> ScenarioSpec:
             inclinations_deg=(53.0,), raans_deg=(0.0,), sats_per_plane=1,
             payloads={"S": payload}),
         direction="uplink",
-        band="S",
         duration_s=600.0,
         route=FlightRoute(((0.0, 50.0, 10.0, 100.0), (600.0, 50.1, 10.0, 100.0))),
         phy=_PHY,
@@ -315,7 +310,8 @@ def _scenario(**overrides) -> ScenarioSpec:
 
 def test_scenario_accepts_consistent_config():
     s = _scenario()
-    assert s.payload.band == "S"
+    assert s.band == "S"
+    assert s.payload is s.constellation.payloads["S"]
     assert s.handover_hysteresis_deg == 0.5
 
 
@@ -334,15 +330,10 @@ def test_scenario_rejects_threshold_at_zenith():
         _scenario(handover_threshold_deg=90.0)
 
 
-def test_scenario_rejects_band_mismatch_with_antenna():
-    with pytest.raises(ConfigError, match="band"):
-        _scenario(band="Ka")
-
-
 def test_scenario_rejects_missing_satellite_payload():
     ku_aircraft = _aircraft(band="Ku")
     with pytest.raises(ConfigError, match="payload"):
-        _scenario(aircraft=ku_aircraft, band="Ku")
+        _scenario(aircraft=ku_aircraft)
 
 
 def test_uplink_needs_tx_power():
@@ -426,12 +417,15 @@ def test_serialize_round_trips_builtins(sid):
 
 
 def test_documents_with_unread_keys_still_load():
-    # constellation pattern, payload antenna_type/beams/hpbw_deg and aircraft
-    # antenna_type are no longer part of the schema; old documents carry them
+    # constellation pattern, payload antenna_type/beams/hpbw_deg, aircraft
+    # antenna_type/position and scenario band are no longer part of the
+    # schema; old documents carry them
     spec = builtin_catalog().scenarios["scenario-11"]
     doc = serialize_scenario(spec)
+    doc["scenarios"][0]["band"] = "Ka"
     for aircraft in doc["aircraft"].values():
-        aircraft["antenna_type"] = "phased array"
+        aircraft.update(antenna_type="phased array",
+                        position="under_blades" if "rotor" in aircraft else "main_body")
     for constellation in doc["constellations"].values():
         constellation["pattern"] = "star"
         for payload in constellation["payloads"].values():
@@ -495,6 +489,20 @@ def test_loss_model_overrides_are_validated(override, field):
     assert err.value.field == field
 
 
+def test_loss_model_overrides():
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])
+    doc["scenarios"][0]["loss_model"] = {
+        "rain_height_km": 4.0, "bands": {"Ka": {"rain_k": 0.2}, "W": {"rain_k": 0.5}}}
+    model = parse_catalog(doc).scenarios["scenario-6"].loss_model
+    default = LossModel()
+    assert model.rain_height_km == 4.0
+    assert model.slant_cap_km == default.slant_cap_km
+    # a band entry replaces only what it names; a new band starts from zero
+    assert model.band("Ka") == replace(default.band("Ka"), rain_k=0.2)
+    assert model.band("S") == default.band("S")
+    assert model.band("W") == BandAtmosphere(0.0, 0.0, 0.5, 1.0)
+
+
 ALPHA_900 = dict(n_blades=3, blade_width_m=0.093, rpm=1280.0, shaft_offset_m=0.5,
                  rotor_height_m=0.12, tip_radius_m=0.9)
 
@@ -506,6 +514,8 @@ ALPHA_900 = dict(n_blades=3, blade_width_m=0.093, rpm=1280.0, shaft_offset_m=0.5
     ("loss_model", "slant_cap_km"),
     *[("band", f) for f in ("zenith_gas_db", "zenith_cloud_db", "rain_k", "rain_alpha")],
     ("mcs", "coding_gain_db"),
+    ("phy", "carrier_ghz"),
+    ("phy", "overhead"),
 ])
 def test_nan_fails_range_checks(owner, field):
     # library callers bypass the parser's finite check, so the range
@@ -517,16 +527,14 @@ def test_nan_fails_range_checks(owner, field):
         return
     with pytest.raises(ConfigError) as err:
         if owner == "loss_model":
-            LossModel().with_overrides({field: nan})
+            replace(LossModel(), **{field: nan})
         elif owner == "band":
-            LossModel().with_overrides({"bands": {"Ka": {field: nan}}})
+            replace(LossModel().band("Ka"), **{field: nan})
+        elif owner == "phy":
+            replace(_PHY, **{field: nan})
         else:
             Mcs("QPSK", 0.5, **{field: nan})
     assert err.value.field == field
-    if owner == "band":
-        with pytest.raises(ConfigError):
-            BandAtmosphere(**{"zenith_gas_db": 0.6, "zenith_cloud_db": 0.8, "rain_k": 0.15,
-                              "rain_alpha": 1.0, field: nan})
 
 
 @pytest.mark.parametrize("where, key, value, field", [
@@ -709,5 +717,5 @@ def test_load_catalog_file_errors(tmp_path):
 def test_replace_revalidates():
     # dataclasses.replace re-runs the cross-checks on the new combination
     s = _scenario()
-    with pytest.raises(ConfigError):
-        replace(s, band="Ka")
+    with pytest.raises(ConfigError, match="payload"):
+        replace(s, aircraft=_aircraft(band="Ka"))
