@@ -216,23 +216,31 @@ def aircraft_track(
     return lat[:n].copy(), lon[:n].copy(), here.copy(), velocity
 
 
-# Flight time per block of the candidate bound.  A block costs a central
-# angle per satellite, and its candidates grow with the drift over it.
-_BLOCK_SPAN_S = 240.0
+# Flight time per block of the candidate bound.  Each block's candidates
+# are the satellites that can reach the mask over its whole span, so they
+# grow with the drift over it, while shorter blocks cost more bounds.  The
+# access timelines of the six built-ins at a 4 s step took 18.7, 17.0,
+# 15.9, 16.4, 19.7 and 30.3 ms with blocks of 240, 120, 60, 32, 16 and 8 s
+# (2-core x86-64, numpy 2.4).
+_BLOCK_SPAN_S = 60.0
 
-# (row, satellite) pairs per chunk of blocks: bounds the temporaries of
-# the candidate and elevation passes for any flight length and step
+# Elements of one pass's (satellites x blocks) matrix of central-angle
+# cosines: a pass takes as many blocks as fit, at least one.  The same
+# timelines took 18.1 ms at 2^13.  Up to 2^15 satellites the product's
+# m * n * k stays within 6 * 2^15, under the 4 * 65,536 at which OpenBLAS
+# starts threads.
+_PASS_ANGLES = 2 ** 15
+
+# (row, candidate) pairs per chunk of the elevation pass: a block's rows
+# are cut so that rows times candidates fit, which bounds the chunk's
+# temporaries for any flight length, step and shell size
 _CHUNK_PAIRS = 2 ** 13
 
-# Slack (rad) on the candidate bound for rounding: arccos of a dot
-# product of unit vectors near 1 is off by up to sqrt(2 * 2.2e-16) ~ 2e-8
-# rad, the other terms and the computed elevations by ~1e-15.
+# Slack (rad) on the candidate bound for rounding.  The bound compares
+# cosines: cos(bound) and cos(bound + 1e-6) differ by at least 5e-13,
+# while the 6-term product of unit vectors, the rotated zenith and the
+# computed elevations are off by ~1e-15.
 _CANDIDATE_MARGIN_RAD = 1e-6
-
-
-def _angle(u, v):
-    """Angle (rad) between unit vectors."""
-    return np.arccos(np.clip(_dot(u, v), -1.0, 1.0))
 
 
 def _scan_chunk(row, sat, elevation, served, current, threshold_deg, acquire_deg):
@@ -288,10 +296,11 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     hysteresis, so a satellite at the mask edge does not toggle access.
     Ties go to the lowest satellite id.
 
-    Steps go in blocks of ``_BLOCK_SPAN_S`` and blocks in chunks of about
-    ``_CHUNK_PAIRS`` (row, candidate) pairs, and `_scan_chunk` applies the
-    rule to a chunk by event.  The full geometry is then computed for the
-    served satellite only.
+    Steps go in blocks of ``_BLOCK_SPAN_S``, blocks in passes of up to
+    ``_PASS_ANGLES`` (satellite, block) cosines, and a block's rows in
+    chunks of about ``_CHUNK_PAIRS`` (row, candidate) pairs; `_scan_chunk`
+    applies the rule to a chunk by event.  The full geometry is then computed for
+    the served satellite only.
     """
     if step_s <= 0:
         raise ValueError("step_s must be > 0")
@@ -303,6 +312,12 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     n_rate = mean_motion(a)
     u0 = np.radians(phase)
     p, q = _plane_basis(np.radians(inclination), np.radians(raan))
+    # epoch directions of position and velocity, a (satellites x 6) matrix:
+    # at time t a satellite's inertial direction is cos(n t) w[:, :3] +
+    # sin(n t) w[:, 3:]
+    cos_u0, sin_u0 = np.cos(u0), np.sin(u0)
+    w = np.stack([cos_u0 * pk + sin_u0 * qk for pk, qk in zip(p, q)]
+                 + [cos_u0 * qk - sin_u0 * pk for pk, qk in zip(p, q)], axis=1)
 
     times = np.arange(n_steps, dtype=float) * step_s
     theta = EARTH_ROTATION_RATE * times
@@ -315,9 +330,8 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     acquire = threshold + scenario.handover_hysteresis_deg
     # largest angular rate of a satellite direction in the Earth-fixed frame
     sweep_rate = n_rate + EARTH_ROTATION_RATE
-    # a block's pairs with all satellites, a pass's angles and rows fit in _CHUNK_PAIRS
-    rows = max(1, min(int(_BLOCK_SPAN_S / step_s), _CHUNK_PAIRS // len(u0)))
-    per_pass = rows * max(1, _CHUNK_PAIRS // max(len(u0), rows))
+    rows = max(1, int(_BLOCK_SPAN_S / step_s))
+    per_pass = rows * max(1, _PASS_ANGLES // len(u0))
     sat_id = np.full(n_steps, -1, dtype=int)
     current = -1
     for lo in range(0, n_steps, per_pass):
@@ -328,28 +342,41 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
         # satellite's drift and the aircraft's move (triangle inequality),
         # and elevation falls as it grows, so a satellite beyond `reach` +
         # drift + move stays under the threshold on every row of the
-        # block; `reach` uses the block's lowest aircraft.
+        # block; `reach` uses the block's lowest aircraft.  Its cosine is
+        # the satellite's direction dotted with the mid-row zenith, turned
+        # into the inertial frame: one (satellites x 6) @ (6 x blocks)
+        # product, and `keep` is (satellites x blocks).
         mid = (starts + ends - 1) // 2
-        sat_mid = _rotate_to_ecef(*_eci_position(a, u0 + n_rate * times[mid, None], p, q),
-                                  theta[mid, None])
-        central = _angle(tuple(c[mid, None] for c in up), tuple(s / a for s in sat_mid))
+        up_eci = np.stack(_rotate_to_ecef(*(c[mid] for c in up), -theta[mid]), axis=1)
+        along = n_rate * times[mid, None]
+        cos_central = w @ np.hstack([up_eci * np.cos(along), up_eci * np.sin(along)]).T
         drift = np.minimum(sweep_rate * np.maximum(times[mid] - times[starts],
                                                    times[ends - 1] - times[mid]), math.pi)
-        up_move = np.maximum.reduceat(_angle(tuple(c[np.repeat(mid, ends - starts)] for c in up),
-                                             tuple(c[lo:ends[-1]] for c in up)), starts - lo)
+        up_move = np.arccos(np.clip(np.minimum.reduceat(
+            _dot(tuple(c[np.repeat(mid, ends - starts)] for c in up),
+                 tuple(c[lo:ends[-1]] for c in up)), starts - lo), -1.0, 1.0))
         reach = math.radians(90.0 - threshold) - np.arcsin(np.minimum(
             1.0, np.minimum.reduceat(obs_radius[lo:ends[-1]], starts - lo)
             * math.cos(math.radians(threshold)) / a))
-        keep = central <= (reach + drift + up_move + _CANDIDATE_MARGIN_RAD)[:, None]
-        pairs = np.count_nonzero(keep, axis=1) * (ends - starts)
+        bound = reach + drift + up_move + _CANDIDATE_MARGIN_RAD
+        keep = cos_central >= np.where(bound < math.pi, np.cos(bound), -np.inf)
+        # cut each block into pieces whose rows times candidates fit a chunk
+        count = np.count_nonzero(keep, axis=0)
+        piece_rows = np.maximum(1, _CHUNK_PAIRS // np.maximum(count, 1))
+        pieces = -(-(ends - starts) // piece_rows)
+        piece_block = np.repeat(np.arange(len(starts)), pieces)
+        piece_first = starts[piece_block] + piece_rows[piece_block] * (
+            np.arange(len(piece_block)) - (np.cumsum(pieces) - pieces)[piece_block])
+        piece_last = np.minimum(piece_first + piece_rows[piece_block], ends[piece_block])
+        pairs = count[piece_block] * (piece_last - piece_first)
         cuts = np.flatnonzero(np.diff((np.cumsum(pairs) - pairs) // _CHUNK_PAIRS)) + 1
-        for first, last, chunk in zip(np.split(starts, cuts), np.split(ends, cuts),
-                                      np.split(keep, cuts)):
-            # each candidate on every row of its block, satellite-major
-            cand, block = np.nonzero(chunk.T)
-            lens = (last - first)[block]
+        for first, last, block in zip(np.split(piece_first, cuts), np.split(piece_last, cuts),
+                                      np.split(piece_block, cuts)):
+            # each candidate on every row of its piece, satellite-major
+            cand, piece = np.nonzero(keep[:, block])
+            lens = (last - first)[piece]
             sat = np.repeat(cand, lens)
-            at = np.arange(sat.size) + np.repeat(first[block] - np.cumsum(lens) + lens, lens)
+            at = np.arange(sat.size) + np.repeat(first[piece] - np.cumsum(lens) + lens, lens)
             row = at - first[0]
             u = u0[sat] + n_rate * times[at]
             pos = _rotate_to_ecef(*_eci_position(a, u, tuple(c[sat] for c in p),

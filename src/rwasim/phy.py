@@ -148,7 +148,8 @@ class PhyConfig:
 
 
 def validate_channel(phy: PhyConfig, direction: str) -> None:
-    """Check a channel against band and numerology constraints.
+    """Check a channel against band and numerology constraints, and that
+    a slot carries at least one payload bit.
 
     ``direction`` is "uplink" or "downlink" and selects the frequency
     range of the band to check the carrier against.  Raises
@@ -172,6 +173,9 @@ def validate_channel(phy: PhyConfig, direction: str) -> None:
             f"for {phy.scs_khz} kHz spacing",
             field="n_rb",
         )
+    if transport_block_size(phy.n_rb, phy.mcs, phy.overhead) < 1:
+        raise ConfigError(f"overhead {phy.overhead} leaves no payload bits in a slot",
+                          field="overhead")
     if phy.ntn_band is None:
         return
     try:

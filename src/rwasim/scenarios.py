@@ -68,13 +68,13 @@ class AircraftSpec:
         if self.band not in BANDS:
             raise ConfigError(f"unknown band {self.band!r} (choose from {BANDS})",
                               field="band")
-        if self.bandwidth_mhz <= 0:
+        if not self.bandwidth_mhz > 0:  # NaN fails too
             raise ConfigError("bandwidth_mhz must be > 0", field="bandwidth_mhz")
         lo, hi = self.beamwidth_deg
         if not 0 < lo <= hi:
             raise ConfigError("beamwidth_deg must be positive and ordered",
                               field="beamwidth_deg")
-        if self.rx_noise_temp_k <= 0:
+        if not self.rx_noise_temp_k > 0:
             raise ConfigError("rx_noise_temp_k must be > 0", field="rx_noise_temp_k")
 
     @property
@@ -122,7 +122,7 @@ class ConstellationSpec:
     anomaly_offset_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.altitude_km <= 0:
+        if not self.altitude_km > 0:  # NaN fails too
             raise ConfigError("altitude_km must be > 0", field="altitude_km")
         if self.planes < 1 or self.sats_per_plane < 1:
             raise ConfigError("planes and sats_per_plane must be >= 1",
@@ -265,7 +265,7 @@ class ScenarioSpec:
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"direction must be one of {DIRECTIONS}",
                               field="direction")
-        if self.duration_s < 0:
+        if not self.duration_s >= 0:  # NaN fails too
             raise ConfigError("duration must be >= 0", field="duration_s")
         if not 0.0 <= self.handover_threshold_deg < 90.0:
             raise ConfigError("handover_threshold_deg must be in [0, 90)",
@@ -292,7 +292,7 @@ class ScenarioSpec:
             if rate < 0:
                 raise ConfigError("rain rates must be >= 0", field="rain_profile")
             last = t
-        if self.cnr_prime_bandwidth_mhz is not None and self.cnr_prime_bandwidth_mhz <= 0:
+        if self.cnr_prime_bandwidth_mhz is not None and not self.cnr_prime_bandwidth_mhz > 0:
             raise ConfigError("cnr_prime_bandwidth_mhz must be > 0",
                               field="cnr_prime_bandwidth_mhz")
         validate_channel(self.phy, self.direction)

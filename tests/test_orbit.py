@@ -12,6 +12,7 @@ from rwasim.constants import EARTH_RADIUS, EARTH_ROTATION_RATE, MU_EARTH
 from rwasim.orbit import (
     _BLOCK_SPAN_S,
     _CHUNK_PAIRS,
+    _PASS_ANGLES,
     KeplerianElements,
     aircraft_track,
     build_access_timeline,
@@ -458,8 +459,9 @@ def _meo_passes():
     """24 MEO satellites over a slow aircraft, 500 steps of 30 s.
 
     Several satellites clear the 10 deg mask at once, so with blocks of 8
-    rows and 256 pairs a chunk, a candidate pass of 80 rows holds several
-    chunks, and the served satellite carries over chunk edges inside a pass.
+    rows, 240 cosines a pass and 256 pairs a chunk, a candidate pass of 80
+    rows holds several chunks, and the served satellite carries over chunk
+    edges inside a pass.
     """
     base = resolve_scenario("scenario-7")
     route = FlightRoute(((0.0, 40.0, 10.0, 500.0), (15000.0, 41.0, 12.0, 500.0)))
@@ -469,23 +471,26 @@ def _meo_passes():
 
 @settings(max_examples=40, deadline=None)
 @given(case=_scenarios(), block_span_s=st.floats(1.0, 2000.0),
+       pass_angles=st.floats(0.0, 15.0).map(lambda k: int(2.0 ** k)),
        chunk_pairs=st.floats(2.0, 14.0).map(lambda k: int(2.0 ** k)))
-@example(case=_lone_satellite_passes(), block_span_s=128.0, chunk_pairs=2 ** 14)
-@example(case=_meo_passes(), block_span_s=240.0, chunk_pairs=256)
-def test_kernel_matches_per_step_reference(case, block_span_s, chunk_pairs):
-    # blocks of 1 s to 2000 s and chunks of 4 to 2^14 pairs, drawn
-    # log-uniform, often split a flight, so handovers, outages and the
-    # candidate bound meet block and chunk edges
+@example(case=_lone_satellite_passes(), block_span_s=128.0, pass_angles=_PASS_ANGLES,
+         chunk_pairs=2 ** 14)
+@example(case=_meo_passes(), block_span_s=240.0, pass_angles=240, chunk_pairs=256)
+def test_kernel_matches_per_step_reference(case, block_span_s, pass_angles, chunk_pairs):
+    # blocks of 1 s to 2000 s, passes of one block up to 2^15 (satellite,
+    # block) cosines and chunks of 4 to 2^14 pairs, drawn log-uniform,
+    # often split a flight and cut chunks inside blocks, so handovers,
+    # outages and the candidate bound meet pass, block and chunk edges
     scenario, step_s = case
     with mock.patch.object(orbit, "_BLOCK_SPAN_S", block_span_s), \
+            mock.patch.object(orbit, "_PASS_ANGLES", pass_angles), \
             mock.patch.object(orbit, "_CHUNK_PAIRS", chunk_pairs):
         _assert_kernel_matches_reference(scenario, step_s)
 
 
-def _block_rows(scenario, step_s):
+def _block_rows(step_s):
     """Rows per block of the kernel's candidate bound."""
-    return max(1, min(int(_BLOCK_SPAN_S / step_s),
-                      _CHUNK_PAIRS // scenario.constellation.total_sats))
+    return max(1, int(_BLOCK_SPAN_S / step_s))
 
 
 def _chunk_starts(scenario, step_s):
@@ -508,33 +513,33 @@ def _switches(sat_id):
     return np.flatnonzero((sat_id[1:] != sat_id[:-1]) & (sat_id[1:] >= 0) & (sat_id[:-1] >= 0)) + 1
 
 
-def _handover_scenario():
-    # 300 satellites over an antimeridian hop, 150 steps of 4 s, with
-    # handovers on steps 43, 54 and 115
+def _handover_scenario(offset_deg):
+    # 300 satellites over an antimeridian hop, 150 steps of 4 s
     base = resolve_scenario("scenario-7")
     return replace(
-        base, constellation=_walker(base, 12, 25, 550.0, 53.0, 0.0, 1, 11.0),
+        base, constellation=_walker(base, 12, 25, 550.0, 53.0, 0.0, 1, offset_deg),
         route=ANTIMERIDIAN_HOP, duration_s=600.0, handover_threshold_deg=20.0)
 
 
 def test_kernel_handover_across_block_boundary():
-    # blocks of 27 steps, and a handover on the first step of the third
-    scenario = _handover_scenario()
-    rows = _block_rows(scenario, 4.0)
-    access = _assert_kernel_matches_reference(scenario, 4.0)
+    # blocks of 15 steps, and a handover on step 45, the first step of
+    # the fourth
+    rows = _block_rows(4.0)
+    access = _assert_kernel_matches_reference(_handover_scenario(13.0), 4.0)
     assert len(access) > 2 * rows
     switches = _switches(access.sat_id)
-    assert np.any(np.abs(switches - rows * np.round(switches / rows)) <= 1)
+    assert np.any(switches % rows == 0)
 
 
 def test_kernel_handover_on_chunk_edge():
-    # three pairs a satellite: blocks of 3 steps, chunks of 9, and the
-    # handover on step 54 is the first step of a chunk
-    scenario = _handover_scenario()
-    with mock.patch.object(orbit, "_CHUNK_PAIRS", 3 * scenario.constellation.total_sats):
-        access, starts = _chunk_starts(scenario, 4.0)
-    assert len(starts) > 2
-    assert np.intersect1d(_switches(access.sat_id), starts).size > 0
+    # at most 16 pairs a chunk, with 2 to 4 candidates a block: chunks cut
+    # blocks of 15 steps, and the handover on step 115 is the first step
+    # of a chunk inside the eighth block
+    with mock.patch.object(orbit, "_CHUNK_PAIRS", 16):
+        access, starts = _chunk_starts(_handover_scenario(11.0), 4.0)
+    inside = starts[starts % _block_rows(4.0) != 0]
+    assert len(inside) > 2
+    assert np.intersect1d(_switches(access.sat_id), inside).size > 0
 
 
 # --- candidate filter and event scan ---
@@ -549,7 +554,7 @@ def _walker_scenario(planes, per_plane, altitude_km, inclination_deg, route, dur
 
 def test_kernel_fast_aircraft_moves_the_candidate_set():
     # 30 deg of longitude per 40 s leg, 3 deg per 4 s step: over a block of
-    # 27 rows the aircraft's zenith moves far more than a satellite drifts
+    # 15 rows the aircraft's zenith moves far more than a satellite drifts
     points = tuple((40.0 * k, 20.0, (30.0 * k + 180.0) % 360.0 - 180.0, 1000.0)
                    for k in range(16))
     scenario = _walker_scenario(12, 25, 550.0, 53.0, FlightRoute(points), 600.0, 20.0)
@@ -559,10 +564,10 @@ def test_kernel_fast_aircraft_moves_the_candidate_set():
 
 def test_kernel_outage_across_block_boundary():
     # a 40 deg mask over 300 satellites: an outage over rows 85 to 125
-    # runs across the block edge at row 108
+    # runs across the block edges at rows 90, 105 and 120
     scenario = _walker_scenario(12, 25, 550.0, 53.0, ANTIMERIDIAN_HOP, 600.0, 40.0)
     access = _assert_kernel_matches_reference(scenario, 4.0)
-    rows = _block_rows(scenario, 4.0)
+    rows = _block_rows(4.0)
     starts = np.arange(rows, len(access), rows)
     ids = access.sat_id
     assert np.any(access.served)
@@ -570,14 +575,17 @@ def test_kernel_outage_across_block_boundary():
 
 
 def test_kernel_outage_on_chunk_edge():
-    # chunks of 9 steps: the outage over rows 85 to 125 runs across four
-    # chunk edges, and the link is acquired on row 126, the first of a chunk
+    # at most 6 pairs a chunk, with up to 2 candidates a block: chunks cut
+    # blocks of 15 steps, the outage over rows 85 to 125 runs across chunk
+    # edges inside blocks, and the link is acquired on row 126, the first
+    # of a chunk inside the ninth block
     scenario = _walker_scenario(12, 25, 550.0, 53.0, ANTIMERIDIAN_HOP, 600.0, 40.0)
-    with mock.patch.object(orbit, "_CHUNK_PAIRS", 3 * scenario.constellation.total_sats):
+    with mock.patch.object(orbit, "_CHUNK_PAIRS", 6):
         access, starts = _chunk_starts(scenario, 4.0)
+    inside = starts[starts % _block_rows(4.0) != 0]
     ids = access.sat_id
-    assert np.any((ids[starts - 1] < 0) & (ids[starts] < 0))
-    assert np.any((ids[starts - 1] < 0) & (ids[starts] >= 0))
+    assert np.any((ids[inside - 1] < 0) & (ids[inside] < 0))
+    assert np.any((ids[inside - 1] < 0) & (ids[inside] >= 0))
 
 
 def test_kernel_memory_is_bounded():
@@ -599,6 +607,25 @@ def test_kernel_memory_is_bounded():
     # step-sized columns: the aircraft track, interpolated at 3 * n_steps
     # times, peaks at about 70 floats a step; a chunk's temporaries stay
     # under 128 floats a pair of the budget
+    assert peak < 8 * (80 * n_steps + 128 * _CHUNK_PAIRS)
+
+
+def test_kernel_memory_is_bounded_for_a_mega_shell():
+    # 4,392 satellites at 20,000 km under a 0 deg mask leave about 1,570
+    # candidates a block: a 60-row block alone holds about 94,000 pairs,
+    # so the chunks must cut blocks to stay under the bound
+    n_steps = 600
+    base = resolve_scenario("scenario-7")
+    route = FlightRoute(((0.0, 45.0, 10.0, 1000.0), (float(n_steps), 45.1, 10.2, 1000.0)))
+    scenario = replace(base, constellation=_walker(base, 72, 61, 20000.0, 53.0, 0.0, 1, 0.0),
+                       route=route, duration_s=float(n_steps), handover_threshold_deg=0.0)
+    tracemalloc.start()
+    try:
+        access = build_access_timeline(scenario, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(access.served)
     assert peak < 8 * (80 * n_steps + 128 * _CHUNK_PAIRS)
 
 

@@ -850,6 +850,29 @@ def test_cli_sweep_of_no_frames_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--step", "60", "--frames", "5"],
+    ["sweep", "--cnr-min", "0", "--cnr-max", "10", "--points", "2", "--frames", "5"],
+], ids=["run", "sweep"])
+def test_cli_zero_payload_is_config_error(tmp_path, capsys, argv):
+    # a transport block of 0 bits would divide by zero in aggregate
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-7"])
+    doc["scenarios"][0]["phy"]["overhead"] = 1.0
+    path = tmp_path / "zero-payload.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error: overhead:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_payload_phy_is_rejected_before_run_and_sweep():
+    spec = builtin_catalog().scenarios["scenario-7"]
+    for overhead in (1.0, 1.0 - 1e-9):
+        with pytest.raises(ConfigError) as err:
+            replace(spec, phy=replace(spec.phy, overhead=overhead))
+        assert err.value.field == "overhead"
+
+
 def test_cli_runtime_failure_is_exit_3(tmp_path, capsys):
     token = _scenario_file(tmp_path, _overhead_geo(lon=180.0))
     assert main(["run", "--scenario", token, "--step", "10",

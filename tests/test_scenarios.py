@@ -361,6 +361,24 @@ def test_scenario_rejects_nonpositive_reference_bandwidth():
         _scenario(cnr_prime_bandwidth_mhz=0.0)
 
 
+@pytest.mark.parametrize("part, field", [
+    ("aircraft", "bandwidth_mhz"),
+    ("aircraft", "rx_noise_temp_k"),
+    ("constellation", "altitude_km"),
+    ("scenario", "duration_s"),
+    ("scenario", "cnr_prime_bandwidth_mhz"),
+])
+def test_constructors_reject_nan(part, field):
+    # the parser's finite check covers files only; library callers meet these
+    s = resolve_scenario("scenario-6")
+    with pytest.raises(ConfigError) as err:
+        if part == "scenario":
+            replace(s, **{field: math.nan})
+        else:
+            replace(getattr(s, part), **{field: math.nan})
+    assert err.value.field == field
+
+
 def test_scenario_checks_channel_conformance():
     # 400 MHz cannot be carried on a 15 kHz grid
     wide = PhyConfig(carrier_ghz=2.0, bandwidth_mhz=400.0, scs_khz=15, n_rb=25,

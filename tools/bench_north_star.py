@@ -13,15 +13,19 @@ speed falls on all of them alike:
 - ``rwasim run`` for each built-in scenario in ``mc`` and ``expected``
   mode at ``--step 1 --frames 1000 --seed 0``;
 - one 26-point ``rwasim sweep`` per mode;
-- ``python -c "import rwasim.cli"``.
+- ``python -c "import rwasim.cli"``;
+- ``rwasim run`` in ``mc`` mode, with the same arguments, of the
+  mega-shell scenario in ``tools/mega_shell.json``: 4,392 satellites at
+  550 km and 53 deg, a loiter at 45 deg N under a 25 deg mask, 2 h.
 
 For each checkout it writes ``BENCH_<LABEL>.json`` to the current
 directory: the median and quartiles of every command's wall time and
 of the per-repeat total, the core count and the Python and numpy
-versions (scipy's too when it is installed).  It exits 1 if a command
-fails or if a repeat writes files that differ in any byte from the
-first repeat's.  Stdlib only: the recorder itself imports nothing the
-timed commands pay for.
+versions (scipy's too when it is installed).  The total leaves out the
+mega-shell run, so it compares with records made before that was added.
+It exits 1 if a command fails or if a repeat writes files that differ in
+any byte from the first repeat's.  Stdlib only: the recorder itself
+imports nothing the timed commands pay for.
 
 Before the first timed command it byte-compiles each checkout's
 ``src/`` with ``compileall``, so no timed command compiles: a checkout
@@ -54,6 +58,9 @@ RUN_ARGS = ("--step", "1", "--frames", "1000", "--seed", "0")
 SWEEP_SCENARIO = "scenario-7"
 SWEEP_ARGS = ("--cnr-min", "-5", "--cnr-max", "20", "--points", "26",
               "--frames", "1000", "--seed", "0")
+MEGA_SHELL = Path(__file__).resolve().parent / "mega_shell.json"
+# timed, but left out of the total
+OUTSIDE_TOTAL = ("run mega-shell mc",)
 
 
 def commands() -> dict[str, tuple[list[str], bool]]:
@@ -68,6 +75,8 @@ def commands() -> dict[str, tuple[list[str], bool]]:
             ["-m", "rwasim.cli", "sweep", "--scenario", SWEEP_SCENARIO, "--mode", mode,
              *SWEEP_ARGS], True)
     cmds["import rwasim.cli"] = (["-c", "import rwasim.cli"], False)
+    cmds["run mega-shell mc"] = (["-m", "rwasim.cli", "run", "--scenario", str(MEGA_SHELL),
+                                  "--mode", "mc", *RUN_ARGS], True)
     return cmds
 
 
@@ -147,7 +156,8 @@ def record(checkouts: dict[str, Path], repeats: int, work: Path,
     results = {}
     for label, root in checkouts.items():
         per_cmd = times[label]
-        totals = [sum(per_cmd[name][rep] for name in cmds) for rep in range(repeats)]
+        totals = [sum(per_cmd[name][rep] for name in cmds if name not in OUTSIDE_TOTAL)
+                  for rep in range(repeats)]
         results[label] = {
             "label": label,
             "source_sha256": _source_digest(root / "src"),
