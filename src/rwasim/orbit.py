@@ -171,8 +171,6 @@ class AccessTimeline:
     slant_range_km: np.ndarray
     range_rate_kms: np.ndarray   # positive receding
     doppler_khz: np.ndarray
-    threshold_deg: float
-    carrier_ghz: float
 
     def __len__(self) -> int:
         return len(self.times_s)
@@ -305,7 +303,6 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     if step_s <= 0:
         raise ValueError("step_s must be > 0")
     n_steps = int(math.floor(scenario.duration_s / step_s + 1e-9))
-    carrier = scenario.phy.carrier_ghz
 
     inclination, raan, phase = expand_constellation(scenario.constellation)
     a = scenario.constellation.orbit_radius_km
@@ -397,5 +394,4 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     view = np.full((4, n_steps), np.nan)   # elevation, azimuth, range, range rate
     for column, values in zip(view, _view(rel, v_rel, lat[served], lon[served])):
         column[served] = values
-    return AccessTimeline(times, sat_id, *view, doppler_khz(view[3], carrier),
-                          threshold_deg=threshold, carrier_ghz=carrier)
+    return AccessTimeline(times, sat_id, *view, doppler_khz(view[3], scenario.phy.carrier_ghz))

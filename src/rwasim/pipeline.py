@@ -36,7 +36,6 @@ class LinkTimeline:
     doppler_khz: np.ndarray
     cnr_db: np.ndarray               # -inf during outages
     cnr_prime_db: np.ndarray | None  # rescaled CNR when configured
-    bandwidth_mhz: float
 
 
 def link_timeline(scenario: ScenarioSpec, access: AccessTimeline) -> LinkTimeline:
@@ -87,49 +86,41 @@ def link_timeline(scenario: ScenarioSpec, access: AccessTimeline) -> LinkTimelin
         cloud_db=column(cloud), total_db=column(total),
         doppler_khz=access.doppler_khz,
         cnr_db=cnr_db, cnr_prime_db=cnr_prime,
-        bandwidth_mhz=bandwidth,
     )
 
 
 # === blade overlay ===
 
-@dataclass(frozen=True)
-class BladeRow:
-    """One in-force blade schedule segment (for the CSV export)."""
-
-    elevation_deg: float
-    radius_m: float
-    arc_deg: float
-    blocked_ms: float
-    clear_ms: float
-    duty_cycle: float
+# The fields of a blade segment row, in blades.csv column order.
+BLADE_FIELDS = ("elevation_deg", "radius_m", "arc_deg", "blocked_ms", "clear_ms", "duty_cycle")
 
 
 def blade_overlay(
     scenario: ScenarioSpec,
     access: AccessTimeline,
-) -> tuple[tuple[np.ndarray, bl.BladeSchedule | None], list[BladeRow]]:
+) -> tuple[tuple[np.ndarray, bl.BladeSchedule | None], np.recarray]:
     """Blade-schedule segments of the access samples plus one row per segment.
 
     Returns ``((segment, schedules), rows)``: the segment in force at
     each access sample (-1 in outages and without a rotor), a columnar
     schedule with one entry per segment (None without a rotor; segments
     start where :func:`rwasim.blades.schedule_timeline` regenerates it)
-    and one row per segment.
+    and a record array of the segments with the ``BLADE_FIELDS``
+    (empty without a rotor).
     """
     rotor = scenario.aircraft.rotor
     segment = np.full(len(access), -1)
     if rotor is None:
-        return (segment, None), []
+        return (segment, None), np.rec.fromarrays([np.empty(0)] * len(BLADE_FIELDS),
+                                                  names=BLADE_FIELDS)
     served = access.served
     el = access.elevation_deg[served]
     served_segment, schedules = bl.schedule_timeline(rotor, el)
     segment[served] = served_segment
     first_el = el[np.flatnonzero(np.diff(served_segment, prepend=-1))]
     radius, arc = bl.crossing(rotor, first_el)
-    rows = [BladeRow(*row) for row in zip(
-        first_el.tolist(), radius.tolist(), arc.tolist(), schedules.blocked_ms.tolist(),
-        schedules.clear_ms.tolist(), schedules.duty_cycle.tolist())]
+    rows = np.rec.fromarrays([first_el, radius, arc, schedules.blocked_ms,
+                              schedules.clear_ms, schedules.duty_cycle], names=BLADE_FIELDS)
     return (segment, schedules), rows
 
 
@@ -141,7 +132,7 @@ def _served(scenario: ScenarioSpec, access: AccessTimeline) -> np.ndarray:
     if not np.any(served):
         raise RuntimeError(
             f"scenario {scenario.id}: no satellite above "
-            f"{access.threshold_deg} deg at any sample; nothing to report")
+            f"{scenario.handover_threshold_deg} deg at any sample; nothing to report")
     return served
 
 
@@ -160,7 +151,7 @@ class RunResult:
     scenario: ScenarioSpec
     access: AccessTimeline
     link: LinkTimeline
-    blade_rows: list[BladeRow]
+    blade_rows: np.recarray          # one record per blade segment, BLADE_FIELDS
     slots: SlotTable
     stats: FrameStats
     report: dict
@@ -192,7 +183,7 @@ def build_report(
         "direction": scenario.direction,
         "band": scenario.band,
         "carrier_ghz": scenario.phy.carrier_ghz,
-        "bandwidth_mhz": link.bandwidth_mhz,
+        "bandwidth_mhz": scenario.aircraft.bandwidth_mhz,
         "access_percent": access.access_percent(),
         "handovers": access.handover_count(),
         "elevation_deg": _stats(access.elevation_deg[served]),
@@ -365,13 +356,12 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
                 slots.cnr_db, slots.payload_bits, slots.bit_errors,
                 slots.ber, slots.decode_prob])
 
-    if result.blade_rows:
+    rows = result.blade_rows
+    if len(rows):
         _write_csv(target / "blades.csv",
                    ["elevation_deg", "d_rotor_m", "phi_deg", "t_int_ms",
                     "t_lnk_ms", "duty_cycle"],
-                   np.array([(r.elevation_deg, r.radius_m, r.arc_deg,
-                              r.blocked_ms, r.clear_ms, r.duty_cycle)
-                             for r in result.blade_rows], dtype=float).T)
+                   [rows[name] for name in BLADE_FIELDS])
 
     with (target / "report.json").open("w") as fh:
         json.dump(result.report, fh, indent=2, sort_keys=True)

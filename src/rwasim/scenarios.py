@@ -148,51 +148,61 @@ class ConstellationSpec:
 
 # === flight routes ===
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlightRoute:
     """Aircraft track as timed geodetic waypoints.
 
-    ``points`` rows are (time_s, lat_deg, lon_deg, alt_m), the first at
-    time 0 (the start of the flight); positions between waypoints are
-    linear in the geodetic coordinates and clamped beyond the ends.
-    Longitudes are unwrapped first, so a hop across the antimeridian
-    takes the short way round.
+    ``points`` is a read-only float (n, 4) array of (time_s, lat_deg,
+    lon_deg, alt_m) rows, the first at time 0 (the start of the flight);
+    positions between waypoints are linear in the geodetic coordinates
+    and clamped beyond the ends.  Longitudes are unwrapped first, so a
+    hop across the antimeridian takes the short way round.
     """
 
-    points: tuple[tuple[float, float, float, float], ...]
+    points: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.points) == 0:
-            raise ConfigError("a route needs at least one waypoint", field="points")
-        times = [p[0] for p in self.points]
+        # column-major, so each column is contiguous for np.interp
+        points = np.array(self.points, dtype=float, order="F")
+        if points.ndim != 2 or points.shape[1] != 4 or len(points) == 0:
+            raise ConfigError("a route needs at least one (time_s, lat_deg, lon_deg, alt_m) "
+                              "waypoint", field="points")
+        if not np.all(np.isfinite(points)):
+            raise ConfigError("waypoint values must be finite", field="points")
+        times = points[:, 0]
         if times[0] != 0.0:
             # the access timeline starts at t = 0 and runs for duration_s
             raise ConfigError("the first waypoint time must be 0 s", field="points")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if np.any(times[1:] <= times[:-1]):
             raise ConfigError("waypoint times must be strictly increasing",
                               field="points")
-        for _, lat, lon, alt in self.points:
-            if not -90.0 <= lat <= 90.0:
-                raise ConfigError("latitude out of [-90, 90]", field="points")
-            if alt < 0:
-                raise ConfigError("altitude must be >= 0 m", field="points")
+        if np.any(np.abs(points[:, 1]) > 90.0):
+            raise ConfigError("latitude out of [-90, 90]", field="points")
+        if np.any(points[:, 3] < 0):
+            raise ConfigError("altitude must be >= 0 m", field="points")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FlightRoute):
+            return NotImplemented
+        return np.array_equal(self.points, other.points)
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        pts = np.asarray(self.points, dtype=float)
-        return pts[:, 0], pts[:, 1], np.unwrap(pts[:, 2], period=360.0), pts[:, 3]
+    def _unwrapped_lon(self) -> np.ndarray:
+        return np.unwrap(self.points[:, 2], period=360.0)
 
     @property
     def duration_s(self) -> float:
-        return self.points[-1][0]
+        return float(self.points[-1, 0])
 
     def track(self, times_s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(lat_deg, lon_deg, alt_m) arrays at ``times_s`` (clamped to the track).
 
         Longitudes come back in [-180, 180).
         """
-        times, lats, lons, alts = self._arrays
-        lon = np.interp(times_s, times, lons)
+        times, lats, _, alts = self.points.T
+        lon = np.interp(times_s, times, self._unwrapped_lon)
         # wrap only what is out of range: in-range longitudes stay bit-exact
         outside = (lon < -180.0) | (lon >= 180.0)
         lon = np.where(outside, (lon + 180.0) % 360.0 - 180.0, lon)
@@ -232,11 +242,8 @@ def loiter_route(
     theta = np.radians(start_bearing_deg) + omega * times
     dlat = radius_km * _DEG_PER_KM * np.cos(theta)
     dlon = radius_km * _DEG_PER_KM * np.sin(theta) / math.cos(math.radians(center_lat_deg))
-    points = tuple(
-        (float(t), float(center_lat_deg + la), float(center_lon_deg + lo), float(altitude_m))
-        for t, la, lo in zip(times, dlat, dlon)
-    )
-    return FlightRoute(points)
+    return FlightRoute(np.column_stack(
+        [times, center_lat_deg + dlat, center_lon_deg + dlon, np.full(n, float(altitude_m))]))
 
 
 # === scenarios ===
@@ -284,14 +291,16 @@ class ScenarioSpec:
         if self.route.duration_s < self.duration_s:
             raise ConfigError("route is shorter than the scenario duration",
                               field="flight")
-        last = -math.inf
-        for t, rate in self.rain_profile:
-            if t < last:
-                raise ConfigError("rain profile times must be non-decreasing",
-                                  field="rain_profile")
-            if rate < 0:
-                raise ConfigError("rain rates must be >= 0", field="rain_profile")
-            last = t
+        rain = np.array(self.rain_profile, dtype=float)
+        if rain.size and (rain.ndim != 2 or rain.shape[1] != 2 or not np.all(np.isfinite(rain))):
+            raise ConfigError("rain steps are finite (start_s, mm_per_h) pairs",
+                              field="rain_profile")
+        rain = rain.reshape(-1, 2)
+        if np.any(rain[1:, 0] < rain[:-1, 0]):
+            raise ConfigError("rain profile times must be non-decreasing",
+                              field="rain_profile")
+        if np.any(rain[:, 1] < 0):
+            raise ConfigError("rain rates must be >= 0", field="rain_profile")
         if self.cnr_prime_bandwidth_mhz is not None and not self.cnr_prime_bandwidth_mhz > 0:
             raise ConfigError("cnr_prime_bandwidth_mhz must be > 0",
                               field="cnr_prime_bandwidth_mhz")
@@ -497,10 +506,13 @@ def _parse_loss_model(obj: dict | None) -> LossModel:
         set().union(*bands.values()) - {f.name for f in fields(BandAtmosphere)})
     if unknown:
         raise ConfigError(f"unknown loss-model key(s) {unknown}", field=unknown[0])
-    # a band entry replaces the coefficients it names; a new band starts with no attenuation
+    # a band entry replaces the coefficients it names; only a link band is ever read
     for name, params in bands.items():
-        base = DEFAULT_BAND_ATMOSPHERE.get(name, BandAtmosphere(0.0, 0.0, 0.0, 1.0))
-        bands[name] = _build(BandAtmosphere, {**_plain(base), **params}, f"bands.{name}")
+        if name not in BANDS:
+            raise ConfigError(f"unknown loss-model band {name!r} (choose from {BANDS})",
+                              field="bands")
+        base = _plain(DEFAULT_BAND_ATMOSPHERE[name])
+        bands[name] = _build(BandAtmosphere, {**base, **params}, f"bands.{name}")
     return _build(LossModel, obj, "loss_model", bands={**DEFAULT_BAND_ATMOSPHERE, **bands})
 
 
@@ -625,7 +637,7 @@ def serialize_scenario(s: ScenarioSpec) -> dict:
         "scenarios": [_plain(
             s, "duration_s", "route", aircraft=a.name, constellation=c.name,
             duration_h=s.duration_s / 3600.0,
-            flight={"type": "waypoints", "points": [list(p) for p in s.route.points]},
+            flight={"type": "waypoints", "points": s.route.points.tolist()},
             rain_profile=[list(p) for p in s.rain_profile],
             loss_model=_plain(loss, bands={name: _plain(b) for name, b in loss.bands.items()}),
         )],

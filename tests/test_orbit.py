@@ -323,6 +323,8 @@ RANGE_RATE_ATOL_KMS = 1e-9
 ELEVATION_ATOL_DEG = 1e-9
 # satellites whose elevations differ by less than this are one choice
 TIE_DEG = ELEVATION_ATOL_DEG
+# azimuths are not compared this close to the zenith, where they are undefined
+ZENITH_TOL_DEG = 1e-6
 
 
 def _reference_timeline(scenario, step_s, ties=None):
@@ -393,7 +395,9 @@ def _assert_kernel_matches_reference(scenario, step_s):
     np.testing.assert_allclose(access.doppler_khz, doppler_khz(range_rate, carrier), rtol=1e-9,
                                atol=abs(doppler_khz(RANGE_RATE_ATOL_KMS, carrier)))
     served = access.served
-    turn = (access.azimuth_deg[served] - azimuth[served] + 180.0) % 360.0 - 180.0
+    # the azimuth is undefined at the zenith
+    aimed = served & (elevation < 90.0 - ZENITH_TOL_DEG)
+    turn = (access.azimuth_deg[aimed] - azimuth[aimed] + 180.0) % 360.0 - 180.0
     np.testing.assert_allclose(turn, 0.0, rtol=0.0, atol=1e-9 * 360.0)
     assert np.all(np.isnan(access.azimuth_deg[~served]))
     assert np.all(access.elevation_deg[served] >= scenario.handover_threshold_deg)
@@ -469,6 +473,19 @@ def _meo_passes():
                    route=route, duration_s=15000.0, handover_threshold_deg=10.0), 30.0
 
 
+def _satellite_at_the_zenith():
+    """Four 400 km satellites on planes at 1 deg, RAAN 0/90/180/270, phasing 3,
+    over an aircraft parked at 1 deg N 0 deg E at 0 m, 0 deg mask, 10
+    steps of 1 s: satellite 3 starts exactly at the zenith, where the
+    azimuth is undefined (kernel 270.15 deg, per-step reference 270.05).
+    """
+    base = resolve_scenario("scenario-7")
+    route = FlightRoute(((0.0, 1.0, 0.0, 0.0), (10.0, 1.0, 0.0, 0.0)))
+    return replace(base, constellation=_walker(base, 4, 1, 400.0, 1.0, 0.0, 3, 0.0),
+                   route=route, duration_s=10.0, handover_threshold_deg=0.0,
+                   handover_hysteresis_deg=0.0), 1.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_scenarios(), block_span_s=st.floats(1.0, 2000.0),
        pass_angles=st.floats(0.0, 15.0).map(lambda k: int(2.0 ** k)),
@@ -476,6 +493,8 @@ def _meo_passes():
 @example(case=_lone_satellite_passes(), block_span_s=128.0, pass_angles=_PASS_ANGLES,
          chunk_pairs=2 ** 14)
 @example(case=_meo_passes(), block_span_s=240.0, pass_angles=240, chunk_pairs=256)
+@example(case=_satellite_at_the_zenith(), block_span_s=_BLOCK_SPAN_S, pass_angles=_PASS_ANGLES,
+         chunk_pairs=_CHUNK_PAIRS)
 def test_kernel_matches_per_step_reference(case, block_span_s, pass_angles, chunk_pairs):
     # blocks of 1 s to 2000 s, passes of one block up to 2^15 (satellite,
     # block) cosines and chunks of 4 to 2^14 pairs, drawn log-uniform,

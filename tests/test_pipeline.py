@@ -4,7 +4,7 @@ import json
 import math
 import tempfile
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -241,7 +241,7 @@ def test_rotorcraft_run_writes_blade_table(tmp_path):
     spec = builtin_catalog().scenarios["scenario-15b"]
     result = run_scenario(spec, step_s=60.0, n_frames=10, mode="expected",
                           out_dir=tmp_path)
-    assert result.blade_rows, "rotor aircraft must produce schedule segments"
+    assert len(result.blade_rows), "rotor aircraft must produce schedule segments"
     rows = _read_csv(tmp_path / "scenario-15b" / "blades.csv")
     assert list(rows[0]) == ["elevation_deg", "d_rotor_m", "phi_deg",
                              "t_int_ms", "t_lnk_ms", "duty_cycle"]
@@ -336,8 +336,7 @@ def _link_cases(draw):
         elevation_deg=np.where(served, el, np.nan),
         azimuth_deg=np.where(served, azimuth, np.nan),
         slant_range_km=np.where(served, slant, np.nan),
-        range_rate_kms=np.zeros(n), doppler_khz=np.zeros(n),
-        threshold_deg=0.0, carrier_ghz=base.phy.carrier_ghz)
+        range_rate_kms=np.zeros(n), doppler_khz=np.zeros(n))
 
     rotor = draw(st.one_of(st.none(), st.builds(
         RotorSpec, n_blades=st.integers(1, 6), blade_width_m=st.floats(0.05, 3.0),
@@ -384,7 +383,7 @@ def test_link_and_blades_match_per_sample_reference(case):
     (segment, schedules), rows = blade_overlay(scenario, access)
     rotor = scenario.aircraft.rotor
     if rotor is None:
-        assert np.all(segment == -1) and schedules is None and rows == []
+        assert np.all(segment == -1) and schedules is None and len(rows) == 0
         return
     want_segment, want_rows = _reference_blades(rotor, access)
     assert np.array_equal(segment, want_segment)
@@ -561,7 +560,7 @@ def test_write_outputs_match_row_wise_reference(tmp_path, mode):
     # the rotor scenario writes all four tables
     result = run_scenario(builtin_catalog().scenarios["scenario-15b"], step_s=60.0,
                           n_frames=20, mode=mode, seed=0, out_dir=tmp_path)
-    access, link, slots = result.access, result.link, result.slots
+    access, link, slots, blades = result.access, result.link, result.slots, result.blade_rows
     tables = {
         "access.csv": {
             "time_s": access.times_s, "sat_id": access.sat_id,
@@ -577,9 +576,10 @@ def test_write_outputs_match_row_wise_reference(tmp_path, mode):
             "erased": slots.erased, "cnr_db": slots.cnr_db,
             "payload_bits": slots.payload_bits, "bit_errors": slots.bit_errors,
             "ber": slots.ber, "decode_prob": slots.decode_prob},
-        "blades.csv": dict(zip(
-            ["elevation_deg", "d_rotor_m", "phi_deg", "t_int_ms", "t_lnk_ms", "duty_cycle"],
-            zip(*map(astuple, result.blade_rows)))),
+        "blades.csv": {
+            "elevation_deg": blades.elevation_deg, "d_rotor_m": blades.radius_m,
+            "phi_deg": blades.arc_deg, "t_int_ms": blades.blocked_ms,
+            "t_lnk_ms": blades.clear_ms, "duty_cycle": blades.duty_cycle},
     }
     for name, table in tables.items():
         got = (tmp_path / "scenario-15b" / name).read_bytes()
@@ -752,6 +752,19 @@ def test_cli_run_from_file(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "out" / "geo-overhead" / "report.json").exists()
     assert "access 100.0%" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sid", sorted(builtin_catalog().scenarios))
+def test_cli_serialized_builtin_runs_like_the_builtin(tmp_path, sid):
+    # the waypoint array goes through serialize_scenario and back unchanged
+    token = _scenario_file(tmp_path, builtin_catalog().scenarios[sid])
+    outputs = {}
+    for name, scenario in (("by-id", sid), ("from-file", token)):
+        assert main(["run", "--scenario", scenario, "--step", "60", "--frames", "10",
+                     "--mode", "mc", "--seed", "1", "--out", str(tmp_path / name)]) == 0
+        target = tmp_path / name / sid
+        outputs[name] = {p.name: p.read_bytes() for p in target.iterdir()}
+    assert outputs["from-file"] == outputs["by-id"]
 
 
 def test_cli_unknown_scenario_is_config_error(capsys):

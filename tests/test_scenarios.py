@@ -11,7 +11,7 @@ from rwasim.blades import RotorSpec
 from rwasim.cli import main
 from rwasim.constants import EARTH_RADIUS
 from rwasim.errors import ConfigError, ScenarioFormatError, UnknownReferenceError
-from rwasim.linkbudget import BandAtmosphere, LossModel
+from rwasim.linkbudget import LossModel
 from rwasim.phy import Mcs, PhyConfig
 from rwasim.scenarios import (
     AircraftSpec,
@@ -361,21 +361,34 @@ def test_scenario_rejects_nonpositive_reference_bandwidth():
         _scenario(cnr_prime_bandwidth_mhz=0.0)
 
 
-@pytest.mark.parametrize("part, field", [
-    ("aircraft", "bandwidth_mhz"),
-    ("aircraft", "rx_noise_temp_k"),
-    ("constellation", "altitude_km"),
-    ("scenario", "duration_s"),
-    ("scenario", "cnr_prime_bandwidth_mhz"),
+_LEG = (0.0, 10.0, 20.0, 0.0)
+
+
+@pytest.mark.parametrize("part, field, value", [
+    *(pytest.param(part, field, math.nan, id=f"{part}-{field}") for part, field in [
+        ("aircraft", "bandwidth_mhz"),
+        ("aircraft", "rx_noise_temp_k"),
+        ("constellation", "altitude_km"),
+        ("scenario", "duration_s"),
+        ("scenario", "cnr_prime_bandwidth_mhz"),
+    ]),
+    pytest.param("route", "points", (_LEG, (math.nan, 10.0, 20.0, 0.0)), id="route-nan-time"),
+    pytest.param("route", "points", (_LEG, (math.inf, 10.0, 20.0, 0.0)), id="route-inf-time"),
+    pytest.param("route", "points", (_LEG, (600.0, math.nan, 20.0, 0.0)), id="route-nan-lat"),
+    pytest.param("route", "points", (_LEG, (600.0, 10.0, math.nan, 0.0)), id="route-nan-lon"),
+    pytest.param("route", "points", (_LEG, (600.0, 10.0, 20.0, math.nan)), id="route-nan-alt"),
+    pytest.param("scenario", "rain_profile", ((0.0, math.inf),), id="rain-inf-rate"),
+    pytest.param("scenario", "rain_profile", ((0.0, math.nan),), id="rain-nan-rate"),
+    pytest.param("scenario", "rain_profile", ((math.nan, 5.0),), id="rain-nan-start"),
 ])
-def test_constructors_reject_nan(part, field):
+def test_constructors_reject_nan(part, field, value):
     # the parser's finite check covers files only; library callers meet these
     s = resolve_scenario("scenario-6")
     with pytest.raises(ConfigError) as err:
         if part == "scenario":
-            replace(s, **{field: math.nan})
+            replace(s, **{field: value})
         else:
-            replace(getattr(s, part), **{field: math.nan})
+            replace(getattr(s, part), **{field: value})
     assert err.value.field == field
 
 
@@ -489,7 +502,7 @@ def test_readme_example_runs_and_omitted_keys_take_spec_defaults(tmp_path):
     ({"bands": {"Ka": {"rain_k": -0.15}}}, "rain_k"),
     ({"rain_heigth_km": 3}, "rain_heigth_km"),
     ({"bands": {"Ka": {"rain_kk": 0.15}}}, "rain_kk"),
-    ({"bands": {"W": {"rain_k": -1.0}}}, "rain_k"),
+    ({"bands": {"W": {"rain_k": -1.0}}}, "bands"),  # no aircraft flies W: never read
     (None, None),
     ({"bands": {"Ka": {"zenith_gas_db": 0, "zenith_cloud_db": 0, "rain_k": 0}}}, None),
     ({"rain_height_km": "high"}, "rain_height_km"),
@@ -510,15 +523,19 @@ def test_loss_model_overrides_are_validated(override, field):
 def test_loss_model_overrides():
     doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])
     doc["scenarios"][0]["loss_model"] = {
-        "rain_height_km": 4.0, "bands": {"Ka": {"rain_k": 0.2}, "W": {"rain_k": 0.5}}}
+        "rain_height_km": 4.0, "bands": {"Ka": {"rain_k": 0.2}}}
     model = parse_catalog(doc).scenarios["scenario-6"].loss_model
     default = LossModel()
     assert model.rain_height_km == 4.0
     assert model.slant_cap_km == default.slant_cap_km
-    # a band entry replaces only what it names; a new band starts from zero
+    # a band entry replaces only what it names
     assert model.band("Ka") == replace(default.band("Ka"), rain_k=0.2)
     assert model.band("S") == default.band("S")
-    assert model.band("W") == BandAtmosphere(0.0, 0.0, 0.5, 1.0)
+    # a band no aircraft can fly would never be read
+    doc["scenarios"][0]["loss_model"]["bands"]["W"] = {"rain_k": 0.5}
+    with pytest.raises(ConfigError, match="'W'") as err:
+        parse_catalog(doc)
+    assert err.value.field == "bands"
 
 
 ALPHA_900 = dict(n_blades=3, blade_width_m=0.093, rpm=1280.0, shaft_offset_m=0.5,
