@@ -58,65 +58,50 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _plane_basis(inc_rad, raan_rad):
-    """Orbit-plane unit vectors: p toward the ascending node, q 90 deg ahead."""
+def _epoch_directions(inc_rad, raan_rad, u0_rad):
+    """Inertial directions of position and velocity at the epoch, (..., 6).
+
+    With p the orbit-plane unit vector toward the ascending node and q the
+    one 90 deg ahead, they are ``w1 = cos u0 p + sin u0 q`` and ``w2 =
+    cos u0 q - sin u0 p``: at time t a satellite's direction is
+    ``cos(n t) w1 + sin(n t) w2``.
+    """
     cos_raan, sin_raan = np.cos(raan_rad), np.sin(raan_rad)
     cos_inc = np.cos(inc_rad)
     p = (cos_raan, sin_raan, np.zeros_like(cos_raan))
     q = (-sin_raan * cos_inc, cos_raan * cos_inc, np.sin(inc_rad))
-    return p, q
+    cos_u0, sin_u0 = np.cos(u0_rad), np.sin(u0_rad)
+    return np.stack([cos_u0 * pk + sin_u0 * qk for pk, qk in zip(p, q)]
+                    + [cos_u0 * qk - sin_u0 * pk for pk, qk in zip(p, q)], axis=-1)
 
 
-def _eci_position(a, u, p, q):
-    cos_u, sin_u = np.cos(u), np.sin(u)
-    return tuple(a * (cos_u * pk + sin_u * qk) for pk, qk in zip(p, q))
+def _eci_state(a, n, w, cos_n, sin_n):
+    """ECI position (km) and velocity (km/s) from epoch directions ``w``
+    (6, ...), given cos(n t) and sin(n t)."""
+    w1, w2 = w[:3], w[3:]
+    return a * (cos_n * w1 + sin_n * w2), a * n * (cos_n * w2 - sin_n * w1)
 
 
-def _eci_velocity(a, n, u, p, q):
-    cos_u, sin_u = np.cos(u), np.sin(u)
-    return tuple(a * n * (-sin_u * pk + cos_u * qk) for pk, qk in zip(p, q))
-
-
-def _rotate_to_ecef(x, y, z, theta):
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
+def _rotate_to_ecef(x, y, z, cos_t, sin_t):
+    """Turn inertial vectors into the Earth-fixed frame at sidereal angle t."""
     return x * cos_t + y * sin_t, -x * sin_t + y * cos_t, z
 
 
-def _ecef_velocity(velocity_eci, position_ecef, theta):
-    """Earth-fixed velocity: rotated inertial velocity minus omega x r."""
-    vx, vy, vz = _rotate_to_ecef(*velocity_eci, theta)
-    omega = EARTH_ROTATION_RATE
-    return vx + omega * position_ecef[1], vy - omega * position_ecef[0], vz
+def _view(rel, v_rel, up):
+    """Elevation, azimuth (deg), range (km) and range rate (km/s).
 
-
-def _geodetic_to_ecef(lat_deg, lon_deg, alt_m):
-    lat, lon = np.radians(lat_deg), np.radians(lon_deg)
-    r = EARTH_RADIUS + alt_m / 1000.0
-    cos_lat = np.cos(lat)
-    return r * (cos_lat * np.cos(lon)), r * (cos_lat * np.sin(lon)), r * np.sin(lat)
-
-
-def _enu_axes(lat_deg, lon_deg):
-    """East, north and up unit vectors of the local horizon."""
-    lat, lon = np.radians(lat_deg), np.radians(lon_deg)
-    sin_lat, cos_lat = np.sin(lat), np.cos(lat)
-    sin_lon, cos_lon = np.sin(lon), np.cos(lon)
-    east = (-sin_lon, cos_lon, np.zeros_like(cos_lon))
-    north = (-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat)
-    up = (cos_lat * cos_lon, cos_lat * sin_lon, sin_lat)
-    return east, north, up
-
-
-def _elevation_deg(rel, dist, up):
-    return np.degrees(np.arcsin(np.clip(_dot(up, rel) / dist, -1.0, 1.0)))
-
-
-def _view(rel, v_rel, lat_deg, lon_deg):
-    """Elevation, azimuth (deg), range (km) and range rate (km/s)."""
-    east, north, up = _enu_axes(lat_deg, lon_deg)
+    East is the normalised z x up; at an exact pole, where that vanishes,
+    it is +y, the east of longitude 0.  North is up x east.
+    """
+    ux, uy, uz = up
+    across = np.hypot(ux, uy)
+    east = (np.divide(-uy, across, out=np.zeros_like(across), where=across > 0),
+            np.divide(ux, across, out=np.ones_like(across), where=across > 0), 0.0)
+    north = (-uz * east[1], uz * east[0], ux * east[1] - uy * east[0])
+    to_east, to_north = _dot(east, rel), _dot(north, rel)
     dist = np.sqrt(_dot(rel, rel))
-    elevation = _elevation_deg(rel, dist, up)
-    azimuth = np.degrees(np.arctan2(_dot(east, rel), _dot(north, rel))) % 360.0
+    elevation = np.degrees(np.arctan2(_dot(up, rel), np.hypot(to_east, to_north)))
+    azimuth = np.degrees(np.arctan2(to_east, to_north)) % 360.0
     return elevation, azimuth, dist, _dot(rel, v_rel) / dist
 
 
@@ -126,9 +111,10 @@ def propagate(elements: KeplerianElements, t: float) -> tuple[np.ndarray, np.nda
     """ECI position (km) and velocity (km/s) of one satellite at time t."""
     a = elements.semi_major_axis_km
     n = mean_motion(a)
-    p, q = _plane_basis(np.radians(elements.inclination_deg), np.radians(elements.raan_deg))
-    u = np.radians(elements.arg_latitude_deg) + n * t
-    return np.array(_eci_position(a, u, p, q)), np.array(_eci_velocity(a, n, u, p, q))
+    w = _epoch_directions(math.radians(elements.inclination_deg),
+                          math.radians(elements.raan_deg),
+                          math.radians(elements.arg_latitude_deg))
+    return _eci_state(a, n, w, math.cos(n * t), math.sin(n * t))
 
 
 # === topocentric view ===
@@ -191,29 +177,6 @@ class AccessTimeline:
         return int(np.count_nonzero(ids[1:] != ids[:-1]))
 
 
-def aircraft_track(
-    route: FlightRoute, times_s: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Aircraft latitude, longitude (deg), ECEF position (3, T) in km and
-    ECEF velocity (3, T) in km/s at each time.
-
-    The velocity is a central difference over +-0.05 s, clamped to the
-    flight.
-    """
-    times_s = np.asarray(times_s, dtype=float)
-    eps = 0.05
-    before = np.maximum(times_s - eps, 0.0)
-    after = np.minimum(times_s + eps, route.duration_s)
-    lat, lon, alt = route.track(np.concatenate([times_s, before, after]))
-    here, pos_before, pos_after = np.split(np.array(_geodetic_to_ecef(lat, lon, alt)), 3, axis=1)
-    dt = after - before
-    velocity = np.divide(pos_after - pos_before, dt,
-                         out=np.zeros_like(pos_after), where=dt > 0)
-    n = len(times_s)
-    # copies, so the (3, 3 * T) interpolation they were cut from can be freed
-    return lat[:n].copy(), lon[:n].copy(), here.copy(), velocity
-
-
 # Flight time per block of the candidate bound.  Each block's candidates
 # are the satellites that can reach the mask over its whole span, so they
 # grow with the drift over it, while shorter blocks cost more bounds.  The
@@ -240,46 +203,58 @@ _CHUNK_PAIRS = 2 ** 13
 # computed elevations are off by ~1e-15.
 _CANDIDATE_MARGIN_RAD = 1e-6
 
+# Elevations within this of a row's highest are tied, and the lowest
+# satellite id among them wins.  Coincident satellites (several equatorial
+# planes of a Walker shell) differ by rounding alone, ~1e-14 deg, which
+# would otherwise pick one of them by the order of the arithmetic.
+_TIE_DEG = 1e-10
+
 
 def _scan_chunk(row, sat, elevation, served, current, threshold_deg, acquire_deg):
     """Apply the handover rule to one chunk by event.
 
     ``row``, ``sat`` and ``elevation`` are the chunk's (row, candidate)
     pairs, satellite-major; a satellite with no pair on a row is below the
-    threshold there.  From ``current`` (-1 for none) on entry, each row's
-    satellite goes into ``served`` (all -1), jumping to the row where the
-    served satellite drops or, in an outage, to the next row whose best
-    satellite clears ``acquire_deg``.  Returns the satellite at the end.
+    threshold there.  A row's best satellite is the lowest id among those
+    that hold the threshold within ``_TIE_DEG`` of its highest elevation.
+    From ``current`` (-1 for none) on entry, each row's satellite goes into
+    ``served`` (all -1), jumping to the row where the served satellite
+    drops or, in an outage, to the next row whose best satellite clears
+    ``acquire_deg``.  Returns the satellite at the end.
     """
     n_rows = len(served)
     highest = np.full(n_rows, -np.inf)
     np.maximum.at(highest, row, elevation)
-    top = elevation == highest[row]
-    best = np.full(n_rows, np.iinfo(sat.dtype).max)
-    np.minimum.at(best, row[top], sat[top])   # ties go to the lowest id
+    held = elevation >= threshold_deg
+    # pairs are satellite-major, so a row's lowest tied pair is its lowest tied id
+    top = np.flatnonzero(held & (elevation >= highest[row] - _TIE_DEG))
+    best = np.full(n_rows, len(row))   # each row's best pair
+    np.minimum.at(best, row[top], top)
     acquired = np.flatnonzero(highest >= acquire_deg)
     # a satellite's pairs on consecutive rows have consecutive keys; the stride
     # n_rows + 1 keeps its last row from running into the next one's first
     key = sat * (n_rows + 1) + row
-    held = elevation >= threshold_deg
     stop = np.flatnonzero(~held | (np.diff(key, append=-1) != 1))
-    drop = row[stop] + held[stop]   # the first row after each run
+    # for each pair, the first row after the run of held rows it is in
+    run_end = np.repeat(row[stop] + held[stop], np.diff(stop, prepend=-1))
+    at = np.searchsorted(key, current * (n_rows + 1))
     i = 0
-    while i < n_rows:
+    end = run_end[at] if current >= 0 and at < len(key) and key[at] == current * (n_rows + 1) else 0
+    while True:
         if current >= 0:
-            target = current * (n_rows + 1) + i
-            at = np.searchsorted(key, target)
-            end = drop[np.searchsorted(stop, at)] if at < len(key) and key[at] == target else i
             served[i:end] = current
             if end == n_rows:
-                break
-            i, current = end, best[end] if highest[end] >= threshold_deg else -1
+                return current
+            i = end
+            if highest[i] < threshold_deg:
+                current = -1
+                continue
         else:
             k = np.searchsorted(acquired, i)
             if k == len(acquired):
-                break
-            i, current = acquired[k], best[acquired[k]]
-    return current
+                return -1
+            i = acquired[k]
+        current, end = sat[best[i]], run_end[best[i]]
 
 
 def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> AccessTimeline:
@@ -292,13 +267,16 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     the threshold, else goes into an outage, from which the highest
     satellite is acquired once it clears the threshold plus the
     hysteresis, so a satellite at the mask edge does not toggle access.
-    Ties go to the lowest satellite id.
+    Satellites within ``_TIE_DEG`` of the highest are tied, and the lowest
+    id among them is taken.
 
-    Steps go in blocks of ``_BLOCK_SPAN_S``, blocks in passes of up to
-    ``_PASS_ANGLES`` (satellite, block) cosines, and a block's rows in
-    chunks of about ``_CHUNK_PAIRS`` (row, candidate) pairs; `_scan_chunk`
-    applies the rule to a chunk by event.  The full geometry is then computed for
-    the served satellite only.
+    The route is evaluated once per step.  Steps go in blocks of
+    ``_BLOCK_SPAN_S``, blocks in passes of up to ``_PASS_ANGLES``
+    (satellite, block) cosines, and a block's rows in chunks of about
+    ``_CHUNK_PAIRS`` (row, candidate) pairs, whose elevations come from the
+    cosines of their central angles; `_scan_chunk` applies the rule to a
+    chunk by event.  The full geometry is then computed for the served
+    satellite only.
     """
     if step_s <= 0:
         raise ValueError("step_s must be > 0")
@@ -307,20 +285,17 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     inclination, raan, phase = expand_constellation(scenario.constellation)
     a = scenario.constellation.orbit_radius_km
     n_rate = mean_motion(a)
-    u0 = np.radians(phase)
-    p, q = _plane_basis(np.radians(inclination), np.radians(raan))
-    # epoch directions of position and velocity, a (satellites x 6) matrix:
-    # at time t a satellite's inertial direction is cos(n t) w[:, :3] +
-    # sin(n t) w[:, 3:]
-    cos_u0, sin_u0 = np.cos(u0), np.sin(u0)
-    w = np.stack([cos_u0 * pk + sin_u0 * qk for pk, qk in zip(p, q)]
-                 + [cos_u0 * qk - sin_u0 * pk for pk, qk in zip(p, q)], axis=1)
+    w = _epoch_directions(np.radians(inclination), np.radians(raan), np.radians(phase))
 
     times = np.arange(n_steps, dtype=float) * step_s
-    theta = EARTH_ROTATION_RATE * times
-    lat, lon, obs_pos, obs_vel = aircraft_track(scenario.route, times)
-    up = _enu_axes(lat, lon)[2]
-    obs_radius = np.sqrt(_dot(obs_pos, obs_pos))
+    cos_t, sin_t = np.cos(EARTH_ROTATION_RATE * times), np.sin(EARTH_ROTATION_RATE * times)
+    cos_n, sin_n = np.cos(n_rate * times), np.sin(n_rate * times)
+    up, obs_radius, obs_vel = scenario.route.state(times)
+    # each step's zenith turned into the inertial frame, times cos(n t) and
+    # sin(n t), as a (steps x 6) matrix: a satellite's row of w dotted with
+    # a step's row of zen is the cosine of their Earth central angle
+    up_eci = np.array(_rotate_to_ecef(*up, cos_t, -sin_t))
+    zen = np.ascontiguousarray(np.concatenate([up_eci * cos_n, up_eci * sin_n]).T)
 
     threshold = scenario.handover_threshold_deg
     # hysteresis >= 0, so candidates for the threshold cover acquisitions
@@ -328,7 +303,7 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     # largest angular rate of a satellite direction in the Earth-fixed frame
     sweep_rate = n_rate + EARTH_ROTATION_RATE
     rows = max(1, int(_BLOCK_SPAN_S / step_s))
-    per_pass = rows * max(1, _PASS_ANGLES // len(u0))
+    per_pass = rows * max(1, _PASS_ANGLES // len(w))
     sat_id = np.full(n_steps, -1, dtype=int)
     current = -1
     for lo in range(0, n_steps, per_pass):
@@ -340,13 +315,10 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
         # and elevation falls as it grows, so a satellite beyond `reach` +
         # drift + move stays under the threshold on every row of the
         # block; `reach` uses the block's lowest aircraft.  Its cosine is
-        # the satellite's direction dotted with the mid-row zenith, turned
-        # into the inertial frame: one (satellites x 6) @ (6 x blocks)
-        # product, and `keep` is (satellites x blocks).
+        # one (satellites x 6) @ (6 x blocks) product, and `keep` is
+        # (satellites x blocks).
         mid = (starts + ends - 1) // 2
-        up_eci = np.stack(_rotate_to_ecef(*(c[mid] for c in up), -theta[mid]), axis=1)
-        along = n_rate * times[mid, None]
-        cos_central = w @ np.hstack([up_eci * np.cos(along), up_eci * np.sin(along)]).T
+        cos_central = w @ zen[mid].T
         drift = np.minimum(sweep_rate * np.maximum(times[mid] - times[starts],
                                                    times[ends - 1] - times[mid]), math.pi)
         up_move = np.arccos(np.clip(np.minimum.reduceat(
@@ -374,24 +346,28 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
             lens = (last - first)[piece]
             sat = np.repeat(cand, lens)
             at = np.arange(sat.size) + np.repeat(first[piece] - np.cumsum(lens) + lens, lens)
-            row = at - first[0]
-            u = u0[sat] + n_rate * times[at]
-            pos = _rotate_to_ecef(*_eci_position(a, u, tuple(c[sat] for c in p),
-                                                 tuple(c[sat] for c in q)), theta[at])
-            rel = tuple(s - o[at] for s, o in zip(pos, obs_pos))
-            elevation = _elevation_deg(rel, np.sqrt(_dot(rel, rel)), tuple(c[at] for c in up))
-            current = _scan_chunk(row, sat, elevation, sat_id[first[0]:last[-1]], current,
-                                  threshold, acquire)
+            # with c the cosine of the central angle and r the aircraft's
+            # radius, the satellite is a c - r above the horizon plane and
+            # sqrt((a - r)^2 + 2 a r (1 - c)) away
+            below = a * (1.0 - np.einsum("ij,ij->i", w.take(sat, axis=0), zen.take(at, axis=0)))
+            r = obs_radius[at]
+            elevation = np.degrees(np.arcsin(np.clip(
+                (a - r - below) / np.sqrt((a - r) ** 2 + 2.0 * r * below), -1.0, 1.0)))
+            current = _scan_chunk(at - first[0], sat, elevation, sat_id[first[0]:last[-1]],
+                                  current, threshold, acquire)
 
     served = np.flatnonzero(sat_id >= 0)
-    ids = sat_id[served]
-    u = u0[ids] + n_rate * times[served]
-    p_s, q_s = tuple(c[ids] for c in p), tuple(c[ids] for c in q)
-    sat_pos = _rotate_to_ecef(*_eci_position(a, u, p_s, q_s), theta[served])
-    sat_vel = _ecef_velocity(_eci_velocity(a, n_rate, u, p_s, q_s), sat_pos, theta[served])
-    rel = tuple(s - o for s, o in zip(sat_pos, obs_pos[:, served]))
-    v_rel = tuple(s - o for s, o in zip(sat_vel, obs_vel[:, served]))
+    cos_t, sin_t = cos_t[served], sin_t[served]
+    sat_pos, sat_vel = _eci_state(a, n_rate, w.T.take(sat_id[served], axis=1), cos_n[served],
+                                  sin_n[served])
+    sat_pos = _rotate_to_ecef(*sat_pos, cos_t, sin_t)
+    vx, vy, vz = _rotate_to_ecef(*sat_vel, cos_t, sin_t)
+    # Earth-fixed velocity: the rotated inertial one minus omega x r
+    sat_vel = (vx + EARTH_ROTATION_RATE * sat_pos[1], vy - EARTH_ROTATION_RATE * sat_pos[0], vz)
+    up = up.take(served, axis=1)
+    rel = tuple(s - obs_radius[served] * u for s, u in zip(sat_pos, up))
+    v_rel = tuple(s - o for s, o in zip(sat_vel, obs_vel.take(served, axis=1)))
     view = np.full((4, n_steps), np.nan)   # elevation, azimuth, range, range rate
-    for column, values in zip(view, _view(rel, v_rel, lat[served], lon[served])):
+    for column, values in zip(view, _view(rel, v_rel, up)):
         column[served] = values
     return AccessTimeline(times, sat_id, *view, doppler_khz(view[3], scenario.phy.carrier_ghz))

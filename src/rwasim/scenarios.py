@@ -32,9 +32,6 @@ from .phy import PhyConfig, validate_channel
 BANDS = ("S", "Ku", "Ka")
 DIRECTIONS = ("uplink", "downlink")
 
-# degrees of latitude per km on the spherical Earth
-_DEG_PER_KM = 180.0 / (math.pi * EARTH_RADIUS)
-
 
 # === aircraft ===
 
@@ -148,27 +145,52 @@ class ConstellationSpec:
 
 # === flight routes ===
 
+# Consecutive waypoints whose directions from the Earth's centre are this
+# close to opposite (rad, about 6 mm on the ground) leave the great circle
+# between them undefined
+_ANTIPODAL_RAD = 1e-9
+
+
+def _finite_rows(rows, width: int, message: str, field: str) -> np.ndarray:
+    """``rows`` as a float (n, width) array of finite values; anything else,
+    ragged rows included, is a ConfigError naming ``field``."""
+    try:
+        table = np.array(rows, dtype=float)
+    except (TypeError, ValueError):   # ragged rows, or a value that is no number
+        raise ConfigError(message, field=field) from None
+    if table.size == 0:
+        return table.reshape(0, width)
+    if table.ndim != 2 or table.shape[1] != width or not np.all(np.isfinite(table)):
+        raise ConfigError(message, field=field)
+    return table
+
+
+def _unit_vectors(lat_deg, lon_deg) -> np.ndarray:
+    """Earth-fixed unit vectors (3, ...) toward geodetic latitudes and longitudes."""
+    lat, lon = np.radians(lat_deg), np.radians(lon_deg)
+    cos_lat = np.cos(lat)
+    return np.array([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)])
+
+
 @dataclass(frozen=True, eq=False)
 class FlightRoute:
     """Aircraft track as timed geodetic waypoints.
 
     ``points`` is a read-only float (n, 4) array of (time_s, lat_deg,
-    lon_deg, alt_m) rows, the first at time 0 (the start of the flight);
-    positions between waypoints are linear in the geodetic coordinates
-    and clamped beyond the ends.  Longitudes are unwrapped first, so a
-    hop across the antimeridian takes the short way round.
+    lon_deg, alt_m) rows, the first at time 0 (the start of the flight).
+    Between two waypoints the aircraft flies the great circle through
+    them at a constant angular rate, its altitude linear in time, so a
+    leg across the antimeridian or over a pole takes the short way; before
+    the first and after the last waypoint it holds still there.
     """
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        # column-major, so each column is contiguous for np.interp
-        points = np.array(self.points, dtype=float, order="F")
-        if points.ndim != 2 or points.shape[1] != 4 or len(points) == 0:
-            raise ConfigError("a route needs at least one (time_s, lat_deg, lon_deg, alt_m) "
-                              "waypoint", field="points")
-        if not np.all(np.isfinite(points)):
-            raise ConfigError("waypoint values must be finite", field="points")
+        points = _finite_rows(self.points, 4, "waypoints are finite (time_s, lat_deg, lon_deg, "
+                              "alt_m) rows", "points")
+        if len(points) == 0:
+            raise ConfigError("a route needs at least one waypoint", field="points")
         times = points[:, 0]
         if times[0] != 0.0:
             # the access timeline starts at t = 0 and runs for duration_s
@@ -180,6 +202,11 @@ class FlightRoute:
             raise ConfigError("latitude out of [-90, 90]", field="points")
         if np.any(points[:, 3] < 0):
             raise ConfigError("altitude must be >= 0 m", field="points")
+        ends = _unit_vectors(points[:, 1], points[:, 2])
+        # |a + b| is the chord from b to the antipode of a
+        if np.any(np.linalg.norm(ends[:, 1:] + ends[:, :-1], axis=0) < _ANTIPODAL_RAD):
+            raise ConfigError("consecutive waypoints are antipodal, so the great circle "
+                              "between them is undefined", field="points")
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
 
@@ -189,24 +216,59 @@ class FlightRoute:
         return np.array_equal(self.points, other.points)
 
     @cached_property
-    def _unwrapped_lon(self) -> np.ndarray:
-        return np.unwrap(self.points[:, 2], period=360.0)
+    def _legs(self) -> np.ndarray:
+        """A (10, n + 1) array with a column per leg: its start time (s),
+        start direction (3), the unit vector perpendicular to that toward
+        its end (3), angular rate (rad/s), start radius (km) and radial
+        rate (km/s).  Column 0 holds still at the first waypoint before the
+        flight, and column n at the last one after it."""
+        times, lat, lon, alt = self.points.T
+        ends = _unit_vectors(lat, lon)
+        start, end = ends[:, :-1], ends[:, 1:]
+        cos_angle = np.sum(start * end, axis=0)
+        across = end - cos_angle * start
+        sin_angle = np.linalg.norm(across, axis=0)
+        dt = np.diff(times)
+        radius = EARTH_RADIUS + alt / 1000.0
+        legs = np.zeros((10, len(times) + 1))
+        legs[0, 1:] = times
+        legs[1:4, 0], legs[1:4, 1:] = ends[:, 0], ends
+        np.divide(across, sin_angle, out=legs[4:7, 1:-1], where=sin_angle > 0)
+        legs[7, 1:-1] = np.arctan2(sin_angle, cos_angle) / dt
+        legs[8, 0], legs[8, 1:] = radius[0], radius
+        legs[9, 1:-1] = np.diff(radius) / dt
+        return legs
 
     @property
     def duration_s(self) -> float:
         return float(self.points[-1, 0])
 
-    def track(self, times_s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lat_deg, lon_deg, alt_m) arrays at ``times_s`` (clamped to the track).
+    def state(self, times_s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The aircraft's Earth-fixed state at ``times_s``: its up unit vector
+        (3, ...), its distance from the Earth's centre (km) and its velocity
+        (3, ...) in km/s.
 
-        Longitudes come back in [-180, 180).
+        One leg lookup and one cosine and sine per time: the velocity is
+        the exact derivative of the great-circle motion, and zero before
+        the first and from the last waypoint on.
         """
-        times, lats, _, alts = self.points.T
-        lon = np.interp(times_s, times, self._unwrapped_lon)
-        # wrap only what is out of range: in-range longitudes stay bit-exact
-        outside = (lon < -180.0) | (lon >= 180.0)
-        lon = np.where(outside, (lon + 180.0) % 360.0 - 180.0, lon)
-        return np.interp(times_s, times, lats), lon, np.interp(times_s, times, alts)
+        times_s = np.asarray(times_s, dtype=float)
+        leg = self._legs.take(np.searchsorted(self._legs[0, 1:], times_s, side="right"), axis=1)
+        t0, start, toward, rate, radius0, radial_rate = (
+            leg[0], leg[1:4], leg[4:7], leg[7], leg[8], leg[9])
+        elapsed = times_s - t0
+        cos_a, sin_a = np.cos(rate * elapsed), np.sin(rate * elapsed)
+        up = cos_a * start + sin_a * toward
+        radius = radius0 + radial_rate * elapsed
+        velocity = (radius * rate) * (cos_a * toward - sin_a * start) + radial_rate * up
+        return up, radius, velocity
+
+    def track(self, times_s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lat_deg, lon_deg, alt_m) at ``times_s``; longitudes in [-180, 180)."""
+        (x, y, z), radius, _ = self.state(times_s)
+        lon = np.degrees(np.arctan2(y, x))
+        return (np.degrees(np.arctan2(z, np.hypot(x, y))), np.where(lon >= 180.0, lon - 360.0, lon),
+                (radius - EARTH_RADIUS) * 1000.0)
 
     def position(self, t: float) -> tuple[float, float, float]:
         """(lat_deg, lon_deg, alt_m) at time ``t`` (clamped to the track)."""
@@ -226,9 +288,12 @@ def loiter_route(
 ) -> FlightRoute:
     """Circular loiter around a fixed center, sampled as waypoints.
 
-    The aircraft flies the circle at constant ground speed; waypoints
-    are dense enough (default 5 s) that linear interpolation between
-    them stays smooth for range-rate purposes.
+    The waypoints lie on the circle of ``radius_km`` (along the ground)
+    around the center, clockwise from ``start_bearing_deg``, one every
+    ``waypoint_interval_s`` and the last at ``duration_s``.  They are
+    spaced so that each great-circle leg between them is ``speed_ms``
+    times its time long at the flight altitude: the aircraft flies at
+    ``speed_ms`` throughout, near a pole too.
     """
     if not (radius_km > 0 and speed_ms > 0):  # NaN fails too
         raise ConfigError("radius_km and speed_ms must be > 0", field="flight")
@@ -236,14 +301,32 @@ def loiter_route(
         raise ConfigError("duration must be >= 0", field="flight")
     if not waypoint_interval_s > 0:
         raise ConfigError("waypoint_interval_s must be > 0", field="waypoint_interval_s")
-    omega = (speed_ms / 1000.0) / radius_km  # rad/s along the circle
-    n = max(1, math.ceil(duration_s / waypoint_interval_s)) + 1
-    times = np.arange(n) * waypoint_interval_s
-    theta = np.radians(start_bearing_deg) + omega * times
-    dlat = radius_km * _DEG_PER_KM * np.cos(theta)
-    dlon = radius_km * _DEG_PER_KM * np.sin(theta) / math.cos(math.radians(center_lat_deg))
-    return FlightRoute(np.column_stack(
-        [times, center_lat_deg + dlat, center_lon_deg + dlon, np.full(n, float(altitude_m))]))
+    times = np.arange(math.ceil(duration_s / waypoint_interval_s)) * waypoint_interval_s
+    times = np.append(times[times < duration_s], duration_s)
+    radius_rad = radius_km / EARTH_RADIUS
+    # each leg's central angle is its length at the flight altitude, and two
+    # points of the circle whose bearings from the center differ by b are
+    # 2 asin(sin(radius_rad) sin(b / 2)) apart
+    sin_half_leg = np.sin(np.diff(times) * speed_ms / (2000.0 * EARTH_RADIUS + 2.0 * altitude_m))
+    sin_half_turn = sin_half_leg / abs(math.sin(radius_rad))
+    if np.any(sin_half_turn > 1.0):
+        raise ConfigError("a leg of speed_ms x waypoint_interval_s must fit across the circle",
+                          field="waypoint_interval_s")
+    bearing = math.radians(start_bearing_deg) + np.concatenate(
+        [[0.0], np.cumsum(2.0 * np.arcsin(sin_half_turn))])
+    # the destination-point formula, radius_rad from the center at each
+    # bearing, without its common factor cos(center latitude), so that it
+    # holds at a pole too: `along` is the component toward the center's
+    # meridian in the equatorial plane, `east` the one across it
+    lat0 = math.radians(center_lat_deg)
+    cos_bearing = np.cos(bearing)
+    along = (math.cos(radius_rad) * math.cos(lat0)
+             - math.sin(radius_rad) * math.sin(lat0) * cos_bearing)
+    east = math.sin(radius_rad) * np.sin(bearing)
+    up = math.cos(radius_rad) * math.sin(lat0) + math.sin(radius_rad) * math.cos(lat0) * cos_bearing
+    lon = (center_lon_deg + np.degrees(np.arctan2(east, along)) + 180.0) % 360.0 - 180.0
+    return FlightRoute(np.column_stack([times, np.degrees(np.arctan2(up, np.hypot(along, east))),
+                                        lon, np.full(len(times), float(altitude_m))]))
 
 
 # === scenarios ===
@@ -291,11 +374,8 @@ class ScenarioSpec:
         if self.route.duration_s < self.duration_s:
             raise ConfigError("route is shorter than the scenario duration",
                               field="flight")
-        rain = np.array(self.rain_profile, dtype=float)
-        if rain.size and (rain.ndim != 2 or rain.shape[1] != 2 or not np.all(np.isfinite(rain))):
-            raise ConfigError("rain steps are finite (start_s, mm_per_h) pairs",
-                              field="rain_profile")
-        rain = rain.reshape(-1, 2)
+        rain = _finite_rows(self.rain_profile, 2, "rain steps are finite (start_s, mm_per_h) "
+                            "pairs", "rain_profile")
         if np.any(rain[1:, 0] < rain[:-1, 0]):
             raise ConfigError("rain profile times must be non-decreasing",
                               field="rain_profile")

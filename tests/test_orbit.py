@@ -14,7 +14,6 @@ from rwasim.orbit import (
     _CHUNK_PAIRS,
     _PASS_ANGLES,
     KeplerianElements,
-    aircraft_track,
     build_access_timeline,
     circular_speed,
     doppler_khz,
@@ -23,7 +22,7 @@ from rwasim.orbit import (
     orbital_period,
     propagate,
 )
-from rwasim.scenarios import FlightRoute, builtin_catalog, resolve_scenario
+from rwasim.scenarios import FlightRoute, builtin_catalog, loiter_route, resolve_scenario
 
 GEO_RADIUS = 42164.14
 
@@ -262,10 +261,61 @@ def test_aircraft_speed_across_antimeridian():
     central = 2.0 * math.asin(math.cos(lat) * math.sin(lon / 2.0))
     expect_ms = central * (EARTH_RADIUS + 1.0) / 600.0 * 1000.0
     assert expect_ms == pytest.approx(36.5, abs=0.1)
-    _, lons, _, velocity = aircraft_track(ANTIMERIDIAN_HOP, np.array([30.0, 300.0, 570.0]))
+    _, _, velocity = ANTIMERIDIAN_HOP.state(np.array([0.0, 30.0, 300.0, 570.0]))
     speed_ms = np.linalg.norm(velocity, axis=0) * 1000.0
-    assert speed_ms == pytest.approx(np.full(3, expect_ms), rel=0.01)
+    assert speed_ms == pytest.approx(np.full(4, expect_ms), rel=1e-9)
+    _, lons, _ = ANTIMERIDIAN_HOP.track(np.linspace(0.0, 600.0, 601))
     assert np.all((lons >= -180.0) & (lons < 180.0))
+
+
+@pytest.mark.parametrize("center_lat_deg", [0.0, 62.0, 89.95, -89.95])
+def test_loiter_flies_at_its_speed(center_lat_deg):
+    # 3,601 s leaves a last leg of 1 s after the 5 s ones; every leg,
+    # that one included, is flown at the requested speed
+    route = loiter_route(center_lat_deg, 10.0, 500.0, 15.0, 35.0, 3601.0)
+    assert route.duration_s == 3601.0
+    assert np.diff(route.points[-2:, 0]) == pytest.approx([1.0])
+    times = np.concatenate([np.arange(0.0, 3601.0, 0.7), [3600.5]])
+    _, _, velocity = route.state(times)
+    speed_ms = np.linalg.norm(velocity, axis=0) * 1000.0
+    np.testing.assert_allclose(speed_ms, 35.0, rtol=1e-6)
+    lat, _, _ = route.track(times)
+    assert np.all((lat >= -90.0) & (lat <= 90.0))
+
+
+def test_velocity_is_zero_past_the_end():
+    route = loiter_route(62.0, 25.0, 500.0, 15.0, 35.0, 60.0)
+    up, radius, velocity = route.state(np.array([59.9, 60.0, 61.0, 1e6]))
+    assert np.linalg.norm(velocity[:, 0]) * 1000.0 == pytest.approx(35.0, rel=1e-6)
+    assert np.all(velocity[:, 1:] == 0.0)
+    # and the aircraft holds still on the last waypoint
+    np.testing.assert_allclose(up[:, 1:], np.repeat(up[:, 1:2], 3, axis=1), rtol=0, atol=0)
+
+
+def test_polar_loiter_runs():
+    # the circle encloses the pole: 15 km around 89.95 deg N
+    base = resolve_scenario("scenario-7")
+    route = loiter_route(89.95, 10.0, 500.0, 15.0, 35.0, 3600.0)
+    lat, _, _ = route.track(np.arange(0.0, 3600.0, 1.0))
+    assert 89.8 < lat.min() and lat.max() < 90.0
+    access = build_access_timeline(replace(base, route=route, duration_s=3600.0), 10.0)
+    assert np.any(access.served)
+    served = access.served
+    assert np.all(np.isfinite(access.azimuth_deg[served]))
+    assert np.all(np.isfinite(access.range_rate_kms[served]))
+
+
+def test_leg_over_the_exact_pole():
+    # from 89.5 deg N 0 deg E to 89.5 deg N 180 deg E over the pole, which
+    # is reached at t = 300 s, a sampled step
+    base = resolve_scenario("scenario-15b")
+    route = FlightRoute(((0.0, 89.5, 0.0, 1000.0), (600.0, 89.5, 180.0, 1000.0)))
+    assert route.position(300.0)[0] == pytest.approx(90.0, abs=1e-9)
+    access = build_access_timeline(
+        replace(base, constellation=_walker(base, 6, 20, 1000.0, 87.0, 0.0, 1, 0.0),
+                route=route, duration_s=600.0, handover_threshold_deg=0.0), 10.0)
+    assert access.served[30]
+    assert np.all(np.isfinite(access.azimuth_deg[access.served]))
 
 
 # --- independent per-step oracle ---
@@ -302,40 +352,54 @@ def _aircraft_ecef(lat_deg, lon_deg, alt_m):
     return (EARTH_RADIUS + alt_m / 1000.0) * _enu(lat_deg, lon_deg)[2]
 
 
-def _serve(current, elevation_deg, threshold_deg, hysteresis_deg):
-    """The serving satellite for one step, -1 in an outage.
-
-    Keep the current satellite while it is at or above the threshold,
-    else take the highest one; from an outage that one must clear the
-    threshold plus the hysteresis.
-    """
-    if current >= 0 and elevation_deg[current] >= threshold_deg:
-        return current
-    best = int(np.argmax(elevation_deg))
-    needed = threshold_deg + (hysteresis_deg if current < 0 else 0.0)
-    return best if elevation_deg[best] >= needed else -1
-
-
 # Absolute floors for values that cross zero: rounding moves a range rate
-# by about 1e-13 km/s (the aircraft velocity is a difference of positions
-# over 0.1 s) and an elevation by about 1e-10 deg.
+# by about 1e-13 km/s and an elevation by about 1e-10 deg.
 RANGE_RATE_ATOL_KMS = 1e-9
 ELEVATION_ATOL_DEG = 1e-9
-# satellites whose elevations differ by less than this are one choice
-TIE_DEG = ELEVATION_ATOL_DEG
+# satellites within this of the highest elevation are tied, and the lowest
+# id among them is taken
+TIE_DEG = 1e-10
 # azimuths are not compared this close to the zenith, where they are undefined
 ZENITH_TOL_DEG = 1e-6
 
 
-def _reference_timeline(scenario, step_s, ties=None):
-    """Per-step serving satellite and its (elevation, azimuth, range, range rate).
+def _serve(current, elevation_deg, threshold_deg, hysteresis_deg):
+    """The serving satellite for one step, -1 in an outage.
 
-    Satellites can coincide (several equatorial planes of a Walker shell),
-    and then rounding alone picks one.  So on a step that hands over or
-    acquires, the satellite that ``ties`` (a kernel's ``sat_id``) names
-    there is taken in place of the highest one if it is within ``TIE_DEG``
-    of it.
+    Keep the current satellite while it is at or above the threshold,
+    else take the highest one; from an outage it must clear the threshold
+    plus the hysteresis.  Of satellites that hold the threshold within
+    ``TIE_DEG`` of the highest, the lowest id is taken.
     """
+    if current >= 0 and elevation_deg[current] >= threshold_deg:
+        return current
+    highest = np.max(elevation_deg)
+    needed = threshold_deg + (hysteresis_deg if current < 0 else 0.0)
+    tied = (elevation_deg >= highest - TIE_DEG) & (elevation_deg >= threshold_deg)
+    return int(np.argmax(tied)) if highest >= needed else -1
+
+
+def _aircraft_velocity(route, t, up):
+    """ECEF velocity (km/s) of the aircraft at time ``t``, where its local
+    vertical is ``up``: zero from the last waypoint on, else from the ends
+    of the leg it flies, which turns through their angle about the leg's
+    pole and climbs their altitude difference, both at a constant rate.
+    """
+    times, lats, lons, alts = np.asarray(route.points).T
+    k = np.searchsorted(times, t, side="right") - 1
+    if k == len(times) - 1:
+        return np.zeros(3)
+    start, end = _enu(lats[k], lons[k])[2], _enu(lats[k + 1], lons[k + 1])[2]
+    normal = np.cross(start, end)
+    turn = math.atan2(np.linalg.norm(normal), start @ end)
+    dt = times[k + 1] - times[k]
+    radius = EARTH_RADIUS + (alts[k] + (alts[k + 1] - alts[k]) * (t - times[k]) / dt) / 1000.0
+    along = np.cross(normal, up) / np.linalg.norm(normal) if turn > 0 else np.zeros(3)
+    return radius * turn / dt * along + (alts[k + 1] - alts[k]) / 1000.0 / dt * up
+
+
+def _reference_timeline(scenario, step_s):
+    """Per-step serving satellite and its (elevation, azimuth, range, range rate)."""
     spec = scenario.constellation
     a = spec.orbit_radius_km
     n = math.sqrt(MU_EARTH / a ** 3)
@@ -360,18 +424,12 @@ def _reference_timeline(scenario, step_s, ties=None):
         v = (a * n * np.einsum("kij,kj->ki", to_ecef, np.stack([-sin_u, cos_u, zero], 1))
              - np.cross(OMEGA_EARTH, r))
         lat, lon, alt = route.position(t)
-        t0, t1 = max(t - 0.05, 0.0), min(t + 0.05, route.duration_s)
-        obs_vel = (_aircraft_ecef(*route.position(t1))
-                   - _aircraft_ecef(*route.position(t0))) / (t1 - t0)
+        obs_vel = _aircraft_velocity(route, t, _enu(lat, lon)[2])
         rel = r - _aircraft_ecef(lat, lon, alt)
         east, north, up = _enu(lat, lon) @ rel.T
         elevation = np.degrees(np.arctan2(up, np.hypot(east, north)))
-        pick = _serve(current, elevation, scenario.handover_threshold_deg,
-                      scenario.handover_hysteresis_deg)
-        if (pick >= 0 and pick != current and ties is not None and ties[i] >= 0
-                and elevation[ties[i]] >= elevation[pick] - TIE_DEG):
-            pick = int(ties[i])
-        current = pick
+        current = _serve(current, elevation, scenario.handover_threshold_deg,
+                         scenario.handover_hysteresis_deg)
         if current >= 0:
             dist = np.linalg.norm(rel[current])
             sat_id[i] = current
@@ -383,8 +441,7 @@ def _reference_timeline(scenario, step_s, ties=None):
 
 def _assert_kernel_matches_reference(scenario, step_s):
     access = build_access_timeline(scenario, step_s)
-    sat_id, (elevation, azimuth, slant_range, range_rate) = _reference_timeline(
-        scenario, step_s, ties=access.sat_id)
+    sat_id, (elevation, azimuth, slant_range, range_rate) = _reference_timeline(scenario, step_s)
     assert np.array_equal(access.sat_id, sat_id)
     np.testing.assert_allclose(access.elevation_deg, elevation, rtol=1e-9,
                                atol=ELEVATION_ATOL_DEG)
@@ -623,9 +680,9 @@ def test_kernel_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(access) == n_steps
-    # step-sized columns: the aircraft track, interpolated at 3 * n_steps
-    # times, peaks at about 70 floats a step; a chunk's temporaries stay
-    # under 128 floats a pair of the budget
+    # step-sized columns (the aircraft's state, the rotated zenith and the
+    # served geometry) peak at about 60 floats a step; a chunk's
+    # temporaries stay under 128 floats a pair of the budget
     assert peak < 8 * (80 * n_steps + 128 * _CHUNK_PAIRS)
 
 
@@ -657,6 +714,25 @@ def test_kernel_ties_go_to_the_lowest_id():
                                            duration_s=3000.0, handover_threshold_deg=10.0), 10.0)
     assert np.any(access.served)
     assert np.all(access.sat_id[access.served] == 0)
+
+
+def test_scan_tie_must_hold_the_threshold():
+    # satellite 0 is within the tie of satellite 1 but just under the 10
+    # deg threshold: satellite 1 is acquired, and the scan ends
+    served = np.full(2, -1)
+    elevation = np.array([10.0 - 5e-11, 10.0 - 5e-11, 10.0 + 1e-11, 10.0 + 1e-11])
+    assert orbit._scan_chunk(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]), elevation, served,
+                             -1, 10.0, 10.0) == 1
+    assert served.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("scenario_id", ["scenario-6", "scenario-19"])
+def test_kernel_opening_tie_goes_to_the_lowest_id(scenario_id):
+    # at t = 0 satellites 204 and 225 of LEO-2 are the highest, a few 1e-14
+    # deg apart, which rounding alone orders: the tie goes to 204
+    scenario = resolve_scenario(scenario_id)
+    assert build_access_timeline(scenario, 60.0).sat_id[0] == 204
+    assert _reference_timeline(replace(scenario, duration_s=60.0), 60.0)[0][0] == 204
 
 
 @pytest.mark.parametrize("threshold_deg", [0.0, 85.0])

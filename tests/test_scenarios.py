@@ -182,10 +182,28 @@ def test_constellation_validation():
 
 # === flight routes ===
 
+def _direction(lat_deg, lon_deg):
+    lat, lon = math.radians(lat_deg), math.radians(lon_deg)
+    return np.array([math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)])
+
+
+def _central_angle(lat1, lon1, lat2, lon2):
+    """Great-circle angle (rad) between two points, by the haversine formula."""
+    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+    h = (math.sin((phi2 - phi1) / 2.0) ** 2
+         + math.cos(phi1) * math.cos(phi2) * math.sin(math.radians(lon2 - lon1) / 2.0) ** 2)
+    return 2.0 * math.asin(math.sqrt(h))
+
+
 def test_route_interpolates_and_clamps():
     route = FlightRoute(((0.0, 50.0, 10.0, 100.0), (100.0, 51.0, 12.0, 300.0)))
     assert route.duration_s == 100.0
-    assert route.position(50.0) == pytest.approx((50.5, 11.0, 200.0))
+    # halfway in time is halfway along the great circle: the direction
+    # that bisects the two waypoints', a little poleward of 50.5 deg
+    x, y, z = _direction(50.0, 10.0) + _direction(51.0, 12.0)
+    midpoint = (math.degrees(math.atan2(z, math.hypot(x, y))), math.degrees(math.atan2(y, x)))
+    assert midpoint[0] > 50.5
+    assert route.position(50.0) == pytest.approx((*midpoint, 200.0), rel=1e-9)
     assert route.position(-20.0) == pytest.approx((50.0, 10.0, 100.0))
     assert route.position(500.0) == pytest.approx((51.0, 12.0, 300.0))
 
@@ -195,6 +213,19 @@ def test_route_crosses_antimeridian_the_short_way():
     assert route.position(150.0)[1] == pytest.approx(179.95)
     assert route.position(450.0)[1] == pytest.approx(-179.95)
     assert route.position(300.0)[1] == pytest.approx(-180.0)
+
+
+def test_route_rejects_antipodal_waypoints():
+    # the great circle between opposite points is undefined
+    for leg in [((0.0, 0.0, 0.0, 0.0), (600.0, 0.0, 180.0, 0.0)),
+                ((0.0, 35.0, 10.0, 0.0), (600.0, -35.0, -170.0, 0.0)),
+                ((0.0, 90.0, 0.0, 0.0), (600.0, -90.0, 45.0, 0.0))]:
+        with pytest.raises(ConfigError, match="antipodal") as err:
+            FlightRoute(leg)
+        assert err.value.field == "points"
+    # apart from it by a leg, or 1 m short of it, is fine
+    FlightRoute(((0.0, 0.0, 0.0, 0.0), (600.0, 0.0, 90.0, 0.0), (1200.0, 0.0, 180.0, 0.0)))
+    FlightRoute(((0.0, 0.0, 0.0, 0.0), (600.0, 0.0, 179.99999, 0.0)))
 
 
 def test_route_validation():
@@ -253,6 +284,10 @@ def test_loiter_validation():
         with pytest.raises(ConfigError) as err:
             loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, 600.0, waypoint_interval_s=interval)
         assert err.value.field == "waypoint_interval_s"
+    # a 3.5 km leg cannot join two points of a circle 2 km across
+    with pytest.raises(ConfigError, match="fit across the circle") as err:
+        loiter_route(50.0, 15.0, 400.0, 1.0, 35.0, 600.0, waypoint_interval_s=100.0)
+    assert err.value.field == "waypoint_interval_s"
 
 
 @pytest.mark.parametrize("radius, speed, duration, message", [
@@ -268,7 +303,7 @@ def test_loiter_nan_fails_its_own_checks(radius, speed, duration, message):
 
 
 @given(
-    lat=st.floats(-70.0, 70.0),
+    lat=st.floats(-90.0, 90.0),
     radius=st.floats(1.0, 20.0),
     speed=st.floats(5.0, 60.0),
     bearing=st.floats(0.0, 360.0),
@@ -277,9 +312,7 @@ def test_loiter_waypoints_equidistant_from_center(lat, radius, speed, bearing):
     route = loiter_route(lat, 10.0, 300.0, radius, speed, 120.0,
                          start_bearing_deg=bearing)
     for _, plat, plon, _ in route.points:
-        dlat = plat - lat
-        dlon = (plon - 10.0) * math.cos(math.radians(lat))
-        r_km = math.radians(math.hypot(dlat, dlon)) * EARTH_RADIUS
+        r_km = _central_angle(lat, 10.0, plat, plon) * EARTH_RADIUS
         assert r_km == pytest.approx(radius, rel=1e-9)
 
 
@@ -383,6 +416,24 @@ _LEG = (0.0, 10.0, 20.0, 0.0)
 ])
 def test_constructors_reject_nan(part, field, value):
     # the parser's finite check covers files only; library callers meet these
+    s = resolve_scenario("scenario-6")
+    with pytest.raises(ConfigError) as err:
+        if part == "scenario":
+            replace(s, **{field: value})
+        else:
+            replace(getattr(s, part), **{field: value})
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("part, field, value", [
+    pytest.param("route", "points", ((0.0, 1.0, 2.0, 3.0), (1.0, 2.0)), id="ragged-points"),
+    pytest.param("route", "points", ((0.0, 1.0, 2.0),), id="short-points"),
+    pytest.param("route", "points", ((0.0, 1.0, 2.0, {}),), id="points-object"),
+    pytest.param("scenario", "rain_profile", ((0.0, 1.0), (5.0,)), id="ragged-rain"),
+    pytest.param("scenario", "rain_profile", ((0.0, 1.0, 2.0),), id="wide-rain"),
+])
+def test_constructors_reject_ragged_tables(part, field, value):
+    # numpy would raise a bare ValueError for these; the field is named
     s = resolve_scenario("scenario-6")
     with pytest.raises(ConfigError) as err:
         if part == "scenario":
