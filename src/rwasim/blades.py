@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 # relative change of blocked time that rebuilds the schedule in force
 REGEN_FRACTION = 0.05
 
@@ -34,18 +36,13 @@ class RotorSpec:
 
     def __post_init__(self) -> None:
         if self.n_blades < 1:
-            raise ValueError("n_blades must be >= 1")
+            raise ConfigError("n_blades must be >= 1", field="n_blades")
         # written so that NaN fails them
-        if not self.blade_width_m > 0:
-            raise ValueError("blade_width_m must be > 0")
-        if not self.rpm > 0:
-            raise ValueError("rpm must be > 0")
-        if not self.rotor_height_m > 0:
-            raise ValueError("rotor_height_m must be > 0")
-        if not self.tip_radius_m > 0:
-            raise ValueError("tip_radius_m must be > 0")
+        for name in ("blade_width_m", "rpm", "rotor_height_m", "tip_radius_m"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0", field=name)
         if not self.shaft_offset_m >= 0:
-            raise ValueError("shaft_offset_m must be >= 0")
+            raise ConfigError("shaft_offset_m must be >= 0", field="shaft_offset_m")
 
     @property
     def rate_deg_per_ms(self) -> float:
@@ -76,11 +73,9 @@ class BladeSchedule:
     """
 
     n_blades: int | np.ndarray
-    rate_deg_per_ms: float | np.ndarray
     blocked_ms: float | np.ndarray       # per-blade blockage duration
     clear_ms: float | np.ndarray         # per-gap clear duration
     rotation_ms: float | np.ndarray      # full rotation
-    total_clear_ms: float | np.ndarray   # clear time per rotation
 
     @property
     def period_ms(self) -> float | np.ndarray:
@@ -150,11 +145,9 @@ def schedule(rotor: RotorSpec, blocked_ms) -> BladeSchedule:
     total_clear = np.maximum(rotation - rotor.n_blades * blocked_ms, 0.0)
     return BladeSchedule(
         n_blades=rotor.n_blades,
-        rate_deg_per_ms=rotor.rate_deg_per_ms,
         blocked_ms=blocked_ms,
         clear_ms=total_clear / rotor.n_blades,
         rotation_ms=rotation,
-        total_clear_ms=total_clear,
     )
 
 

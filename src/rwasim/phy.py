@@ -303,8 +303,6 @@ class FrameStats:
 
     n_slots: int
     n_erased: int
-    total_bits: int
-    elapsed_ms: float
     ber: float
     data_rate_mbps: float
     slot_loss_fraction: float
@@ -427,8 +425,6 @@ def aggregate(slots: SlotTable, elapsed_ms: float, mode: str = "mc") -> FrameSta
     return FrameStats(
         n_slots=n_slots,
         n_erased=n_erased,
-        total_bits=total_bits,
-        elapsed_ms=elapsed_ms,
         ber=errors / total_bits,
         data_rate_mbps=delivered / (elapsed_ms * 1e3),
         slot_loss_fraction=n_erased / n_slots,

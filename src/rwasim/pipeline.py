@@ -33,7 +33,6 @@ class LinkTimeline:
     rain_db: np.ndarray
     cloud_db: np.ndarray
     total_db: np.ndarray
-    doppler_khz: np.ndarray
     cnr_db: np.ndarray               # -inf during outages
     cnr_prime_db: np.ndarray | None  # rescaled CNR when configured
 
@@ -84,7 +83,6 @@ def link_timeline(scenario: ScenarioSpec, access: AccessTimeline) -> LinkTimelin
         times_s=access.times_s,
         fspl_db=column(fspl_db), gas_db=column(gas), rain_db=column(rain),
         cloud_db=column(cloud), total_db=column(total),
-        doppler_khz=access.doppler_khz,
         cnr_db=cnr_db, cnr_prime_db=cnr_prime,
     )
 
@@ -98,21 +96,19 @@ BLADE_FIELDS = ("elevation_deg", "radius_m", "arc_deg", "blocked_ms", "clear_ms"
 def blade_overlay(
     scenario: ScenarioSpec,
     access: AccessTimeline,
-) -> tuple[tuple[np.ndarray, bl.BladeSchedule | None], np.recarray]:
-    """Blade-schedule segments of the access samples plus one row per segment.
+) -> tuple[np.ndarray, np.recarray]:
+    """Blade-schedule segments of the access samples and one row per segment.
 
-    Returns ``((segment, schedules), rows)``: the segment in force at
-    each access sample (-1 in outages and without a rotor), a columnar
-    schedule with one entry per segment (None without a rotor; segments
-    start where :func:`rwasim.blades.schedule_timeline` regenerates it)
-    and a record array of the segments with the ``BLADE_FIELDS``
-    (empty without a rotor).
+    Returns ``(segment, rows)``: the segment in force at each access
+    sample (-1 in outages and without a rotor) and a record array with
+    one record of the ``BLADE_FIELDS`` per segment (empty without a
+    rotor; segments start where :func:`rwasim.blades.schedule_timeline`
+    regenerates the schedule).
     """
     rotor = scenario.aircraft.rotor
     segment = np.full(len(access), -1)
     if rotor is None:
-        return (segment, None), np.rec.fromarrays([np.empty(0)] * len(BLADE_FIELDS),
-                                                  names=BLADE_FIELDS)
+        return segment, np.rec.fromarrays([np.empty(0)] * len(BLADE_FIELDS), names=BLADE_FIELDS)
     served = access.served
     el = access.elevation_deg[served]
     served_segment, schedules = bl.schedule_timeline(rotor, el)
@@ -121,7 +117,7 @@ def blade_overlay(
     radius, arc = bl.crossing(rotor, first_el)
     rows = np.rec.fromarrays([first_el, radius, arc, schedules.blocked_ms,
                               schedules.clear_ms, schedules.duty_cycle], names=BLADE_FIELDS)
-    return (segment, schedules), rows
+    return segment, rows
 
 
 # === reports ===
@@ -153,7 +149,6 @@ class RunResult:
     link: LinkTimeline
     blade_rows: np.recarray          # one record per blade segment, BLADE_FIELDS
     slots: SlotTable
-    stats: FrameStats
     report: dict
 
 
@@ -220,12 +215,12 @@ def run_scenario(
     """
     access = build_access_timeline(scenario, step_s)
     link = link_timeline(scenario, access)
-    (segment, schedules), blade_rows = blade_overlay(scenario, access)
+    segment, blade_rows = blade_overlay(scenario, access)
 
     n_samples = len(access)
     if n_samples == 0 or n_frames == 0:
         slots = simulate_frames(scenario.phy, 0.0, 0)  # an empty table
-        stats = FrameStats(0, 0, 0, max(n_frames, 1) * FRAME_MS, 0.0, 0.0, 0.0)
+        stats = FrameStats(0, 0, 0.0, 0.0, 0.0)
     else:
         frame_times_s = np.arange(n_frames) * (scenario.duration_s / n_frames)
         # the last sample at or before each frame's start; times_s starts
@@ -241,9 +236,9 @@ def run_scenario(
         # the frame spacing hits a multiple of the blade period.
         offsets = np.arange(n_frames) * FRAME_MS + phase
         blocked = None
-        if schedules is not None:
+        if len(blade_rows):
             # segment -1 (an outage) picks the appended 0 ms: no blockage
-            frame_blocked = np.append(schedules.blocked_ms, 0.0)[segment[frame_idx]]
+            frame_blocked = np.append(blade_rows.blocked_ms, 0.0)[segment[frame_idx]]
             num = scenario.phy.numerology
             blocked = bl.slot_blocked_ms(bl.schedule(scenario.aircraft.rotor, frame_blocked),
                                          offsets, num.slot_ms, num.slots_per_frame)
@@ -252,7 +247,7 @@ def run_scenario(
         stats = aggregate(slots, n_frames * FRAME_MS, mode=mode)
 
     report = build_report(scenario, access, link, stats, step_s, seed, mode, n_frames)
-    result = RunResult(scenario, access, link, blade_rows, slots, stats, report)
+    result = RunResult(scenario, access, link, blade_rows, slots, report)
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result
@@ -347,7 +342,7 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
                ["time_s", "fspl_db", "gas_db", "rain_db", "cloud_db",
                 "total_db", "doppler_khz", "cnr_db"],
                [link.times_s, link.fspl_db, link.gas_db, link.rain_db,
-                link.cloud_db, link.total_db, link.doppler_khz, link.cnr_db])
+                link.cloud_db, link.total_db, access.doppler_khz, link.cnr_db])
 
     _write_csv(target / "slots.csv",
                ["slot_index", "t_start_ms", "erased", "cnr_db",

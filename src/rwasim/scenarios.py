@@ -209,6 +209,7 @@ class FlightRoute:
                               "between them is undefined", field="points")
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
+        self.__dict__["_ends"] = ends  # for _legs, which drops them
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlightRoute):
@@ -222,8 +223,8 @@ class FlightRoute:
         its end (3), angular rate (rad/s), start radius (km) and radial
         rate (km/s).  Column 0 holds still at the first waypoint before the
         flight, and column n at the last one after it."""
-        times, lat, lon, alt = self.points.T
-        ends = _unit_vectors(lat, lon)
+        times, alt = self.points[:, 0], self.points[:, 3]
+        ends = self.__dict__.pop("_ends")  # the waypoints' unit vectors
         start, end = ends[:, :-1], ends[:, 1:]
         cos_angle = np.sum(start * end, axis=0)
         across = end - cos_angle * start
@@ -484,14 +485,34 @@ def _read(value, key: str, kind):
     return _build(kind, _object(value, key), key)
 
 
+def _only(obj: dict, allowed, where: str) -> None:
+    """A ConfigError naming the first key of ``obj`` not in ``allowed``."""
+    unknown = sorted(set(obj).difference(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}", field=unknown[0])
+
+
+# The keys an object may hold besides the fields its parser leaves to
+# ``_build``: keys the parser reads itself, and legacy keys it ignores
+_OTHER_KEYS = {AircraftSpec: {"beamwidth_deg", "antenna_type", "position"},
+               ConstellationSpec: {"planes", "payloads", "inclination_deg", "raan_deg",
+                                   "pattern"},
+               LossModel: {"bands"},
+               RfPayloadSpec: {"antenna_type", "beams", "hpbw_deg", "band"},
+               ScenarioSpec: {"id", "aircraft", "constellation", "duration_h", "flight",
+                              "rain_profile", "loss_model", "band"}}
+
+
 def _build(cls, obj: dict, where: str, **given):
     """A ``cls`` from the fields in ``given`` and the rest read from ``obj``.
 
-    Each field not in ``given`` is read under its own name by ``_read``.
+    Each field not in ``given`` is read under its own name by ``_read``,
+    and any other key of ``obj`` not in ``_OTHER_KEYS`` is a ConfigError.
     An absent field takes the dataclass default; an absent field without
     one is a ConfigError naming its key.
     """
     types = _field_types(cls)
+    _only(obj, set(types).difference(given) | _OTHER_KEYS.get(cls, set()), where)
     for f in fields(cls):
         if f.name in given:
             continue
@@ -499,10 +520,7 @@ def _build(cls, obj: dict, where: str, **given):
             given[f.name] = _read(obj[f.name], f.name, types[f.name])
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing required key in {where}", field=f.name)
-    try:
-        return cls(**given)
-    except ValueError as exc:  # RotorSpec's range checks
-        raise ConfigError(str(exc), field=where) from exc
+    return cls(**given)
 
 
 def _rows(value, width: int, field: str) -> tuple[tuple[float, ...], ...]:
@@ -539,6 +557,7 @@ def _parse_raans(value, planes: int) -> tuple[float, ...]:
     if isinstance(value, (int, float)):
         spacing, start = _number(value, "raan_deg"), 0.0
     elif isinstance(value, dict):
+        _only(value, ("spacing_deg", "start_deg"), "raan_deg")
         spacing = _require(value, "spacing_deg", "raan_deg", float)
         start = _number(value.get("start_deg", 0.0), "start_deg")
     else:
@@ -560,18 +579,19 @@ def _parse_constellation(name: str, obj: dict) -> ConstellationSpec:
 
 
 def _parse_route(obj: dict, scenario_id: str) -> FlightRoute:
-    kind = _require(obj, "type", f"{scenario_id}.flight")
+    where = f"{scenario_id}.flight"
+    kind = _require(obj, "type", where)
     if kind == "waypoints":
-        return FlightRoute(_rows(_require(obj, "points", f"{scenario_id}.flight"), 4, "points"))
+        _only(obj, ("type", "points"), where)
+        return FlightRoute(_rows(_require(obj, "points", where), 4, "points"))
     if kind == "loiter":
+        required = ("center_lat_deg", "center_lon_deg", "altitude_m", "radius_km", "speed_ms",
+                    "duration_s")
+        optional = ("waypoint_interval_s", "start_bearing_deg")
+        _only(obj, ("type", *required, *optional), where)
         # the optional keys are passed only when present: loiter_route holds their defaults
-        return loiter_route(
-            **{key: _require(obj, key, "flight", float)
-               for key in ("center_lat_deg", "center_lon_deg", "altitude_m",
-                           "radius_km", "speed_ms", "duration_s")},
-            **{key: _number(obj[key], key)
-               for key in ("waypoint_interval_s", "start_bearing_deg") if key in obj},
-        )
+        return loiter_route(**{key: _require(obj, key, "flight", float) for key in required},
+                            **{key: _number(obj[key], key) for key in optional if key in obj})
     raise ConfigError(f"unknown flight type {kind!r} (waypoints or loiter)",
                       field="flight.type")
 
@@ -582,10 +602,6 @@ def _parse_loss_model(obj: dict | None) -> LossModel:
         return LossModel()
     bands = {name: _object(params, "bands") for name, params
              in _object(_object(obj, "loss_model").get("bands", {}), "bands").items()}
-    unknown = sorted(set(obj) - {f.name for f in fields(LossModel)}) + sorted(
-        set().union(*bands.values()) - {f.name for f in fields(BandAtmosphere)})
-    if unknown:
-        raise ConfigError(f"unknown loss-model key(s) {unknown}", field=unknown[0])
     # a band entry replaces the coefficients it names; only a link band is ever read
     for name, params in bands.items():
         if name not in BANDS:
@@ -610,10 +626,9 @@ def _parse_scenario(obj: dict, catalog_aircraft: dict, catalog_constellations: d
     flight = dict(_object(_require(obj, "flight", sid), "flight"))
     if flight.get("type") == "loiter":
         flight.setdefault("duration_s", duration_s)
-    if "rain_profile" in obj:
-        given["rain_profile"] = _rows(obj["rain_profile"], 2, "rain_profile")
     return _build(ScenarioSpec, obj, sid, id=sid, duration_s=duration_s,
                   route=_parse_route(flight, sid),
+                  rain_profile=_rows(obj.get("rain_profile", ()), 2, "rain_profile"),
                   loss_model=_parse_loss_model(obj.get("loss_model")), **given)
 
 

@@ -19,6 +19,7 @@ from rwasim.blades import (
     slot_blocked_ms,
     speed_ratios,
 )
+from rwasim.errors import ConfigError
 from rwasim.phy import FRAME_MS, NUMEROLOGIES
 
 H135 = RotorSpec(n_blades=4, blade_width_m=0.29, rpm=400,
@@ -31,14 +32,13 @@ def test_rotation_rate():
 
 
 def test_rotor_validation():
-    with pytest.raises(ValueError):
-        RotorSpec(0, 0.1, 400, 1.0, 0.5, 2.0)
-    with pytest.raises(ValueError):
-        RotorSpec(2, -0.1, 400, 1.0, 0.5, 2.0)
-    with pytest.raises(ValueError):
-        RotorSpec(2, 0.1, 0, 1.0, 0.5, 2.0)
-    with pytest.raises(ValueError):
-        RotorSpec(2, 0.1, 400, -1.0, 0.5, 2.0)
+    for args, field in [((0, 0.1, 400, 1.0, 0.5, 2.0), "n_blades"),
+                        ((2, -0.1, 400, 1.0, 0.5, 2.0), "blade_width_m"),
+                        ((2, 0.1, 0, 1.0, 0.5, 2.0), "rpm"),
+                        ((2, 0.1, 400, -1.0, 0.5, 2.0), "shaft_offset_m")]:
+        with pytest.raises(ConfigError) as err:
+            RotorSpec(*args)
+        assert err.value.field == field
 
 
 def test_interference_point_no_offset():
@@ -84,10 +84,9 @@ def test_schedule_worked_example():
     # 10 deg arc, 400 rpm, 4 blades
     rotor = RotorSpec(4, 0.29, 400, 3.45, 0.5, 5.2)
     sched = build_schedule(rotor, BladeGeometry(radius_m=1.0, arc_deg=10.0))
-    assert sched.rate_deg_per_ms == pytest.approx(2.4)
     assert sched.blocked_ms == pytest.approx(4.1666667)
     assert sched.rotation_ms == pytest.approx(150.0)
-    assert sched.total_clear_ms == pytest.approx(133.333333)
+    assert rotor.n_blades * sched.clear_ms == pytest.approx(133.333333)
     assert sched.clear_ms == pytest.approx(33.333333)
 
 
@@ -114,7 +113,7 @@ def test_schedule_for_elevation_clamps():
     for rotor in (RotorSpec(4, 0.5, 400, 0.5, 0.5, 5.2), RotorSpec(3, 0.5, 380, 0.5, 0.5, 5.2)):
         sched = _schedule_at(rotor, 45.0)  # crossing at the shaft
         assert sched.blocked_ms == pytest.approx(sched.period_ms)
-        assert sched.total_clear_ms == pytest.approx(0.0, abs=1e-12)
+        assert rotor.n_blades * sched.clear_ms == pytest.approx(0.0, abs=1e-12)
         assert sched.clear_ms >= 0.0
 
 
@@ -122,7 +121,7 @@ def test_schedule_for_elevation_miss_is_clear():
     rotor = RotorSpec(4, 0.29, 400, 0.0, 0.5, 1.0)
     sched = _schedule_at(rotor, 5.0)
     assert sched.blocked_ms == 0.0
-    assert sched.total_clear_ms == pytest.approx(sched.rotation_ms)
+    assert rotor.n_blades * sched.clear_ms == pytest.approx(sched.rotation_ms)
 
 
 def test_alpha900_average_blockage():
@@ -280,9 +279,7 @@ def _walk_blocked(schedules, offsets, slot_ms, slots_per_frame):
 
 
 def _blade_schedule(n_blades, period, blocked):
-    rotation = n_blades * period
-    return BladeSchedule(n_blades, 360.0 / rotation, blocked, period - blocked, rotation,
-                         n_blades * (period - blocked))
+    return BladeSchedule(n_blades, blocked, period - blocked, n_blades * period)
 
 
 @st.composite
@@ -345,8 +342,8 @@ def test_timeline_tracks_blockage_appearing():
     assert schedules.blocked_ms[segment[1]] > 0.0
 
 
-SCHEDULE_COLUMNS = ("n_blades", "rate_deg_per_ms", "blocked_ms", "clear_ms", "rotation_ms",
-                    "total_clear_ms", "period_ms", "duty_cycle")
+SCHEDULE_COLUMNS = ("n_blades", "blocked_ms", "clear_ms", "rotation_ms", "period_ms",
+                    "duty_cycle")
 
 
 @pytest.mark.parametrize("rotor", [RotorSpec(4, 0.5, 400, 0.5, 0.5, 5.2),

@@ -124,6 +124,19 @@ def test_validate_channel_without_band():
         validate_channel(_phy(carrier_ghz=30.0, ntn_band=None, n_rb=100), "uplink")
 
 
+def test_validate_channel_names_what_the_band_does_not_offer(monkeypatch):
+    # 25 MHz fits the 30 kHz grid but is no n256 channel
+    with pytest.raises(ConfigError) as err:
+        validate_channel(_phy(bandwidth_mhz=25.0), "uplink")
+    assert err.value.field == "bandwidth_mhz"
+    # each band of the table offers every spacing whose bandwidth range
+    # holds one of its channels, so the band here is a made-up one
+    monkeypatch.setitem(NTN_BANDS, "n256", dataclasses.replace(NTN_BANDS["n256"], scs_khz=(15, 60)))
+    with pytest.raises(ConfigError) as err:
+        validate_channel(_phy(), "uplink")
+    assert err.value.field == "scs_khz"
+
+
 def test_validate_channel_unknown_band():
     with pytest.raises(ConfigError):
         validate_channel(_phy(ntn_band="n999"), "uplink")
@@ -475,7 +488,7 @@ def _reference_slots(phy, cnr_frames, schedules, offsets, mode, seed):
     return erased, errors
 
 
-NO_ROTOR = BladeSchedule(1, 360.0, 0.0, 1.0, 1.0, 1.0)
+NO_ROTOR = BladeSchedule(1, 0.0, 1.0, 1.0)
 
 
 @st.composite
@@ -499,9 +512,7 @@ def _slot_cases(draw):
         else:
             period = draw(st.floats(0.3, 200.0))
             blocked = period * draw(st.floats(0.0, 1.0))
-        rotation = n_blades * period
-        pool.append(BladeSchedule(n_blades, 360.0 / rotation, blocked, period - blocked,
-                                  rotation, n_blades * (period - blocked)))
+        pool.append(BladeSchedule(n_blades, blocked, period - blocked, n_blades * period))
     schedules = [draw(st.sampled_from(pool)) for _ in range(n_frames)]
     if aligned:
         offsets = [draw(st.integers(0, 10**5)) * grid for _ in range(n_frames)]

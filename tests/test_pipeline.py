@@ -209,6 +209,24 @@ def test_seed_changes_monte_carlo_draws():
     assert r0.report["ber"] == pytest.approx(r1.report["ber"], rel=0.2)
 
 
+def test_randomized_blade_phase_follows_the_seed(tmp_path):
+    fixed = builtin_catalog().scenarios["scenario-15a"]
+    randomized = replace(fixed, randomize_blade_phase=True)
+
+    def erased(spec, seed, out=None):
+        return run_scenario(spec, step_s=60.0, n_frames=50, mode="mc", seed=seed,
+                            out_dir=out).slots.erased
+
+    # a fixed phase erases the same slots whatever the seed
+    assert np.array_equal(erased(fixed, 1), erased(fixed, 2))
+    first = erased(randomized, 1, tmp_path / "a")
+    erased(randomized, 1, tmp_path / "b")
+    for path in (tmp_path / "a" / fixed.id).iterdir():
+        assert path.read_bytes() == (tmp_path / "b" / fixed.id / path.name).read_bytes(), path
+    assert np.any(first)
+    assert not np.array_equal(first, erased(randomized, 2))
+
+
 def test_cnr_prime_rescales_by_bandwidth_ratio():
     result = run_scenario(_overhead_geo(cnr_prime_bandwidth_mhz=1.0),
                           step_s=5.0, n_frames=5, mode="expected")
@@ -380,18 +398,17 @@ def test_link_and_blades_match_per_sample_reference(case):
                                                 scenario.cnr_prime_bandwidth_mhz), -np.inf),
             rtol=1e-12, atol=0.0)
 
-    (segment, schedules), rows = blade_overlay(scenario, access)
+    segment, rows = blade_overlay(scenario, access)
     rotor = scenario.aircraft.rotor
     if rotor is None:
-        assert np.all(segment == -1) and schedules is None and len(rows) == 0
+        assert np.all(segment == -1) and len(rows) == 0
         return
     want_segment, want_rows = _reference_blades(rotor, access)
     assert np.array_equal(segment, want_segment)
     got_rows = np.array([(r.elevation_deg, r.radius_m, r.arc_deg, r.blocked_ms,
                           r.clear_ms, r.duty_cycle) for r in rows], dtype=float).reshape(-1, 6)
     np.testing.assert_allclose(got_rows, want_rows, rtol=1e-12, atol=0.0)
-    assert schedules.blocked_ms.tolist() == [r.blocked_ms for r in rows]
-    assert np.all(schedules.clear_ms >= 0.0)
+    assert np.all(rows.clear_ms >= 0.0)
 
 
 # === whole random scenarios ===
@@ -570,7 +587,7 @@ def test_write_outputs_match_row_wise_reference(tmp_path, mode):
         "link.csv": {
             "time_s": link.times_s, "fspl_db": link.fspl_db, "gas_db": link.gas_db,
             "rain_db": link.rain_db, "cloud_db": link.cloud_db, "total_db": link.total_db,
-            "doppler_khz": link.doppler_khz, "cnr_db": link.cnr_db},
+            "doppler_khz": access.doppler_khz, "cnr_db": link.cnr_db},
         "slots.csv": {
             "slot_index": slots.slot_index, "t_start_ms": slots.t_start_ms,
             "erased": slots.erased, "cnr_db": slots.cnr_db,
@@ -774,6 +791,10 @@ def test_cli_unknown_scenario_is_config_error(capsys):
 
 _LOITER = {"type": "loiter", "center_lat_deg": 0.0, "center_lon_deg": 5.0,
            "altitude_m": 100.0, "radius_km": 1.0, "speed_ms": 20.0}
+_ROTOR = {"n_blades": 3, "blade_width_m": 0.093, "rpm": 1280, "shaft_offset_m": 0.5,
+          "rotor_height_m": 0.12, "tip_radius_m": 0.9}
+_NO_RPM = {k: v for k, v in _ROTOR.items() if k != "rpm"}
+_NO_SPEED = {k: v for k, v in _LOITER.items() if k != "speed_ms"}
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -787,8 +808,32 @@ _LOITER = {"type": "loiter", "center_lat_deg": 0.0, "center_lon_deg": 5.0,
      "waypoint_interval_s"),
     (lambda doc: doc["scenarios"][0].update(flight={**_LOITER, "waypoint_interval_s": -5}),
      "waypoint_interval_s"),
+    # a key that no spec, parser or older document knows is named
+    (lambda doc: doc["aircraft"]["testbed"].update(rotr=_ROTOR), "rotr"),
+    (lambda doc: doc["aircraft"]["testbed"].update(rotor={**_NO_RPM, "rmp": 400}), "rmp"),
+    (lambda doc: doc["scenarios"][0]["phy"].update(overheaad=0.1), "overheaad"),
+    (lambda doc: doc["scenarios"][0].update(flight={**_NO_SPEED, "speed": 20.0}), "speed"),
+    (lambda doc: doc["scenarios"][0]["flight"].update(speed_ms=20.0), "speed_ms"),
+    # an older document's keys load only where such documents had them
+    (lambda doc: doc["aircraft"]["testbed"].update(rotor={**_ROTOR, "position": "above"}),
+     "position"),
+    (lambda doc: doc["aircraft"]["testbed"].update(rotor={**_ROTOR, "rpm": 0}), "rpm"),
+    (lambda doc: doc["aircraft"]["testbed"].update(rotor=_NO_RPM), "rpm"),
+    (lambda doc: doc["scenarios"][0].update(flight={"type": "orbit"}), "flight.type"),
+    (lambda doc: doc["constellations"]["GEO-S"].update(planes=0, inclination_deg=6.0,
+                                                       raan_deg=20.0), "planes"),
+    (lambda doc: doc["constellations"]["GEO-S"].update(raan_deg="20"), "raan_deg"),
+    (lambda doc: doc["constellations"]["GEO-S"].update(
+        raan_deg={"spacing_deg": 10.0, "strat_deg": 20.0}), "strat_deg"),
+    # a spec field that the parser fills from another key is not read
+    (lambda doc: doc["constellations"]["GEO-S"].update(raans_deg=[20.0]), "raans_deg"),
+    (lambda doc: doc["scenarios"][0].update(duration_s=60.0), "duration_s"),
+    (lambda doc: doc["aircraft"]["testbed"].update(name="other"), "name"),
 ], ids=["band-X", "overhead-2", "overhead-negative", "carrier-zero", "carrier-negative",
-        "interval-zero", "interval-negative"])
+        "interval-zero", "interval-negative", "rotr", "rmp", "overheaad", "loiter-speed",
+        "waypoints-speed_ms", "rotor-position", "rpm-zero", "rpm-missing", "flight-type",
+        "planes-zero", "raan-string", "raan-rule-strat_deg", "raans_deg", "duration_s",
+        "aircraft-name"])
 def test_cli_invalid_scenario_file_is_config_error(tmp_path, capsys, edit, field):
     doc = serialize_scenario(_overhead_geo())
     edit(doc)
@@ -927,6 +972,13 @@ def test_cli_compare_roundtrip(tmp_path, capsys):
     diff = json.loads(capsys.readouterr().out)
     assert diff["ber"] == 0
     assert diff["cnr_db"]["avg"] == 0
+
+
+def test_cli_compare_non_json_file(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("ber = 0.1\n")
+    assert main(["compare", str(path), str(path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_cli_compare_missing_file(tmp_path, capsys):

@@ -69,6 +69,13 @@ def test_builtin_raan_spacing_rule_expands():
     assert leo2.raans_deg == tuple(30.0 * p for p in range(12))
 
 
+def test_bare_number_raan_deg_is_a_spacing():
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-6"])
+    doc["constellations"]["LEO-2"]["raan_deg"] = 30
+    constellation = parse_catalog(doc).scenarios["scenario-6"].constellation
+    assert constellation == builtin_catalog().constellations["LEO-2"]
+
+
 def test_builtin_aircraft_spot_checks():
     cat = builtin_catalog()
     uav2 = cat.aircraft["UAV-2"]
@@ -499,9 +506,9 @@ def test_serialize_round_trips_builtins(sid):
 
 
 def test_documents_with_unread_keys_still_load():
-    # constellation pattern, payload antenna_type/beams/hpbw_deg, aircraft
-    # antenna_type/position and scenario band are no longer part of the
-    # schema; old documents carry them
+    # constellation pattern, payload antenna_type/beams/hpbw_deg/band,
+    # aircraft antenna_type/position and scenario band are no longer part
+    # of the schema; old documents carry them
     spec = builtin_catalog().scenarios["scenario-11"]
     doc = serialize_scenario(spec)
     doc["scenarios"][0]["band"] = "Ka"
@@ -510,8 +517,9 @@ def test_documents_with_unread_keys_still_load():
                         position="under_blades" if "rotor" in aircraft else "main_body")
     for constellation in doc["constellations"].values():
         constellation["pattern"] = "star"
-        for payload in constellation["payloads"].values():
-            payload.update(antenna_type="direct radiating array", beams=256, hpbw_deg=2.5)
+        for band, payload in constellation["payloads"].items():
+            payload.update(antenna_type="direct radiating array", beams=256, hpbw_deg=2.5,
+                           band=band)
     assert parse_catalog(doc).scenarios["scenario-11"] == spec
 
 
@@ -607,12 +615,10 @@ def test_nan_fails_range_checks(owner, field):
     # library callers bypass the parser's finite check, so the range
     # checks themselves must reject NaN
     nan = math.nan
-    if owner == "rotor":
-        with pytest.raises(ValueError, match=field):
-            RotorSpec(**{**ALPHA_900, field: nan})
-        return
     with pytest.raises(ConfigError) as err:
-        if owner == "loss_model":
+        if owner == "rotor":
+            RotorSpec(**{**ALPHA_900, field: nan})
+        elif owner == "loss_model":
             replace(LossModel(), **{field: nan})
         elif owner == "band":
             replace(LossModel().band("Ka"), **{field: nan})
