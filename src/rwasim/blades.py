@@ -22,6 +22,9 @@ from .errors import ConfigError
 # relative change of blocked time that rebuilds the schedule in force
 REGEN_FRACTION = 0.05
 
+# Slots per block of frames in `slot_blocked_ms`: bounds its temporaries.
+_BLOCK_SLOTS = 2**16
+
 
 @dataclass(frozen=True)
 class RotorSpec:
@@ -233,15 +236,29 @@ def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
     pulse that misses a frame would add +0.0, which changes no sum).
     Slots blocked for exactly the erase threshold (blade edges on slot
     boundaries) are decided by this arithmetic, so it must not change.
+    Frames go a block of ``_BLOCK_SLOTS`` slots at a time, which bounds
+    the temporaries and changes no slot's sum.
     """
     offsets = np.asarray(frame_offsets_ms, dtype=float)
-    frame_ms = slots_per_frame * slot_ms
     blocked = np.zeros((len(offsets), slots_per_frame))
     width = np.broadcast_to(schedules.blocked_ms, offsets.shape)
+    period = np.broadcast_to(schedules.period_ms, offsets.shape)
+    step = max(1, _BLOCK_SLOTS // slots_per_frame)
+    for first in range(0, len(offsets), step):
+        block = slice(first, first + step)
+        _add_pulses(blocked[block], offsets[block], width[block], period[block], slot_ms)
+    return blocked
+
+
+def _add_pulses(blocked: np.ndarray, offsets: np.ndarray, width: np.ndarray,
+                period: np.ndarray, slot_ms: float) -> None:
+    """Write the blocked time of each frame's slots into the zeros of ``blocked``."""
+    slots_per_frame = blocked.shape[1]
+    frame_ms = slots_per_frame * slot_ms
     rows = np.flatnonzero(width > 0.0)
     if rows.size == 0:
-        return blocked
-    period = np.broadcast_to(schedules.period_ms, offsets.shape)[rows, None]
+        return
+    period = period[rows, None]
     width = width[rows, None]
     phase = offsets[rows, None] % period
     k0 = np.floor((-phase - width) / period)
@@ -264,4 +281,3 @@ def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
         overlap = np.minimum(last, lo + slot_ms) - np.maximum(first, lo)
         total[reached] += np.where(touched, overlap, 0.0)
     blocked[rows] = total
-    return blocked

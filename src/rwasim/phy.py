@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -271,30 +271,129 @@ def awgn_ber(mcs: Mcs, cnr_db):
 
 # === frame simulation ===
 
+# Most slots one run or one sweep point may simulate: a million frames
+# of 80 slots.  A run peaks at 18 to 23 bytes a slot (`tracemalloc`, 80
+# down to 10 slots a frame; see the README), so the budget keeps it under
+# about 2 GB.  A larger table is a ConfigError on n_frames.
+MAX_SLOTS = 80_000_000
+
+# Slots per binomial call of an "mc" draw: a run's clear slots are drawn
+# chunk by chunk from its one generator, which gives the same values as
+# one call over the run and keeps the draw's temporaries in the cache.
+_DRAW_SLOTS = 2**13
+
+
+def check_slot_budget(n_frames: int, numerology: Numerology) -> None:
+    """Raise a ConfigError on ``n_frames`` when its slots exceed ``MAX_SLOTS``."""
+    spf = numerology.slots_per_frame
+    if n_frames * spf > MAX_SLOTS:
+        raise ConfigError(
+            f"{n_frames} frames of {spf} slots exceed the budget of {MAX_SLOTS} slots "
+            f"(at most {MAX_SLOTS // spf} frames at {numerology.scs_khz} kHz spacing)",
+            field="n_frames",
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class SlotTable:
-    """Per-slot outcomes of a frame simulation, one numpy column per field.
+    """Outcomes of a frame simulation: per-frame facts and per-slot columns.
 
+    Only ``erased`` and ``bit_errors`` are stored per slot.  The channel
+    (CNR, BER and decode probability) is stored once per frame and the
+    payload once per table; the other slot columns are read-only
+    properties that expand them on demand, one numpy array per access.
     Row ``i`` is slot ``i``, in slot order.  An erased slot carries a BER
     of 1, a decode probability of 0 and all of its payload as bit errors.
     """
 
-    slot_index: np.ndarray    # int64
-    t_start_ms: np.ndarray    # float64
-    erased: np.ndarray        # bool: blocked by a rotor blade
-    decoded: np.ndarray       # bool: delivered its payload without error
-    payload_bits: np.ndarray  # int64
-    bit_errors: np.ndarray    # int64
-    cnr_db: np.ndarray        # float64
-    ber: np.ndarray           # channel BER applied to the slot (1 if erased)
-    decode_prob: np.ndarray   # probability of an error-free block
+    numerology: Numerology
+    mode: str                       # "mc" or "expected": the rule behind `decoded`
+    payload: int                    # payload bits of every slot
+    frame_cnr_db: np.ndarray        # float64 per frame
+    frame_ber: np.ndarray           # channel BER per frame
+    frame_decode_prob: np.ndarray   # probability of an error-free block, per frame
+    erased: np.ndarray              # bool per slot: blocked by a rotor blade
+    bit_errors: np.ndarray          # int64 per slot
+    first_frame: int = 0            # number of the first frame (for a slice)
+
+    def __post_init__(self) -> None:
+        n_slots = len(self.frame_cnr_db) * self.numerology.slots_per_frame
+        if not len(self.frame_ber) == len(self.frame_decode_prob) == len(self.frame_cnr_db):
+            raise ValueError("the per-frame columns differ in length")
+        if not len(self.erased) == len(self.bit_errors) == n_slots:
+            raise ValueError(f"the slot columns must hold {n_slots} slots")
 
     def __len__(self) -> int:
-        return len(self.slot_index)
+        return len(self.erased)
 
-    def rows(self, start: int, stop: int) -> SlotTable:
-        """Rows ``start`` to ``stop`` as a table of views into this one."""
-        return SlotTable(*(getattr(self, f.name)[start:stop] for f in fields(self)))
+    @property
+    def n_frames(self) -> int:
+        return len(self.frame_cnr_db)
+
+    def frames(self, start: int, stop: int) -> SlotTable:
+        """Frames ``start`` to ``stop`` as a table of views into this one,
+        numbered as they are here."""
+        spf = self.numerology.slots_per_frame
+        start, stop, _ = slice(start, stop).indices(self.n_frames)
+        return replace(
+            self,
+            frame_cnr_db=self.frame_cnr_db[start:stop],
+            frame_ber=self.frame_ber[start:stop],
+            frame_decode_prob=self.frame_decode_prob[start:stop],
+            erased=self.erased[start * spf:stop * spf],
+            bit_errors=self.bit_errors[start * spf:stop * spf],
+            first_frame=self.first_frame + start,
+        )
+
+    def _to_slots(self, per_frame: np.ndarray) -> np.ndarray:
+        return np.repeat(per_frame, self.numerology.slots_per_frame)
+
+    @property
+    def slot_index(self) -> np.ndarray:
+        """int64 slot numbers."""
+        spf = self.numerology.slots_per_frame
+        return np.arange(self.first_frame * spf, self.first_frame * spf + len(self),
+                         dtype=np.int64)
+
+    @property
+    def t_start_ms(self) -> np.ndarray:
+        """float64 start time of each slot on the PHY clock."""
+        num = self.numerology
+        frames = np.arange(self.first_frame, self.first_frame + self.n_frames)
+        return (frames[:, None] * FRAME_MS + np.arange(num.slots_per_frame) * num.slot_ms).ravel()
+
+    @property
+    def cnr_db(self) -> np.ndarray:
+        return self._to_slots(self.frame_cnr_db)
+
+    @property
+    def payload_bits(self) -> np.ndarray:
+        return np.full(len(self), self.payload, dtype=np.int64)
+
+    @property
+    def ber(self) -> np.ndarray:
+        """Channel BER applied to each slot (1 if erased)."""
+        ber = self._to_slots(self.frame_ber)
+        ber[self.erased] = 1.0
+        return ber
+
+    @property
+    def decode_prob(self) -> np.ndarray:
+        """Probability of an error-free block in each slot (0 if erased)."""
+        prob = self._to_slots(self.frame_decode_prob)
+        prob[self.erased] = 0.0
+        return prob
+
+    @property
+    def decoded(self) -> np.ndarray:
+        """bool: the slot delivered its payload, in "mc" mode without a bit
+        error and in "expected" mode with a decode probability above 1/2."""
+        if self.mode == "mc":
+            ok = self.bit_errors == 0
+        else:
+            ok = self._to_slots(self.frame_decode_prob > 0.5)
+        ok &= ~self.erased
+        return ok
 
 
 @dataclass(frozen=True)
@@ -328,15 +427,15 @@ def simulate_frames(
         A slot blocked for ``ERASE_THRESHOLD`` of its length or more is
         erased.
     mode : "mc" draws the bit errors of every clear slot, in slot
-        order, in one binomial draw from a stream seeded with
-        ``(seed, MC_STREAM_TAG)``; "expected" is deterministic and
-        records the expected error count.
+        order, from one stream seeded with ``(seed, MC_STREAM_TAG)``;
+        "expected" is deterministic and records the expected error count.
     seed : an int, or a sequence of k ints.  With k seeds the frames
         split into k equal runs, and run ``i`` draws from a stream of
         its own seeded with ``(seed[i], MC_STREAM_TAG)``, exactly as a
         call of its frames alone with ``seed[i]`` would.
 
-    Returns the per-slot outcomes as a :class:`SlotTable` in slot order.
+    Returns the outcomes as a :class:`SlotTable` in slot order.  Raises
+    a ConfigError on ``n_frames`` above the slot budget ``MAX_SLOTS``.
     """
     if mode not in ("mc", "expected"):
         raise ValueError("mode must be 'mc' or 'expected'")
@@ -347,57 +446,62 @@ def simulate_frames(
         raise ValueError(f"{n_frames} frames do not split into {len(seeds)} equal runs")
 
     num = phy.numerology
+    check_slot_budget(n_frames, num)
     spf = num.slots_per_frame
-    n_slots = n_frames * spf
     payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
 
-    cnr = np.asarray(cnr_db, dtype=float)
+    cnr = np.array(cnr_db, dtype=float)  # a copy: the table keeps it
     if cnr.shape not in ((), (n_frames,)):
         raise ValueError("cnr_db must be scalar or per-frame")
-    # BER and decode probability per frame (q_function calls erfc once per
-    # distinct value), then repeated to the slots
-    frame_ber = awgn_ber(phy.mcs, cnr)
-    frame_decode = (1.0 - frame_ber) ** payload
+    # channel BER per frame: q_function calls erfc once per distinct value
+    ber = awgn_ber(phy.mcs, cnr)
 
-    def to_slots(x):
-        return np.repeat(np.broadcast_to(x, (n_frames,)), spf)
+    def per_frame(x):
+        return np.broadcast_to(x, (n_frames,))
 
-    blocked = np.zeros((n_frames, spf)) if blocked_ms is None else np.asarray(blocked_ms, float)
-    if blocked.shape != (n_frames, spf):
-        raise ValueError(f"blocked_ms must have shape ({n_frames}, {spf}), got {blocked.shape}")
-    erased = (blocked >= ERASE_THRESHOLD * num.slot_ms).ravel()
-
-    channel_ber = to_slots(frame_ber)
-    ber = np.where(erased, 1.0, channel_ber)
-    decode_prob = np.where(erased, 0.0, to_slots(frame_decode))
-    if mode == "mc":
-        bit_errors = np.full(n_slots, payload, dtype=np.int64)
-        clear = ~erased
-        # one array draw per run gives the same values as one scalar draw
-        # per clear slot; the reshapes are views, one row per run
-        shape = (len(seeds), -1)
-        for run_seed, errors, ok, p in zip(seeds, bit_errors.reshape(shape),
-                                           clear.reshape(shape), channel_ber.reshape(shape)):
-            rng = np.random.default_rng(np.random.SeedSequence((run_seed, MC_STREAM_TAG)))
-            errors[ok] = rng.binomial(payload, p[ok])
-        decoded = clear & (bit_errors == 0)
+    if blocked_ms is None:
+        erased = np.zeros(n_frames * spf, dtype=bool)
     else:
-        bit_errors = np.where(erased, payload, np.round(channel_ber * payload)).astype(np.int64)
-        decoded = decode_prob > 0.5
+        blocked = np.asarray(blocked_ms, float)
+        if blocked.shape != (n_frames, spf):
+            raise ValueError(
+                f"blocked_ms must have shape ({n_frames}, {spf}), got {blocked.shape}")
+        erased = (blocked >= ERASE_THRESHOLD * num.slot_ms).ravel()
 
-    t_start = (np.arange(n_frames)[:, None] * FRAME_MS
-               + np.arange(spf) * num.slot_ms).ravel()
+    if mode == "mc":
+        bit_errors = np.full(n_frames * spf, payload, dtype=np.int64)
+        n_clear = spf - np.count_nonzero(erased.reshape(n_frames, spf), axis=1)
+        frame_ber = per_frame(ber)
+        run_frames = n_frames // len(seeds)
+        step = max(1, _DRAW_SLOTS // spf)
+        for run, run_seed in enumerate(seeds):
+            rng = np.random.default_rng(np.random.SeedSequence((run_seed, MC_STREAM_TAG)))
+            # the run's clear slots in slot order, a chunk of frames per call
+            for first in range(run * run_frames, (run + 1) * run_frames, step):
+                f = slice(first, min(first + step, (run + 1) * run_frames))
+                s = slice(f.start * spf, f.stop * spf)
+                p = np.repeat(frame_ber[f], n_clear[f])
+                bit_errors[s][~erased[s]] = rng.binomial(payload, p)
+    else:
+        bit_errors = np.repeat(per_frame(np.round(ber * payload).astype(np.int64)), spf)
+        bit_errors[erased] = payload
+
     return SlotTable(
-        slot_index=np.arange(n_slots, dtype=np.int64),
-        t_start_ms=t_start,
+        numerology=num,
+        mode=mode,
+        payload=payload,
+        frame_cnr_db=per_frame(cnr),
+        frame_ber=per_frame(ber),
+        frame_decode_prob=per_frame((1.0 - ber) ** payload),
         erased=erased,
-        decoded=decoded,
-        payload_bits=np.full(n_slots, payload, dtype=np.int64),
         bit_errors=bit_errors,
-        cnr_db=to_slots(cnr),
-        ber=ber,
-        decode_prob=decode_prob,
     )
+
+
+def _payload_sum(column: np.ndarray, payload: int) -> float:
+    """Sum over the slots of ``payload * column``, multiplied in place."""
+    column *= payload
+    return float(np.sum(column))
 
 
 def aggregate(slots: SlotTable, elapsed_ms: float, mode: str = "mc") -> FrameStats:
@@ -406,26 +510,26 @@ def aggregate(slots: SlotTable, elapsed_ms: float, mode: str = "mc") -> FrameSta
     BER is total bit errors over total payload bits with erased slots
     counting every bit as an error.  The data rate counts only payload
     delivered by decoded slots ("expected" mode uses each slot's decode
-    probability instead of the realized decode flag).
+    probability instead of the realized decode flag).  "mc" mode sums
+    integer counts; "expected" mode sums the per-slot floats.
     """
     if elapsed_ms <= 0.0:
         raise ValueError("elapsed_ms must be > 0")
     n_slots = len(slots)
     if n_slots == 0:
         raise ValueError("cannot aggregate an empty slot table")
-    payload = slots.payload_bits
-    total_bits = int(payload.sum())
-    n_erased = int(slots.erased.sum())
+    payload = slots.payload
+    n_erased = int(np.count_nonzero(slots.erased))
     if mode == "expected":
-        errors = float(np.sum(slots.ber * payload))
-        delivered = float(np.sum(payload * slots.decode_prob))
+        errors = _payload_sum(slots.ber, payload)
+        delivered = _payload_sum(slots.decode_prob, payload)
     else:
         errors = int(slots.bit_errors.sum())
-        delivered = int(payload[slots.decoded].sum())
+        delivered = payload * int(np.count_nonzero(slots.decoded))
     return FrameStats(
         n_slots=n_slots,
         n_erased=n_erased,
-        ber=errors / total_bits,
+        ber=errors / (payload * n_slots),
         data_rate_mbps=delivered / (elapsed_ms * 1e3),
         slot_loss_fraction=n_erased / n_slots,
     )

@@ -19,7 +19,8 @@ from .errors import ConfigError
 from .linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain,
                          pointing_offset, rescale_cnr)
 from .orbit import AccessTimeline, build_access_timeline
-from .phy import FRAME_MS, FrameStats, SlotTable, aggregate, simulate_frames
+from .phy import (FRAME_MS, FrameStats, SlotTable, aggregate, check_slot_budget,
+                  simulate_frames)
 from .scenarios import ScenarioSpec
 
 
@@ -196,6 +197,35 @@ def build_report(
     return report
 
 
+def _slot_blocked_ms(
+    scenario: ScenarioSpec,
+    blade_rows: np.recarray,
+    frame_segment: np.ndarray,
+    seed: int,
+) -> np.ndarray | None:
+    """Blade-blocked time of every slot of a run's frames; None without a rotor.
+
+    ``frame_segment`` is the blade segment in force at each frame's start
+    (-1 in an outage, which blocks nothing).  Rotor phase advances on
+    the contiguous PHY clock (frames are back to back there even though
+    they sample spread-out flight times); a flight-time clock would
+    strobe the rotor whenever the frame spacing hits a multiple of the
+    blade period.
+    """
+    if not len(blade_rows):
+        return None
+    phase = scenario.blade_phase_ms
+    if scenario.randomize_blade_phase:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB1ADE)))
+        phase += float(rng.uniform(0.0, 1000.0))
+    offsets = np.arange(len(frame_segment)) * FRAME_MS + phase
+    # segment -1 picks the appended 0 ms
+    frame_blocked = np.append(blade_rows.blocked_ms, 0.0)[frame_segment]
+    num = scenario.phy.numerology
+    return bl.slot_blocked_ms(bl.schedule(scenario.aircraft.rotor, frame_blocked),
+                              offsets, num.slot_ms, num.slots_per_frame)
+
+
 def run_scenario(
     scenario: ScenarioSpec,
     step_s: float = 1.0,
@@ -211,8 +241,10 @@ def run_scenario(
     its start time, and blade blockage phase runs on the continuous
     flight clock so frames sample different points of the rotor period.
     Outputs are written under ``out_dir/<scenario id>/`` when a
-    directory is given.
+    directory is given.  A run over the slot budget
+    (:data:`rwasim.phy.MAX_SLOTS`) is a ConfigError before any work.
     """
+    check_slot_budget(n_frames, scenario.phy.numerology)
     access = build_access_timeline(scenario, step_s)
     link = link_timeline(scenario, access)
     segment, blade_rows = blade_overlay(scenario, access)
@@ -226,24 +258,11 @@ def run_scenario(
         # the last sample at or before each frame's start; times_s starts
         # at 0, so the index is in [0, n_samples - 1]
         frame_idx = np.searchsorted(access.times_s, frame_times_s, side="right") - 1
-        phase = scenario.blade_phase_ms
-        if scenario.randomize_blade_phase:
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB1ADE)))
-            phase += float(rng.uniform(0.0, 1000.0))
-        # Rotor phase advances on the contiguous PHY clock (frames are
-        # back to back there even though they sample spread-out flight
-        # times); a flight-time clock would strobe the rotor whenever
-        # the frame spacing hits a multiple of the blade period.
-        offsets = np.arange(n_frames) * FRAME_MS + phase
-        blocked = None
-        if len(blade_rows):
-            # segment -1 (an outage) picks the appended 0 ms: no blockage
-            frame_blocked = np.append(blade_rows.blocked_ms, 0.0)[segment[frame_idx]]
-            num = scenario.phy.numerology
-            blocked = bl.slot_blocked_ms(bl.schedule(scenario.aircraft.rotor, frame_blocked),
-                                         offsets, num.slot_ms, num.slots_per_frame)
-        slots = simulate_frames(scenario.phy, link.cnr_db[frame_idx], n_frames,
-                                blocked_ms=blocked, mode=mode, seed=seed)
+        # the blocked array is passed, not kept: it is freed with the call
+        slots = simulate_frames(
+            scenario.phy, link.cnr_db[frame_idx], n_frames,
+            blocked_ms=_slot_blocked_ms(scenario, blade_rows, segment[frame_idx], seed),
+            mode=mode, seed=seed)
         stats = aggregate(slots, n_frames * FRAME_MS, mode=mode)
 
     report = build_report(scenario, access, link, stats, step_s, seed, mode, n_frames)
@@ -257,6 +276,10 @@ def run_scenario(
 
 # Rows per `%` call: bounds the formatted text held in memory at once.
 _CSV_CHUNK_ROWS = 4096
+
+# Slots per block of slots.csv: bounds the expanded slot columns held
+# in memory at once.
+_WRITE_SLOTS = 2**16
 
 # Neighbouring columns are formatted once per run of equal rows while
 # their joint number of runs stays at or below this share of the rows.
@@ -286,7 +309,14 @@ def _format_runs(specs: list[str], columns: list[np.ndarray], heads: np.ndarray)
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length numpy columns as CSV with CRLF line ends.
+    """Write equal-length numpy columns as CSV with CRLF line ends (see `_write_rows`)."""
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        _write_rows(fh, columns)
+
+
+def _write_rows(fh, columns) -> None:
+    """Write equal-length numpy columns to ``fh`` as CSV rows with CRLF line ends.
 
     Int and bool columns are written as ``%d``, float columns as
     ``%.10g``.  Neighbouring columns that change on few rows (see
@@ -317,12 +347,10 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
         fields.append(("%s", _format_runs(*group)))
 
     row_spec = ",".join(spec for spec, _ in fields) + "\r\n"
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for _, col in fields]
-            values = tuple(itertools.chain.from_iterable(zip(*chunk)))
-            fh.write(row_spec * len(chunk[0]) % values)
+    for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+        chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for _, col in fields]
+        values = tuple(itertools.chain.from_iterable(zip(*chunk)))
+        fh.write(row_spec * len(chunk[0]) % values)
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
@@ -344,12 +372,15 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
                [link.times_s, link.fspl_db, link.gas_db, link.rain_db,
                 link.cloud_db, link.total_db, access.doppler_khz, link.cnr_db])
 
-    _write_csv(target / "slots.csv",
-               ["slot_index", "t_start_ms", "erased", "cnr_db",
-                "payload_bits", "bit_errors", "ber", "decode_prob"],
-               [slots.slot_index, slots.t_start_ms, slots.erased,
-                slots.cnr_db, slots.payload_bits, slots.bit_errors,
-                slots.ber, slots.decode_prob])
+    # the slot columns are expanded from the table a block of frames at a time
+    block = max(1, _WRITE_SLOTS // slots.numerology.slots_per_frame)
+    with (target / "slots.csv").open("w", newline="") as fh:
+        fh.write("slot_index,t_start_ms,erased,cnr_db,payload_bits,bit_errors,ber,"
+                 "decode_prob\r\n")
+        for first in range(0, slots.n_frames, block):
+            part = slots.frames(first, first + block)
+            _write_rows(fh, [part.slot_index, part.t_start_ms, part.erased, part.cnr_db,
+                             part.payload_bits, part.bit_errors, part.ber, part.decode_prob])
 
     rows = result.blade_rows
     if len(rows):
@@ -392,6 +423,7 @@ def sweep_cnr(
     each grid point runs ``n_frames`` frames at constant CNR, and grid
     point ``j`` draws with seed ``seed + j``.  Points are simulated in
     groups of up to ``_SWEEP_SLOTS`` slots, one slot table per group.
+    A point over the slot budget is a ConfigError before any work.
     Returns (cnr_db, ber, data_rate_mbps) rows.
     """
     if points < 1:
@@ -401,6 +433,7 @@ def sweep_cnr(
     if cnr_max_db < cnr_min_db:
         raise ConfigError("cnr-max must be >= cnr-min", field="cnr_max_db")
     num = scenario.phy.numerology
+    check_slot_budget(n_frames, num)
     blocked = None
     rotor = scenario.aircraft.rotor
     if rotor is not None:
@@ -410,17 +443,18 @@ def sweep_cnr(
         blocked = bl.slot_blocked_ms(schedule, np.arange(n_frames) * FRAME_MS,
                                      num.slot_ms, num.slots_per_frame)
     grid = np.linspace(cnr_min_db, cnr_max_db, points)
-    point_slots = n_frames * num.slots_per_frame
-    group = max(1, _SWEEP_SLOTS // point_slots)
+    group = max(1, _SWEEP_SLOTS // (n_frames * num.slots_per_frame))
     rows = []
     for first in range(0, points, group):
         cnrs = grid[first:first + group]
         k = len(cnrs)
+        # a lone point takes the blocked array itself, not a copy from np.tile
+        group_blocked = np.tile(blocked, (k, 1)) if blocked is not None and k > 1 else blocked
         slots = simulate_frames(scenario.phy, np.repeat(cnrs, n_frames), k * n_frames,
-                                blocked_ms=None if blocked is None else np.tile(blocked, (k, 1)),
-                                mode=mode, seed=list(range(seed + first, seed + first + k)))
+                                blocked_ms=group_blocked, mode=mode,
+                                seed=list(range(seed + first, seed + first + k)))
         for i, cnr in enumerate(cnrs.tolist()):
-            stats = aggregate(slots.rows(i * point_slots, (i + 1) * point_slots),
+            stats = aggregate(slots.frames(i * n_frames, (i + 1) * n_frames),
                               n_frames * FRAME_MS, mode=mode)
             rows.append((cnr, stats.ber, stats.data_rate_mbps))
         del slots  # freed before the next group's table is built

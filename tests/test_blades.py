@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blade_intervals import blocked_intervals
+from rwasim import blades
 from rwasim.blades import (
     BladeGeometry,
     BladeSchedule,
@@ -318,10 +320,13 @@ def test_slot_blocked_equals_per_frame_walk(case):
     num, schedules, offsets = case
     columnar = BladeSchedule(*(np.array([getattr(s, f.name) for s in schedules])
                                for f in dataclasses.fields(BladeSchedule)))
-    got = slot_blocked_ms(columnar, offsets, num.slot_ms, num.slots_per_frame)
     want = _walk_blocked(schedules, offsets, num.slot_ms, num.slots_per_frame)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+    # blocks of frames change no sum: one block, one frame a block, three frames a block
+    for block_slots in (blades._BLOCK_SLOTS, 1, 3 * num.slots_per_frame):
+        with mock.patch.object(blades, "_BLOCK_SLOTS", block_slots):
+            got = slot_blocked_ms(columnar, offsets, num.slot_ms, num.slots_per_frame)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
 
 
 def test_timeline_regeneration_threshold():

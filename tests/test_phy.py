@@ -3,17 +3,20 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blade_intervals import blocked_intervals
+from rwasim import phy as phy_module
 from rwasim.blades import BladeGeometry, BladeSchedule, RotorSpec, build_schedule, slot_blocked_ms
 from rwasim.errors import ConfigError
 from rwasim.phy import (
     FRAME_MS,
     MC_STREAM_TAG,
+    MODULATION_ORDER,
     Mcs,
     NTN_BANDS,
     NUMEROLOGIES,
@@ -547,17 +550,150 @@ def test_slot_table_matches_per_frame_reference(case):
     assert np.all((slots.ber[~gone] >= 0.0) & (slots.ber[~gone] <= 0.5))
 
 
+# --- the slot table's expanded columns ---
+
+@st.composite
+def _table_cases(draw):
+    scs = draw(st.sampled_from(sorted(NUMEROLOGIES)))
+    phy = PhyConfig(2.0, 30.0, scs, draw(st.integers(1, 25)),
+                    Mcs(draw(st.sampled_from(sorted(MODULATION_ORDER))),
+                        draw(st.sampled_from([0.3, 0.5, 0.9]))))
+    num = phy.numerology
+    n_runs = draw(st.integers(1, 3))
+    n_frames = n_runs * draw(st.integers(1, 5))
+    seeds = [draw(st.integers(0, 2**64)) for _ in range(n_runs)]
+    cnr_db = st.one_of(st.floats(-5.0, 15.0), st.just(-np.inf))  # -inf: an outage
+    blocked = None
+    if draw(st.booleans()):  # a rotor
+        n_blades, period = draw(st.integers(1, 5)), draw(st.floats(0.3, 60.0))
+        width = period * draw(st.floats(0.0, 1.0))
+        sched = BladeSchedule(n_blades, width, period - width, n_blades * period)
+        offsets = np.arange(n_frames) * FRAME_MS + draw(st.floats(0.0, 1e3))
+        blocked = slot_blocked_ms(sched, offsets, num.slot_ms, num.slots_per_frame)
+    if draw(st.booleans()):
+        cnr = draw(cnr_db)
+    else:
+        cnr = np.array([draw(cnr_db) for _ in range(n_frames)])
+    return dict(
+        phy=phy, n_frames=n_frames, blocked=blocked, cnr=cnr,
+        mode=draw(st.sampled_from(["mc", "expected"])),
+        seed=seeds[0] if n_runs == 1 and draw(st.booleans()) else seeds,
+        draw_slots=draw(st.sampled_from([1, 7, phy_module._DRAW_SLOTS])),
+        cut=sorted(draw(st.integers(0, n_frames)) for _ in range(2)))
+
+
+def _per_slot_columns(phy, cnr, n_frames, blocked, mode, seed):
+    """Every slot column built per slot, the way the table was built when it stored them all."""
+    num = phy.numerology
+    spf = num.slots_per_frame
+    n_slots = n_frames * spf
+    payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
+
+    def to_slots(x):
+        return np.repeat(np.broadcast_to(x, (n_frames,)), spf)
+
+    frame_ber = awgn_ber(phy.mcs, cnr)
+    channel_ber = to_slots(frame_ber)
+    erased = np.zeros(n_slots, dtype=bool) if blocked is None else (
+        blocked >= 0.5 * num.slot_ms).ravel()
+    decode_prob = np.where(erased, 0.0, to_slots((1.0 - frame_ber) ** payload))
+    if mode == "mc":
+        # one binomial call per run over its clear slots, in slot order
+        bit_errors = np.full(n_slots, payload, dtype=np.int64)
+        seeds = [seed] if isinstance(seed, int) else seed
+        for run, run_seed in enumerate(seeds):
+            rows = slice(run * n_slots // len(seeds), (run + 1) * n_slots // len(seeds))
+            clear = ~erased[rows]
+            rng = np.random.default_rng(np.random.SeedSequence((run_seed, MC_STREAM_TAG)))
+            bit_errors[rows][clear] = rng.binomial(payload, channel_ber[rows][clear])
+        decoded = ~erased & (bit_errors == 0)
+    else:
+        bit_errors = np.where(erased, payload, np.round(channel_ber * payload)).astype(np.int64)
+        decoded = decode_prob > 0.5
+    frame, slot = np.divmod(np.arange(n_slots), spf)
+    return {
+        "slot_index": np.arange(n_slots, dtype=np.int64),
+        "t_start_ms": frame * FRAME_MS + slot * num.slot_ms,
+        "erased": erased,
+        "decoded": decoded,
+        "payload_bits": np.full(n_slots, payload, dtype=np.int64),
+        "bit_errors": bit_errors,
+        "cnr_db": to_slots(cnr),
+        "ber": np.where(erased, 1.0, channel_ber),
+        "decode_prob": decode_prob,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_table_cases())
+def test_expanded_columns_equal_per_slot_columns(case):
+    # all four numerologies, rotor or none, both modes, an int seed or a
+    # list of seeds, and "mc" draws cut into chunks of any size
+    args = (case["phy"], case["cnr"], case["n_frames"], case["blocked"])
+    with mock.patch.object(phy_module, "_DRAW_SLOTS", case["draw_slots"]):
+        slots = simulate_frames(*args, mode=case["mode"], seed=case["seed"])
+    want = _per_slot_columns(*args, case["mode"], case["seed"])
+    spf = case["phy"].numerology.slots_per_frame
+    assert len(slots) == case["n_frames"] * spf and slots.n_frames == case["n_frames"]
+    first, stop = case["cut"]
+    part = slots.frames(first, stop)
+    for name, column in want.items():
+        got = getattr(slots, name)
+        assert got.dtype == column.dtype and got.shape == column.shape, name
+        assert np.array_equal(got, column), name
+        # a slice of frames is numbered as in the whole table
+        assert np.array_equal(getattr(part, name), column[first * spf:stop * spf]), name
+
+
+def test_expected_decoded_is_decode_probability_above_half():
+    # at about 0.6 expected bit errors a slot both rounds to one bit error
+    # and decodes with probability exp(-0.6) > 1/2: "expected" mode counts
+    # it as decoded, the rule "mc" applies to its drawn errors would not
+    phy = _phy()
+    payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
+    lo, hi = 0.0, 30.0  # awgn_ber falls as the CNR rises
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if float(awgn_ber(phy.mcs, mid)) * payload > 0.6 else (lo, mid)
+    slots = simulate_frames(phy, lo, 2, mode="expected")
+    assert np.all(slots.bit_errors == 1) and np.all(slots.decode_prob > 0.5)
+    assert slots.decoded.all()
+
+
+def test_slot_table_rejects_misfit_columns():
+    num = NUMEROLOGIES[15]
+    frames = dict(frame_cnr_db=np.zeros(2), frame_ber=np.zeros(2), frame_decode_prob=np.ones(2))
+    slots = dict(erased=np.zeros(20, dtype=bool), bit_errors=np.zeros(20, dtype=np.int64))
+    SlotTable(num, "mc", 100, **frames, **slots)
+    with pytest.raises(ValueError, match="slot columns"):
+        SlotTable(num, "mc", 100, **frames, **{**slots, "erased": np.zeros(19, dtype=bool)})
+    with pytest.raises(ValueError, match="per-frame"):
+        SlotTable(num, "mc", 100, **{**frames, "frame_ber": np.zeros(3)}, **slots)
+
+
+def test_slot_budget_is_a_config_error():
+    phy = _phy()  # 20 slots per frame
+    frames = phy_module.MAX_SLOTS // 20
+    with mock.patch.object(phy_module, "MAX_SLOTS", 40):
+        assert len(simulate_frames(phy, 3.0, 2)) == 40
+        with pytest.raises(ConfigError) as err:
+            simulate_frames(phy, 3.0, 3)
+    assert err.value.field == "n_frames"
+    with pytest.raises(ConfigError, match=f"at most {frames} frames"):
+        phy_module.check_slot_budget(frames + 1, phy.numerology)
+
+
 # --- aggregation ---
 
 def _table(erased, payload=1000):
-    # error-free clear slots and fully errored erased slots
+    # frames of 10 slots (15 kHz): error-free clear slots and fully errored erased slots
     erased = np.asarray(erased, dtype=bool)
-    n = len(erased)
+    n_frames = len(erased) // 10
     return SlotTable(
-        slot_index=np.arange(n), t_start_ms=np.arange(n) * 0.5, erased=erased,
-        decoded=~erased, payload_bits=np.full(n, payload),
-        bit_errors=np.where(erased, payload, 0), cnr_db=np.full(n, 10.0),
-        ber=np.where(erased, 1.0, 0.0), decode_prob=np.where(erased, 0.0, 1.0))
+        numerology=NUMEROLOGIES[15], mode="mc", payload=payload,
+        frame_cnr_db=np.full(n_frames, 10.0), frame_ber=np.zeros(n_frames),
+        frame_decode_prob=np.ones(n_frames), erased=erased,
+        bit_errors=np.where(erased, payload, 0))
 
 
 def test_aggregate_ten_percent_erased():
@@ -568,14 +704,15 @@ def test_aggregate_ten_percent_erased():
 
 
 def test_aggregate_all_clear():
-    slots = _table([False] * 31)
+    slots = _table([False] * 310)
     stats = aggregate(slots, 15.5)
     assert stats.ber == 0.0
-    assert stats.data_rate_mbps == pytest.approx(31 * 1000 / (15.5 * 1e3))
+    assert stats.data_rate_mbps == pytest.approx(310 * 1000 / (15.5 * 1e3))
 
 
 def test_aggregate_3_of_31():
-    slots = _table([i < 3 for i in range(31)])
+    # 3 of 31 frames erased whole
+    slots = _table(np.repeat([i < 3 for i in range(31)], 10))
     stats = aggregate(slots, 15.5)
     assert stats.slot_loss_fraction == pytest.approx(3 / 31, abs=1e-9)
 
@@ -584,4 +721,4 @@ def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
         aggregate(_table([]), 10.0)
     with pytest.raises(ValueError):
-        aggregate(_table([False]), 0.0)
+        aggregate(_table([False] * 10), 0.0)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rwasim import phy as phy_module
 from rwasim import pipeline
 from rwasim.blades import (REGEN_FRACTION, RotorSpec, blocked_ms, crossing, schedule,
                            slot_blocked_ms)
@@ -604,6 +605,82 @@ def test_write_outputs_match_row_wise_reference(tmp_path, mode):
         for column, got_cells, want_cells in zip(table, _csv_cells(got), _csv_cells(want)):
             assert got_cells == want_cells, f"{name}: {column}"
         assert got == want, name
+
+
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+def test_slots_csv_is_the_same_in_any_block_of_frames(tmp_path, mode):
+    # 40 slots a frame: one block, three frames a block (the last one
+    # short), and one frame a block
+    spec = builtin_catalog().scenarios["scenario-15b"]
+    files = []
+    for i, write_slots in enumerate([pipeline._WRITE_SLOTS, 3 * 40 + 1, 1]):
+        with mock.patch.object(pipeline, "_WRITE_SLOTS", write_slots):
+            run_scenario(spec, step_s=60.0, n_frames=20, mode=mode, out_dir=tmp_path / str(i))
+        files.append((tmp_path / str(i) / "scenario-15b" / "slots.csv").read_bytes())
+    assert files[0].count(b"\r\n") == 20 * 40 + 1
+    assert files[1] == files[0] and files[2] == files[0]
+
+
+def _over_budget_frames(spec):
+    return phy_module.MAX_SLOTS // spec.phy.numerology.slots_per_frame + 1
+
+
+@pytest.mark.parametrize("sid", ["scenario-19", "scenario-7"])
+def test_slot_budget_fails_before_any_work(sid):
+    spec = builtin_catalog().scenarios[sid]
+    calls = [
+        lambda n: run_scenario(spec, step_s=60.0, n_frames=n),
+        lambda n: sweep_cnr(spec, 0.0, 10.0, 2, n_frames=n),
+    ]
+    with mock.patch.object(pipeline, "build_access_timeline", side_effect=AssertionError):
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConfigError) as err:
+                    call(_over_budget_frames(spec))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert err.value.field == "n_frames"
+            assert peak < 2**16
+    # at the budget the run goes ahead
+    with mock.patch.object(phy_module, "MAX_SLOTS", 5 * spec.phy.numerology.slots_per_frame):
+        assert len(run_scenario(spec, step_s=600.0, n_frames=5).slots) == phy_module.MAX_SLOTS
+        with pytest.raises(ConfigError):
+            run_scenario(spec, step_s=600.0, n_frames=6)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_over_the_slot_budget_exits_2(tmp_path, capsys, command):
+    spec = builtin_catalog().scenarios["scenario-19"]
+    argv = [command, "--scenario", "scenario-19", "--frames", str(_over_budget_frames(spec)),
+            "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--cnr-min", "0", "--cnr-max", "10", "--points", "2"]
+    assert main(argv) == 2
+    assert "error: n_frames:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _run_peak(spec, n_frames, mode, out_dir):
+    tracemalloc.start()
+    try:
+        run_scenario(spec, step_s=60.0, n_frames=n_frames, mode=mode, out_dir=out_dir)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode, write", [("mc", False), ("expected", True)])
+def test_run_memory_per_slot(tmp_path, mode, write):
+    # the slot table keeps 9 bytes a slot (the erased flag and the bit
+    # errors); with the blocked time passed in and the draw's chunks, a
+    # run peaks at under 20 bytes for each slot it adds, written or not
+    spec = builtin_catalog().scenarios["scenario-19"]  # 80 slots a frame
+    out = tmp_path if write else None
+    _run_peak(spec, 10, mode, out)  # warm-up
+    extra = _run_peak(spec, 2000, mode, out) - _run_peak(spec, 1000, mode, out)
+    assert extra < 20 * 1000 * 80
 
 
 # === CNR sweep ===
