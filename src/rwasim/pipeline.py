@@ -309,21 +309,19 @@ def _format_runs(specs: list[str], columns: list[np.ndarray], heads: np.ndarray)
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length numpy columns as CSV with CRLF line ends (see `_write_rows`)."""
+    """Write equal-length numpy columns as CSV with CRLF line ends (see `_fields`)."""
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        _write_rows(fh, columns)
+        _write_rows(fh, _fields(columns))
 
 
-def _write_rows(fh, columns) -> None:
-    """Write equal-length numpy columns to ``fh`` as CSV rows with CRLF line ends.
+def _fields(columns) -> list[tuple[str, np.ndarray]]:
+    """The (conversion spec, column) of each field of a row of ``columns``.
 
     Int and bool columns are written as ``%d``, float columns as
     ``%.10g``.  Neighbouring columns that change on few rows (see
     ``_RUN_SHARE``) are grouped and formatted once per run of equal
-    rows, then enter the row as ``%s``.  The body is formatted a chunk
-    of rows at a time, each chunk with a single ``%`` over its
-    flattened values.
+    rows, then enter the row as one ``%s`` field.
     """
     n_rows = len(columns[0])
     limit = n_rows * _RUN_SHARE
@@ -345,12 +343,85 @@ def _write_rows(fh, columns) -> None:
             fields.append((spec, col))
     if group is not None:
         fields.append(("%s", _format_runs(*group)))
+    return fields
 
+
+def _write_rows(fh, fields) -> None:
+    """Write the rows of ``fields`` (see `_fields`) to ``fh`` with CRLF line ends,
+    a chunk of rows at a time, each chunk with a single ``%`` over its
+    flattened values."""
     row_spec = ",".join(spec for spec, _ in fields) + "\r\n"
-    for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+    for start in range(0, len(fields[0][1]), _CSV_CHUNK_ROWS):
         chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for _, col in fields]
         values = tuple(itertools.chain.from_iterable(zip(*chunk)))
         fh.write(row_spec * len(chunk[0]) % values)
+
+
+# slots.csv writes its slot number and start time from text pieces, not
+# by formatting numbers.  A numerology of s = 10 * 2**mu slots a frame
+# has slots of 2**-mu ms, mu <= 3.
+# - Slot j of frame f starts at 10 * f + j * 2**-mu ms, and the offset
+#   j * 2**-mu is below 10 ms.  So the `%.10g` text of the start time is
+#   str(f) (nothing for frame 0) followed by the text of the offset, one
+#   integer digit and at most mu decimals.  That holds while the time has
+#   at most 10 significant digits: the frame number's digits, plus 1,
+#   plus mu.  At mu = 3 the slot budget (MAX_SLOTS) allows frames up to
+#   999,999, which gives 6 + 1 + 3 = 10 digits; a lower mu leaves more
+#   room.  A table past the bound (a 0.0625 ms numerology would allow
+#   one) is a ValueError; it is never written another way.
+# - s is a multiple of 10, so slot number f * s + j is
+#   str(f * s // 10 + j // 10) (nothing when that is 0) followed by the
+#   digit j % 10.
+_START_DIGITS = 10
+
+
+def _write_slots_csv(path: Path, slots: SlotTable) -> None:
+    """Write ``slots`` as slots.csv, in blocks of whole frames (see `_write_slot_rows`)."""
+    num = slots.numerology
+    offsets = ["%.10g" % (j * num.slot_ms) for j in range(num.slots_per_frame)]
+    decimals = max(len(text.partition(".")[2]) for text in offsets)
+    last = slots.first_frame + slots.n_frames - 1
+    if len(str(last)) + 1 + decimals > _START_DIGITS:
+        raise ValueError(f"frame {last} of {num.slot_ms} ms slots starts past the "
+                         f"{_START_DIGITS} digits that slots.csv writes exactly")
+    # the slot columns are expanded from the table a block of frames at a time
+    block = max(1, _WRITE_SLOTS // num.slots_per_frame)
+    with path.open("w", newline="") as fh:
+        fh.write("slot_index,t_start_ms,erased,cnr_db,payload_bits,bit_errors,ber,"
+                 "decode_prob\r\n")
+        for first in range(0, slots.n_frames, block):
+            _write_slot_rows(fh, slots.frames(first, first + block), offsets)
+
+
+def _write_slot_rows(fh, part: SlotTable, offsets: list[str]) -> None:
+    """Write the rows of ``part`` from one row template per frame.
+
+    Row j of the template holds the slot's last digit and its start-time
+    offset ``offsets[j]`` as text; the slot number's leading digits (one
+    string per 10 slots) and the frame number (one per frame) enter as
+    ``%s``, followed by the other six columns as planned by `_fields`.
+    Each chunk of whole frames is written with a single ``%``.
+    """
+    spf = part.numerology.slots_per_frame
+    fields = _fields([part.erased, part.cnr_db, part.payload_bits, part.bit_errors,
+                      part.ber, part.decode_prob])
+    tail = ",".join(spec for spec, _ in fields)
+    template = "".join(f"%s{j % 10},%s{offset},{tail}\r\n" for j, offset in enumerate(offsets))
+    step = max(1, _CSV_CHUNK_ROWS // spf)  # frames per chunk
+    for start in range(0, part.n_frames, step):
+        n = min(step, part.n_frames - start)
+        frame = part.first_frame + start
+        frames = list(map(str, range(frame, frame + n)))
+        tens = list(map(str, range(frame * spf // 10, (frame + n) * spf // 10)))
+        if frame == 0:
+            frames[0] = tens[0] = ""
+        chunk = [col[start * spf:(start + n) * spf].tolist() for _, col in fields]
+        # each tens prefix on 10 rows and each frame number on spf rows
+        values = tuple(itertools.chain.from_iterable(zip(
+            itertools.chain.from_iterable(zip(*[tens] * 10)),
+            itertools.chain.from_iterable(zip(*[frames] * spf)),
+            *chunk)))
+        fh.write(template * n % values)
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
@@ -372,15 +443,7 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
                [link.times_s, link.fspl_db, link.gas_db, link.rain_db,
                 link.cloud_db, link.total_db, access.doppler_khz, link.cnr_db])
 
-    # the slot columns are expanded from the table a block of frames at a time
-    block = max(1, _WRITE_SLOTS // slots.numerology.slots_per_frame)
-    with (target / "slots.csv").open("w", newline="") as fh:
-        fh.write("slot_index,t_start_ms,erased,cnr_db,payload_bits,bit_errors,ber,"
-                 "decode_prob\r\n")
-        for first in range(0, slots.n_frames, block):
-            part = slots.frames(first, first + block)
-            _write_rows(fh, [part.slot_index, part.t_start_ms, part.erased, part.cnr_db,
-                             part.payload_bits, part.bit_errors, part.ber, part.decode_prob])
+    _write_slots_csv(target / "slots.csv", slots)
 
     rows = result.blade_rows
     if len(rows):

@@ -575,50 +575,100 @@ def _csv_cells(data: bytes) -> list[tuple[bytes, ...]]:
 
 @pytest.mark.parametrize("mode", ["mc", "expected"])
 def test_write_outputs_match_row_wise_reference(tmp_path, mode):
-    # the rotor scenario writes all four tables
-    result = run_scenario(builtin_catalog().scenarios["scenario-15b"], step_s=60.0,
-                          n_frames=20, mode=mode, seed=0, out_dir=tmp_path)
-    access, link, slots, blades = result.access, result.link, result.slots, result.blade_rows
-    tables = {
-        "access.csv": {
-            "time_s": access.times_s, "sat_id": access.sat_id,
-            "elevation_deg": access.elevation_deg, "azimuth_deg": access.azimuth_deg,
-            "slant_range_km": access.slant_range_km,
-            "range_rate_kms": access.range_rate_kms, "doppler_khz": access.doppler_khz},
-        "link.csv": {
-            "time_s": link.times_s, "fspl_db": link.fspl_db, "gas_db": link.gas_db,
-            "rain_db": link.rain_db, "cloud_db": link.cloud_db, "total_db": link.total_db,
-            "doppler_khz": access.doppler_khz, "cnr_db": link.cnr_db},
-        "slots.csv": {
-            "slot_index": slots.slot_index, "t_start_ms": slots.t_start_ms,
-            "erased": slots.erased, "cnr_db": slots.cnr_db,
-            "payload_bits": slots.payload_bits, "bit_errors": slots.bit_errors,
-            "ber": slots.ber, "decode_prob": slots.decode_prob},
-        "blades.csv": {
-            "elevation_deg": blades.elevation_deg, "d_rotor_m": blades.radius_m,
-            "phi_deg": blades.arc_deg, "t_int_ms": blades.blocked_ms,
-            "t_lnk_ms": blades.clear_ms, "duty_cycle": blades.duty_cycle},
-    }
-    for name, table in tables.items():
-        got = (tmp_path / "scenario-15b" / name).read_bytes()
-        want = _reference_csv(list(table), list(table.values()))
-        for column, got_cells, want_cells in zip(table, _csv_cells(got), _csv_cells(want)):
-            assert got_cells == want_cells, f"{name}: {column}"
-        assert got == want, name
+    for sid, spec in sorted(builtin_catalog().scenarios.items()):
+        result = run_scenario(spec, step_s=60.0, n_frames=20, mode=mode, seed=0,
+                              out_dir=tmp_path)
+        access, link, blades = result.access, result.link, result.blade_rows
+        tables = {
+            "access.csv": {
+                "time_s": access.times_s, "sat_id": access.sat_id,
+                "elevation_deg": access.elevation_deg, "azimuth_deg": access.azimuth_deg,
+                "slant_range_km": access.slant_range_km,
+                "range_rate_kms": access.range_rate_kms, "doppler_khz": access.doppler_khz},
+            "link.csv": {
+                "time_s": link.times_s, "fspl_db": link.fspl_db, "gas_db": link.gas_db,
+                "rain_db": link.rain_db, "cloud_db": link.cloud_db, "total_db": link.total_db,
+                "doppler_khz": access.doppler_khz, "cnr_db": link.cnr_db},
+            "slots.csv": _slot_columns(result.slots),
+            "blades.csv": {
+                "elevation_deg": blades.elevation_deg, "d_rotor_m": blades.radius_m,
+                "phi_deg": blades.arc_deg, "t_int_ms": blades.blocked_ms,
+                "t_lnk_ms": blades.clear_ms, "duty_cycle": blades.duty_cycle},
+        }
+        # only a rotor aircraft has blade segments, and only then a blades.csv
+        if spec.aircraft.rotor is None:
+            assert not len(blades) and not (tmp_path / sid / "blades.csv").exists()
+            del tables["blades.csv"]
+        for name, table in tables.items():
+            got = (tmp_path / sid / name).read_bytes()
+            want = _reference_csv(list(table), list(table.values()))
+            for column, got_cells, want_cells in zip(table, _csv_cells(got), _csv_cells(want)):
+                assert got_cells == want_cells, f"{sid} {name}: {column}"
+            assert got == want, f"{sid} {name}"
+
+
+def _slot_columns(slots) -> dict:
+    """The columns of slots.csv, expanded from the table."""
+    return {
+        "slot_index": slots.slot_index, "t_start_ms": slots.t_start_ms,
+        "erased": slots.erased, "cnr_db": slots.cnr_db,
+        "payload_bits": slots.payload_bits, "bit_errors": slots.bit_errors,
+        "ber": slots.ber, "decode_prob": slots.decode_prob}
 
 
 @pytest.mark.parametrize("mode", ["mc", "expected"])
 def test_slots_csv_is_the_same_in_any_block_of_frames(tmp_path, mode):
     # 40 slots a frame: one block, three frames a block (the last one
-    # short), and one frame a block
+    # short), and one frame a block; chunks of one frame (at a chunk of
+    # one row) and of two frames (81 rows, not a multiple of 40)
     spec = builtin_catalog().scenarios["scenario-15b"]
+    default = (pipeline._WRITE_SLOTS, pipeline._CSV_CHUNK_ROWS)
     files = []
-    for i, write_slots in enumerate([pipeline._WRITE_SLOTS, 3 * 40 + 1, 1]):
-        with mock.patch.object(pipeline, "_WRITE_SLOTS", write_slots):
+    for i, (write_slots, chunk_rows) in enumerate([
+            default, (3 * 40 + 1, default[1]), (1, default[1]),
+            (default[0], 1), (default[0], 2 * 40 + 1), (3 * 40 + 1, 2 * 40 + 1)]):
+        with mock.patch.multiple(pipeline, _WRITE_SLOTS=write_slots, _CSV_CHUNK_ROWS=chunk_rows):
             run_scenario(spec, step_s=60.0, n_frames=20, mode=mode, out_dir=tmp_path / str(i))
         files.append((tmp_path / str(i) / "scenario-15b" / "slots.csv").read_bytes())
     assert files[0].count(b"\r\n") == 20 * 40 + 1
-    assert files[1] == files[0] and files[2] == files[0]
+    assert all(data == files[0] for data in files[1:])
+
+
+def _random_slot_table(num, first_frame, n_frames, rng):
+    n_slots = n_frames * num.slots_per_frame
+    return phy_module.SlotTable(
+        num, "mc", 1000,
+        frame_cnr_db=rng.normal(5.0, 3.0, n_frames), frame_ber=rng.random(n_frames) * 1e-3,
+        frame_decode_prob=rng.random(n_frames), erased=rng.random(n_slots) < 0.3,
+        bit_errors=rng.integers(0, 3, n_slots), first_frame=first_frame)
+
+
+@pytest.mark.parametrize("scs_khz", sorted(phy_module.NUMEROLOGIES))
+def test_slots_csv_pieces_are_exact_at_every_digit_boundary(tmp_path, scs_khz):
+    num = phy_module.NUMEROLOGIES[scs_khz]
+    rng = np.random.default_rng(scs_khz)
+    # a start time has at most 10 significant digits up to this frame:
+    # the frame number's, one integer digit of the offset and its decimals
+    decimals = len(format(num.slot_ms, ".10g").partition(".")[2])
+    bound = 10 ** (10 - 1 - decimals) - 1
+    budget_last = phy_module.MAX_SLOTS // num.slots_per_frame - 1
+    assert budget_last <= bound  # every run the slot budget allows is written exactly
+    # three frames from each first frame: below and across each power of
+    # 10 up to the bound, and ending at the budget and at the bound
+    firsts = [10 ** p + d for p in range(1, 7) for d in (-3, -1)]
+    firsts = [0, 1, budget_last - 2, bound - 2] + [f for f in firsts if f + 2 <= bound]
+    path = tmp_path / "slots.csv"
+    for first in firsts:
+        table = _random_slot_table(num, first, 3, rng)
+        pipeline._write_slots_csv(path, table)
+        columns = _slot_columns(table)
+        assert path.read_bytes() == _reference_csv(list(columns), list(columns.values())), first
+    # one frame past the bound the guard raises, where %.10g stops being exact
+    past = _random_slot_table(num, bound, 2, rng)
+    last_start = float(past.t_start_ms[-1])
+    assert float(format(last_start, ".10g")) != last_start
+    with pytest.raises(ValueError, match="digits"):
+        pipeline._write_slots_csv(path, past)
 
 
 def _over_budget_frames(spec):

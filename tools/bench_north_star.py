@@ -23,9 +23,14 @@ directory: the median and quartiles of every command's wall time and
 of the per-repeat total, the core count and the Python and numpy
 versions (scipy's too when it is installed).  The total leaves out the
 mega-shell run, so it compares with records made before that was added.
+Given several checkouts, it also records under ``same_outputs_as``, for
+every checkout after the first, whether its first repeat wrote the same
+files, byte for byte, as the first checkout's (``{"<first label>":
+true}``); records of one checkout, and older records, have no such key.
 It exits 1 if a command fails or if a repeat writes files that differ in
-any byte from the first repeat's.  Stdlib only: the recorder itself
-imports nothing the timed commands pay for.
+any byte from the first repeat's; outputs that differ between checkouts
+are recorded, not an error.  Stdlib only: the recorder itself imports
+nothing the timed commands pay for.
 
 Before the first timed command it byte-compiles each checkout's
 ``src/`` with ``compileall``, so no timed command compiles: a checkout
@@ -153,6 +158,12 @@ def record(checkouts: dict[str, Path], repeats: int, work: Path,
         for label in checkouts:
             shutil.copytree(work / label / "0", keep / label, dirs_exist_ok=True)
 
+    first = pairs[0][0]
+    written = [name.replace(" ", "_") for name, (_, writes) in cmds.items() if writes]
+    same = {label: all(_same_tree(work / first / "0" / out, work / label / "0" / out)
+                       for out in written)
+            for label in checkouts if label != first}
+
     results = {}
     for label, root in checkouts.items():
         per_cmd = times[label]
@@ -170,6 +181,8 @@ def record(checkouts: dict[str, Path], repeats: int, work: Path,
                          for name, samples in per_cmd.items()},
             "total": {**_quartiles(totals), "samples": totals},
         }
+        if label in same:
+            results[label]["same_outputs_as"] = {first: same[label]}
     return results
 
 
@@ -204,6 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{label}: total {total['median']:.3f} s "
               f"[{total['q1']:.3f}, {total['q3']:.3f}], "
               f"import {result['commands']['import rwasim.cli']['median']:.3f} s -> {path}")
+        for other, equal in result.get("same_outputs_as", {}).items():
+            print(f"{label}: outputs {'equal' if equal else 'DIFFER from'} {other}'s")
     return 0
 
 
