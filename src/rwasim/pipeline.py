@@ -274,15 +274,17 @@ def run_scenario(
 
 # === CSV / JSON output ===
 
-# Rows per `%` call: bounds the formatted text held in memory at once.
+# Rows per `%` call (per join in slots.csv): bounds the formatted text
+# held in memory at once.
 _CSV_CHUNK_ROWS = 4096
 
-# Slots per block of slots.csv: bounds the expanded slot columns held
-# in memory at once.
+# Slots per block of slots.csv.  A block is a view into the slot table
+# and is written a chunk at a time, so memory is bounded by the chunk.
 _WRITE_SLOTS = 2**16
 
 # Neighbouring columns are formatted once per run of equal rows while
-# their joint number of runs stays at or below this share of the rows.
+# their joint number of runs stays at or below this share of the rows;
+# so are the last six cells of slots.csv (see `_slot_tails`).
 _RUN_SHARE = 0.25
 
 
@@ -384,7 +386,6 @@ def _write_slots_csv(path: Path, slots: SlotTable) -> None:
     if len(str(last)) + 1 + decimals > _START_DIGITS:
         raise ValueError(f"frame {last} of {num.slot_ms} ms slots starts past the "
                          f"{_START_DIGITS} digits that slots.csv writes exactly")
-    # the slot columns are expanded from the table a block of frames at a time
     block = max(1, _WRITE_SLOTS // num.slots_per_frame)
     with path.open("w", newline="") as fh:
         fh.write("slot_index,t_start_ms,erased,cnr_db,payload_bits,bit_errors,ber,"
@@ -394,34 +395,94 @@ def _write_slots_csv(path: Path, slots: SlotTable) -> None:
 
 
 def _write_slot_rows(fh, part: SlotTable, offsets: list[str]) -> None:
-    """Write the rows of ``part`` from one row template per frame.
+    """Write the rows of ``part``, each chunk of whole frames as one join of
+    text pieces.
 
-    Row j of the template holds the slot's last digit and its start-time
-    offset ``offsets[j]`` as text; the slot number's leading digits (one
-    string per 10 slots) and the frame number (one per frame) enter as
-    ``%s``, followed by the other six columns as planned by `_fields`.
-    Each chunk of whole frames is written with a single ``%``.
+    A row is the slot number's leading digits (one string per 10 slots),
+    its last digit, the frame number (one string per frame), the
+    start-time offset ``offsets[j]`` and the six cells of `_slot_tails`.
+    The pieces go into a flat list by extended-slice assignment, so no
+    value is formatted per row.
     """
     spf = part.numerology.slots_per_frame
-    fields = _fields([part.erased, part.cnr_db, part.payload_bits, part.bit_errors,
-                      part.ber, part.decode_prob])
-    tail = ",".join(spec for spec, _ in fields)
-    template = "".join(f"%s{j % 10},%s{offset},{tail}\r\n" for j, offset in enumerate(offsets))
+    digit_cells = [f"{j % 10}," for j in range(spf)]
+    offset_cells = [f"{offset}," for offset in offsets]
     step = max(1, _CSV_CHUNK_ROWS // spf)  # frames per chunk
     for start in range(0, part.n_frames, step):
-        n = min(step, part.n_frames - start)
-        frame = part.first_frame + start
+        chunk = part.frames(start, start + step)
+        n, rows = chunk.n_frames, len(chunk)
+        frame = chunk.first_frame
         frames = list(map(str, range(frame, frame + n)))
         tens = list(map(str, range(frame * spf // 10, (frame + n) * spf // 10)))
         if frame == 0:
             frames[0] = tens[0] = ""
-        chunk = [col[start * spf:(start + n) * spf].tolist() for _, col in fields]
+        tails = _slot_tails(chunk)
+        k = 4 + len(tails)  # pieces a row
+        pieces = [""] * (rows * k)
         # each tens prefix on 10 rows and each frame number on spf rows
-        values = tuple(itertools.chain.from_iterable(zip(
-            itertools.chain.from_iterable(zip(*[tens] * 10)),
-            itertools.chain.from_iterable(zip(*[frames] * spf)),
-            *chunk)))
-        fh.write(template * n % values)
+        for j in range(10):
+            pieces[j * k::10 * k] = tens
+        pieces[1::k] = digit_cells * n
+        for j in range(spf):
+            pieces[j * k + 2::spf * k] = frames
+        pieces[3::k] = offset_cells * n
+        for i, tail in enumerate(tails):
+            pieces[4 + i::k] = tail
+        text = "".join(pieces)
+        del pieces, tails  # freed before the text is encoded and written
+        fh.write(text)
+
+
+def _slot_tails(chunk: SlotTable) -> list[list[str]]:
+    """The last six cells of every row of ``chunk``, as one or three pieces a row.
+
+    The cells ``erased, cnr_db, payload_bits, bit_errors, ber,
+    decode_prob`` depend only on the frame, the erased flag and the bit
+    errors.  While the runs of rows equal in those three are at most
+    ``_RUN_SHARE`` of the rows, each run's cells are formatted once, with
+    a single ``%`` over all runs, and the row takes one piece.  Otherwise
+    a row takes three: the frame's ``erased,cnr_db,payload_bits,`` head
+    for its erased flag, the text of its bit errors (formatted once per
+    distinct value) and the frame's ``,ber,decode_prob`` tail for its
+    erased flag (``,1,0`` when erased).
+    """
+    spf = chunk.numerology.slots_per_frame
+    erased, bit_errors = chunk.erased, chunk.bit_errors
+    heads = np.empty(len(chunk), dtype=bool)
+    heads[0] = True
+    np.not_equal(erased[1:], erased[:-1], out=heads[1:])
+    heads[1:] |= bit_errors[1:] != bit_errors[:-1]
+    heads[::spf] = True
+    payload = "%d" % chunk.payload
+    starts = np.flatnonzero(heads)
+    if len(starts) <= len(chunk) * _RUN_SHARE:
+        frame = starts // spf
+        run_erased = erased[starts]
+        values = itertools.chain.from_iterable(zip(
+            run_erased.tolist(), chunk.frame_cnr_db[frame].tolist(),
+            bit_errors[starts].tolist(),
+            np.where(run_erased, 1.0, chunk.frame_ber[frame]).tolist(),
+            np.where(run_erased, 0.0, chunk.frame_decode_prob[frame]).tolist()))
+        runs = (f"%d,%.10g,{payload},%d,%.10g,%.10g\r\n" * len(starts)
+                % tuple(values)).splitlines(True)
+        return [np.array(runs, dtype=object)[np.cumsum(heads) - 1].tolist()]
+    n = chunk.n_frames
+    cnr = ("%.10g\n" * n % tuple(chunk.frame_cnr_db.tolist())).split("\n")[:-1]
+    channel = (",%.10g,%.10g\r\n" * n % tuple(itertools.chain.from_iterable(zip(
+        chunk.frame_ber.tolist(), chunk.frame_decode_prob.tolist()))))
+    # entry 2 * f of the flattened head and tail is frame f's piece for a
+    # clear slot, entry 2 * f + 1 for an erased one
+    head = np.empty((n, 2), dtype=object)
+    head[:, 0] = [f"0,{text},{payload}," for text in cnr]
+    head[:, 1] = [f"1,{text},{payload}," for text in cnr]
+    tail = np.empty((n, 2), dtype=object)
+    tail[:, 0] = channel.splitlines(True)
+    tail[:, 1] = ",1,0\r\n"
+    pick = np.repeat(np.arange(0, 2 * n, 2), spf) + erased
+    values, inverse = np.unique(bit_errors, return_inverse=True)
+    text = ("%d\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+    return [head.ravel()[pick].tolist(), np.array(text, dtype=object)[inverse].tolist(),
+            tail.ravel()[pick].tolist()]
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> Path:

@@ -671,6 +671,85 @@ def test_slots_csv_pieces_are_exact_at_every_digit_boundary(tmp_path, scs_khz):
         pipeline._write_slots_csv(path, past)
 
 
+# shares of rows that start a run of bit errors, on either side of the
+# writer's _RUN_SHARE; two different shares switch at a random frame
+_BIT_ERROR_SHARES = [0.0, 0.05, 0.2, 0.3, 0.7, 1.0]
+
+
+@st.composite
+def _slot_tables(draw):
+    """A slot table and the (_WRITE_SLOTS, _CSV_CHUNK_ROWS) to write it with.
+
+    Tables come in every numerology, start at any frame slots.csv writes
+    exactly and carry runs of erasures.  In "expected" mode the bit
+    errors are one count a frame and the payload on erased slots, as
+    simulate_frames makes them; in "mc" mode they come in runs whose
+    share of the rows falls on either side of the writer's run share,
+    so both tail layouts are written, at times both in one table.
+    """
+    num = phy_module.NUMEROLOGIES[draw(st.sampled_from(sorted(phy_module.NUMEROLOGIES)))]
+    spf = num.slots_per_frame
+    mode = draw(st.sampled_from(["mc", "expected"]))
+    n_frames = draw(st.integers(1, 40))
+    n_slots = n_frames * spf
+    decimals = len(format(num.slot_ms, ".10g").partition(".")[2])
+    last = 10 ** (10 - 1 - decimals) - 1
+    first_frame = draw(st.integers(0, 30) | st.integers(0, last - n_frames + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    payload = draw(st.integers(0, 2 ** 63 - 1))
+    frame_columns = [draw(arrays(np.float64, n_frames, elements=_COLUMN_ELEMENTS[np.float64]))
+                     for _ in range(3)]
+    toggles = rng.random(n_slots) < draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+    erased = (np.cumsum(toggles) + draw(st.integers(0, 1))) % 2 == 1
+    if mode == "expected":
+        bit_errors = np.repeat(rng.integers(0, payload, size=n_frames, endpoint=True), spf)
+        bit_errors[erased] = payload
+    else:
+        shares = draw(st.lists(st.sampled_from(_BIT_ERROR_SHARES), min_size=1, max_size=2))
+        switch = rng.integers(n_frames + 1) * spf
+        heads = rng.random(n_slots) < np.where(np.arange(n_slots) < switch, shares[0], shares[-1])
+        heads[:1] = True
+        pool = np.array(draw(st.lists(_COLUMN_ELEMENTS[np.int64], min_size=1, max_size=4)))
+        bit_errors = pool[rng.integers(len(pool), size=np.count_nonzero(heads))][
+            np.cumsum(heads) - 1]
+    table = phy_module.SlotTable(num, mode, payload, *frame_columns, erased=erased,
+                                 bit_errors=bit_errors, first_frame=first_frame)
+    # the defaults, one frame, and sizes that are no multiple of a frame
+    write_slots = draw(st.sampled_from([pipeline._WRITE_SLOTS, 1, 3 * spf + 7]))
+    chunk_rows = draw(st.sampled_from([pipeline._CSV_CHUNK_ROWS, 1, spf, 2 * spf + 1, 97]))
+    return table, write_slots, chunk_rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(_slot_tables())
+def test_slots_csv_matches_row_wise_reference(case):
+    table, write_slots, chunk_rows = case
+    columns = _slot_columns(table)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "slots.csv"
+        with mock.patch.multiple(pipeline, _WRITE_SLOTS=write_slots, _CSV_CHUNK_ROWS=chunk_rows):
+            pipeline._write_slots_csv(path, table)
+        assert path.read_bytes() == _reference_csv(list(columns), list(columns.values()))
+
+
+def test_slots_csv_memory_does_not_grow_with_the_table(tmp_path):
+    # the writer holds one chunk of rows at a time, so ten times the slots
+    # peak no higher (about 1 MB); a writer holding a block of expanded
+    # slot columns peaks at 4.5 MB at 20,000 frames
+    spec = builtin_catalog().scenarios["scenario-7"]
+    peaks = []
+    for n_frames in (2000, 20000):
+        slots = run_scenario(spec, step_s=60.0, n_frames=n_frames, mode="mc").slots
+        tracemalloc.start()
+        try:
+            pipeline._write_slots_csv(tmp_path / "slots.csv", slots)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
+    assert max(peaks) < 4_500_000, peaks
+
+
 def _over_budget_frames(spec):
     return phy_module.MAX_SLOTS // spec.phy.numerology.slots_per_frame + 1
 
