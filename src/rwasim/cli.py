@@ -127,6 +127,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise ConfigError(f"cannot read report {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
+        if not isinstance(reports[-1], dict):
+            raise ConfigError(f"report {path} is not a JSON object")
     diff = compare_reports(reports[0], reports[1])
     print(json.dumps(diff, indent=2, sort_keys=True))
     return 0

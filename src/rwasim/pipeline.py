@@ -278,85 +278,26 @@ def run_scenario(
 # held in memory at once.
 _CSV_CHUNK_ROWS = 4096
 
-# Slots per block of slots.csv.  A block is a view into the slot table
-# and is written a chunk at a time, so memory is bounded by the chunk.
-_WRITE_SLOTS = 2**16
-
-# Neighbouring columns are formatted once per run of equal rows while
-# their joint number of runs stays at or below this share of the rows;
-# so are the last six cells of slots.csv (see `_slot_tails`).
+# The last six cells of slots.csv are formatted once per run of equal
+# rows while the runs are at most this share of a chunk's rows (see
+# `_slot_tails`).
 _RUN_SHARE = 0.25
 
 
-def _run_heads(col: np.ndarray) -> np.ndarray:
-    """True on the first row and on each row that differs from the one above.
-
-    Floats compare by bit pattern, so -0.0 and 0.0 differ and repeated
-    NaNs form one run.
-    """
-    if col.dtype.kind == "f":
-        col = col.view(f"i{col.itemsize}")
-    heads = np.empty(len(col), dtype=bool)
-    heads[:1] = True
-    np.not_equal(col[1:], col[:-1], out=heads[1:])
-    return heads
-
-
-def _format_runs(specs: list[str], columns: list[np.ndarray], heads: np.ndarray) -> np.ndarray:
-    """The text of ``columns`` on every row, formatted once per run head."""
-    starts = np.flatnonzero(heads)
-    values = itertools.chain.from_iterable(zip(*(col[starts].tolist() for col in columns)))
-    text = ((",".join(specs) + "\n") * len(starts) % tuple(values)).split("\n")[:-1]
-    return np.array(text, dtype=object)[np.cumsum(heads) - 1]
-
-
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write equal-length numpy columns as CSV with CRLF line ends (see `_fields`)."""
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        _write_rows(fh, _fields(columns))
-
-
-def _fields(columns) -> list[tuple[str, np.ndarray]]:
-    """The (conversion spec, column) of each field of a row of ``columns``.
+    """Write equal-length numpy columns as CSV with CRLF line ends.
 
     Int and bool columns are written as ``%d``, float columns as
-    ``%.10g``.  Neighbouring columns that change on few rows (see
-    ``_RUN_SHARE``) are grouped and formatted once per run of equal
-    rows, then enter the row as one ``%s`` field.
+    ``%.10g``; each chunk of ``_CSV_CHUNK_ROWS`` rows is written with a
+    single ``%`` over its flattened values.
     """
-    n_rows = len(columns[0])
-    limit = n_rows * _RUN_SHARE
-    fields = []   # (spec, column) per field of the row
-    group = None  # (specs, columns, joint run heads) of the open group
-    for col in columns:
-        spec = "%d" if col.dtype.kind in "biu" else "%.10g"
-        heads = _run_heads(col)
-        if group is not None:
-            joint = group[2] | heads
-            if np.count_nonzero(joint) <= limit:
-                group = (group[0] + [spec], group[1] + [col], joint)
-                continue
-            fields.append(("%s", _format_runs(*group)))
-            group = None
-        if np.count_nonzero(heads) <= limit:
-            group = ([spec], [col], heads)
-        else:
-            fields.append((spec, col))
-    if group is not None:
-        fields.append(("%s", _format_runs(*group)))
-    return fields
-
-
-def _write_rows(fh, fields) -> None:
-    """Write the rows of ``fields`` (see `_fields`) to ``fh`` with CRLF line ends,
-    a chunk of rows at a time, each chunk with a single ``%`` over its
-    flattened values."""
-    row_spec = ",".join(spec for spec, _ in fields) + "\r\n"
-    for start in range(0, len(fields[0][1]), _CSV_CHUNK_ROWS):
-        chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for _, col in fields]
-        values = tuple(itertools.chain.from_iterable(zip(*chunk)))
-        fh.write(row_spec * len(chunk[0]) % values)
+    row_spec = ",".join("%d" if col.dtype.kind in "biu" else "%.10g" for col in columns) + "\r\n"
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+            values = tuple(itertools.chain.from_iterable(zip(*chunk)))
+            fh.write(row_spec * len(chunk[0]) % values)
 
 
 # slots.csv writes its slot number and start time from text pieces, not
@@ -378,59 +319,52 @@ _START_DIGITS = 10
 
 
 def _write_slots_csv(path: Path, slots: SlotTable) -> None:
-    """Write ``slots`` as slots.csv, in blocks of whole frames (see `_write_slot_rows`)."""
+    """Write ``slots`` as slots.csv, each chunk of whole frames as one join
+    of text pieces.
+
+    A row is the slot number's leading digits (one string per 10 slots),
+    its last digit, the frame number (one string per frame), the
+    start-time offset of its slot in the frame and the six cells of
+    `_slot_tails`.  The pieces go into a flat list by extended-slice
+    assignment, so no value is formatted per row.
+    """
     num = slots.numerology
-    offsets = ["%.10g" % (j * num.slot_ms) for j in range(num.slots_per_frame)]
+    spf = num.slots_per_frame
+    offsets = ["%.10g" % (j * num.slot_ms) for j in range(spf)]
     decimals = max(len(text.partition(".")[2]) for text in offsets)
     last = slots.first_frame + slots.n_frames - 1
     if len(str(last)) + 1 + decimals > _START_DIGITS:
         raise ValueError(f"frame {last} of {num.slot_ms} ms slots starts past the "
                          f"{_START_DIGITS} digits that slots.csv writes exactly")
-    block = max(1, _WRITE_SLOTS // num.slots_per_frame)
-    with path.open("w", newline="") as fh:
-        fh.write("slot_index,t_start_ms,erased,cnr_db,payload_bits,bit_errors,ber,"
-                 "decode_prob\r\n")
-        for first in range(0, slots.n_frames, block):
-            _write_slot_rows(fh, slots.frames(first, first + block), offsets)
-
-
-def _write_slot_rows(fh, part: SlotTable, offsets: list[str]) -> None:
-    """Write the rows of ``part``, each chunk of whole frames as one join of
-    text pieces.
-
-    A row is the slot number's leading digits (one string per 10 slots),
-    its last digit, the frame number (one string per frame), the
-    start-time offset ``offsets[j]`` and the six cells of `_slot_tails`.
-    The pieces go into a flat list by extended-slice assignment, so no
-    value is formatted per row.
-    """
-    spf = part.numerology.slots_per_frame
     digit_cells = [f"{j % 10}," for j in range(spf)]
     offset_cells = [f"{offset}," for offset in offsets]
     step = max(1, _CSV_CHUNK_ROWS // spf)  # frames per chunk
-    for start in range(0, part.n_frames, step):
-        chunk = part.frames(start, start + step)
-        n, rows = chunk.n_frames, len(chunk)
-        frame = chunk.first_frame
-        frames = list(map(str, range(frame, frame + n)))
-        tens = list(map(str, range(frame * spf // 10, (frame + n) * spf // 10)))
-        if frame == 0:
-            frames[0] = tens[0] = ""
-        tails = _slot_tails(chunk)
-        k = 4 + len(tails)  # pieces a row
-        pieces = [""] * (rows * k)
-        # each tens prefix on 10 rows and each frame number on spf rows
-        for j in range(10):
-            pieces[j * k::10 * k] = tens
-        pieces[1::k] = digit_cells * n
-        for j in range(spf):
-            pieces[j * k + 2::spf * k] = frames
-        pieces[3::k] = offset_cells * n
-        for i, tail in enumerate(tails):
-            pieces[4 + i::k] = tail
-        text = "".join(pieces)
-        del pieces, tails  # freed before the text is encoded and written
-        fh.write(text)
+    with path.open("w", newline="") as fh:
+        fh.write("slot_index,t_start_ms,erased,cnr_db,payload_bits,bit_errors,ber,"
+                 "decode_prob\r\n")
+        for start in range(0, slots.n_frames, step):
+            chunk = slots.frames(start, start + step)
+            n, rows = chunk.n_frames, len(chunk)
+            frame = chunk.first_frame
+            frames = list(map(str, range(frame, frame + n)))
+            tens = list(map(str, range(frame * spf // 10, (frame + n) * spf // 10)))
+            if frame == 0:
+                frames[0] = tens[0] = ""
+            tails = _slot_tails(chunk)
+            k = 4 + len(tails)  # pieces a row
+            pieces = [""] * (rows * k)
+            # each tens prefix on 10 rows and each frame number on spf rows
+            for j in range(10):
+                pieces[j * k::10 * k] = tens
+            pieces[1::k] = digit_cells * n
+            for j in range(spf):
+                pieces[j * k + 2::spf * k] = frames
+            pieces[3::k] = offset_cells * n
+            for i, tail in enumerate(tails):
+                pieces[4 + i::k] = tail
+            text = "".join(pieces)
+            del pieces, tails  # freed before the text is encoded and written
+            fh.write(text)
 
 
 def _slot_tails(chunk: SlotTable) -> list[list[str]]:

@@ -545,8 +545,8 @@ def _csv_tables(draw):
             columns.append(draw(arrays(dtype, n_rows, elements=_COLUMN_ELEMENTS[dtype])))
             continue
         if layout == "new runs" or heads is None:
-            # runs start on a share of the rows on either side of the
-            # writer's grouping limit, and never next to a chunk boundary
+            # runs start on a share of the rows, never next to a chunk
+            # boundary
             share = draw(st.sampled_from([0.0, 0.002, 0.05, 0.2, 0.25, 0.3, 0.7]))
             heads = rng.random(n_rows) < share
             for boundary in range(_CSV_CHUNK_ROWS, n_rows, _CSV_CHUNK_ROWS):
@@ -575,9 +575,17 @@ def _csv_cells(data: bytes) -> list[tuple[bytes, ...]]:
 
 @pytest.mark.parametrize("mode", ["mc", "expected"])
 def test_write_outputs_match_row_wise_reference(tmp_path, mode):
-    for sid, spec in sorted(builtin_catalog().scenarios.items()):
-        result = run_scenario(spec, step_s=60.0, n_frames=20, mode=mode, seed=0,
-                              out_dir=tmp_path)
+    catalog = builtin_catalog().scenarios
+    cases = [(spec, 60.0, tmp_path / "builtin") for _, spec in sorted(catalog.items())]
+    # every built-in has 100 % access; under a 60 deg mask scenario-19 has
+    # 53.4 %, so its 9,000 rows carry NaN and -inf cells across two chunk
+    # boundaries
+    outage = replace(catalog["scenario-19"], handover_threshold_deg=60.0)
+    cases.append((outage, 1.0, tmp_path / "outage"))
+    for spec, step_s, out_dir in cases:
+        sid = spec.id
+        result = run_scenario(spec, step_s=step_s, n_frames=20, mode=mode, seed=0,
+                              out_dir=out_dir)
         access, link, blades = result.access, result.link, result.blade_rows
         tables = {
             "access.csv": {
@@ -597,14 +605,15 @@ def test_write_outputs_match_row_wise_reference(tmp_path, mode):
         }
         # only a rotor aircraft has blade segments, and only then a blades.csv
         if spec.aircraft.rotor is None:
-            assert not len(blades) and not (tmp_path / sid / "blades.csv").exists()
+            assert not len(blades) and not (out_dir / sid / "blades.csv").exists()
             del tables["blades.csv"]
         for name, table in tables.items():
-            got = (tmp_path / sid / name).read_bytes()
+            got = (out_dir / sid / name).read_bytes()
             want = _reference_csv(list(table), list(table.values()))
             for column, got_cells, want_cells in zip(table, _csv_cells(got), _csv_cells(want)):
                 assert got_cells == want_cells, f"{sid} {name}: {column}"
             assert got == want, f"{sid} {name}"
+    assert 0 < result.report["access_percent"] < 100  # the outage case, run last
 
 
 def _slot_columns(slots) -> dict:
@@ -618,16 +627,12 @@ def _slot_columns(slots) -> dict:
 
 @pytest.mark.parametrize("mode", ["mc", "expected"])
 def test_slots_csv_is_the_same_in_any_block_of_frames(tmp_path, mode):
-    # 40 slots a frame: one block, three frames a block (the last one
-    # short), and one frame a block; chunks of one frame (at a chunk of
-    # one row) and of two frames (81 rows, not a multiple of 40)
+    # 40 slots a frame: one chunk, chunks of one frame (at a chunk of one
+    # row) and of two frames (81 rows, not a multiple of 40)
     spec = builtin_catalog().scenarios["scenario-15b"]
-    default = (pipeline._WRITE_SLOTS, pipeline._CSV_CHUNK_ROWS)
     files = []
-    for i, (write_slots, chunk_rows) in enumerate([
-            default, (3 * 40 + 1, default[1]), (1, default[1]),
-            (default[0], 1), (default[0], 2 * 40 + 1), (3 * 40 + 1, 2 * 40 + 1)]):
-        with mock.patch.multiple(pipeline, _WRITE_SLOTS=write_slots, _CSV_CHUNK_ROWS=chunk_rows):
+    for i, chunk_rows in enumerate([pipeline._CSV_CHUNK_ROWS, 1, 2 * 40 + 1]):
+        with mock.patch.object(pipeline, "_CSV_CHUNK_ROWS", chunk_rows):
             run_scenario(spec, step_s=60.0, n_frames=20, mode=mode, out_dir=tmp_path / str(i))
         files.append((tmp_path / str(i) / "scenario-15b" / "slots.csv").read_bytes())
     assert files[0].count(b"\r\n") == 20 * 40 + 1
@@ -678,7 +683,7 @@ _BIT_ERROR_SHARES = [0.0, 0.05, 0.2, 0.3, 0.7, 1.0]
 
 @st.composite
 def _slot_tables(draw):
-    """A slot table and the (_WRITE_SLOTS, _CSV_CHUNK_ROWS) to write it with.
+    """A slot table and the _CSV_CHUNK_ROWS to write it with.
 
     Tables come in every numerology, start at any frame slots.csv writes
     exactly and carry runs of erasures.  In "expected" mode the bit
@@ -714,20 +719,19 @@ def _slot_tables(draw):
             np.cumsum(heads) - 1]
     table = phy_module.SlotTable(num, mode, payload, *frame_columns, erased=erased,
                                  bit_errors=bit_errors, first_frame=first_frame)
-    # the defaults, one frame, and sizes that are no multiple of a frame
-    write_slots = draw(st.sampled_from([pipeline._WRITE_SLOTS, 1, 3 * spf + 7]))
+    # the default, one frame, and sizes that are no multiple of a frame
     chunk_rows = draw(st.sampled_from([pipeline._CSV_CHUNK_ROWS, 1, spf, 2 * spf + 1, 97]))
-    return table, write_slots, chunk_rows
+    return table, chunk_rows
 
 
 @settings(max_examples=80, deadline=None)
 @given(_slot_tables())
 def test_slots_csv_matches_row_wise_reference(case):
-    table, write_slots, chunk_rows = case
+    table, chunk_rows = case
     columns = _slot_columns(table)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "slots.csv"
-        with mock.patch.multiple(pipeline, _WRITE_SLOTS=write_slots, _CSV_CHUNK_ROWS=chunk_rows):
+        with mock.patch.object(pipeline, "_CSV_CHUNK_ROWS", chunk_rows):
             pipeline._write_slots_csv(path, table)
         assert path.read_bytes() == _reference_csv(list(columns), list(columns.values()))
 
@@ -1185,6 +1189,14 @@ def test_cli_compare_non_json_file(tmp_path, capsys):
     path.write_text("ber = 0.1\n")
     assert main(["compare", str(path), str(path)]) == 2
     assert "is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document", [[0, 1], "ab", None])
+def test_cli_compare_rejects_a_report_that_is_not_an_object(tmp_path, capsys, document):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(document))
+    assert main(["compare", str(path), str(path)]) == 2
+    assert f"report {path} is not a JSON object" in capsys.readouterr().err
 
 
 def test_cli_compare_missing_file(tmp_path, capsys):
