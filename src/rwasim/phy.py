@@ -2,14 +2,14 @@
 
 Covers the frame structure (numerology tables), the satellite band
 catalog with channel validation, an AWGN bit-error-rate abstraction for
-the supported modulations, and a frame simulator that combines a CNR
-timeline with each slot's rotor-blade blocked time into per-slot outcomes.
+the supported modulations, a frame simulator that combines a CNR
+timeline with each slot's rotor-blade blocked time into per-slot outcomes,
+and the roll-up of a CNR sweep's points.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -277,9 +277,10 @@ def awgn_ber(mcs: Mcs, cnr_db):
 # about 2 GB.  A larger table is a ConfigError on n_frames.
 MAX_SLOTS = 80_000_000
 
-# Slots per binomial call of an "mc" draw: a run's clear slots are drawn
-# chunk by chunk from its one generator, which gives the same values as
-# one call over the run and keeps the draw's temporaries in the cache.
+# Slots per binomial call of an "mc" draw: the clear slots of a run or of
+# a sweep point are drawn chunk by chunk from its one generator, which
+# gives the same values as one call and keeps the draw's temporaries in
+# the cache.
 _DRAW_SLOTS = 2**13
 
 
@@ -292,6 +293,17 @@ def check_slot_budget(n_frames: int, numerology: Numerology) -> None:
             f"(at most {MAX_SLOTS // spf} frames at {numerology.scs_khz} kHz spacing)",
             field="n_frames",
         )
+
+
+def erased_slots(blocked_ms: np.ndarray, numerology: Numerology) -> np.ndarray:
+    """bool per slot, in slot order: blocked by rotor blades for
+    ``ERASE_THRESHOLD`` of the slot's length or more."""
+    return (np.asarray(blocked_ms, float) >= ERASE_THRESHOLD * numerology.slot_ms).ravel()
+
+
+def _mc_stream(seed: int) -> np.random.Generator:
+    """The "mc" draws' generator for ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, MC_STREAM_TAG)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +425,7 @@ def simulate_frames(
     n_frames: int,
     blocked_ms: np.ndarray | None = None,
     mode: str = "mc",
-    seed: int | Sequence[int] = 0,
+    seed: int = 0,
 ) -> SlotTable:
     """Simulate ``n_frames`` 10 ms frames at slot resolution.
 
@@ -429,10 +441,6 @@ def simulate_frames(
     mode : "mc" draws the bit errors of every clear slot, in slot
         order, from one stream seeded with ``(seed, MC_STREAM_TAG)``;
         "expected" is deterministic and records the expected error count.
-    seed : an int, or a sequence of k ints.  With k seeds the frames
-        split into k equal runs, and run ``i`` draws from a stream of
-        its own seeded with ``(seed[i], MC_STREAM_TAG)``, exactly as a
-        call of its frames alone with ``seed[i]`` would.
 
     Returns the outcomes as a :class:`SlotTable` in slot order.  Raises
     a ConfigError on ``n_frames`` above the slot budget ``MAX_SLOTS``.
@@ -441,9 +449,6 @@ def simulate_frames(
         raise ValueError("mode must be 'mc' or 'expected'")
     if n_frames < 0:
         raise ValueError("n_frames must be >= 0")
-    seeds = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
-    if not seeds or n_frames % len(seeds):
-        raise ValueError(f"{n_frames} frames do not split into {len(seeds)} equal runs")
 
     num = phy.numerology
     check_slot_budget(n_frames, num)
@@ -466,22 +471,20 @@ def simulate_frames(
         if blocked.shape != (n_frames, spf):
             raise ValueError(
                 f"blocked_ms must have shape ({n_frames}, {spf}), got {blocked.shape}")
-        erased = (blocked >= ERASE_THRESHOLD * num.slot_ms).ravel()
+        erased = erased_slots(blocked, num)
 
     if mode == "mc":
         bit_errors = np.full(n_frames * spf, payload, dtype=np.int64)
         n_clear = spf - np.count_nonzero(erased.reshape(n_frames, spf), axis=1)
         frame_ber = per_frame(ber)
-        run_frames = n_frames // len(seeds)
+        rng = _mc_stream(seed)
         step = max(1, _DRAW_SLOTS // spf)
-        for run, run_seed in enumerate(seeds):
-            rng = np.random.default_rng(np.random.SeedSequence((run_seed, MC_STREAM_TAG)))
-            # the run's clear slots in slot order, a chunk of frames per call
-            for first in range(run * run_frames, (run + 1) * run_frames, step):
-                f = slice(first, min(first + step, (run + 1) * run_frames))
-                s = slice(f.start * spf, f.stop * spf)
-                p = np.repeat(frame_ber[f], n_clear[f])
-                bit_errors[s][~erased[s]] = rng.binomial(payload, p)
+        # the clear slots in slot order, a chunk of frames per call
+        for first in range(0, n_frames, step):
+            f = slice(first, first + step)
+            s = slice(f.start * spf, f.stop * spf)
+            p = np.repeat(frame_ber[f], n_clear[f])
+            bit_errors[s][~erased[s]] = rng.binomial(payload, p)
     else:
         bit_errors = np.repeat(per_frame(np.round(ber * payload).astype(np.int64)), spf)
         bit_errors[erased] = payload
@@ -533,3 +536,53 @@ def aggregate(slots: SlotTable, elapsed_ms: float, mode: str = "mc") -> FrameSta
         data_rate_mbps=delivered / (elapsed_ms * 1e3),
         slot_loss_fraction=n_erased / n_slots,
     )
+
+
+def sweep_stats(
+    phy: PhyConfig,
+    cnr_db,
+    erased: np.ndarray,
+    elapsed_ms: float,
+    mode: str = "mc",
+    seed: int = 0,
+) -> list[tuple[float, float]]:
+    """(BER, data rate in Mbit/s) of each point of a CNR grid.
+
+    ``cnr_db`` is a 1-d array of the grid's CNRs.  Every point holds its
+    CNR for all its slots, and all points share the erasure pattern
+    ``erased`` (bool per slot, from :func:`erased_slots`), so no slot
+    table is built.  Point ``j`` gets, to the last bit, what
+    :func:`aggregate` gives for :func:`simulate_frames` of its frames
+    alone, with its CNR per frame and seed ``seed + j``: in "mc" mode its
+    clear slots draw from that seed's stream in slot order, and in
+    "expected" mode the per-slot float sums are kept.
+    """
+    if mode not in ("mc", "expected"):
+        raise ValueError("mode must be 'mc' or 'expected'")
+    if elapsed_ms <= 0.0:
+        raise ValueError("elapsed_ms must be > 0")
+    n_slots = len(erased)
+    if n_slots == 0:
+        raise ValueError("cannot aggregate a point of no slots")
+    payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
+    ber = awgn_ber(phy.mcs, cnr_db)
+    # numpy's array power, as in simulate_frames: Python's float power
+    # can differ in the last bit
+    decode_prob = (1.0 - ber) ** payload
+    n_erased = int(np.count_nonzero(erased))
+    n_clear = n_slots - n_erased
+    rows = []
+    for j, (p, prob) in enumerate(zip(ber.tolist(), decode_prob.tolist())):
+        if mode == "expected":
+            errors = _payload_sum(np.where(erased, 1.0, p), payload)
+            delivered = _payload_sum(np.where(erased, 0.0, prob), payload)
+        else:
+            rng = _mc_stream(seed + j)
+            errors, n_decoded = payload * n_erased, 0
+            for first in range(0, n_clear, _DRAW_SLOTS):
+                draws = rng.binomial(payload, p, size=min(_DRAW_SLOTS, n_clear - first))
+                errors += int(draws.sum())
+                n_decoded += len(draws) - int(np.count_nonzero(draws))
+            delivered = payload * n_decoded
+        rows.append((errors / (payload * n_slots), delivered / (elapsed_ms * 1e3)))
+    return rows

@@ -20,7 +20,7 @@ from .linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain
                          pointing_offset, rescale_cnr)
 from .orbit import AccessTimeline, build_access_timeline
 from .phy import (FRAME_MS, FrameStats, SlotTable, aggregate, check_slot_budget,
-                  simulate_frames)
+                  erased_slots, simulate_frames, sweep_stats)
 from .scenarios import ScenarioSpec
 
 
@@ -455,14 +455,6 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
 
 # === CNR sweep ===
 
-# Slots per simulate_frames call of a sweep: grid points are grouped up
-# to this many, and a point larger than that gets a call of its own.
-# Larger tables no longer save per-call overhead but leave the cache: at
-# 2**16 and 2**17 a 26-point sweep of 1000 frames took 20 to 30 % longer
-# than one call per point.
-_SWEEP_SLOTS = 2**13
-
-
 def sweep_cnr(
     scenario: ScenarioSpec,
     cnr_min_db: float,
@@ -479,10 +471,11 @@ def sweep_cnr(
     blade schedule (taken at the mean served elevation of a coarse
     access pass; a RuntimeError when a rotor's pass serves no sample);
     each grid point runs ``n_frames`` frames at constant CNR, and grid
-    point ``j`` draws with seed ``seed + j``.  Points are simulated in
-    groups of up to ``_SWEEP_SLOTS`` slots, one slot table per group.
-    A point over the slot budget is a ConfigError before any work.
-    Returns (cnr_db, ber, data_rate_mbps) rows.
+    point ``j`` draws with seed ``seed + j``.  The erased slots are the
+    same at every point, so they are found once, and
+    :func:`rwasim.phy.sweep_stats` rolls up every point without a slot
+    table.  A point over the slot budget is a ConfigError before any
+    work.  Returns (cnr_db, ber, data_rate_mbps) rows.
     """
     if points < 1:
         raise ConfigError("points must be >= 1", field="points")
@@ -492,31 +485,17 @@ def sweep_cnr(
         raise ConfigError("cnr-max must be >= cnr-min", field="cnr_max_db")
     num = scenario.phy.numerology
     check_slot_budget(n_frames, num)
-    blocked = None
+    erased = np.zeros(n_frames * num.slots_per_frame, dtype=bool)
     rotor = scenario.aircraft.rotor
     if rotor is not None:
         access = build_access_timeline(scenario, access_step_s)
         mean_el = float(np.mean(access.elevation_deg[_served(scenario, access)]))
         schedule = bl.schedule(rotor, float(bl.blocked_ms(rotor, mean_el)))
-        blocked = bl.slot_blocked_ms(schedule, np.arange(n_frames) * FRAME_MS,
-                                     num.slot_ms, num.slots_per_frame)
+        erased = erased_slots(bl.slot_blocked_ms(schedule, np.arange(n_frames) * FRAME_MS,
+                                                 num.slot_ms, num.slots_per_frame), num)
     grid = np.linspace(cnr_min_db, cnr_max_db, points)
-    group = max(1, _SWEEP_SLOTS // (n_frames * num.slots_per_frame))
-    rows = []
-    for first in range(0, points, group):
-        cnrs = grid[first:first + group]
-        k = len(cnrs)
-        # a lone point takes the blocked array itself, not a copy from np.tile
-        group_blocked = np.tile(blocked, (k, 1)) if blocked is not None and k > 1 else blocked
-        slots = simulate_frames(scenario.phy, np.repeat(cnrs, n_frames), k * n_frames,
-                                blocked_ms=group_blocked, mode=mode,
-                                seed=list(range(seed + first, seed + first + k)))
-        for i, cnr in enumerate(cnrs.tolist()):
-            stats = aggregate(slots.frames(i * n_frames, (i + 1) * n_frames),
-                              n_frames * FRAME_MS, mode=mode)
-            rows.append((cnr, stats.ber, stats.data_rate_mbps))
-        del slots  # freed before the next group's table is built
-    return rows
+    stats = sweep_stats(scenario.phy, grid, erased, n_frames * FRAME_MS, mode=mode, seed=seed)
+    return [(cnr, ber, rate) for cnr, (ber, rate) in zip(grid.tolist(), stats)]
 
 
 def write_sweep_csv(rows, path: str | Path) -> None:

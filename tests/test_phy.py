@@ -24,9 +24,11 @@ from rwasim.phy import (
     SlotTable,
     aggregate,
     awgn_ber,
+    erased_slots,
     numerology_for,
     q_function,
     simulate_frames,
+    sweep_stats,
     transport_block_size,
     uncoded_ber,
     validate_channel,
@@ -349,37 +351,31 @@ def test_simulation_deterministic_per_seed():
 
 @pytest.mark.parametrize("mode", ["mc", "expected"])
 def test_seed_per_run_equals_one_call_per_run(mode):
-    # k seeds split the frames into k equal runs, each drawn from its own
-    # stream; seeds past 2**63 must not wrap
+    # a sweep's point j equals one simulate_frames and aggregate call of
+    # its frames with the single seed seed + j; the seeds cross 2**63 and
+    # must not wrap
     phy = _phy()
     sched = build_schedule(RotorSpec(3, 0.5, 1280.0, 0.5, 0.5, 5.2), BladeGeometry(1.0, 20.0))
-    seeds = [0, 2**63, 2**64 + 3, 17]
-    per_run = 3
-    n_frames = per_run * len(seeds)
-    cnr = np.linspace(-3.0, 1.0, n_frames)  # every run draws bit errors
+    n_frames, seed = 3, 2**63 - 2
+    grid = np.linspace(-3.0, 1.0, 4)  # every point draws bit errors
     blocked = _blocked(sched, n_frames)
-    joint = simulate_frames(phy, cnr, n_frames, blocked, mode=mode, seed=seeds)
-    runs = [simulate_frames(phy, cnr[i * per_run:(i + 1) * per_run], per_run,
-                            blocked[i * per_run:(i + 1) * per_run], mode=mode, seed=seed)
-            for i, seed in enumerate(seeds)]
-    assert joint.erased.any()
-    assert all(run.bit_errors[~run.erased].any() for run in runs)
-    for col in ("erased", "bit_errors", "decoded"):
-        assert np.array_equal(getattr(joint, col),
-                              np.concatenate([getattr(run, col) for run in runs])), col
-    # one seed in a list is the same as the bare int
-    single = simulate_frames(phy, cnr, n_frames, blocked, mode=mode, seed=2**63)
-    assert np.array_equal(single.bit_errors,
-                          simulate_frames(phy, cnr, n_frames, blocked, mode=mode,
-                                          seed=[2**63]).bit_errors)
-
-
-def test_seeds_must_split_the_frames_evenly():
-    phy = _phy()
-    simulate_frames(phy, 3.0, 0, seed=[1, 2])
-    for n_frames, seeds in ((5, [1, 2]), (4, [])):
-        with pytest.raises(ValueError, match="equal runs"):
-            simulate_frames(phy, 3.0, n_frames, seed=seeds)
+    erased = erased_slots(blocked, phy.numerology)
+    assert erased.any() and not erased.all()
+    got = sweep_stats(phy, grid, erased, n_frames * FRAME_MS, mode=mode, seed=seed)
+    want = []
+    for j, cnr in enumerate(grid.tolist()):
+        # the CNR per frame, as the sweep's grid: a scalar takes numpy's
+        # scalar power, which can differ in the last bit
+        slots = simulate_frames(phy, np.full(n_frames, cnr), n_frames, blocked, mode=mode,
+                                seed=seed + j)
+        assert slots.bit_errors[~slots.erased].any()
+        stats = aggregate(slots, n_frames * FRAME_MS, mode=mode)
+        want.append((stats.ber, stats.data_rate_mbps))
+    assert got == want
+    if mode == "mc":  # a seed past 2**64 is not taken modulo 2**64
+        wrapped = simulate_frames(phy, grid[0], n_frames, blocked, mode=mode, seed=3)
+        assert not np.array_equal(wrapped.bit_errors, simulate_frames(
+            phy, grid[0], n_frames, blocked, mode=mode, seed=2**64 + 3).bit_errors)
 
 
 def test_blocked_ms_must_be_frames_by_slots():
@@ -559,9 +555,7 @@ def _table_cases(draw):
                     Mcs(draw(st.sampled_from(sorted(MODULATION_ORDER))),
                         draw(st.sampled_from([0.3, 0.5, 0.9]))))
     num = phy.numerology
-    n_runs = draw(st.integers(1, 3))
-    n_frames = n_runs * draw(st.integers(1, 5))
-    seeds = [draw(st.integers(0, 2**64)) for _ in range(n_runs)]
+    n_frames = draw(st.integers(1, 15))
     cnr_db = st.one_of(st.floats(-5.0, 15.0), st.just(-np.inf))  # -inf: an outage
     blocked = None
     if draw(st.booleans()):  # a rotor
@@ -577,7 +571,7 @@ def _table_cases(draw):
     return dict(
         phy=phy, n_frames=n_frames, blocked=blocked, cnr=cnr,
         mode=draw(st.sampled_from(["mc", "expected"])),
-        seed=seeds[0] if n_runs == 1 and draw(st.booleans()) else seeds,
+        seed=draw(st.integers(0, 2**64)),
         draw_slots=draw(st.sampled_from([1, 7, phy_module._DRAW_SLOTS])),
         cut=sorted(draw(st.integers(0, n_frames)) for _ in range(2)))
 
@@ -598,14 +592,10 @@ def _per_slot_columns(phy, cnr, n_frames, blocked, mode, seed):
         blocked >= 0.5 * num.slot_ms).ravel()
     decode_prob = np.where(erased, 0.0, to_slots((1.0 - frame_ber) ** payload))
     if mode == "mc":
-        # one binomial call per run over its clear slots, in slot order
+        # one binomial call over the clear slots, in slot order
         bit_errors = np.full(n_slots, payload, dtype=np.int64)
-        seeds = [seed] if isinstance(seed, int) else seed
-        for run, run_seed in enumerate(seeds):
-            rows = slice(run * n_slots // len(seeds), (run + 1) * n_slots // len(seeds))
-            clear = ~erased[rows]
-            rng = np.random.default_rng(np.random.SeedSequence((run_seed, MC_STREAM_TAG)))
-            bit_errors[rows][clear] = rng.binomial(payload, channel_ber[rows][clear])
+        rng = np.random.default_rng(np.random.SeedSequence((seed, MC_STREAM_TAG)))
+        bit_errors[~erased] = rng.binomial(payload, channel_ber[~erased])
         decoded = ~erased & (bit_errors == 0)
     else:
         bit_errors = np.where(erased, payload, np.round(channel_ber * payload)).astype(np.int64)
@@ -627,8 +617,8 @@ def _per_slot_columns(phy, cnr, n_frames, blocked, mode, seed):
 @settings(max_examples=150, deadline=None)
 @given(case=_table_cases())
 def test_expanded_columns_equal_per_slot_columns(case):
-    # all four numerologies, rotor or none, both modes, an int seed or a
-    # list of seeds, and "mc" draws cut into chunks of any size
+    # all four numerologies, rotor or none, both modes, seeds past 2**63,
+    # and "mc" draws cut into chunks of any size
     args = (case["phy"], case["cnr"], case["n_frames"], case["blocked"])
     with mock.patch.object(phy_module, "_DRAW_SLOTS", case["draw_slots"]):
         slots = simulate_frames(*args, mode=case["mode"], seed=case["seed"])
@@ -715,6 +705,18 @@ def test_aggregate_3_of_31():
     slots = _table(np.repeat([i < 3 for i in range(31)], 10))
     stats = aggregate(slots, 15.5)
     assert stats.slot_loss_fraction == pytest.approx(3 / 31, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+def test_sweep_stats_of_erased_slots_only(mode):
+    # every slot erased: BER 1 and no data at any CNR, as aggregate gives
+    phy = _phy()
+    blocked = np.full((2, 20), phy.numerology.slot_ms)
+    stats = aggregate(simulate_frames(phy, 40.0, 2, blocked, mode=mode), 2 * FRAME_MS, mode=mode)
+    assert (stats.ber, stats.data_rate_mbps) == (1.0, 0.0)
+    got = sweep_stats(phy, np.array([-5.0, 40.0]), erased_slots(blocked, phy.numerology),
+                      2 * FRAME_MS, mode=mode, seed=1)
+    assert got == [(1.0, 0.0)] * 2
 
 
 def test_aggregate_rejects_empty():

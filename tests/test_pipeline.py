@@ -23,7 +23,8 @@ from rwasim.errors import ConfigError
 from rwasim.linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain,
                                pointing_offset, rescale_cnr)
 from rwasim.orbit import AccessTimeline, build_access_timeline, circular_speed
-from rwasim.phy import FRAME_MS, Mcs, PhyConfig, aggregate, simulate_frames
+from rwasim.phy import (FRAME_MS, Mcs, PhyConfig, aggregate, simulate_frames,
+                        transport_block_size)
 from rwasim.pipeline import (
     _CSV_CHUNK_ROWS,
     _write_csv,
@@ -849,44 +850,58 @@ def test_sweep_validation():
 
 
 def _sweep_reference(spec, cnr_min, cnr_max, points, n_frames, seed, mode, access_step_s):
-    # one simulate_frames and aggregate call per grid point, point j with seed + j
+    # one simulate_frames and aggregate call per grid point, point j with
+    # seed + j.  The CNR goes in per frame, as a run passes it: a scalar
+    # takes numpy's scalar power, which can differ in the last bit.
     num = spec.phy.numerology
-    access = build_access_timeline(spec, access_step_s)
-    mean_el = float(np.mean(access.elevation_deg[access.served]))
     rotor = spec.aircraft.rotor
-    blocked = slot_blocked_ms(schedule(rotor, float(blocked_ms(rotor, mean_el))),
-                              np.arange(n_frames) * FRAME_MS, num.slot_ms, num.slots_per_frame)
+    blocked = None
+    if rotor is not None:
+        access = build_access_timeline(spec, access_step_s)
+        mean_el = float(np.mean(access.elevation_deg[access.served]))
+        blocked = slot_blocked_ms(schedule(rotor, float(blocked_ms(rotor, mean_el))),
+                                  np.arange(n_frames) * FRAME_MS, num.slot_ms,
+                                  num.slots_per_frame)
     rows = []
     for j, cnr in enumerate(np.linspace(cnr_min, cnr_max, points).tolist()):
-        slots = simulate_frames(spec.phy, cnr, n_frames, blocked, mode=mode, seed=seed + j)
+        slots = simulate_frames(spec.phy, np.full(n_frames, cnr), n_frames, blocked,
+                                mode=mode, seed=seed + j)
         stats = aggregate(slots, n_frames * FRAME_MS, mode=mode)
         rows.append((cnr, stats.ber, stats.data_rate_mbps))
     return rows
 
 
 @pytest.mark.parametrize("mode", ["mc", "expected"])
-@pytest.mark.parametrize("budget", [pipeline._SWEEP_SLOTS, 3 * 80 + 79, 1],
-                         ids=["one-group", "groups-of-three", "one-point-a-call"])
-def test_sweep_equals_one_simulation_per_point(mode, budget):
-    # scenario-7 has a rotor and 20 slots a frame, so a point is 80 slots;
-    # the seeds cross 2**63
-    spec = builtin_catalog().scenarios["scenario-7"]
+@pytest.mark.parametrize("sid", sorted(builtin_catalog().scenarios))
+def test_sweep_equals_one_simulation_per_point(sid, mode):
+    # rotors and none, 20 to 80 slots a frame; the seeds cross 2**63
+    spec = builtin_catalog().scenarios[sid]
     seed = 2**63 - 3
     want = _sweep_reference(spec, -5.0, 12.0, 7, 4, seed, mode, 60.0)
-    with mock.patch.object(pipeline, "_SWEEP_SLOTS", budget):
-        got = sweep_cnr(spec, -5.0, 12.0, 7, n_frames=4, seed=seed, mode=mode,
+    assert sweep_cnr(spec, -5.0, 12.0, 7, n_frames=4, seed=seed, mode=mode,
+                     access_step_s=60.0) == want
+
+
+@pytest.mark.parametrize("draw_slots", [1, 7])
+def test_sweep_point_drawn_in_chunks_equals_one_simulation(draw_slots):
+    # scenario-19 has 80 slots a frame, so a point of 120 frames is 9,600
+    # slots, more than the 2**13 of one draw; at 10 to 11 dB its clear
+    # slots both decode and take bit errors
+    spec = builtin_catalog().scenarios["scenario-19"]
+    want = _sweep_reference(spec, 10.0, 11.0, 3, 120, 2**63 - 1, "mc", 60.0)
+    peak = 120 * 80 * transport_block_size(spec.phy.n_rb, spec.phy.mcs, spec.phy.overhead)
+    assert any(0.0 < rate < peak / (120 * FRAME_MS * 1e3) for _, _, rate in want)
+    with mock.patch.object(phy_module, "_DRAW_SLOTS", draw_slots):
+        got = sweep_cnr(spec, 10.0, 11.0, 3, n_frames=120, seed=2**63 - 1, mode="mc",
                         access_step_s=60.0)
-    assert [row[0] for row in got] == [row[0] for row in want]
-    if mode == "mc":
-        assert got == want
-    else:
-        assert got == [pytest.approx(row, rel=1e-12, abs=0.0) for row in want]
+    assert got == want
 
 
-def _sweep_peak(spec, points):
+def _sweep_peak(spec, points, n_frames=20, mode="mc"):
     tracemalloc.start()
     try:
-        rows = sweep_cnr(spec, -5.0, 20.0, points, n_frames=20, access_step_s=60.0)
+        rows = sweep_cnr(spec, -5.0, 20.0, points, n_frames=n_frames, mode=mode,
+                         access_step_s=60.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -896,12 +911,16 @@ def _sweep_peak(spec, points):
 
 def test_sweep_memory_is_bounded():
     # scenario-19 has 80 slots a frame, so 200 points of 20 frames are
-    # 320,000 slots, about 40 times the budget of 2**13 slots a group.  A
-    # group's table and temporaries stay under 160 bytes a slot, so the
-    # long sweep peaks no higher than one point plus that.
+    # 320,000 slots, about 40 times 2**13.  The points are rolled up one
+    # after another, so the long sweep peaks under one point plus 160
+    # bytes for each of 2**13 slots.
     spec = builtin_catalog().scenarios["scenario-19"]
     sweep_cnr(spec, -5.0, 20.0, 1, n_frames=20, access_step_s=60.0)  # warm-up
     assert _sweep_peak(spec, 200) < _sweep_peak(spec, 1) + 160 * 2**13
+    # a point of 1.6 million slots: its blocked times (8 bytes a slot) and
+    # erased flags (1 byte a slot), and "mc" draws of 2**13 slots at a time
+    n_slots = 20_000 * 80
+    assert _sweep_peak(spec, 3, n_frames=20_000) < 12 * n_slots
 
 
 def test_sweep_csv_format(tmp_path):
