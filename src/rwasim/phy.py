@@ -261,12 +261,13 @@ def awgn_ber(mcs: Mcs, cnr_db):
     The symbol rate is assumed to fill the noise bandwidth (Nyquist), so
     Es/N0 equals the CNR; Eb/N0 follows by dividing out the information
     bits per symbol.  Coding is abstracted as a fixed Eb/N0 gain applied
-    before the uncoded expression.
+    before the uncoded expression.  A scalar is evaluated as a 1-element
+    array, so it gets the same last bits as in any array.
     """
     cnr = np.asarray(cnr_db, dtype=float)
     info_bits = mcs.bits_per_symbol * mcs.code_rate
-    eb_n0 = cnr - 10.0 * np.log10(info_bits) + mcs.coding_gain_db
-    return uncoded_ber(mcs.modulation, eb_n0)
+    eb_n0 = cnr.reshape(-1) - 10.0 * np.log10(info_bits) + mcs.coding_gain_db
+    return uncoded_ber(mcs.modulation, eb_n0).reshape(cnr.shape)
 
 
 # === frame simulation ===
@@ -458,11 +459,10 @@ def simulate_frames(
     cnr = np.array(cnr_db, dtype=float)  # a copy: the table keeps it
     if cnr.shape not in ((), (n_frames,)):
         raise ValueError("cnr_db must be scalar or per-frame")
+    # per frame, so a scalar CNR takes numpy's array power like any other
+    cnr = np.broadcast_to(cnr, (n_frames,))
     # channel BER per frame: q_function calls erfc once per distinct value
     ber = awgn_ber(phy.mcs, cnr)
-
-    def per_frame(x):
-        return np.broadcast_to(x, (n_frames,))
 
     if blocked_ms is None:
         erased = np.zeros(n_frames * spf, dtype=bool)
@@ -476,35 +476,40 @@ def simulate_frames(
     if mode == "mc":
         bit_errors = np.full(n_frames * spf, payload, dtype=np.int64)
         n_clear = spf - np.count_nonzero(erased.reshape(n_frames, spf), axis=1)
-        frame_ber = per_frame(ber)
         rng = _mc_stream(seed)
         step = max(1, _DRAW_SLOTS // spf)
         # the clear slots in slot order, a chunk of frames per call
         for first in range(0, n_frames, step):
             f = slice(first, first + step)
             s = slice(f.start * spf, f.stop * spf)
-            p = np.repeat(frame_ber[f], n_clear[f])
+            p = np.repeat(ber[f], n_clear[f])
             bit_errors[s][~erased[s]] = rng.binomial(payload, p)
     else:
-        bit_errors = np.repeat(per_frame(np.round(ber * payload).astype(np.int64)), spf)
+        bit_errors = np.repeat(np.round(ber * payload).astype(np.int64), spf)
         bit_errors[erased] = payload
 
     return SlotTable(
         numerology=num,
         mode=mode,
         payload=payload,
-        frame_cnr_db=per_frame(cnr),
-        frame_ber=per_frame(ber),
-        frame_decode_prob=per_frame((1.0 - ber) ** payload),
+        frame_cnr_db=cnr,
+        frame_ber=ber,
+        frame_decode_prob=(1.0 - ber) ** payload,
         erased=erased,
         bit_errors=bit_errors,
     )
 
 
-def _payload_sum(column: np.ndarray, payload: int) -> float:
-    """Sum over the slots of ``payload * column``, multiplied in place."""
-    column *= payload
-    return float(np.sum(column))
+def _expected_totals(payload: int, n_erased: int, n_clear, ber,
+                     decode_prob) -> tuple[float, float]:
+    """(bit errors, delivered bits) in "expected" mode from each frame's
+    clear slots, BER and decode probability: frames are grouped by BER and
+    each group's clear slots times its value summed with ``math.fsum``."""
+    values, first, inverse = np.unique(ber, return_index=True, return_inverse=True)
+    counts = np.bincount(inverse, weights=n_clear)
+    errors = math.fsum([n_erased, *(counts * values).tolist()])
+    delivered = math.fsum((counts * np.asarray(decode_prob)[first]).tolist())
+    return payload * errors, payload * delivered
 
 
 def aggregate(slots: SlotTable, elapsed_ms: float, mode: str = "mc") -> FrameStats:
@@ -514,7 +519,8 @@ def aggregate(slots: SlotTable, elapsed_ms: float, mode: str = "mc") -> FrameSta
     counting every bit as an error.  The data rate counts only payload
     delivered by decoded slots ("expected" mode uses each slot's decode
     probability instead of the realized decode flag).  "mc" mode sums
-    integer counts; "expected" mode sums the per-slot floats.
+    integer counts; "expected" mode sums per frame, in closed form, with
+    :func:`sweep_stats`' arithmetic.
     """
     if elapsed_ms <= 0.0:
         raise ValueError("elapsed_ms must be > 0")
@@ -524,8 +530,10 @@ def aggregate(slots: SlotTable, elapsed_ms: float, mode: str = "mc") -> FrameSta
     payload = slots.payload
     n_erased = int(np.count_nonzero(slots.erased))
     if mode == "expected":
-        errors = _payload_sum(slots.ber, payload)
-        delivered = _payload_sum(slots.decode_prob, payload)
+        spf = slots.numerology.slots_per_frame
+        n_clear = spf - np.count_nonzero(slots.erased.reshape(-1, spf), axis=1)
+        errors, delivered = _expected_totals(payload, n_erased, n_clear, slots.frame_ber,
+                                             slots.frame_decode_prob)
     else:
         errors = int(slots.bit_errors.sum())
         delivered = payload * int(np.count_nonzero(slots.decoded))
@@ -555,7 +563,8 @@ def sweep_stats(
     :func:`aggregate` gives for :func:`simulate_frames` of its frames
     alone, with its CNR per frame and seed ``seed + j``: in "mc" mode its
     clear slots draw from that seed's stream in slot order, and in
-    "expected" mode the per-slot float sums are kept.
+    "expected" mode its frames make one group of :func:`aggregate`'s
+    closed form.
     """
     if mode not in ("mc", "expected"):
         raise ValueError("mode must be 'mc' or 'expected'")
@@ -574,8 +583,7 @@ def sweep_stats(
     rows = []
     for j, (p, prob) in enumerate(zip(ber.tolist(), decode_prob.tolist())):
         if mode == "expected":
-            errors = _payload_sum(np.where(erased, 1.0, p), payload)
-            delivered = _payload_sum(np.where(erased, 0.0, prob), payload)
+            errors, delivered = _expected_totals(payload, n_erased, [n_clear], [p], [prob])
         else:
             rng = _mc_stream(seed + j)
             errors, n_decoded = payload * n_erased, 0

@@ -1,14 +1,18 @@
-"""Golden gate: the report of every built-in in both modes stays put.
+"""Golden gate: every built-in in both modes stays put, report and frames.
 
-Each ``tests/golden/<id>-<mode>.json`` is the ``report.json`` written by
+``tools/regen_goldens.py`` writes both files of each run of
 
     rwasim run --scenario <id> --step 60 --frames 50 --seed 0 --mode <mode>
 
-Ints, ids and strings must match exactly and floats within 1e-9
-relative, so a refactor shows it keeps behaviour without regenerating
-these files.  A change that does regenerate them says why.
+``tests/golden/<id>-<mode>.json`` is its ``report.json``, and
+``tests/golden/<id>-<mode>-frames.json`` holds, per frame, the erased
+slots, the sum of ``bit_errors`` and the CNR, read back from its
+``slots.csv``.  Ints, ids and strings must match exactly and floats
+within 1e-9 relative, so a refactor shows it keeps behaviour without
+regenerating these files.  A change that does regenerate them says why.
 """
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -20,6 +24,21 @@ from rwasim.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = ("scenario-6", "scenario-7", "scenario-11",
              "scenario-15a", "scenario-15b", "scenario-19")
+RUN_ARGS = ("--step", "60", "--frames", "50", "--seed", "0")
+
+
+def frame_facts(run_dir):
+    """Erased slots, bit-error sum and CNR of each frame of the run written to ``run_dir``."""
+    report = json.loads((run_dir / "report.json").read_text())
+    spf = report["n_slots"] // report["n_frames"]
+    with (run_dir / "slots.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    frames = [rows[i:i + spf] for i in range(0, len(rows), spf)]
+    return {
+        "erased": [sum(int(row["erased"]) for row in frame) for frame in frames],
+        "bit_errors": [sum(int(row["bit_errors"]) for row in frame) for frame in frames],
+        "cnr_db": [float(frame[0]["cnr_db"]) for frame in frames],
+    }
 
 
 def _mismatches(want, got, where="report"):
@@ -30,6 +49,11 @@ def _mismatches(want, got, where="report"):
             return [f"{where}: keys {sorted(set(want) ^ set(got))} on one side only"]
         return [m for key in sorted(want)
                 for m in _mismatches(want[key], got[key], f"{where}.{key}")]
+    if isinstance(want, list):
+        if len(want) != len(got):
+            return [f"{where}: {len(got)} items, golden has {len(want)}"]
+        return [m for i, (w, g) in enumerate(zip(want, got))
+                for m in _mismatches(w, g, f"{where}[{i}]")]
     same = (math.isclose(want, got, rel_tol=1e-9) if isinstance(want, float)
             else want == got)
     return [] if same else [f"{where}: {got!r} != golden {want!r}"]
@@ -38,13 +62,15 @@ def _mismatches(want, got, where="report"):
 @pytest.mark.parametrize("mode", ["mc", "expected"])
 @pytest.mark.parametrize("scenario_id", SCENARIOS)
 def test_report_matches_golden(tmp_path, capsys, scenario_id, mode):
-    assert main(["run", "--scenario", scenario_id, "--step", "60",
-                 "--frames", "50", "--seed", "0", "--mode", mode,
+    assert main(["run", "--scenario", scenario_id, *RUN_ARGS, "--mode", mode,
                  "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    got = json.loads((tmp_path / scenario_id / "report.json").read_text())
+    run_dir = tmp_path / scenario_id
+    got = json.loads((run_dir / "report.json").read_text())
     want = json.loads((GOLDEN / f"{scenario_id}-{mode}.json").read_text())
     assert _mismatches(want, got) == []
+    want = json.loads((GOLDEN / f"{scenario_id}-{mode}-frames.json").read_text())
+    assert _mismatches(want, frame_facts(run_dir), "frames") == []
 
 
 def test_golden_comparison_catches_drift():
@@ -55,4 +81,15 @@ def test_golden_comparison_catches_drift():
     assert _mismatches(want, drifted) == [
         f"report.ber: {drifted['ber']!r} != golden {want['ber']!r}",
         f"report.handovers: {drifted['handovers']!r} != golden {want['handovers']!r}",
+    ]
+    # an erased slot moved from one frame to the next
+    want = json.loads((GOLDEN / "scenario-7-expected-frames.json").read_text())
+    drifted = json.loads(json.dumps(want))
+    f = next(i for i, n in enumerate(want["erased"]) if n)
+    drifted["erased"][f] -= 1
+    drifted["erased"][f + 1] += 1
+    assert _mismatches(want, drifted, "frames") == [
+        f"frames.erased[{f}]: {want['erased'][f] - 1} != golden {want['erased'][f]}",
+        f"frames.erased[{f + 1}]: {want['erased'][f + 1] + 1} != golden "
+        f"{want['erased'][f + 1]}",
     ]

@@ -2,12 +2,13 @@ import dataclasses
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blade_intervals import blocked_intervals
 from rwasim import phy as phy_module
@@ -397,16 +398,29 @@ def test_per_frame_cnr_array():
             simulate_frames(phy, cnr, 2)
 
 
+@settings(max_examples=40, deadline=None)
+@given(modulation=st.sampled_from(sorted(MODULATION_ORDER)),
+       code_rate=st.floats(0.05, 1.0),
+       cnrs=st.lists(st.floats(-5.0, 20.0), min_size=1, max_size=30))
+# here numpy's scalar power and its array loop differ in the last bit
+@example(modulation="16QAM", code_rate=0.5, cnrs=[3.5])
 @pytest.mark.parametrize("mode", ["mc", "expected"])
-def test_cnr_input_forms_agree(mode):
-    phy = _phy()  # 20 slots per frame
+def test_cnr_input_forms_agree(mode, modulation, code_rate, cnrs):
+    # a scalar CNR gives, to the last bit, what the same CNR gives as an
+    # element of a long array, and a run of it what a per-frame array gives
+    phy = _phy(mcs=Mcs(modulation, code_rate))  # 20 slots per frame
     spf = phy.numerology.slots_per_frame
     blocked = np.zeros((6, spf))
     blocked[2, 5:9] = phy.numerology.slot_ms  # some erased slots
-    scalar = simulate_frames(phy, 4.5, 6, blocked, mode=mode, seed=3)
-    per_frame = simulate_frames(phy, np.full(6, 4.5), 6, blocked, mode=mode, seed=3)
-    for col in ("cnr_db", "ber", "decode_prob", "bit_errors", "decoded"):
-        assert np.array_equal(getattr(per_frame, col), getattr(scalar, col)), col
+    long = simulate_frames(phy, np.array(cnrs), len(cnrs), mode=mode, seed=3)
+    assert np.array_equal(awgn_ber(phy.mcs, np.array(cnrs)), long.frame_ber)
+    for k, cnr in enumerate(cnrs):
+        assert awgn_ber(phy.mcs, cnr) == long.frame_ber[k]
+        scalar = simulate_frames(phy, cnr, 6, blocked, mode=mode, seed=3)
+        assert scalar.frame_decode_prob[0] == long.frame_decode_prob[k]
+        per_frame = simulate_frames(phy, np.full(6, cnr), 6, blocked, mode=mode, seed=3)
+        for col in ("cnr_db", "ber", "decode_prob", "bit_errors", "decoded"):
+            assert np.array_equal(getattr(per_frame, col), getattr(scalar, col)), col
 
     # distinct CNRs per frame, some repeated: every slot's columns follow
     # from awgn_ber over the returned cnr_db column, slot by slot
@@ -586,7 +600,9 @@ def _per_slot_columns(phy, cnr, n_frames, blocked, mode, seed):
     def to_slots(x):
         return np.repeat(np.broadcast_to(x, (n_frames,)), spf)
 
-    frame_ber = awgn_ber(phy.mcs, cnr)
+    # a scalar CNR is a CNR per frame, like an array: numpy's scalar power
+    # can differ from its array loop in the last bit
+    frame_ber = awgn_ber(phy.mcs, np.broadcast_to(cnr, (n_frames,)))
     channel_ber = to_slots(frame_ber)
     erased = np.zeros(n_slots, dtype=bool) if blocked is None else (
         blocked >= 0.5 * num.slot_ms).ravel()
@@ -705,6 +721,67 @@ def test_aggregate_3_of_31():
     slots = _table(np.repeat([i < 3 for i in range(31)], 10))
     stats = aggregate(slots, 15.5)
     assert stats.slot_loss_fraction == pytest.approx(3 / 31, abs=1e-9)
+
+
+def _exact_rollup(slots, elapsed_ms):
+    """(BER, data rate) of an "expected" table in exact arithmetic, frame by
+    frame, each rounded once to a float."""
+    payload, spf = slots.payload, slots.numerology.slots_per_frame
+    erased = slots.erased.tolist()
+    errors = delivered = Fraction(0)
+    for f, (ber, prob) in enumerate(zip(slots.frame_ber.tolist(),
+                                        slots.frame_decode_prob.tolist())):
+        n_clear = erased[f * spf:(f + 1) * spf].count(False)
+        errors += payload * ((spf - n_clear) + n_clear * Fraction(ber))
+        delivered += payload * n_clear * Fraction(prob)
+    return (float(errors / (payload * len(slots))),
+            float(delivered / Fraction(elapsed_ms * 1e3)))
+
+
+@st.composite
+def _rollup_cases(draw):
+    scs = draw(st.sampled_from(sorted(NUMEROLOGIES)))
+    n_frames = draw(st.integers(1, 15))
+    pool = draw(st.lists(st.floats(-5.0, 20.0), min_size=1, max_size=3))  # BERs repeat
+    n_slots = n_frames * NUMEROLOGIES[scs].slots_per_frame
+    share = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    return dict(
+        scs=scs, n_rb=draw(st.integers(11, 78)),
+        mcs=Mcs(draw(st.sampled_from(sorted(MODULATION_ORDER))),
+                draw(st.sampled_from([0.3, 0.5, 0.9]))),
+        cnr=[draw(st.sampled_from(pool)) for _ in range(n_frames)],
+        erased=(rng.random(n_slots) < share).tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_rollup_cases())
+@example(case=dict(scs=60, n_rb=20, mcs=Mcs("64QAM", 0.9), cnr=[9.0, 2.0, 9.0],
+                   erased=[True] * 120))  # all erased
+@example(case=dict(scs=120, n_rb=30, mcs=Mcs("16QAM", 0.5), cnr=[4.0, 4.0, 1.0, 4.0],
+                   erased=[False] * 320))  # all clear
+def test_expected_rollup_matches_exact_arithmetic(case):
+    # the closed form rounds four times: each group's count x value, the
+    # fsum, the product with the payload and the division, each within
+    # 2**-53 relative on non-negative terms
+    phy = PhyConfig(2.0, 30.0, case["scs"], case["n_rb"], case["mcs"])
+    num = phy.numerology
+    n_frames = len(case["cnr"])
+    elapsed_ms = n_frames * FRAME_MS
+    blocked = np.where(case["erased"], num.slot_ms, 0.0).reshape(n_frames, -1)
+    erased = erased_slots(blocked, num)
+    assert erased.tolist() == case["erased"]
+    run = simulate_frames(phy, np.array(case["cnr"]), n_frames, blocked, mode="expected")
+    # a sweep point holds its first frame's CNR in every frame
+    point = simulate_frames(phy, case["cnr"][0], n_frames, blocked, mode="expected")
+    stats = aggregate(run, elapsed_ms, mode="expected")
+    (swept,) = sweep_stats(phy, np.array(case["cnr"][:1]), erased, elapsed_ms,
+                           mode="expected")
+    for got, table in (((stats.ber, stats.data_rate_mbps), run), (swept, point)):
+        for value, exact in zip(got, _exact_rollup(table, elapsed_ms)):
+            assert abs(value - exact) <= 2.0**-51 * exact, (value, exact)
+    if all(case["erased"]):
+        assert swept == (stats.ber, stats.data_rate_mbps) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("mode", ["mc", "expected"])

@@ -1,0 +1,47 @@
+"""Regenerate every golden file of ``tests/golden/`` from one set of runs.
+
+Run from the root of a checkout:
+
+    PYTHONPATH=src python3 tools/regen_goldens.py
+
+For each built-in in both modes it runs ``rwasim run`` with the golden
+gate's arguments (``tests/test_golden.py``) into a temporary directory,
+then writes the run's ``report.json`` as ``tests/golden/<id>-<mode>.json``
+and the per-frame facts of its ``slots.csv`` as
+``tests/golden/<id>-<mode>-frames.json``.  Both come from the same run,
+so they cannot drift apart.  A change that regenerates the goldens says
+which ones and why.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from test_golden import GOLDEN, RUN_ARGS, SCENARIOS, frame_facts  # noqa: E402
+
+from rwasim.cli import main  # noqa: E402
+
+
+def regen() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for scenario_id in SCENARIOS:
+            for mode in ("mc", "expected"):
+                out = Path(tmp) / mode
+                if main(["run", "--scenario", scenario_id, *RUN_ARGS, "--mode", mode,
+                         "--out", str(out)]) != 0:
+                    raise SystemExit(f"error: {scenario_id} {mode} failed")
+                run_dir = out / scenario_id
+                shutil.copyfile(run_dir / "report.json", GOLDEN / f"{scenario_id}-{mode}.json")
+                with (GOLDEN / f"{scenario_id}-{mode}-frames.json").open("w") as fh:
+                    json.dump(frame_facts(run_dir), fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+
+
+if __name__ == "__main__":
+    regen()
