@@ -7,7 +7,8 @@ interval once per rotation, and the link is clear in between.  The arc
 blocked by one blade depends on where the antenna boresight crosses the
 rotor disk, which in turn depends on the satellite elevation.  The
 geometry functions take scalars or numpy arrays of elevations, and
-:func:`slot_blocked_ms` gives the per-slot blocked time the PHY sees.
+:func:`slot_blocked_blocks` gives the per-slot blocked time the PHY
+thresholds into erasures, a block of frames at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import ConfigError
 # relative change of blocked time that rebuilds the schedule in force
 REGEN_FRACTION = 0.05
 
-# Slots per block of frames in `slot_blocked_ms`: bounds its temporaries.
+# Slots per block of frames in `slot_blocked_blocks`: bounds its temporaries.
 _BLOCK_SLOTS = 2**16
 
 
@@ -225,39 +226,50 @@ def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
 
     ``schedules`` applies to every frame or has one entry per frame (0 ms
     blocked: a clear frame).  Frame ``f`` starts at ``frame_offsets_ms[f]``
-    on a continuous rotor clock.
-
-    Frame ``f`` sees the blade pulses that start every period over one
-    frame at phase ``frame_offsets_ms[f] % period``: pulse ``j`` starts
-    at ``(k0 + j) * period - phase``, is clipped to the frame and
-    adds its overlap to every slot it touches.  Pulses are taken in
-    order, each over the frames it reaches, so each slot sums the same
-    terms in the same order as a walk over its frame's intervals (a
-    pulse that misses a frame would add +0.0, which changes no sum).
-    Slots blocked for exactly the erase threshold (blade edges on slot
-    boundaries) are decided by this arithmetic, so it must not change.
-    Frames go a block of ``_BLOCK_SLOTS`` slots at a time, which bounds
-    the temporaries and changes no slot's sum.
+    on a continuous rotor clock.  The array is filled from the blocks of
+    :func:`slot_blocked_blocks`; a run or a sweep thresholds those blocks
+    into erased flags instead, so it never holds this array.
     """
     offsets = np.asarray(frame_offsets_ms, dtype=float)
-    blocked = np.zeros((len(offsets), slots_per_frame))
+    blocked = np.empty((len(offsets), slots_per_frame))
+    for first, block in slot_blocked_blocks(schedules, offsets, slot_ms, slots_per_frame):
+        blocked[first:first + len(block)] = block
+    return blocked
+
+
+def slot_blocked_blocks(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
+                        slots_per_frame: int):
+    """Yield ``(first frame, blocked)`` for each block of ``_BLOCK_SLOTS``
+    slots, ``blocked`` the (frames, slots) blocked times of its frames.
+
+    Arguments are those of :func:`slot_blocked_ms`.  Frame ``f`` sees the
+    blade pulses that start every period over one frame at phase
+    ``frame_offsets_ms[f] % period``: pulse ``j`` starts at
+    ``(k0 + j) * period - phase``, is clipped to the frame and adds its
+    overlap to every slot it touches.  A slot sums those overlaps in pulse
+    order, the terms and order of a walk over its frame's intervals.
+    Slots blocked for exactly the erase threshold (blade edges on slot
+    boundaries) are decided by this arithmetic, so it must not change.
+    Blocks bound the temporaries and change no slot's sum.
+    """
+    offsets = np.asarray(frame_offsets_ms, dtype=float)
     width = np.broadcast_to(schedules.blocked_ms, offsets.shape)
     period = np.broadcast_to(schedules.period_ms, offsets.shape)
     step = max(1, _BLOCK_SLOTS // slots_per_frame)
     for first in range(0, len(offsets), step):
         block = slice(first, first + step)
-        _add_pulses(blocked[block], offsets[block], width[block], period[block], slot_ms)
-    return blocked
+        yield first, _pulse_sums(offsets[block], width[block], period[block], slot_ms,
+                                 slots_per_frame)
 
 
-def _add_pulses(blocked: np.ndarray, offsets: np.ndarray, width: np.ndarray,
-                period: np.ndarray, slot_ms: float) -> None:
-    """Write the blocked time of each frame's slots into the zeros of ``blocked``."""
-    slots_per_frame = blocked.shape[1]
+def _pulse_sums(offsets: np.ndarray, width: np.ndarray, period: np.ndarray,
+                slot_ms: float, slots_per_frame: int) -> np.ndarray:
+    """Blocked time of each frame's slots, (frames, slots), visiting only
+    the slots that a pulse touches."""
     frame_ms = slots_per_frame * slot_ms
     rows = np.flatnonzero(width > 0.0)
     if rows.size == 0:
-        return
+        return np.zeros((len(offsets), slots_per_frame))
     period = period[rows, None]
     width = width[rows, None]
     phase = offsets[rows, None] % period
@@ -268,16 +280,22 @@ def _add_pulses(blocked: np.ndarray, offsets: np.ndarray, width: np.ndarray,
     n_pulses = int(np.max(np.ceil((frame_ms + width) / period))) + 4
     start = (k0 + np.arange(n_pulses)) * period - phase   # (rows, pulses)
     stop = start + width
-    hit = (stop > 0.0) & (start < frame_ms)
-    start, stop = np.maximum(start, 0.0), np.minimum(stop, frame_ms)
-    slot = np.arange(slots_per_frame)
-    lo = slot * slot_ms
-    total = np.zeros((rows.size, slots_per_frame))
-    for j in np.flatnonzero(hit.any(axis=0)).tolist():
-        # a pulse that reaches every frame is taken without a gather
-        reached = slice(None) if hit[:, j].all() else np.flatnonzero(hit[:, j])
-        first, last = start[reached, j][:, None], stop[reached, j][:, None]
-        touched = (slot >= np.floor(first / slot_ms)) & (slot < np.ceil(last / slot_ms))
-        overlap = np.minimum(last, lo + slot_ms) - np.maximum(first, lo)
-        total[reached] += np.where(touched, overlap, 0.0)
-    blocked[rows] = total
+    # the pulses that reach a frame, in (frame, pulse) order
+    row, pulse = np.nonzero((stop > 0.0) & (start < frame_ms))
+    first = np.maximum(start[row, pulse], 0.0)
+    last = np.minimum(stop[row, pulse], frame_ms)
+    # each pulse touches slots [floor(first / slot_ms), ceil(last / slot_ms))
+    # of its frame; 0 <= first <= last, so the range is empty at worst
+    lo = np.floor(first / slot_ms).astype(np.int64)
+    hi = np.minimum(np.ceil(last / slot_ms), slots_per_frame).astype(np.int64)
+    count = hi - lo
+    # one pair per touched (frame, pulse, slot), in that order
+    skip = np.repeat(lo - (np.cumsum(count) - count), count)
+    slot = skip + np.arange(len(skip))
+    edge = slot * slot_ms
+    overlap = (np.minimum(np.repeat(last, count), edge + slot_ms)
+               - np.maximum(np.repeat(first, count), edge))
+    index = np.repeat(rows[row] * slots_per_frame, count) + slot
+    # bincount adds each slot's pairs in input order, so in pulse order
+    sums = np.bincount(index, weights=overlap, minlength=len(offsets) * slots_per_frame)
+    return sums.reshape(len(offsets), slots_per_frame)

@@ -273,9 +273,9 @@ def awgn_ber(mcs: Mcs, cnr_db):
 # === frame simulation ===
 
 # Most slots one run or one sweep point may simulate: a million frames
-# of 80 slots.  A run peaks at 18 to 23 bytes a slot (`tracemalloc`, 80
+# of 80 slots.  A run peaks at 12 to 19 bytes a slot (`tracemalloc`, 80
 # down to 10 slots a frame; see the README), so the budget keeps it under
-# about 2 GB.  A larger table is a ConfigError on n_frames.
+# about 1.5 GB.  A larger table is a ConfigError on n_frames.
 MAX_SLOTS = 80_000_000
 
 # Slots per binomial call of an "mc" draw: the clear slots of a run or of
@@ -427,6 +427,7 @@ def simulate_frames(
     blocked_ms: np.ndarray | None = None,
     mode: str = "mc",
     seed: int = 0,
+    erased: np.ndarray | None = None,
 ) -> SlotTable:
     """Simulate ``n_frames`` 10 ms frames at slot resolution.
 
@@ -436,9 +437,12 @@ def simulate_frames(
         their CNR for all their slots.
     blocked_ms : rotor-blade blocked time (ms) of every slot, as a
         (``n_frames``, slots per frame) array, for example from
-        :func:`rwasim.blades.slot_blocked_ms`.  None means no rotor.
-        A slot blocked for ``ERASE_THRESHOLD`` of its length or more is
-        erased.
+        :func:`rwasim.blades.slot_blocked_ms`.  A slot blocked for
+        ``ERASE_THRESHOLD`` of its length or more is erased
+        (:func:`erased_slots`).
+    erased : the erased flags themselves, one bool per slot in slot
+        order, in place of ``blocked_ms``; the table keeps this array.
+        Neither argument means no rotor.
     mode : "mc" draws the bit errors of every clear slot, in slot
         order, from one stream seeded with ``(seed, MC_STREAM_TAG)``;
         "expected" is deterministic and records the expected error count.
@@ -464,14 +468,21 @@ def simulate_frames(
     # channel BER per frame: q_function calls erfc once per distinct value
     ber = awgn_ber(phy.mcs, cnr)
 
-    if blocked_ms is None:
-        erased = np.zeros(n_frames * spf, dtype=bool)
-    else:
+    if blocked_ms is not None:
+        if erased is not None:
+            raise ValueError("give blocked_ms or erased, not both")
         blocked = np.asarray(blocked_ms, float)
         if blocked.shape != (n_frames, spf):
             raise ValueError(
                 f"blocked_ms must have shape ({n_frames}, {spf}), got {blocked.shape}")
         erased = erased_slots(blocked, num)
+    elif erased is None:
+        erased = np.zeros(n_frames * spf, dtype=bool)
+    else:
+        erased = np.asarray(erased, dtype=bool)
+        if erased.shape != (n_frames * spf,):
+            raise ValueError(
+                f"erased must hold {n_frames * spf} slots, got shape {erased.shape}")
 
     if mode == "mc":
         bit_errors = np.full(n_frames * spf, payload, dtype=np.int64)

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain,
                          pointing_offset, rescale_cnr)
 from .orbit import AccessTimeline, build_access_timeline
-from .phy import (FRAME_MS, FrameStats, SlotTable, aggregate, check_slot_budget,
+from .phy import (FRAME_MS, FrameStats, Numerology, SlotTable, aggregate, check_slot_budget,
                   erased_slots, simulate_frames, sweep_stats)
 from .scenarios import ScenarioSpec
 
@@ -197,33 +197,36 @@ def build_report(
     return report
 
 
-def _slot_blocked_ms(
-    scenario: ScenarioSpec,
-    blade_rows: np.recarray,
-    frame_segment: np.ndarray,
-    seed: int,
-) -> np.ndarray | None:
-    """Blade-blocked time of every slot of a run's frames; None without a rotor.
+def _rotor_erased(scenario: ScenarioSpec, frame_blocked: np.ndarray, seed: int) -> np.ndarray:
+    """Erased flags of every slot of a run's or a sweep point's frames.
 
-    ``frame_segment`` is the blade segment in force at each frame's start
-    (-1 in an outage, which blocks nothing).  Rotor phase advances on
+    ``frame_blocked`` is the per-blade blocked time (ms) in force in each
+    frame (0 in an outage, which blocks nothing).  Rotor phase advances on
     the contiguous PHY clock (frames are back to back there even though
-    they sample spread-out flight times); a flight-time clock would
-    strobe the rotor whenever the frame spacing hits a multiple of the
-    blade period.
+    they sample spread-out flight times), from the scenario's blade phase,
+    plus a draw from ``seed`` when it randomizes the phase; a flight-time
+    clock would strobe the rotor whenever the frame spacing hits a
+    multiple of the blade period.
     """
-    if not len(blade_rows):
-        return None
     phase = scenario.blade_phase_ms
     if scenario.randomize_blade_phase:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB1ADE)))
         phase += float(rng.uniform(0.0, 1000.0))
-    offsets = np.arange(len(frame_segment)) * FRAME_MS + phase
-    # segment -1 picks the appended 0 ms
-    frame_blocked = np.append(blade_rows.blocked_ms, 0.0)[frame_segment]
-    num = scenario.phy.numerology
-    return bl.slot_blocked_ms(bl.schedule(scenario.aircraft.rotor, frame_blocked),
-                              offsets, num.slot_ms, num.slots_per_frame)
+    offsets = np.arange(len(frame_blocked)) * FRAME_MS + phase
+    return _slot_erased(bl.schedule(scenario.aircraft.rotor, frame_blocked), offsets,
+                        scenario.phy.numerology)
+
+
+def _slot_erased(schedules: bl.BladeSchedule, frame_offsets_ms: np.ndarray,
+                 num: Numerology) -> np.ndarray:
+    """``erased_slots`` of ``blades.slot_blocked_ms``, one bool per slot,
+    thresholded a block of frames at a time, so the blocked times of all
+    the frames are never held at once."""
+    spf = num.slots_per_frame
+    erased = np.empty(len(frame_offsets_ms) * spf, dtype=bool)
+    for first, blocked in bl.slot_blocked_blocks(schedules, frame_offsets_ms, num.slot_ms, spf):
+        erased[first * spf:first * spf + blocked.size] = erased_slots(blocked, num)
+    return erased
 
 
 def run_scenario(
@@ -258,11 +261,13 @@ def run_scenario(
         # the last sample at or before each frame's start; times_s starts
         # at 0, so the index is in [0, n_samples - 1]
         frame_idx = np.searchsorted(access.times_s, frame_times_s, side="right") - 1
-        # the blocked array is passed, not kept: it is freed with the call
-        slots = simulate_frames(
-            scenario.phy, link.cnr_db[frame_idx], n_frames,
-            blocked_ms=_slot_blocked_ms(scenario, blade_rows, segment[frame_idx], seed),
-            mode=mode, seed=seed)
+        erased = None
+        if len(blade_rows):
+            # segment -1 (an outage) picks the appended 0 ms
+            frame_blocked = np.append(blade_rows.blocked_ms, 0.0)[segment[frame_idx]]
+            erased = _rotor_erased(scenario, frame_blocked, seed)
+        slots = simulate_frames(scenario.phy, link.cnr_db[frame_idx], n_frames,
+                                mode=mode, seed=seed, erased=erased)
         stats = aggregate(slots, n_frames * FRAME_MS, mode=mode)
 
     report = build_report(scenario, access, link, stats, step_s, seed, mode, n_frames)
@@ -469,10 +474,11 @@ def sweep_cnr(
 
     The scenario contributes its PHY settings and a representative
     blade schedule (taken at the mean served elevation of a coarse
-    access pass; a RuntimeError when a rotor's pass serves no sample);
-    each grid point runs ``n_frames`` frames at constant CNR, and grid
-    point ``j`` draws with seed ``seed + j``.  The erased slots are the
-    same at every point, so they are found once, and
+    access pass; a RuntimeError when a rotor's pass serves no sample),
+    at the blade phase a run with ``seed`` takes; each grid point runs
+    ``n_frames`` frames at constant CNR, and grid point ``j`` draws with
+    seed ``seed + j``.  The erased slots are the same at every point, so
+    they are found once, and
     :func:`rwasim.phy.sweep_stats` rolls up every point without a slot
     table.  A point over the slot budget is a ConfigError before any
     work.  Returns (cnr_db, ber, data_rate_mbps) rows.
@@ -485,14 +491,14 @@ def sweep_cnr(
         raise ConfigError("cnr-max must be >= cnr-min", field="cnr_max_db")
     num = scenario.phy.numerology
     check_slot_budget(n_frames, num)
-    erased = np.zeros(n_frames * num.slots_per_frame, dtype=bool)
     rotor = scenario.aircraft.rotor
-    if rotor is not None:
+    if rotor is None:
+        erased = np.zeros(n_frames * num.slots_per_frame, dtype=bool)
+    else:
         access = build_access_timeline(scenario, access_step_s)
         mean_el = float(np.mean(access.elevation_deg[_served(scenario, access)]))
-        schedule = bl.schedule(rotor, float(bl.blocked_ms(rotor, mean_el)))
-        erased = erased_slots(bl.slot_blocked_ms(schedule, np.arange(n_frames) * FRAME_MS,
-                                                 num.slot_ms, num.slots_per_frame), num)
+        frame_blocked = np.full(n_frames, float(bl.blocked_ms(rotor, mean_el)))
+        erased = _rotor_erased(scenario, frame_blocked, seed)
     grid = np.linspace(cnr_min_db, cnr_max_db, points)
     stats = sweep_stats(scenario.phy, grid, erased, n_frames * FRAME_MS, mode=mode, seed=seed)
     return [(cnr, ber, rate) for cnr, (ber, rate) in zip(grid.tolist(), stats)]

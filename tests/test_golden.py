@@ -1,15 +1,20 @@
-"""Golden gate: every built-in in both modes stays put, report and frames.
+"""Golden gate: every built-in in both modes stays put: report, frames and tables.
 
-``tools/regen_goldens.py`` writes both files of each run of
+``tools/regen_goldens.py`` writes the golden files from the runs of
 
     rwasim run --scenario <id> --step 60 --frames 50 --seed 0 --mode <mode>
 
 ``tests/golden/<id>-<mode>.json`` is its ``report.json``, and
 ``tests/golden/<id>-<mode>-frames.json`` holds, per frame, the erased
 slots, the sum of ``bit_errors`` and the CNR, read back from its
-``slots.csv``.  Ints, ids and strings must match exactly and floats
-within 1e-9 relative, so a refactor shows it keeps behaviour without
-regenerating these files.  A change that does regenerate them says why.
+``slots.csv``.  ``tests/golden/<id>-access.csv``, ``<id>-link.csv`` and
+``<id>-blades.csv`` (rotor scenarios only) are its plain tables, which
+do not depend on the mode, so both modes' runs are checked against them:
+they pin which satellite serves when, where handovers fall, the link
+budget and the blade segments.  Ints, ids and strings must match
+exactly and floats within 1e-9 relative, so a refactor shows it keeps
+behaviour without regenerating these files.  A change that does
+regenerate them says why.
 """
 
 import csv
@@ -25,6 +30,9 @@ GOLDEN = Path(__file__).parent / "golden"
 SCENARIOS = ("scenario-6", "scenario-7", "scenario-11",
              "scenario-15a", "scenario-15b", "scenario-19")
 RUN_ARGS = ("--step", "60", "--frames", "50", "--seed", "0")
+# the plain tables of a run, the same in either mode; blades.csv only with a rotor
+TABLES = ("access.csv", "link.csv", "blades.csv")
+INT_COLUMNS = {"sat_id"}
 
 
 def frame_facts(run_dir):
@@ -39,6 +47,14 @@ def frame_facts(run_dir):
         "bit_errors": [sum(int(row["bit_errors"]) for row in frame) for frame in frames],
         "cnr_db": [float(frame[0]["cnr_db"]) for frame in frames],
     }
+
+
+def read_table(path):
+    """The columns of a CSV table by name: ints for ``INT_COLUMNS``, floats otherwise."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    return {name: [int(cell) if name in INT_COLUMNS else float(cell) for cell in cells]
+            for name, *cells in zip(*rows)}
 
 
 def _mismatches(want, got, where="report"):
@@ -71,6 +87,11 @@ def test_report_matches_golden(tmp_path, capsys, scenario_id, mode):
     assert _mismatches(want, got) == []
     want = json.loads((GOLDEN / f"{scenario_id}-{mode}-frames.json").read_text())
     assert _mismatches(want, frame_facts(run_dir), "frames") == []
+    for table in TABLES:
+        golden = GOLDEN / f"{scenario_id}-{table}"
+        assert (run_dir / table).exists() == golden.exists(), table
+        if golden.exists():
+            assert _mismatches(read_table(golden), read_table(run_dir / table), table) == []
 
 
 def test_golden_comparison_catches_drift():
@@ -92,4 +113,13 @@ def test_golden_comparison_catches_drift():
         f"frames.erased[{f}]: {want['erased'][f] - 1} != golden {want['erased'][f]}",
         f"frames.erased[{f + 1}]: {want['erased'][f + 1] + 1} != golden "
         f"{want['erased'][f + 1]}",
+    ]
+    # a handover one access step late
+    want = read_table(GOLDEN / "scenario-7-access.csv")
+    drifted = {name: list(column) for name, column in want.items()}
+    sat = want["sat_id"]
+    i = next(i for i in range(1, len(sat)) if -1 != sat[i - 1] != sat[i] != -1)
+    drifted["sat_id"][i] = sat[i - 1]
+    assert _mismatches(want, drifted, "access.csv") == [
+        f"access.csv.sat_id[{i}]: {sat[i - 1]} != golden {sat[i]}",
     ]

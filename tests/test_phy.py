@@ -387,6 +387,29 @@ def test_blocked_ms_must_be_frames_by_slots():
             simulate_frames(phy, 40.0, 3, np.zeros(shape))
 
 
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+def test_erased_flags_give_the_table_of_their_blocked_times(mode):
+    # a run passes its erased flags, the acceptance test blocked times:
+    # flags thresholded from blocked times give the same table
+    rpm = 360.0 / (0.006 * 2 * 16.0)
+    rotor = RotorSpec(2, 0.1, rpm, 1.0, 0.5, 5.0)
+    sched = build_schedule(rotor, BladeGeometry(1.0, 2.0 * rotor.rate_deg_per_ms))
+    phy = _phy()  # 20 slots per frame
+    blocked = _blocked(sched, 30)
+    flags = erased_slots(blocked, phy.numerology)
+    assert flags.any() and not flags.all()
+    cnr = np.linspace(0.0, 8.0, 30)
+    want = simulate_frames(phy, cnr, 30, blocked, mode=mode, seed=5)
+    got = simulate_frames(phy, cnr, 30, mode=mode, seed=5, erased=flags)
+    for col in ("erased", "cnr_db", "ber", "decode_prob", "bit_errors", "decoded"):
+        assert np.array_equal(getattr(got, col), getattr(want, col)), col
+    with pytest.raises(ValueError, match="not both"):
+        simulate_frames(phy, cnr, 30, blocked, mode=mode, erased=flags)
+    for shape in [(599,), (601,), (30, 20), ()]:
+        with pytest.raises(ValueError, match="erased"):
+            simulate_frames(phy, cnr, 30, mode=mode, erased=np.zeros(shape, dtype=bool))
+
+
 def test_per_frame_cnr_array():
     phy = _phy()
     slots = simulate_frames(phy, np.array([300.0, -20.0]), 2, mode="expected")

@@ -808,13 +808,15 @@ def _run_peak(spec, n_frames, mode, out_dir):
 @pytest.mark.parametrize("mode, write", [("mc", False), ("expected", True)])
 def test_run_memory_per_slot(tmp_path, mode, write):
     # the slot table keeps 9 bytes a slot (the erased flag and the bit
-    # errors); with the blocked time passed in and the draw's chunks, a
-    # run peaks at under 20 bytes for each slot it adds, written or not
+    # errors).  The erased flags are thresholded a block of frames at a
+    # time, so no blocked time is held per slot; with the draw's chunks
+    # and the roll-up's flag temporaries a run peaks at under 13 bytes
+    # for each slot it adds, written or not
     spec = builtin_catalog().scenarios["scenario-19"]  # 80 slots a frame
     out = tmp_path if write else None
     _run_peak(spec, 10, mode, out)  # warm-up
     extra = _run_peak(spec, 2000, mode, out) - _run_peak(spec, 1000, mode, out)
-    assert extra < 20 * 1000 * 80
+    assert extra < 13 * 1000 * 80
 
 
 # === CNR sweep ===
@@ -852,15 +854,21 @@ def test_sweep_validation():
 def _sweep_reference(spec, cnr_min, cnr_max, points, n_frames, seed, mode, access_step_s):
     # one simulate_frames and aggregate call per grid point, point j with
     # seed + j.  The CNR goes in per frame, as a run passes it: a scalar
-    # takes numpy's scalar power, which can differ in the last bit.
+    # takes numpy's scalar power, which can differ in the last bit.  The
+    # rotor turns from the scenario's blade phase, drawn from the seed
+    # when the scenario randomizes it, as in a run.
     num = spec.phy.numerology
     rotor = spec.aircraft.rotor
     blocked = None
     if rotor is not None:
         access = build_access_timeline(spec, access_step_s)
         mean_el = float(np.mean(access.elevation_deg[access.served]))
+        phase = spec.blade_phase_ms
+        if spec.randomize_blade_phase:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB1ADE)))
+            phase += float(rng.uniform(0.0, 1000.0))
         blocked = slot_blocked_ms(schedule(rotor, float(blocked_ms(rotor, mean_el))),
-                                  np.arange(n_frames) * FRAME_MS, num.slot_ms,
+                                  np.arange(n_frames) * FRAME_MS + phase, num.slot_ms,
                                   num.slots_per_frame)
     rows = []
     for j, cnr in enumerate(np.linspace(cnr_min, cnr_max, points).tolist()):
@@ -880,6 +888,31 @@ def test_sweep_equals_one_simulation_per_point(sid, mode):
     want = _sweep_reference(spec, -5.0, 12.0, 7, 4, seed, mode, 60.0)
     assert sweep_cnr(spec, -5.0, 12.0, 7, n_frames=4, seed=seed, mode=mode,
                      access_step_s=60.0) == want
+
+
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+@pytest.mark.parametrize("phased", [{"blade_phase_ms": 7.3}, {"randomize_blade_phase": True}])
+def test_sweep_erases_the_slots_of_a_run_with_its_blade_phase(phased, mode):
+    # at an access step of the whole flight a run and a sweep see one
+    # sample, so every frame of the run has the sweep's blocked time; a
+    # sweep then erases, at the scenario's blade phase, the run's slots
+    spec = replace(builtin_catalog().scenarios["scenario-15b"], **phased)
+    step, n_frames, seed = spec.duration_s, 40, 5
+    run = run_scenario(spec, step_s=step, n_frames=n_frames, mode=mode, seed=seed)
+    swept = []
+
+    def spy(phy, cnr_db, erased, *args, **kwargs):
+        swept.append(erased.copy())
+        return phy_module.sweep_stats(phy, cnr_db, erased, *args, **kwargs)
+
+    with mock.patch.object(pipeline, "sweep_stats", spy):
+        rows = sweep_cnr(spec, 0.0, 10.0, 2, n_frames=n_frames, seed=seed, mode=mode,
+                         access_step_s=step)
+    assert np.array_equal(swept[0], run.slots.erased)
+    unphased = run_scenario(builtin_catalog().scenarios["scenario-15b"], step_s=step,
+                            n_frames=n_frames, mode=mode, seed=seed)
+    assert not np.array_equal(unphased.slots.erased, run.slots.erased)
+    assert rows == _sweep_reference(spec, 0.0, 10.0, 2, n_frames, seed, mode, step)
 
 
 @pytest.mark.parametrize("draw_slots", [1, 7])
@@ -917,10 +950,11 @@ def test_sweep_memory_is_bounded():
     spec = builtin_catalog().scenarios["scenario-19"]
     sweep_cnr(spec, -5.0, 20.0, 1, n_frames=20, access_step_s=60.0)  # warm-up
     assert _sweep_peak(spec, 200) < _sweep_peak(spec, 1) + 160 * 2**13
-    # a point of 1.6 million slots: its blocked times (8 bytes a slot) and
-    # erased flags (1 byte a slot), and "mc" draws of 2**13 slots at a time
+    # a point of 1.6 million slots: its erased flags (1 byte a slot),
+    # thresholded from blocked times a block of frames at a time, and "mc"
+    # draws of 2**13 slots at a time
     n_slots = 20_000 * 80
-    assert _sweep_peak(spec, 3, n_frames=20_000) < 12 * n_slots
+    assert _sweep_peak(spec, 3, n_frames=20_000) < 4 * n_slots
 
 
 def test_sweep_csv_format(tmp_path):

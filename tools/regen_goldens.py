@@ -8,9 +8,11 @@ For each built-in in both modes it runs ``rwasim run`` with the golden
 gate's arguments (``tests/test_golden.py``) into a temporary directory,
 then writes the run's ``report.json`` as ``tests/golden/<id>-<mode>.json``
 and the per-frame facts of its ``slots.csv`` as
-``tests/golden/<id>-<mode>-frames.json``.  Both come from the same run,
-so they cannot drift apart.  A change that regenerates the goldens says
-which ones and why.
+``tests/golden/<id>-<mode>-frames.json``.  The ``mc`` run's
+``access.csv``, ``link.csv`` and ``blades.csv`` (rotor scenarios only),
+which do not depend on the mode, go to ``tests/golden/<id>-<table>``.
+All come from the same runs, so they cannot drift apart.  A change that
+regenerates the goldens says which ones and why.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from test_golden import GOLDEN, RUN_ARGS, SCENARIOS, frame_facts  # noqa: E402
+from test_golden import GOLDEN, RUN_ARGS, SCENARIOS, TABLES, frame_facts  # noqa: E402
 
 from rwasim.cli import main  # noqa: E402
 
@@ -41,6 +43,10 @@ def regen() -> None:
                 with (GOLDEN / f"{scenario_id}-{mode}-frames.json").open("w") as fh:
                     json.dump(frame_facts(run_dir), fh, indent=2, sort_keys=True)
                     fh.write("\n")
+                if mode == "mc":
+                    for table in TABLES:
+                        if (run_dir / table).exists():
+                            shutil.copyfile(run_dir / table, GOLDEN / f"{scenario_id}-{table}")
 
 
 if __name__ == "__main__":
