@@ -280,10 +280,12 @@ def _pulse_sums(offsets: np.ndarray, width: np.ndarray, period: np.ndarray,
     n_pulses = int(np.max(np.ceil((frame_ms + width) / period))) + 4
     start = (k0 + np.arange(n_pulses)) * period - phase   # (rows, pulses)
     stop = start + width
-    # the pulses that reach a frame, in (frame, pulse) order
-    row, pulse = np.nonzero((stop > 0.0) & (start < frame_ms))
-    first = np.maximum(start[row, pulse], 0.0)
-    last = np.minimum(stop[row, pulse], frame_ms)
+    # the pulses that reach a frame, in (frame, pulse) order: a boolean
+    # matrix's indices come from its flat ones, as np.nonzero's but faster
+    reach = ((stop > 0.0) & (start < frame_ms)).ravel().nonzero()[0]
+    row = reach // n_pulses
+    first = np.maximum(start.ravel()[reach], 0.0)
+    last = np.minimum(stop.ravel()[reach], frame_ms)
     # each pulse touches slots [floor(first / slot_ms), ceil(last / slot_ms))
     # of its frame; 0 <= first <= last, so the range is empty at worst
     lo = np.floor(first / slot_ms).astype(np.int64)

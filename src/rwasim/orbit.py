@@ -49,30 +49,31 @@ class KeplerianElements:
 
 
 # === array kernels ===
-# Vectors travel as (x, y, z) tuples of broadcastable arrays, so a
-# (steps x satellites) block never grows a third axis.  `propagate`
-# wraps them for one satellite, and the access timeline uses them
-# directly: there is one propagation path.
+# Vectors travel as (3, ...) arrays or (x, y, z) tuples, component first,
+# and the kernels below take them a component at a time, so the same
+# elementwise arithmetic serves one satellite and a column of steps.
+# `propagate` wraps them for one satellite, and the access timeline uses
+# them directly: there is one propagation path.
 
 def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _epoch_directions(inc_rad, raan_rad, u0_rad):
-    """Inertial directions of position and velocity at the epoch, (..., 6).
+    """Inertial directions of position and velocity at the epoch, (6, ...).
 
     With p the orbit-plane unit vector toward the ascending node and q the
     one 90 deg ahead, they are ``w1 = cos u0 p + sin u0 q`` and ``w2 =
     cos u0 q - sin u0 p``: at time t a satellite's direction is
-    ``cos(n t) w1 + sin(n t) w2``.
+    ``cos(n t) w1 + sin(n t) w2``.  The angles broadcast, so a shell's
+    planes give p and q once each.
     """
     cos_raan, sin_raan = np.cos(raan_rad), np.sin(raan_rad)
     cos_inc = np.cos(inc_rad)
-    p = (cos_raan, sin_raan, np.zeros_like(cos_raan))
-    q = (-sin_raan * cos_inc, cos_raan * cos_inc, np.sin(inc_rad))
-    cos_u0, sin_u0 = np.cos(u0_rad), np.sin(u0_rad)
-    return np.stack([cos_u0 * pk + sin_u0 * qk for pk, qk in zip(p, q)]
-                    + [cos_u0 * qk - sin_u0 * pk for pk, qk in zip(p, q)], axis=-1)
+    p = np.array([cos_raan, sin_raan, np.zeros_like(cos_raan)])
+    q = np.array([-sin_raan * cos_inc, cos_raan * cos_inc, np.sin(inc_rad)])
+    # [w1, w2] = cos u0 [p, q] + sin u0 [q, -p], term by term
+    return np.cos(u0_rad) * np.concatenate([p, q]) + np.sin(u0_rad) * np.concatenate([q, -p])
 
 
 def _eci_state(a, n, w, cos_n, sin_n):
@@ -82,9 +83,11 @@ def _eci_state(a, n, w, cos_n, sin_n):
     return a * (cos_n * w1 + sin_n * w2), a * n * (cos_n * w2 - sin_n * w1)
 
 
-def _rotate_to_ecef(x, y, z, cos_t, sin_t):
-    """Turn inertial vectors into the Earth-fixed frame at sidereal angle t."""
-    return x * cos_t + y * sin_t, -x * sin_t + y * cos_t, z
+def _rotate_to_ecef(v, cos_t, sin_t):
+    """Turn inertial vectors ``v`` (3, ...) into the Earth-fixed frame at
+    sidereal angle t."""
+    xy_cos, xy_sin = v[:2] * cos_t, v[:2] * sin_t
+    return np.array([xy_cos[0] + xy_sin[1], xy_cos[1] - xy_sin[0], v[2]])
 
 
 def _view(rel, v_rel, up):
@@ -95,8 +98,9 @@ def _view(rel, v_rel, up):
     """
     ux, uy, uz = up
     across = np.hypot(ux, uy)
-    east = (np.divide(-uy, across, out=np.zeros_like(across), where=across > 0),
-            np.divide(ux, across, out=np.ones_like(across), where=across > 0), 0.0)
+    aside = across > 0
+    east = (np.divide(-uy, across, out=np.zeros_like(across), where=aside),
+            np.divide(ux, across, out=np.ones_like(across), where=aside), 0.0)
     north = (-uz * east[1], uz * east[0], ux * east[1] - uy * east[0])
     to_east, to_north = _dot(east, rel), _dot(north, rel)
     dist = np.sqrt(_dot(rel, rel))
@@ -128,9 +132,10 @@ def doppler_khz(range_rate_kms: float, carrier_ghz: float) -> float:
 
 # === constellation expansion ===
 
-def expand_constellation(spec: ConstellationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inclination, RAAN and argument of latitude at the epoch (deg) of
-    every satellite, as columns in plane-major order.
+def _shell_angles(spec: ConstellationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inclination and RAAN (deg) of each plane, as (planes x 1) columns,
+    and the argument of latitude at the epoch (deg) of each satellite, as
+    a (planes x sats per plane) array.
 
     Satellites are evenly phased within each plane; the Walker phasing
     factor shifts consecutive planes by ``F * 360 / total`` degrees of
@@ -140,8 +145,17 @@ def expand_constellation(spec: ConstellationSpec) -> tuple[np.ndarray, np.ndarra
     inter_plane = spec.phasing_factor * 360.0 / spec.total_sats
     phase = (spec.anomaly_offset_deg + np.arange(spec.sats_per_plane) * per_plane
              + np.arange(spec.planes)[:, None] * inter_plane) % 360.0
-    return (np.repeat(spec.inclinations_deg, spec.sats_per_plane),
-            np.repeat(np.mod(spec.raans_deg, 360.0), spec.sats_per_plane), phase.ravel())
+    return (np.asarray(spec.inclinations_deg)[:, None], np.mod(spec.raans_deg, 360.0)[:, None],
+            phase)
+
+
+def expand_constellation(spec: ConstellationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inclination, RAAN and argument of latitude at the epoch (deg) of
+    every satellite, as columns in plane-major order (see `_shell_angles`).
+    """
+    inclination, raan, phase = _shell_angles(spec)
+    return (np.repeat(inclination, spec.sats_per_plane), np.repeat(raan, spec.sats_per_plane),
+            phase.ravel())
 
 
 # === access timeline ===
@@ -186,14 +200,16 @@ class AccessTimeline:
 _BLOCK_SPAN_S = 60.0
 
 # Elements of one pass's (satellites x blocks) matrix of central-angle
-# cosines: a pass takes as many blocks as fit, at least one.  The same
-# timelines took 18.1 ms at 2^13.  Up to 2^15 satellites the product's
-# m * n * k stays within 6 * 2^15, under the 4 * 65,536 at which OpenBLAS
-# starts threads.
-_PASS_ANGLES = 2 ** 15
+# cosines: a pass takes as many blocks as fit, at least one.  The matrix
+# is one (satellites x 6) @ (6 x blocks) product, and OpenBLAS keeps a
+# product on one thread while its m * n * k is at most 4 * 65,536, so the
+# budget is the largest with 6 * _PASS_ANGLES within that: 43,690.  Up to
+# that many satellites a pass never starts threads, and each built-in
+# takes one pass (288 satellites x 120 blocks, 264 x 150).
+_PASS_ANGLES = 4 * 65_536 // 6
 
-# (row, candidate) pairs per chunk of the elevation pass: a block's rows
-# are cut so that rows times candidates fit, which bounds the chunk's
+# (row, candidate) pairs per chunk of the elevation pass: a pass's rows
+# are cut into chunks whose pairs fit, which bounds the chunk's
 # temporaries for any flight length, step and shell size
 _CHUNK_PAIRS = 2 ** 13
 
@@ -227,34 +243,43 @@ def _scan_chunk(row, sat, elevation, served, current, threshold_deg, acquire_deg
     np.maximum.at(highest, row, elevation)
     held = elevation >= threshold_deg
     # pairs are satellite-major, so a row's lowest tied pair is its lowest tied id
-    top = np.flatnonzero(held & (elevation >= highest[row] - _TIE_DEG))
+    top = (held & (elevation >= highest[row] - _TIE_DEG)).nonzero()[0]
     best = np.full(n_rows, len(row))   # each row's best pair
     np.minimum.at(best, row[top], top)
-    acquired = np.flatnonzero(highest >= acquire_deg)
     # a satellite's pairs on consecutive rows have consecutive keys; the stride
     # n_rows + 1 keeps its last row from running into the next one's first
     key = sat * (n_rows + 1) + row
-    stop = np.flatnonzero(~held | (np.diff(key, append=-1) != 1))
+    # a run of held rows stops at a pair not held, or at one whose
+    # satellite has no pair on the next row
+    run_last = ~held
+    run_last[:-1] |= key[1:] != key[:-1] + 1
+    run_last[-1:] = True
+    stop = run_last.nonzero()[0]
     # for each pair, the first row after the run of held rows it is in
-    run_end = np.repeat(row[stop] + held[stop], np.diff(stop, prepend=-1))
-    at = np.searchsorted(key, current * (n_rows + 1))
-    i = 0
-    end = run_end[at] if current >= 0 and at < len(key) and key[at] == current * (n_rows + 1) else 0
+    run_end = (row[stop] + held[stop]).repeat(stop - np.concatenate(([-1], stop[:-1])))
+    # per row, its best satellite and where that one's run ends (-1 and
+    # n_rows for none), whether a satellite holds the threshold on it, and
+    # the rows whose best clears acquire_deg; row n_rows, past the chunk,
+    # holds and is acquired, so the scan stops there
+    best_sat = np.concatenate((sat, [-1]))[best]
+    best_end = np.concatenate((run_end, [n_rows]))[best]
+    holds = np.concatenate((highest >= threshold_deg, [True]))
+    acquired = np.concatenate(((highest >= acquire_deg).nonzero()[0], [n_rows]))
+    end = 0
+    if current >= 0:
+        at = key.searchsorted(current * (n_rows + 1))
+        if at < len(key) and key[at] == current * (n_rows + 1):
+            end = run_end.item(at)
+            served[:end] = current
     while True:
-        if current >= 0:
-            served[i:end] = current
-            if end == n_rows:
-                return current
-            i = end
-            if highest[i] < threshold_deg:
-                current = -1
-                continue
-        else:
-            k = np.searchsorted(acquired, i)
-            if k == len(acquired):
-                return -1
-            i = acquired[k]
-        current, end = sat[best[i]], run_end[best[i]]
+        # the link drops at row `end`, and is taken up again there or, after
+        # an outage, where the next best satellite clears acquire_deg
+        i = end if current >= 0 and holds.item(end) else acquired.item(acquired.searchsorted(end))
+        if i == n_rows:
+            break
+        current, end = best_sat.item(i), best_end.item(i)
+        served[i:end] = current
+    return current if end == n_rows else -1
 
 
 def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> AccessTimeline:
@@ -272,7 +297,7 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
 
     The route is evaluated once per step.  Steps go in blocks of
     ``_BLOCK_SPAN_S``, blocks in passes of up to ``_PASS_ANGLES``
-    (satellite, block) cosines, and a block's rows in chunks of about
+    (satellite, block) cosines, and a pass's rows in chunks of about
     ``_CHUNK_PAIRS`` (row, candidate) pairs, whose elevations come from the
     cosines of their central angles; `_scan_chunk` applies the rule to a
     chunk by event.  The full geometry is then computed for the served
@@ -282,20 +307,25 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
         raise ValueError("step_s must be > 0")
     n_steps = int(math.floor(scenario.duration_s / step_s + 1e-9))
 
-    inclination, raan, phase = expand_constellation(scenario.constellation)
     a = scenario.constellation.orbit_radius_km
     n_rate = mean_motion(a)
-    w = _epoch_directions(np.radians(inclination), np.radians(raan), np.radians(phase))
+    inclination, raan, phase = _shell_angles(scenario.constellation)
+    # (satellites x 6), a row per satellite
+    w = np.ascontiguousarray(_epoch_directions(
+        np.radians(inclination), np.radians(raan), np.radians(phase)).reshape(6, -1).T)
 
     times = np.arange(n_steps, dtype=float) * step_s
-    cos_t, sin_t = np.cos(EARTH_ROTATION_RATE * times), np.sin(EARTH_ROTATION_RATE * times)
-    cos_n, sin_n = np.cos(n_rate * times), np.sin(n_rate * times)
+    # rows: the Earth's rotation angle and the orbit's, n t
+    angle = np.multiply.outer((EARTH_ROTATION_RATE, n_rate), times)
+    cos_a, sin_a = np.cos(angle), np.sin(angle)
     up, obs_radius, obs_vel = scenario.route.state(times)
     # each step's zenith turned into the inertial frame, times cos(n t) and
     # sin(n t), as a (steps x 6) matrix: a satellite's row of w dotted with
     # a step's row of zen is the cosine of their Earth central angle
-    up_eci = np.array(_rotate_to_ecef(*up, cos_t, -sin_t))
-    zen = np.ascontiguousarray(np.concatenate([up_eci * cos_n, up_eci * sin_n]).T)
+    up_eci = _rotate_to_ecef(up, cos_a[0], -sin_a[0])
+    zen = np.empty((n_steps, 6))
+    np.multiply(up_eci, cos_a[1], out=zen[:, :3].T)
+    np.multiply(up_eci, sin_a[1], out=zen[:, 3:].T)
 
     threshold = scenario.handover_threshold_deg
     # hysteresis >= 0, so candidates for the threshold cover acquisitions
@@ -307,66 +337,65 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     sat_id = np.full(n_steps, -1, dtype=int)
     current = -1
     for lo in range(0, n_steps, per_pass):
-        starts = np.arange(lo, min(n_steps, lo + per_pass), rows)
-        ends = np.minimum(starts + rows, n_steps)
+        hi = min(n_steps, lo + per_pass)
+        starts = np.arange(lo, hi, rows)
+        ends = np.minimum(starts + rows, hi)
         # Earth central angle of every satellite at each block's middle
         # row.  At any row of the block it is at least this minus the
         # satellite's drift and the aircraft's move (triangle inequality),
         # and elevation falls as it grows, so a satellite beyond `reach` +
         # drift + move stays under the threshold on every row of the
         # block; `reach` uses the block's lowest aircraft.  Its cosine is
-        # one (satellites x 6) @ (6 x blocks) product, and `keep` is
+        # one (satellites x 6) @ (6 x blocks) product, compared as soon as
+        # it is made so that the chunks do not hold it, and `keep` is
         # (satellites x blocks).
         mid = (starts + ends - 1) // 2
-        cos_central = w @ zen[mid].T
         drift = np.minimum(sweep_rate * np.maximum(times[mid] - times[starts],
                                                    times[ends - 1] - times[mid]), math.pi)
         up_move = np.arccos(np.clip(np.minimum.reduceat(
-            _dot(tuple(c[np.repeat(mid, ends - starts)] for c in up),
-                 tuple(c[lo:ends[-1]] for c in up)), starts - lo), -1.0, 1.0))
+            _dot(up.take(mid.repeat(ends - starts), axis=1), up[:, lo:hi]), starts - lo),
+            -1.0, 1.0))
         reach = math.radians(90.0 - threshold) - np.arcsin(np.minimum(
-            1.0, np.minimum.reduceat(obs_radius[lo:ends[-1]], starts - lo)
+            1.0, np.minimum.reduceat(obs_radius[lo:hi], starts - lo)
             * math.cos(math.radians(threshold)) / a))
         bound = reach + drift + up_move + _CANDIDATE_MARGIN_RAD
-        keep = cos_central >= np.where(bound < math.pi, np.cos(bound), -np.inf)
-        # cut each block into pieces whose rows times candidates fit a chunk
-        count = np.count_nonzero(keep, axis=0)
-        piece_rows = np.maximum(1, _CHUNK_PAIRS // np.maximum(count, 1))
-        pieces = -(-(ends - starts) // piece_rows)
-        piece_block = np.repeat(np.arange(len(starts)), pieces)
-        piece_first = starts[piece_block] + piece_rows[piece_block] * (
-            np.arange(len(piece_block)) - (np.cumsum(pieces) - pieces)[piece_block])
-        piece_last = np.minimum(piece_first + piece_rows[piece_block], ends[piece_block])
-        pairs = count[piece_block] * (piece_last - piece_first)
-        cuts = np.flatnonzero(np.diff((np.cumsum(pairs) - pairs) // _CHUNK_PAIRS)) + 1
-        for first, last, block in zip(np.split(piece_first, cuts), np.split(piece_last, cuts),
-                                      np.split(piece_block, cuts)):
-            # each candidate on every row of its piece, satellite-major
-            cand, piece = np.nonzero(keep[:, block])
-            lens = (last - first)[piece]
-            sat = np.repeat(cand, lens)
-            at = np.arange(sat.size) + np.repeat(first[piece] - np.cumsum(lens) + lens, lens)
+        keep = w @ zen[mid].T >= np.where(bound < math.pi, np.cos(bound), -np.inf)
+        # candidates per block: a boolean matrix's indices come from its flat
+        # ones, in np.nonzero's order and several times faster
+        count = np.bincount(keep.ravel().nonzero()[0] % len(starts), minlength=len(starts))
+        # cut the pass into chunks of rows whose pairs fit _CHUNK_PAIRS
+        row_pairs = count.repeat(ends - starts)
+        chunk = (row_pairs.cumsum() - row_pairs) // _CHUNK_PAIRS
+        cuts = ((chunk[1:] != chunk[:-1]).nonzero()[0] + lo + 1).tolist()
+        for first, last in zip([lo, *cuts], [*cuts, hi]):
+            # the chunk's blocks, cut to its rows, and each candidate of a
+            # block on every row of it, satellite-major
+            b0, b1 = (first - lo) // rows, (last - 1 - lo) // rows + 1
+            cand, piece = divmod(keep[:, b0:b1].ravel().nonzero()[0], b1 - b0)
+            start = np.maximum(starts[b0:b1], first)
+            lens = (np.minimum(ends[b0:b1], last) - start).take(piece)
+            sat = cand.repeat(lens)
+            at = np.arange(sat.size) + (start.take(piece) - lens.cumsum() + lens).repeat(lens)
             # with c the cosine of the central angle and r the aircraft's
             # radius, the satellite is a c - r above the horizon plane and
             # sqrt((a - r)^2 + 2 a r (1 - c)) away
             below = a * (1.0 - np.einsum("ij,ij->i", w.take(sat, axis=0), zen.take(at, axis=0)))
-            r = obs_radius[at]
+            r = obs_radius.take(at)
+            height = a - r
             elevation = np.degrees(np.arcsin(np.clip(
-                (a - r - below) / np.sqrt((a - r) ** 2 + 2.0 * r * below), -1.0, 1.0)))
-            current = _scan_chunk(at - first[0], sat, elevation, sat_id[first[0]:last[-1]],
+                (height - below) / np.sqrt(height ** 2 + 2.0 * r * below), -1.0, 1.0)))
+            current = _scan_chunk(at - first, sat, elevation, sat_id[first:last],
                                   current, threshold, acquire)
 
-    served = np.flatnonzero(sat_id >= 0)
-    cos_t, sin_t = cos_t[served], sin_t[served]
-    sat_pos, sat_vel = _eci_state(a, n_rate, w.T.take(sat_id[served], axis=1), cos_n[served],
-                                  sin_n[served])
-    sat_pos = _rotate_to_ecef(*sat_pos, cos_t, sin_t)
-    vx, vy, vz = _rotate_to_ecef(*sat_vel, cos_t, sin_t)
+    served = (sat_id >= 0).nonzero()[0]
+    cos_a, sin_a = cos_a.take(served, axis=1), sin_a.take(served, axis=1)
+    pos, vel = _eci_state(a, n_rate, w.T.take(sat_id.take(served), axis=1), cos_a[1], sin_a[1])
+    pos, vel = _rotate_to_ecef(pos, cos_a[0], sin_a[0]), _rotate_to_ecef(vel, cos_a[0], sin_a[0])
+    up, obs_vel = up.take(served, axis=1), obs_vel.take(served, axis=1)
+    rel = pos - obs_radius.take(served) * up
     # Earth-fixed velocity: the rotated inertial one minus omega x r
-    sat_vel = (vx + EARTH_ROTATION_RATE * sat_pos[1], vy - EARTH_ROTATION_RATE * sat_pos[0], vz)
-    up = up.take(served, axis=1)
-    rel = tuple(s - obs_radius[served] * u for s, u in zip(sat_pos, up))
-    v_rel = tuple(s - o for s, o in zip(sat_vel, obs_vel.take(served, axis=1)))
+    v_rel = (vel[0] + EARTH_ROTATION_RATE * pos[1] - obs_vel[0],
+             vel[1] - EARTH_ROTATION_RATE * pos[0] - obs_vel[1], vel[2] - obs_vel[2])
     view = np.full((4, n_steps), np.nan)   # elevation, azimuth, range, range rate
     for column, values in zip(view, _view(rel, v_rel, up)):
         column[served] = values

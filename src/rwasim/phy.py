@@ -511,16 +511,30 @@ def simulate_frames(
     )
 
 
-def _expected_totals(payload: int, n_erased: int, n_clear, ber,
+def _expected_rollup(n_slots: int, n_erased: int, n_clear, ber,
                      decode_prob) -> tuple[float, float]:
-    """(bit errors, delivered bits) in "expected" mode from each frame's
-    clear slots, BER and decode probability: frames are grouped by BER and
-    each group's clear slots times its value summed with ``math.fsum``."""
+    """BER and expected decoded slots in "expected" mode, from the slot and
+    erased-slot counts and each frame's clear slots, BER and decode
+    probability.
+
+    Frames are grouped by BER.  The BER is the erased slots plus each
+    group's clear slots times its value, summed exactly and rounded once
+    in the division by ``n_slots``: every value is an integer mantissa
+    times a power of two, so over the smallest of those powers the sum is
+    an integer.  The decoded slots are each group's clear slots times its
+    decode probability, summed with ``math.fsum``.
+    """
     values, first, inverse = np.unique(ber, return_index=True, return_inverse=True)
     counts = np.bincount(inverse, weights=n_clear)
-    errors = math.fsum([n_erased, *(counts * values).tolist()])
-    delivered = math.fsum((counts * np.asarray(decode_prob)[first]).tolist())
-    return payload * errors, payload * delivered
+    decoded = math.fsum((counts * np.asarray(decode_prob)[first]).tolist())
+    if np.isnan(values[-1]):   # np.unique puts NaN last
+        return math.nan, decoded
+    fraction, exponent = np.frexp(values)
+    scale = 53 - int(exponent.min())
+    errors = sum(count * (mantissa << shift) for count, mantissa, shift in zip(
+        counts.astype(np.int64).tolist(), np.ldexp(fraction, 53).astype(np.int64).tolist(),
+        (exponent - exponent.min()).tolist()))
+    return ((n_erased << scale) + errors) / (n_slots << scale), decoded
 
 
 def aggregate(slots: SlotTable, elapsed_ms: float, mode: str = "mc") -> FrameStats:
@@ -543,16 +557,18 @@ def aggregate(slots: SlotTable, elapsed_ms: float, mode: str = "mc") -> FrameSta
     if mode == "expected":
         spf = slots.numerology.slots_per_frame
         n_clear = spf - np.count_nonzero(slots.erased.reshape(-1, spf), axis=1)
-        errors, delivered = _expected_totals(payload, n_erased, n_clear, slots.frame_ber,
-                                             slots.frame_decode_prob)
+        ber, decoded = _expected_rollup(n_slots, n_erased, n_clear, slots.frame_ber,
+                                        slots.frame_decode_prob)
     else:
-        errors = int(slots.bit_errors.sum())
-        delivered = payload * int(np.count_nonzero(slots.decoded))
+        ber = int(slots.bit_errors.sum()) / (payload * n_slots)
+        # an erased slot carries its whole payload (at least a bit) as errors,
+        # so the decoded slots are those without one
+        decoded = n_slots - int(np.count_nonzero(slots.bit_errors))
     return FrameStats(
         n_slots=n_slots,
         n_erased=n_erased,
-        ber=errors / (payload * n_slots),
-        data_rate_mbps=delivered / (elapsed_ms * 1e3),
+        ber=ber,
+        data_rate_mbps=payload * decoded / (elapsed_ms * 1e3),
         slot_loss_fraction=n_erased / n_slots,
     )
 
@@ -594,14 +610,14 @@ def sweep_stats(
     rows = []
     for j, (p, prob) in enumerate(zip(ber.tolist(), decode_prob.tolist())):
         if mode == "expected":
-            errors, delivered = _expected_totals(payload, n_erased, [n_clear], [p], [prob])
+            point_ber, decoded = _expected_rollup(n_slots, n_erased, [n_clear], [p], [prob])
         else:
             rng = _mc_stream(seed + j)
-            errors, n_decoded = payload * n_erased, 0
+            errors, decoded = payload * n_erased, 0
             for first in range(0, n_clear, _DRAW_SLOTS):
                 draws = rng.binomial(payload, p, size=min(_DRAW_SLOTS, n_clear - first))
                 errors += int(draws.sum())
-                n_decoded += len(draws) - int(np.count_nonzero(draws))
-            delivered = payload * n_decoded
-        rows.append((errors / (payload * n_slots), delivered / (elapsed_ms * 1e3)))
+                decoded += len(draws) - int(np.count_nonzero(draws))
+            point_ber = errors / (payload * n_slots)
+        rows.append((point_ber, payload * decoded / (elapsed_ms * 1e3)))
     return rows

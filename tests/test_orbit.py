@@ -543,25 +543,55 @@ def _satellite_at_the_zenith():
                    handover_hysteresis_deg=0.0), 1.0
 
 
+def _mega_shell_passes():
+    """The 4,392 satellites of tools/mega_shell.json over a slow aircraft,
+    12 steps of 60 s under a 25 deg mask: a pass of the default budget
+    takes 9 one-row blocks, so the flight crosses a pass edge."""
+    base = resolve_scenario("scenario-7")
+    route = FlightRoute(((0.0, 45.0, 10.0, 500.0), (720.0, 45.2, 10.3, 500.0)))
+    return replace(base, constellation=_walker(base, 72, 61, 550.0, 53.0, 0.0, 1, 0.0),
+                   route=route, duration_s=720.0, handover_threshold_deg=25.0), 60.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_scenarios(), block_span_s=st.floats(1.0, 2000.0),
-       pass_angles=st.floats(0.0, 15.0).map(lambda k: int(2.0 ** k)),
+       pass_angles=st.floats(0.0, 16.0).map(lambda k: int(2.0 ** k)),
        chunk_pairs=st.floats(2.0, 14.0).map(lambda k: int(2.0 ** k)))
 @example(case=_lone_satellite_passes(), block_span_s=128.0, pass_angles=_PASS_ANGLES,
          chunk_pairs=2 ** 14)
 @example(case=_meo_passes(), block_span_s=240.0, pass_angles=240, chunk_pairs=256)
 @example(case=_satellite_at_the_zenith(), block_span_s=_BLOCK_SPAN_S, pass_angles=_PASS_ANGLES,
          chunk_pairs=_CHUNK_PAIRS)
+@example(case=_mega_shell_passes(), block_span_s=_BLOCK_SPAN_S, pass_angles=_PASS_ANGLES,
+         chunk_pairs=_CHUNK_PAIRS)
 def test_kernel_matches_per_step_reference(case, block_span_s, pass_angles, chunk_pairs):
-    # blocks of 1 s to 2000 s, passes of one block up to 2^15 (satellite,
-    # block) cosines and chunks of 4 to 2^14 pairs, drawn log-uniform,
-    # often split a flight and cut chunks inside blocks, so handovers,
-    # outages and the candidate bound meet pass, block and chunk edges
+    # blocks of 1 s to 2000 s, passes of one block up to 2^16 (satellite,
+    # block) cosines, past the default, and chunks of 4 to 2^14 pairs,
+    # drawn log-uniform, often split a flight and cut chunks inside blocks,
+    # so handovers, outages and the candidate bound meet pass, block and
+    # chunk edges
     scenario, step_s = case
     with mock.patch.object(orbit, "_BLOCK_SPAN_S", block_span_s), \
             mock.patch.object(orbit, "_PASS_ANGLES", pass_angles), \
             mock.patch.object(orbit, "_CHUNK_PAIRS", chunk_pairs):
         _assert_kernel_matches_reference(scenario, step_s)
+
+
+def test_pass_product_stays_single_threaded():
+    # a pass's product is (satellites x 6) @ (6 x blocks) with at most
+    # _PASS_ANGLES (satellite, block) cosines for a shell of up to that many
+    # satellites, so m * n * k <= 6 * _PASS_ANGLES.  OpenBLAS starts
+    # threads above 4 * 65,536, and the budget is the largest within it
+    assert 6 * _PASS_ANGLES <= 4 * 65_536 < 6 * (_PASS_ANGLES + 1)
+
+
+@pytest.mark.parametrize("step_s", [1.0, 4.0, 10.0, 30.0, 60.0])
+def test_every_builtin_takes_one_pass(step_s):
+    # a pass takes _PASS_ANGLES // satellites blocks of _block_rows rows
+    for spec in builtin_catalog().scenarios.values():
+        n_steps = int(math.floor(spec.duration_s / step_s + 1e-9))
+        blocks = -(-n_steps // _block_rows(step_s))
+        assert blocks <= _PASS_ANGLES // spec.constellation.total_sats, spec.id
 
 
 def _block_rows(step_s):

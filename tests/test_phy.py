@@ -784,9 +784,10 @@ def _rollup_cases(draw):
 @example(case=dict(scs=120, n_rb=30, mcs=Mcs("16QAM", 0.5), cnr=[4.0, 4.0, 1.0, 4.0],
                    erased=[False] * 320))  # all clear
 def test_expected_rollup_matches_exact_arithmetic(case):
-    # the closed form rounds four times: each group's count x value, the
-    # fsum, the product with the payload and the division, each within
-    # 2**-53 relative on non-negative terms
+    # the BER is exact to one rounding (see test_expected_ber_rounds_once);
+    # the rate rounds four times: each group's count x value, the fsum, the
+    # product with the payload and the division, each within 2**-53
+    # relative on non-negative terms
     phy = PhyConfig(2.0, 30.0, case["scs"], case["n_rb"], case["mcs"])
     num = phy.numerology
     n_frames = len(case["cnr"])
@@ -805,6 +806,52 @@ def test_expected_rollup_matches_exact_arithmetic(case):
             assert abs(value - exact) <= 2.0**-51 * exact, (value, exact)
     if all(case["erased"]):
         assert swept == (stats.ber, stats.data_rate_mbps) == (1.0, 0.0)
+
+
+@st.composite
+def _ber_tables(draw):
+    num = NUMEROLOGIES[draw(st.sampled_from(sorted(NUMEROLOGIES)))]
+    n_frames = draw(st.integers(1, 12))
+    # any BER a channel can give, tiny and subnormal ones included; frames repeat them
+    pool = draw(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4))
+    ber = np.array([draw(st.sampled_from(pool)) for _ in range(n_frames)])
+    erased = np.array(draw(st.lists(st.booleans(), min_size=n_frames * num.slots_per_frame,
+                                    max_size=n_frames * num.slots_per_frame)))
+    payload = draw(st.integers(1, 50_000))
+    return SlotTable(num, "expected", payload, np.zeros(n_frames), ber, (1.0 - ber) ** payload,
+                     erased, np.where(erased, payload, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(slots=_ber_tables())
+@example(slots=SlotTable(NUMEROLOGIES[15], "expected", 7, np.zeros(2),
+                         np.array([0.1, 5e-324]), np.ones(2), np.zeros(20, bool),
+                         np.zeros(20, np.int64)))
+def test_expected_ber_rounds_once(slots):
+    # the BER of an "expected" roll-up is its exact value, erased slots at
+    # 1 and each clear slot at its frame's BER over all slots, rounded once,
+    # so within half an ulp; a float sum rounded before the division can
+    # end up more than one ulp off
+    spf = slots.numerology.slots_per_frame
+    n_clear = spf - slots.erased.reshape(-1, spf).sum(axis=1)
+    exact = (int(np.count_nonzero(slots.erased))
+             + sum(int(c) * Fraction(b) for c, b in zip(n_clear, slots.frame_ber.tolist())))
+    exact /= len(slots)
+    assert aggregate(slots, FRAME_MS * slots.n_frames, mode="expected").ber == float(exact)
+    # a sweep point is one group: all of its frames hold the first frame's BER
+    point = Fraction(int(np.count_nonzero(slots.erased))) + int(n_clear.sum()) * Fraction(
+        float(slots.frame_ber[0]))
+    with mock.patch.object(phy_module, "awgn_ber", lambda mcs, cnr: slots.frame_ber[:1]):
+        ((ber, _),) = sweep_stats(_phy(), np.zeros(1), slots.erased, 10.0, mode="expected")
+    assert ber == float(point / len(slots))
+
+
+def test_expected_rollup_of_a_nan_ber_is_nan():
+    ber = np.array([math.nan, 0.1])
+    slots = SlotTable(NUMEROLOGIES[15], "expected", 7, np.zeros(2), ber, (1.0 - ber) ** 7,
+                      np.zeros(20, bool), np.zeros(20, np.int64))
+    stats = aggregate(slots, 2 * FRAME_MS, mode="expected")
+    assert math.isnan(stats.ber) and math.isnan(stats.data_rate_mbps)
 
 
 @pytest.mark.parametrize("mode", ["mc", "expected"])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rwasim.blades import RotorSpec
 from rwasim.cli import main
@@ -321,6 +321,65 @@ def test_loiter_waypoints_equidistant_from_center(lat, radius, speed, bearing):
     for _, plat, plon, _ in route.points:
         r_km = _central_angle(lat, 10.0, plat, plon) * EARTH_RADIUS
         assert r_km == pytest.approx(radius, rel=1e-9)
+
+
+def _loiter_oracle(lat_deg, lon_deg, alt_m, radius_km, speed_ms, duration_s, interval_s,
+                   bearing_deg):
+    """(time, lat, lon) of each waypoint of a loiter, leg by leg in Python
+    floats, and the sine of each leg's half turn: one waypoint every
+    interval before the end, the last at the end, each leg as long as the
+    speed times its time at the flight altitude, and the textbook
+    destination-point formula from the centre."""
+    times = [k * interval_s for k in range(math.ceil(duration_s / interval_s))]
+    times = [t for t in times if t < duration_s] + [duration_s]
+    arc = radius_km / EARTH_RADIUS
+    lat0, bearing = math.radians(lat_deg), math.radians(bearing_deg)
+    points, sin_half_turns = [], []
+    for k, t in enumerate(times):
+        if k:
+            leg = (t - times[k - 1]) * speed_ms / (2000.0 * EARTH_RADIUS + 2.0 * alt_m)
+            sin_half_turns.append(math.sin(leg) / math.sin(arc))
+            bearing += 2.0 * math.asin(min(1.0, sin_half_turns[-1]))
+        lat = math.asin(math.sin(lat0) * math.cos(arc)
+                        + math.cos(lat0) * math.sin(arc) * math.cos(bearing))
+        lon = lon_deg + math.degrees(math.atan2(math.sin(bearing) * math.sin(arc) * math.cos(lat0),
+                                                math.cos(arc) - math.sin(lat0) * math.sin(lat)))
+        points.append((t, math.degrees(lat), lon))
+    return points, sin_half_turns
+
+
+@st.composite
+def _loiters(draw):
+    # binary and non-binary intervals, and durations they do and do not divide
+    interval = draw(st.one_of(st.sampled_from([0.1, 0.3, 1.0, 2.5, 5.0, 7.3]),
+                              st.floats(0.1, 60.0)))
+    duration = draw(st.one_of(st.floats(0.0, 300.0),
+                              st.integers(0, 300).map(lambda k: k * interval)))
+    return dict(lat_deg=draw(st.floats(-85.0, 85.0)), lon_deg=draw(st.floats(-180.0, 180.0)),
+                alt_m=draw(st.floats(0.0, 3000.0)), radius_km=draw(st.floats(1.0, 50.0)),
+                speed_ms=draw(st.floats(5.0, 80.0)), duration_s=duration,
+                interval_s=interval, bearing_deg=draw(st.floats(0.0, 360.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_loiters())
+def test_loiter_matches_the_per_leg_formula(case):
+    points, sin_half_turns = _loiter_oracle(**case)
+    # away from a leg that only just fits across the circle
+    assume(all(abs(x - 1.0) > 1e-9 for x in sin_half_turns))
+    args = [case[k] for k in ("lat_deg", "lon_deg", "alt_m", "radius_km", "speed_ms",
+                              "duration_s", "interval_s", "bearing_deg")]
+    if max(sin_half_turns, default=0.0) > 1.0:
+        with pytest.raises(ConfigError, match="fit across the circle"):
+            loiter_route(*args)
+        return
+    route = loiter_route(*args)
+    expected = np.array(points)
+    assert route.points[:, 0].tolist() == expected[:, 0].tolist()
+    assert np.all(route.points[:, 3] == case["alt_m"])
+    np.testing.assert_allclose(route.points[:, 1], expected[:, 1], rtol=0.0, atol=1e-8)
+    east = (route.points[:, 2] - expected[:, 2] + 180.0) % 360.0 - 180.0
+    np.testing.assert_allclose(east, 0.0, rtol=0.0, atol=1e-8)
 
 
 # === scenario cross-validation ===
