@@ -11,10 +11,17 @@ slots, the sum of ``bit_errors`` and the CNR, read back from its
 ``<id>-blades.csv`` (rotor scenarios only) are its plain tables, which
 do not depend on the mode, so both modes' runs are checked against them:
 they pin which satellite serves when, where handovers fall, the link
-budget and the blade segments.  Ints, ids and strings must match
-exactly and floats within 1e-9 relative, so a refactor shows it keeps
-behaviour without regenerating these files.  A change that does
-regenerate them says why.
+budget and the blade segments.
+
+``tests/golden/<id>-<mode>-sweep.csv`` is the ``sweep.csv`` of
+
+    rwasim sweep --scenario <id> --cnr-min -5 --cnr-max 20 --points 26 --frames 20 --seed 0 --mode <mode>
+
+for a rotor scenario of each numerology in the sweeps (``SWEEPS``).
+
+Ints, ids and strings must match exactly and floats within 1e-9
+relative, so a refactor shows it keeps behaviour without regenerating
+these files.  A change that does regenerate them says why.
 """
 
 import csv
@@ -32,6 +39,10 @@ SCENARIOS = ("scenario-6", "scenario-7", "scenario-11",
 RUN_ARGS = ("--step", "60", "--frames", "50", "--seed", "0")
 # the plain tables of a run, the same in either mode; blades.csv only with a rotor
 TABLES = ("access.csv", "link.csv", "blades.csv")
+# scenario-7 has 40 slots a frame, scenario-19 80
+SWEEPS = ("scenario-7", "scenario-19")
+SWEEP_ARGS = ("--cnr-min", "-5", "--cnr-max", "20", "--points", "26", "--frames", "20",
+              "--seed", "0")
 INT_COLUMNS = {"sat_id"}
 
 
@@ -92,6 +103,17 @@ def test_report_matches_golden(tmp_path, capsys, scenario_id, mode):
         assert (run_dir / table).exists() == golden.exists(), table
         if golden.exists():
             assert _mismatches(read_table(golden), read_table(run_dir / table), table) == []
+
+
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+@pytest.mark.parametrize("scenario_id", SWEEPS)
+def test_sweep_matches_golden(tmp_path, capsys, scenario_id, mode):
+    assert main(["sweep", "--scenario", scenario_id, *SWEEP_ARGS, "--mode", mode,
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    want = read_table(GOLDEN / f"{scenario_id}-{mode}-sweep.csv")
+    got = read_table(tmp_path / scenario_id / "sweep.csv")
+    assert _mismatches(want, got, "sweep.csv") == []
 
 
 def test_golden_comparison_catches_drift():

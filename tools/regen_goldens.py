@@ -11,7 +11,10 @@ and the per-frame facts of its ``slots.csv`` as
 ``tests/golden/<id>-<mode>-frames.json``.  The ``mc`` run's
 ``access.csv``, ``link.csv`` and ``blades.csv`` (rotor scenarios only),
 which do not depend on the mode, go to ``tests/golden/<id>-<table>``.
-All come from the same runs, so they cannot drift apart.  A change that
+All come from the same runs, so they cannot drift apart.  For each
+scenario of the golden sweeps in both modes it runs ``rwasim sweep``
+with the gate's arguments and writes its ``sweep.csv`` as
+``tests/golden/<id>-<mode>-sweep.csv``.  A change that
 regenerates the goldens says which ones and why.
 """
 
@@ -25,7 +28,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from test_golden import GOLDEN, RUN_ARGS, SCENARIOS, TABLES, frame_facts  # noqa: E402
+from test_golden import (GOLDEN, RUN_ARGS, SCENARIOS, SWEEP_ARGS, SWEEPS, TABLES,  # noqa: E402
+                         frame_facts)
 
 from rwasim.cli import main  # noqa: E402
 
@@ -47,6 +51,14 @@ def regen() -> None:
                     for table in TABLES:
                         if (run_dir / table).exists():
                             shutil.copyfile(run_dir / table, GOLDEN / f"{scenario_id}-{table}")
+        for scenario_id in SWEEPS:
+            for mode in ("mc", "expected"):
+                out = Path(tmp) / f"sweep-{mode}"
+                if main(["sweep", "--scenario", scenario_id, *SWEEP_ARGS, "--mode", mode,
+                         "--out", str(out)]) != 0:
+                    raise SystemExit(f"error: {scenario_id} {mode} sweep failed")
+                shutil.copyfile(out / scenario_id / "sweep.csv",
+                                GOLDEN / f"{scenario_id}-{mode}-sweep.csv")
 
 
 if __name__ == "__main__":
