@@ -360,9 +360,11 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
             * math.cos(math.radians(threshold)) / a))
         bound = reach + drift + up_move + _CANDIDATE_MARGIN_RAD
         keep = w @ zen[mid].T >= np.where(bound < math.pi, np.cos(bound), -np.inf)
-        # candidates per block: a boolean matrix's indices come from its flat
-        # ones, in np.nonzero's order and several times faster
-        count = np.bincount(keep.ravel().nonzero()[0] % len(starts), minlength=len(starts))
+        # the (satellite, block) of every candidate, satellite-major, from one
+        # scan that the chunks share: a boolean matrix's indices come from
+        # its flat ones, in np.nonzero's order and several times faster
+        cand_of, block_of = divmod(keep.ravel().nonzero()[0], len(starts))
+        count = np.bincount(block_of, minlength=len(starts))
         # cut the pass into chunks of rows whose pairs fit _CHUNK_PAIRS
         row_pairs = count.repeat(ends - starts)
         chunk = (row_pairs.cumsum() - row_pairs) // _CHUNK_PAIRS
@@ -371,7 +373,8 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
             # the chunk's blocks, cut to its rows, and each candidate of a
             # block on every row of it, satellite-major
             b0, b1 = (first - lo) // rows, (last - 1 - lo) // rows + 1
-            cand, piece = divmod(keep[:, b0:b1].ravel().nonzero()[0], b1 - b0)
+            in_chunk = (block_of >= b0) & (block_of < b1)
+            cand, piece = cand_of[in_chunk], block_of[in_chunk] - b0
             start = np.maximum(starts[b0:b1], first)
             lens = (np.minimum(ends[b0:b1], last) - start).take(piece)
             sat = cand.repeat(lens)

@@ -285,6 +285,18 @@ MAX_SLOTS = 80_000_000
 _DRAW_SLOTS = 2**13
 
 
+def _silent(ber: np.ndarray) -> np.ndarray:
+    """bool per BER: an "mc" draw at it can only be 0.
+
+    At ``1.0 - p == 1.0`` numpy's binomial takes its inversion path with
+    ``(1 - p) ** n == 1``, so it returns 0 after exactly one double from
+    the generator, one PCG64 output; at ``p == 0`` it returns 0 and
+    consumes nothing.  So the slots of such a BER are set to 0 and the
+    generator is advanced past their draws instead of drawing them.
+    """
+    return 1.0 - ber == 1.0
+
+
 def check_slot_budget(n_frames: int, numerology: Numerology) -> None:
     """Raise a ConfigError on ``n_frames`` when its slots exceed ``MAX_SLOTS``."""
     spf = numerology.slots_per_frame
@@ -448,7 +460,8 @@ def simulate_frames(
         "expected" is deterministic and records the expected error count.
 
     Returns the outcomes as a :class:`SlotTable` in slot order.  Raises
-    a ConfigError on ``n_frames`` above the slot budget ``MAX_SLOTS``.
+    a ConfigError on ``n_frames`` above the slot budget ``MAX_SLOTS``,
+    and a ValueError on a NaN CNR (an infinite one is a valid channel).
     """
     if mode not in ("mc", "expected"):
         raise ValueError("mode must be 'mc' or 'expected'")
@@ -465,6 +478,8 @@ def simulate_frames(
         raise ValueError("cnr_db must be scalar or per-frame")
     # per frame, so a scalar CNR takes numpy's array power like any other
     cnr = np.broadcast_to(cnr, (n_frames,))
+    if np.isnan(cnr).any():
+        raise ValueError("cnr_db must not be NaN")
     # channel BER per frame: q_function calls erfc once per distinct value
     ber = awgn_ber(phy.mcs, cnr)
 
@@ -486,15 +501,27 @@ def simulate_frames(
 
     if mode == "mc":
         bit_errors = np.full(n_frames * spf, payload, dtype=np.int64)
-        n_clear = spf - np.count_nonzero(erased.reshape(n_frames, spf), axis=1)
+        n_clear = spf - erased.reshape(n_frames, spf).sum(axis=1)
         rng = _mc_stream(seed)
         step = max(1, _DRAW_SLOTS // spf)
-        # the clear slots in slot order, a chunk of frames per call
-        for first in range(0, n_frames, step):
-            f = slice(first, first + step)
-            s = slice(f.start * spf, f.stop * spf)
-            p = np.repeat(ber[f], n_clear[f])
-            bit_errors[s][~erased[s]] = rng.binomial(payload, p)
+        silent = _silent(ber)
+        # the first frame of each maximal run of silent or of drawn frames
+        # (none without frames)
+        starts = [0, *((silent[1:] != silent[:-1]).nonzero()[0] + 1).tolist()][:n_frames]
+        for lo, hi in zip(starts, [*starts[1:], n_frames]):
+            if silent[lo]:
+                # the clear slots take 0 bit errors and the stream moves
+                # past the one output each slot with a nonzero BER draws
+                f, s = slice(lo, hi), slice(lo * spf, hi * spf)
+                bit_errors[s][~erased[s]] = 0
+                rng.bit_generator.advance(int(n_clear[f].sum(where=ber[f] > 0.0)))
+                continue
+            # the clear slots in slot order, a chunk of frames per call
+            for first in range(lo, hi, step):
+                f = slice(first, min(first + step, hi))
+                s = slice(f.start * spf, f.stop * spf)
+                p = np.repeat(ber[f], n_clear[f])
+                bit_errors[s][~erased[s]] = rng.binomial(payload, p)
     else:
         bit_errors = np.repeat(np.round(ber * payload).astype(np.int64), spf)
         bit_errors[erased] = payload
@@ -591,7 +618,8 @@ def sweep_stats(
     alone, with its CNR per frame and seed ``seed + j``: in "mc" mode its
     clear slots draw from that seed's stream in slot order, and in
     "expected" mode its frames make one group of :func:`aggregate`'s
-    closed form.
+    closed form.  A point's stream is its own, so a point whose draws can
+    only be 0 (:func:`_silent`) builds none.  A NaN CNR is a ValueError.
     """
     if mode not in ("mc", "expected"):
         raise ValueError("mode must be 'mc' or 'expected'")
@@ -601,6 +629,8 @@ def sweep_stats(
     if n_slots == 0:
         raise ValueError("cannot aggregate a point of no slots")
     payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
+    if np.isnan(cnr_db).any():
+        raise ValueError("cnr_db must not be NaN")
     ber = awgn_ber(phy.mcs, cnr_db)
     # numpy's array power, as in simulate_frames: Python's float power
     # can differ in the last bit
@@ -608,16 +638,20 @@ def sweep_stats(
     n_erased = int(np.count_nonzero(erased))
     n_clear = n_slots - n_erased
     rows = []
+    silent = _silent(ber).tolist()
     for j, (p, prob) in enumerate(zip(ber.tolist(), decode_prob.tolist())):
         if mode == "expected":
             point_ber, decoded = _expected_rollup(n_slots, n_erased, [n_clear], [p], [prob])
         else:
-            rng = _mc_stream(seed + j)
             errors, decoded = payload * n_erased, 0
-            for first in range(0, n_clear, _DRAW_SLOTS):
-                draws = rng.binomial(payload, p, size=min(_DRAW_SLOTS, n_clear - first))
-                errors += int(draws.sum())
-                decoded += len(draws) - int(np.count_nonzero(draws))
+            if silent[j]:  # every clear slot draws 0 bit errors: no stream is built
+                decoded = n_clear
+            else:
+                rng = _mc_stream(seed + j)
+                for first in range(0, n_clear, _DRAW_SLOTS):
+                    draws = rng.binomial(payload, p, size=min(_DRAW_SLOTS, n_clear - first))
+                    errors += int(draws.sum())
+                    decoded += len(draws) - int(np.count_nonzero(draws))
             point_ber = errors / (payload * n_slots)
         rows.append((point_ber, payload * decoded / (elapsed_ms * 1e3)))
     return rows

@@ -17,7 +17,7 @@ budget and the blade segments.
 
     rwasim sweep --scenario <id> --cnr-min -5 --cnr-max 20 --points 26 --frames 20 --seed 0 --mode <mode>
 
-for a rotor scenario of each numerology in the sweeps (``SWEEPS``).
+for the rotor scenarios in ``SWEEPS``: one of 40 slots a frame, one of 80.
 
 Ints, ids and strings must match exactly and floats within 1e-9
 relative, so a refactor shows it keeps behaviour without regenerating
@@ -39,7 +39,6 @@ SCENARIOS = ("scenario-6", "scenario-7", "scenario-11",
 RUN_ARGS = ("--step", "60", "--frames", "50", "--seed", "0")
 # the plain tables of a run, the same in either mode; blades.csv only with a rotor
 TABLES = ("access.csv", "link.csv", "blades.csv")
-# scenario-7 has 40 slots a frame, scenario-19 80
 SWEEPS = ("scenario-7", "scenario-19")
 SWEEP_ARGS = ("--cnr-min", "-5", "--cnr-max", "20", "--points", "26", "--frames", "20",
               "--seed", "0")

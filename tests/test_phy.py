@@ -34,6 +34,7 @@ from rwasim.phy import (
     uncoded_ber,
     validate_channel,
 )
+from rwasim.scenarios import builtin_catalog
 
 QPSK_HALF = Mcs("QPSK", 0.5)
 
@@ -672,6 +673,156 @@ def test_expanded_columns_equal_per_slot_columns(case):
         assert np.array_equal(got, column), name
         # a slice of frames is numbered as in the whole table
         assert np.array_equal(getattr(part, name), column[first * spf:stop * spf]), name
+
+
+# --- silent draws: BERs whose "mc" draw can only be 0 ---
+
+# 1 - p == 1 for each of these; 2**-53 is the smallest BER with 1 - p < 1
+SILENT_BERS = (5e-324, 1e-300, 2.0**-54, 1e-17)
+
+
+def _builtin_payloads():
+    return sorted({transport_block_size(s.phy.n_rb, s.phy.mcs, s.phy.overhead)
+                   for s in builtin_catalog().scenarios.values()})
+
+
+@pytest.mark.parametrize("p", SILENT_BERS)
+def test_binomial_at_a_silent_ber_is_zero_from_one_output_a_draw(p):
+    # what the skip of silent slots rests on: at 1 - p == 1 numpy's
+    # binomial returns 0 after one output of the generator, so it leaves
+    # the generator where advance(k) does; at p == 0 it takes none
+    assert 1.0 - p == 1.0 and phy_module._silent(np.array([p])).all()
+    for payload in _builtin_payloads():
+        for seed, k in ((0, 1), (1, 17), (2, 2_000)):
+            drawn, skipped, still = (phy_module._mc_stream(seed) for _ in range(3))
+            assert not drawn.binomial(payload, p, size=k).any()
+            assert not drawn.binomial(payload, np.full(k, p)).any()
+            skipped.bit_generator.advance(2 * k)
+            assert drawn.bit_generator.state == skipped.bit_generator.state
+            assert drawn.binomial(payload, 0.01, size=5).tolist() == \
+                skipped.binomial(payload, 0.01, size=5).tolist()
+            assert not still.binomial(payload, 0.0, size=k).any()
+            assert not still.binomial(payload, np.zeros(k)).any()
+            assert still.bit_generator.state == phy_module._mc_stream(seed).bit_generator.state
+    assert 1.0 - 2.0**-53 != 1.0 and not phy_module._silent(np.array([2.0**-53])).any()
+
+
+class _CountingStream:
+    """An "mc" stream that counts the draws it makes and the outputs it skips."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn, self.skipped = rng, 0, 0
+        self.bit_generator = self
+
+    def binomial(self, n, p, size=None):
+        draws = self.rng.binomial(n, p, size)
+        self.drawn += draws.size
+        return draws
+
+    def advance(self, delta):
+        self.skipped += delta
+        self.rng.bit_generator.advance(delta)
+
+
+def test_only_silent_slots_skip_their_draws():
+    # frames at 2**-53 and 0.1 draw every clear slot, frames at a silent
+    # BER skip one output a clear slot, frames at 0 neither; a sweep point
+    # at a silent BER or at 0 builds no stream
+    phy = _phy()  # 20 slots per frame
+    ber = np.array([2.0**-53, 2.0**-53, 1e-17, 0.0, 1e-17, 0.1, 0.0])
+    erased = np.zeros(7 * 20, dtype=bool)
+    erased[::3] = True
+    n_clear = 20 - erased.reshape(7, 20).sum(axis=1)
+    streams, stream_of = [], phy_module._mc_stream
+
+    def counting(seed):
+        streams.append(_CountingStream(stream_of(seed)))
+        return streams[-1]
+
+    with mock.patch.object(phy_module, "awgn_ber", lambda mcs, cnr: ber.copy()), \
+            mock.patch.object(phy_module, "_mc_stream", counting):
+        simulate_frames(phy, np.zeros(7), 7, mode="mc", erased=erased)
+        (stream,) = streams
+        assert stream.drawn == n_clear[[0, 1, 5]].sum()
+        assert stream.skipped == n_clear[[2, 4]].sum()
+        streams.clear()
+        sweep_stats(phy, np.zeros(7), erased, 7 * FRAME_MS, mode="mc")
+        assert [s.drawn for s in streams] == [len(erased) - erased.sum()] * 3
+        assert [s.skipped for s in streams] == [0] * 3
+
+
+@st.composite
+def _draw_cases(draw):
+    scs = draw(st.sampled_from(sorted(NUMEROLOGIES)))
+    phy = PhyConfig(2.0, 30.0, scs, draw(st.integers(1, 25)),
+                    Mcs(draw(st.sampled_from(sorted(MODULATION_ORDER))), 0.5))
+    spf = phy.numerology.slots_per_frame
+    n_frames = draw(st.integers(0, 12))
+    # either BERs themselves, silent ones and those just above among them,
+    # or CNRs, infinite ones among them, in runs of frames of one value, so
+    # that silent runs start and end anywhere in a chunk of draws
+    given_ber = draw(st.booleans())
+    value = (st.sampled_from([0.0, *SILENT_BERS, 2.0**-53, 1e-9, 0.01, 0.5]) if given_ber
+             else st.one_of(st.sampled_from([math.inf, -math.inf]), st.floats(-5.0, 40.0)))
+    values = []
+    while len(values) < n_frames:
+        values += [draw(value)] * draw(st.integers(1, 4))
+    share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    return dict(
+        phy=phy, given_ber=given_ber, values=np.array(values[:n_frames]),
+        erased=rng.random(n_frames * spf) < share,
+        seed=draw(st.integers(0, 2**64)),
+        draw_slots=draw(st.sampled_from([1, 7, spf, 3 * spf + 1, phy_module._DRAW_SLOTS])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_draw_cases())
+@example(case=dict(phy=_phy(), given_ber=True, values=np.zeros(0), erased=np.zeros(0, bool),
+                   seed=0, draw_slots=phy_module._DRAW_SLOTS))  # no frames
+def test_mc_draws_equal_a_plain_draw_of_every_clear_slot(case):
+    # simulate_frames draws every clear slot in slot order from the run's
+    # stream, and sweep_stats every clear slot of point j from the stream
+    # of seed + j, whatever they skip
+    phy, values, erased, seed = case["phy"], case["values"], case["erased"], case["seed"]
+    n_frames, spf = len(values), phy.numerology.slots_per_frame
+    payload = transport_block_size(phy.n_rb, phy.mcs, phy.overhead)
+    ber = values if case["given_ber"] else awgn_ber(phy.mcs, values)
+    channel = (lambda mcs, cnr: ber.copy()) if case["given_ber"] else awgn_ber
+    with mock.patch.object(phy_module, "awgn_ber", channel), \
+            mock.patch.object(phy_module, "_DRAW_SLOTS", case["draw_slots"]):
+        slots = simulate_frames(phy, values, n_frames, mode="mc", seed=seed, erased=erased)
+        swept = (sweep_stats(phy, values, erased, n_frames * FRAME_MS, mode="mc", seed=seed)
+                 if n_frames else [])
+    want = np.full(n_frames * spf, payload, dtype=np.int64)
+    want[~erased] = phy_module._mc_stream(seed).binomial(payload, np.repeat(ber, spf)[~erased])
+    assert np.array_equal(slots.bit_errors, want)
+    n_erased, n_clear = int(erased.sum()), int((~erased).sum())
+    for j, p in enumerate(ber.tolist()):
+        draws = phy_module._mc_stream(seed + j).binomial(payload, p, size=n_clear)
+        errors = payload * n_erased + int(draws.sum())
+        decoded = n_clear - int(np.count_nonzero(draws))
+        assert swept[j] == (errors / (payload * len(erased)),
+                            payload * decoded / (n_frames * FRAME_MS * 1e3))
+
+
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+def test_a_nan_cnr_is_a_value_error(mode):
+    # a NaN CNR has no BER; an infinite one is a channel: no bit errors at
+    # +inf, a BER of 1/2 at -inf
+    phy = _phy()  # 20 slots per frame
+    for cnr in (math.nan, np.array([3.0, math.nan])):
+        with pytest.raises(ValueError, match="cnr_db"):
+            simulate_frames(phy, cnr, 2, mode=mode)
+    with pytest.raises(ValueError, match="cnr_db"):
+        sweep_stats(phy, np.array([3.0, math.nan]), np.zeros(40, dtype=bool), 2 * FRAME_MS,
+                    mode=mode)
+    slots = simulate_frames(phy, np.array([math.inf, -math.inf]), 2, mode=mode)
+    assert slots.frame_ber.tolist() == [0.0, 0.5]
+    assert not slots.bit_errors[:20].any() and slots.bit_errors[20:].all()
+    rows = sweep_stats(phy, np.array([math.inf, -math.inf]), np.zeros(40, dtype=bool),
+                       2 * FRAME_MS, mode=mode)
+    assert rows[0][0] == 0.0 and rows[1][0] == pytest.approx(0.5, abs=0.01)
 
 
 def test_expected_decoded_is_decode_probability_above_half():
