@@ -7,8 +7,8 @@ interval once per rotation, and the link is clear in between.  The arc
 blocked by one blade depends on where the antenna boresight crosses the
 rotor disk, which in turn depends on the satellite elevation.  The
 geometry functions take scalars or numpy arrays of elevations, and
-:func:`slot_blocked_blocks` gives the per-slot blocked time the PHY
-thresholds into erasures, a block of frames at a time.
+:func:`slot_blocked_ms` gives the per-slot blocked time of a set of frames,
+which the PHY thresholds into erasures.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from .errors import ConfigError
 
 # relative change of blocked time that rebuilds the schedule in force
 REGEN_FRACTION = 0.05
-
-# Slots per block of frames in `slot_blocked_blocks`: bounds its temporaries.
-_BLOCK_SLOTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -226,46 +223,19 @@ def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
 
     ``schedules`` applies to every frame or has one entry per frame (0 ms
     blocked: a clear frame).  Frame ``f`` starts at ``frame_offsets_ms[f]``
-    on a continuous rotor clock.  The array is filled from the blocks of
-    :func:`slot_blocked_blocks`; a run or a sweep thresholds those blocks
-    into erased flags instead, so it never holds this array.
-    """
-    offsets = np.asarray(frame_offsets_ms, dtype=float)
-    blocked = np.empty((len(offsets), slots_per_frame))
-    for first, block in slot_blocked_blocks(schedules, offsets, slot_ms, slots_per_frame):
-        blocked[first:first + len(block)] = block
-    return blocked
-
-
-def slot_blocked_blocks(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
-                        slots_per_frame: int):
-    """Yield ``(first frame, blocked)`` for each block of ``_BLOCK_SLOTS``
-    slots, ``blocked`` the (frames, slots) blocked times of its frames.
-
-    Arguments are those of :func:`slot_blocked_ms`.  Frame ``f`` sees the
-    blade pulses that start every period over one frame at phase
-    ``frame_offsets_ms[f] % period``: pulse ``j`` starts at
-    ``(k0 + j) * period - phase``, is clipped to the frame and adds its
-    overlap to every slot it touches.  A slot sums those overlaps in pulse
-    order, the terms and order of a walk over its frame's intervals.
-    Slots blocked for exactly the erase threshold (blade edges on slot
-    boundaries) are decided by this arithmetic, so it must not change.
-    Blocks bound the temporaries and change no slot's sum.
+    on a continuous rotor clock and sees the blade pulses that start every
+    period over one frame at phase ``frame_offsets_ms[f] % period``: pulse
+    ``j`` starts at ``(k0 + j) * period - phase``, is clipped to the frame
+    and adds its overlap to every slot it touches, and only those slots
+    are visited.  A slot sums those overlaps in pulse order, the terms and
+    order of a walk over its frame's intervals, so any split of the frames
+    into calls gives every slot the same sum.  Slots blocked for exactly
+    the erase threshold (blade edges on slot boundaries) are decided by
+    this arithmetic, so it must not change.
     """
     offsets = np.asarray(frame_offsets_ms, dtype=float)
     width = np.broadcast_to(schedules.blocked_ms, offsets.shape)
     period = np.broadcast_to(schedules.period_ms, offsets.shape)
-    step = max(1, _BLOCK_SLOTS // slots_per_frame)
-    for first in range(0, len(offsets), step):
-        block = slice(first, first + step)
-        yield first, _pulse_sums(offsets[block], width[block], period[block], slot_ms,
-                                 slots_per_frame)
-
-
-def _pulse_sums(offsets: np.ndarray, width: np.ndarray, period: np.ndarray,
-                slot_ms: float, slots_per_frame: int) -> np.ndarray:
-    """Blocked time of each frame's slots, (frames, slots), visiting only
-    the slots that a pulse touches."""
     frame_ms = slots_per_frame * slot_ms
     rows = np.flatnonzero(width > 0.0)
     if rows.size == 0:

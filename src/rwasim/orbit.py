@@ -149,15 +149,6 @@ def _shell_angles(spec: ConstellationSpec) -> tuple[np.ndarray, np.ndarray, np.n
             phase)
 
 
-def expand_constellation(spec: ConstellationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inclination, RAAN and argument of latitude at the epoch (deg) of
-    every satellite, as columns in plane-major order (see `_shell_angles`).
-    """
-    inclination, raan, phase = _shell_angles(spec)
-    return (np.repeat(inclination, spec.sats_per_plane), np.repeat(raan, spec.sats_per_plane),
-            phase.ravel())
-
-
 # === access timeline ===
 
 @dataclass

@@ -75,22 +75,15 @@ class NtnBand:
     uplink_ghz: tuple[float, float]
     downlink_ghz: tuple[float, float]
     bandwidths_mhz: tuple[float, ...]
-    scs_khz: tuple[int, ...]
 
 
 NTN_BANDS: dict[str, NtnBand] = {
-    "n254": NtnBand("n254", "FR1", (1.61, 1.63), (2.48, 2.50),
-                    (5.0, 10.0, 15.0), (15, 30, 60)),
-    "n255": NtnBand("n255", "FR1", (1.63, 1.66), (1.53, 1.56),
-                    (5.0, 10.0, 15.0, 20.0), (15, 30, 60)),
-    "n256": NtnBand("n256", "FR1", (1.98, 2.01), (2.17, 2.20),
-                    (5.0, 10.0, 15.0, 20.0, 30.0), (15, 30, 60)),
-    "n510": NtnBand("n510", "FR2", (27.50, 28.35), (17.30, 20.20),
-                    (50.0, 100.0, 200.0, 400.0), (60, 120)),
-    "n511": NtnBand("n511", "FR2", (28.35, 30.00), (17.30, 20.20),
-                    (50.0, 100.0, 200.0, 400.0), (60, 120)),
-    "n512": NtnBand("n512", "FR2", (27.50, 30.00), (17.30, 20.20),
-                    (50.0, 100.0, 200.0, 400.0), (60, 120)),
+    "n254": NtnBand("n254", "FR1", (1.61, 1.63), (2.48, 2.50), (5.0, 10.0, 15.0)),
+    "n255": NtnBand("n255", "FR1", (1.63, 1.66), (1.53, 1.56), (5.0, 10.0, 15.0, 20.0)),
+    "n256": NtnBand("n256", "FR1", (1.98, 2.01), (2.17, 2.20), (5.0, 10.0, 15.0, 20.0, 30.0)),
+    "n510": NtnBand("n510", "FR2", (27.50, 28.35), (17.30, 20.20), (50.0, 100.0, 200.0, 400.0)),
+    "n511": NtnBand("n511", "FR2", (28.35, 30.00), (17.30, 20.20), (50.0, 100.0, 200.0, 400.0)),
+    "n512": NtnBand("n512", "FR2", (27.50, 30.00), (17.30, 20.20), (50.0, 100.0, 200.0, 400.0)),
 }
 
 
@@ -197,12 +190,6 @@ def validate_channel(phy: PhyConfig, direction: str) -> None:
             f"bandwidth {phy.bandwidth_mhz} MHz not offered by {band.name} "
             f"(choose from {band.bandwidths_mhz})",
             field="bandwidth_mhz",
-        )
-    if phy.scs_khz not in band.scs_khz:
-        raise ConfigError(
-            f"{phy.scs_khz} kHz spacing not offered by {band.name} "
-            f"(choose from {band.scs_khz})",
-            field="scs_khz",
         )
 
 

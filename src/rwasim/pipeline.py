@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain,
                          pointing_offset, rescale_cnr)
 from .orbit import AccessTimeline, build_access_timeline
-from .phy import (FRAME_MS, FrameStats, Numerology, SlotTable, aggregate, check_slot_budget,
+from .phy import (FRAME_MS, FrameStats, SlotTable, aggregate, check_slot_budget,
                   erased_slots, simulate_frames, sweep_stats)
 from .scenarios import ScenarioSpec
 
@@ -197,6 +197,11 @@ def build_report(
     return report
 
 
+# Slots per block of frames in `_rotor_erased`: bounds the blocked times
+# and kernel temporaries held at once.
+_BLOCK_SLOTS = 2**16
+
+
 def _rotor_erased(scenario: ScenarioSpec, frame_blocked: np.ndarray, seed: int) -> np.ndarray:
     """Erased flags of every slot of a run's or a sweep point's frames.
 
@@ -206,25 +211,23 @@ def _rotor_erased(scenario: ScenarioSpec, frame_blocked: np.ndarray, seed: int) 
     they sample spread-out flight times), from the scenario's blade phase,
     plus a draw from ``seed`` when it randomizes the phase; a flight-time
     clock would strobe the rotor whenever the frame spacing hits a
-    multiple of the blade period.
+    multiple of the blade period.  The blocked times are thresholded a
+    block of frames at a time, so those of all the frames are never held
+    at once; blocks change no slot's sum.
     """
     phase = scenario.blade_phase_ms
     if scenario.randomize_blade_phase:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB1ADE)))
         phase += float(rng.uniform(0.0, 1000.0))
     offsets = np.arange(len(frame_blocked)) * FRAME_MS + phase
-    return _slot_erased(bl.schedule(scenario.aircraft.rotor, frame_blocked), offsets,
-                        scenario.phy.numerology)
-
-
-def _slot_erased(schedules: bl.BladeSchedule, frame_offsets_ms: np.ndarray,
-                 num: Numerology) -> np.ndarray:
-    """``erased_slots`` of ``blades.slot_blocked_ms``, one bool per slot,
-    thresholded a block of frames at a time, so the blocked times of all
-    the frames are never held at once."""
+    rotor, num = scenario.aircraft.rotor, scenario.phy.numerology
     spf = num.slots_per_frame
-    erased = np.empty(len(frame_offsets_ms) * spf, dtype=bool)
-    for first, blocked in bl.slot_blocked_blocks(schedules, frame_offsets_ms, num.slot_ms, spf):
+    step = max(1, _BLOCK_SLOTS // spf)
+    erased = np.empty(len(offsets) * spf, dtype=bool)
+    for first in range(0, len(offsets), step):
+        f = slice(first, first + step)
+        blocked = bl.slot_blocked_ms(bl.schedule(rotor, frame_blocked[f]), offsets[f],
+                                     num.slot_ms, spf)
         erased[first * spf:first * spf + blocked.size] = erased_slots(blocked, num)
     return erased
 

@@ -666,16 +666,11 @@ def load_catalog(path: str | Path) -> Catalog:
     return parse_catalog(doc)
 
 
-_BUILTIN: Catalog | None = None
-
-
+@cache
 def builtin_catalog() -> Catalog:
     """The packaged reference catalog (parsed once per process)."""
-    global _BUILTIN
-    if _BUILTIN is None:
-        text = resources.files("rwasim").joinpath("data/builtin.json").read_text()
-        _BUILTIN = parse_catalog(json.loads(text))
-    return _BUILTIN
+    text = resources.files("rwasim").joinpath("data/builtin.json").read_text()
+    return parse_catalog(json.loads(text))
 
 
 def resolve_scenario(token: str) -> ScenarioSpec:

@@ -1,13 +1,11 @@
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blade_intervals import blocked_intervals
-from rwasim import blades
 from rwasim.blades import (
     BladeGeometry,
     BladeSchedule,
@@ -22,8 +20,7 @@ from rwasim.blades import (
     speed_ratios,
 )
 from rwasim.errors import ConfigError
-from rwasim.phy import FRAME_MS, NUMEROLOGIES, erased_slots
-from rwasim.pipeline import _slot_erased
+from rwasim.phy import FRAME_MS, NUMEROLOGIES
 
 H135 = RotorSpec(n_blades=4, blade_width_m=0.29, rpm=400,
                  shaft_offset_m=3.45, rotor_height_m=0.5, tip_radius_m=5.2)
@@ -322,16 +319,9 @@ def test_slot_blocked_equals_per_frame_walk(case):
     columnar = BladeSchedule(*(np.array([getattr(s, f.name) for s in schedules])
                                for f in dataclasses.fields(BladeSchedule)))
     want = _walk_blocked(schedules, offsets, num.slot_ms, num.slots_per_frame)
-    # blocks of frames change no sum and no flag: one block, one frame a
-    # block, three frames a block
-    for block_slots in (blades._BLOCK_SLOTS, 1, 3 * num.slots_per_frame):
-        with mock.patch.object(blades, "_BLOCK_SLOTS", block_slots):
-            got = slot_blocked_ms(columnar, offsets, num.slot_ms, num.slots_per_frame)
-            flags = _slot_erased(columnar, offsets, num)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
-        assert flags.dtype == bool
-        assert np.array_equal(flags, erased_slots(want, num))
+    got = slot_blocked_ms(columnar, offsets, num.slot_ms, num.slots_per_frame)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
 
 
 def test_timeline_regeneration_threshold():

@@ -75,6 +75,13 @@ def test_unknown_band_rejected():
         atmospheric_loss(MODEL, "X", 40.0)
 
 
+def test_model_without_the_band_names_the_band():
+    # a library caller's model may leave out a band the scenario uses
+    with pytest.raises(ConfigError) as err:
+        atmospheric_loss(LossModel(bands={}), "Ka", 45.0)
+    assert err.value.field == "band"
+
+
 def _total_loss(band, distance_km, frequency_ghz, el, rain_rate_mmh=0.0):
     """Free-space plus atmospheric loss, summed as the link timeline does."""
     gas, cloud, rain = atmospheric_loss(MODEL, band, el, rain_rate_mmh)

@@ -17,7 +17,6 @@ from rwasim.orbit import (
     build_access_timeline,
     circular_speed,
     doppler_khz,
-    expand_constellation,
     mean_motion,
     orbital_period,
     propagate,
@@ -179,9 +178,16 @@ def test_range_rate_matches_numeric_derivative():
 
 # --- constellation expansion ---
 
+def _satellite_angles(spec):
+    # inclination, RAAN and epoch phase of every satellite, plane-major
+    inclination, raan, phase = orbit._shell_angles(spec)
+    return tuple(np.broadcast_to(column, phase.shape).ravel()
+                 for column in (inclination, raan, phase))
+
+
 def test_leo1_expansion():
     cat = builtin_catalog()
-    inclination, raan, phase = expand_constellation(cat.constellations["LEO-1"])
+    inclination, raan, phase = _satellite_angles(cat.constellations["LEO-1"])
     assert len(inclination) == len(raan) == len(phase) == 288
     # third plane of the 15-degree spacing rule
     per_plane = 24
@@ -193,7 +199,7 @@ def test_leo1_expansion():
 
 def test_geo_expansion():
     cat = builtin_catalog()
-    inclination, raan, phase = expand_constellation(cat.constellations["GEO"])
+    inclination, raan, phase = _satellite_angles(cat.constellations["GEO"])
     assert len(inclination) == len(raan) == len(phase) == 1
     assert inclination[0] == pytest.approx(6.0)
     assert cat.constellations["GEO"].orbit_radius_km == pytest.approx(EARTH_RADIUS + 35786.0)
@@ -201,7 +207,7 @@ def test_geo_expansion():
 
 def test_meo_expansion():
     cat = builtin_catalog()
-    inclination, raan, phase = expand_constellation(cat.constellations["MEO"])
+    inclination, raan, phase = _satellite_angles(cat.constellations["MEO"])
     assert len(inclination) == len(raan) == len(phase) == 24
     assert sorted(set(inclination)) == [pytest.approx(70.0), pytest.approx(90.0)]
     assert list(raan[::6]) == [pytest.approx(0.0), pytest.approx(90.0),
@@ -211,7 +217,7 @@ def test_meo_expansion():
 def test_delta_constellation_phasing():
     cat = builtin_catalog()
     leo2 = cat.constellations["LEO-2"]
-    _, _, phase = expand_constellation(leo2)
+    _, _, phase = _satellite_angles(leo2)
     assert len(phase) == 264
     if leo2.phasing_factor:
         shift = leo2.phasing_factor * 360.0 / leo2.total_sats

@@ -102,7 +102,8 @@ def test_validate_channel_band_edges():
         for direction, (lo, hi) in (("uplink", band.uplink_ghz),
                                     ("downlink", band.downlink_ghz)):
             bw = band.bandwidths_mhz[-1]
-            scs = band.scs_khz[-1]
+            scs = max(scs for scs, num in NUMEROLOGIES.items()
+                      if num.bandwidth_range_mhz[0] <= bw <= num.bandwidth_range_mhz[1])
             rb = NUMEROLOGIES[scs].rb_range[1]
             for carrier in (lo, hi):
                 validate_channel(
@@ -131,17 +132,31 @@ def test_validate_channel_without_band():
         validate_channel(_phy(carrier_ghz=30.0, ntn_band=None, n_rb=100), "uplink")
 
 
-def test_validate_channel_names_what_the_band_does_not_offer(monkeypatch):
+def test_validate_channel_names_what_the_band_does_not_offer():
     # 25 MHz fits the 30 kHz grid but is no n256 channel
     with pytest.raises(ConfigError) as err:
         validate_channel(_phy(bandwidth_mhz=25.0), "uplink")
     assert err.value.field == "bandwidth_mhz"
-    # each band of the table offers every spacing whose bandwidth range
-    # holds one of its channels, so the band here is a made-up one
-    monkeypatch.setitem(NTN_BANDS, "n256", dataclasses.replace(NTN_BANDS["n256"], scs_khz=(15, 60)))
-    with pytest.raises(ConfigError) as err:
-        validate_channel(_phy(), "uplink")
-    assert err.value.field == "scs_khz"
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_validate_channel_takes_every_spacing_that_holds_a_band_channel(direction):
+    # a band offers every spacing whose bandwidth range holds the channel:
+    # a (band, spacing, channel) is rejected only for its bandwidth, and
+    # taken at any in-range n_rb and carrier otherwise
+    for band in NTN_BANDS.values():
+        carriers = band.uplink_ghz if direction == "uplink" else band.downlink_ghz
+        for scs, num in NUMEROLOGIES.items():
+            lo, hi = num.bandwidth_range_mhz
+            for bw in band.bandwidths_mhz:
+                for carrier, n_rb in zip(carriers, num.rb_range):
+                    phy = PhyConfig(carrier, bw, scs, n_rb, QPSK_HALF, band.name)
+                    if lo <= bw <= hi:
+                        validate_channel(phy, direction)
+                        continue
+                    with pytest.raises(ConfigError) as err:
+                        validate_channel(phy, direction)
+                    assert err.value.field == "bandwidth_mhz"
 
 
 def test_validate_channel_unknown_band():

@@ -23,7 +23,7 @@ from rwasim.errors import ConfigError
 from rwasim.linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain,
                                pointing_offset, rescale_cnr)
 from rwasim.orbit import AccessTimeline, build_access_timeline, circular_speed
-from rwasim.phy import (FRAME_MS, Mcs, PhyConfig, aggregate, simulate_frames,
+from rwasim.phy import (FRAME_MS, Mcs, PhyConfig, aggregate, erased_slots, simulate_frames,
                         transport_block_size)
 from rwasim.pipeline import (
     _CSV_CHUNK_ROWS,
@@ -272,6 +272,26 @@ def test_rotorcraft_run_writes_blade_table(tmp_path):
         assert float(row["duty_cycle"]) == pytest.approx(
             blocked / (blocked + clear), rel=1e-9)
     assert result.report["n_erased"] > 0
+
+
+def test_rotor_erased_is_the_same_in_any_block_of_frames():
+    # 1,000 frames of 80 slots: two blocks at the default 2**16 slots, one
+    # frame a block, three frames a block.  Every frame has its own blocked
+    # time, outages' 0 among them, and the rotor turns from a fixed phase.
+    spec = replace(builtin_catalog().scenarios["scenario-15a"], blade_phase_ms=7.3)
+    rotor, num = spec.aircraft.rotor, spec.phy.numerology
+    spf = num.slots_per_frame
+    frame_blocked = blocked_ms(rotor, np.linspace(20.0, 89.0, 1000))
+    frame_blocked[::7] = 0.0
+    offsets = np.arange(1000) * FRAME_MS + 7.3
+    want = erased_slots(slot_blocked_ms(schedule(rotor, frame_blocked), offsets, num.slot_ms,
+                                        spf), num)
+    assert 0 < np.count_nonzero(want) < want.size
+    for block_slots in (2**16, 1, 3 * spf):
+        with mock.patch.object(pipeline, "_BLOCK_SLOTS", block_slots):
+            got = pipeline._rotor_erased(spec, frame_blocked, seed=0)
+        assert got.dtype == bool
+        assert np.array_equal(got, want)
 
 
 def test_write_outputs_returns_scenario_directory(tmp_path):
