@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EARTH_RADIUS, EARTH_ROTATION_RATE, MU_EARTH, SPEED_OF_LIGHT
+from .errors import ConfigError
 from .scenarios import ConstellationSpec, FlightRoute, ScenarioSpec
 
 
@@ -182,6 +183,13 @@ class AccessTimeline:
         return int(np.count_nonzero(ids[1:] != ids[:-1]))
 
 
+# Most access steps one timeline may take: a 24 h flight at a 0.035 s
+# step.  Building the timeline peaks at 450 to 513 bytes a step
+# (`tracemalloc`: scenario-7 and scenario-19 at 0.1 and 0.05 s, the
+# 4,392-satellite shell of tools/mega_shell.json at 1 s), so the budget
+# keeps it under about 1.3 GB.  More steps are a ConfigError on step_s.
+MAX_STEPS = 2_500_000
+
 # Flight time per block of the candidate bound.  Each block's candidates
 # are the satellites that can reach the mask over its whole span, so they
 # grow with the drift over it, while shorter blocks cost more bounds.  The
@@ -292,11 +300,19 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     ``_CHUNK_PAIRS`` (row, candidate) pairs, whose elevations come from the
     cosines of their central angles; `_scan_chunk` applies the rule to a
     chunk by event.  The full geometry is then computed for the served
-    satellite only.
+    satellite only.  More than ``MAX_STEPS`` steps are a ConfigError on
+    ``step_s`` before any work.
     """
     if step_s <= 0:
         raise ValueError("step_s must be > 0")
-    n_steps = int(math.floor(scenario.duration_s / step_s + 1e-9))
+    # compared before the floor, which fails on the infinite span of a
+    # subnormal step
+    span = scenario.duration_s / step_s + 1e-9
+    if span >= MAX_STEPS + 1:
+        raise ConfigError(
+            f"a {scenario.duration_s:g} s flight at a {step_s:g} s step exceeds the budget "
+            f"of {MAX_STEPS} access steps", field="step_s")
+    n_steps = int(math.floor(span))
 
     a = scenario.constellation.orbit_radius_km
     n_rate = mean_motion(a)

@@ -260,8 +260,9 @@ def awgn_ber(mcs: Mcs, cnr_db):
 # === frame simulation ===
 
 # Most slots one run or one sweep point may simulate: a million frames
-# of 80 slots.  A run peaks at 12 to 19 bytes a slot (`tracemalloc`, 80
-# down to 10 slots a frame; see the README), so the budget keeps it under
+# of 80 slots.  A run of 20,000 frames peaks at 10.2 to 10.3 bytes a slot
+# with 80 slots a frame and at 17.3 to 19.1 with 10 (`tracemalloc`, both
+# modes, written or not; see the README), so the budget keeps it under
 # about 1.5 GB.  A larger table is a ConfigError on n_frames.
 MAX_SLOTS = 80_000_000
 

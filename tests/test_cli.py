@@ -1,0 +1,144 @@
+"""Whole-CLI contract checks, run in process through ``rwasim.cli.main``.
+
+Each check calls ``main`` with the arguments a user would give the
+``rwasim`` console script and reads back the files it wrote.  The sizes
+are the ones that give a check its point: a scenario-19 run of 2,000
+frames (160,000 slots) makes its erased flags in three blocks of
+``pipeline._BLOCK_SLOTS`` slots, a sweep point of 120 frames is drawn in
+two chunks, and the mega shell's 2 h flight takes 14 passes of the access
+kernel.
+"""
+
+import csv
+import json
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from output_columns import output_columns
+from rwasim import orbit, pipeline
+from rwasim.cli import main
+from rwasim.pipeline import run_scenario
+from rwasim.scenarios import builtin_catalog, serialize_scenario
+
+MEGA_SHELL = str(Path(__file__).resolve().parents[1] / "tools" / "mega_shell.json")
+
+
+def _tree(root: Path) -> dict:
+    """The bytes of every file under ``root``, by relative path."""
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def _polar_loiter() -> dict:
+    """scenario-7 loitering 5.5 km from the North Pole."""
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-7"])
+    doc["scenarios"][0]["flight"] = {
+        "type": "loiter", "center_lat_deg": 89.95, "center_lon_deg": 10, "altitude_m": 500,
+        "radius_km": 15, "speed_ms": 35}
+    return doc
+
+
+_SWEEP = ["--cnr-min", "-5", "--cnr-max", "20", "--points", "6", "--seed", "1"]
+# from 30 dB up every bit-error draw of scenario-19 can only be 0, so no
+# point builds a stream
+_SILENT_SWEEP = ["sweep", "--scenario", "scenario-19", "--cnr-min", "30", "--cnr-max", "60",
+                 "--points", "4", "--frames", "20", "--seed", "1"]
+
+
+def _modes(name, argv):
+    return [pytest.param(argv + ["--mode", mode], id=f"{name}-{mode}")
+            for mode in ("mc", "expected")]
+
+
+@pytest.mark.parametrize("argv", [
+    *_modes("run-15b-20", ["run", "--scenario", "scenario-15b", "--step", "60",
+                           "--frames", "20", "--seed", "1"]),
+    *_modes("run-19-2000", ["run", "--scenario", "scenario-19", "--step", "60",
+                            "--frames", "2000", "--seed", "1"]),
+    # 90,000 access steps
+    pytest.param(["run", "--scenario", "scenario-19", "--step", "0.1", "--frames", "20",
+                  "--mode", "expected", "--seed", "0"], id="run-19-fine-step"),
+    pytest.param(["run", "--scenario", MEGA_SHELL, "--step", "60", "--frames", "20",
+                  "--mode", "mc", "--seed", "1"], id="run-mega-shell"),
+    pytest.param(["run", "--scenario", _polar_loiter, "--step", "10", "--frames", "20",
+                  "--mode", "mc", "--seed", "1"], id="run-polar-loiter"),
+    *_modes("sweep-7-20", ["sweep", "--scenario", "scenario-7", "--frames", "20", *_SWEEP]),
+    *_modes("sweep-19-120", ["sweep", "--scenario", "scenario-19", "--frames", "120", *_SWEEP]),
+    *_modes("sweep-19-2000", ["sweep", "--scenario", "scenario-19", "--frames", "2000",
+                              *_SWEEP]),
+    pytest.param(_SILENT_SWEEP, id="sweep-19-silent"),
+])
+def test_same_seed_reruns_write_the_same_bytes(tmp_path, argv):
+    # a callable in place of the scenario token makes a scenario document
+    argv = list(argv)
+    at = argv.index("--scenario") + 1
+    if callable(argv[at]):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(argv[at]()))
+        argv[at] = str(path)
+    trees = []
+    for out in ("a", "b"):
+        assert main(argv + ["--out", str(tmp_path / out)]) == 0
+        trees.append(_tree(tmp_path / out))
+    assert trees[0] and trees[0] == trees[1]
+
+
+def test_silent_sweep_ber_is_the_slot_loss_fraction(tmp_path):
+    # with no bit errors to draw, a point's BER is the share of slots the
+    # rotor erases, the same at every point
+    losses, sweep_stats = [], pipeline.sweep_stats
+
+    def spy(phy, grid, erased, *args, **kwargs):
+        losses.append(np.count_nonzero(erased) / len(erased))
+        return sweep_stats(phy, grid, erased, *args, **kwargs)
+
+    with mock.patch.object(pipeline, "sweep_stats", spy):
+        assert main(_SILENT_SWEEP + ["--out", str(tmp_path)]) == 0
+    (loss,) = losses
+    with open(tmp_path / "scenario-19" / "sweep.csv", newline="") as fh:
+        bers = [row["ber"] for row in csv.DictReader(fh)]
+    assert 0.0 < loss < 1.0
+    assert bers == ["%.10g" % loss] * 4
+
+
+@pytest.mark.parametrize("mode", ["mc", "expected"])
+def test_csvs_of_a_long_run_read_back_as_the_run(tmp_path, mode):
+    # 1,250 frames of 80 slots: frame numbers cross 999 -> 1000, and slot
+    # numbers reach 99,999
+    assert main(["run", "--scenario", "scenario-11", "--step", "60", "--frames", "1250",
+                 "--mode", mode, "--out", str(tmp_path)]) == 0
+    result = run_scenario(builtin_catalog().scenarios["scenario-11"], step_s=60.0,
+                          n_frames=1250, mode=mode, seed=0)
+    tables = output_columns(result)
+    has_blades = bool(len(result.blade_rows))
+    assert (tmp_path / "scenario-11" / "blades.csv").exists() == has_blades
+    if not has_blades:
+        del tables["blades.csv"]
+    for name, table in tables.items():
+        with open(tmp_path / "scenario-11" / name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(table), name
+        assert len(rows) == len(next(iter(table.values()))), name
+        cells = list(zip(*rows))
+        if name == "slots.csv":
+            # slot j is numbered j and starts at j slot lengths of 0.125 ms
+            assert len(rows) == 100_000
+            assert list(map(int, cells[0])) == list(range(100_000))
+            assert list(map(float, cells[1])) == [j * 0.125 for j in range(100_000)]
+        # every cell, as the run's column formats it
+        for (column, values), got in zip(table.items(), cells):
+            spec = "%d" if values.dtype.kind in "biu" else "%.10g"
+            assert list(got) == list(map(spec.__mod__, values.tolist())), (name, column)
+
+
+@pytest.mark.parametrize("step", ["1e-5", "5e-324"], ids=["small", "subnormal"])
+def test_cli_over_the_step_budget_exits_2(tmp_path, capsys, step):
+    # 9,000 s of scenario-19 at 1e-5 s would be 900 million access steps
+    assert 9000 / float(step) > orbit.MAX_STEPS
+    assert main(["run", "--scenario", "scenario-19", "--step", step, "--frames", "20",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "error: step_s:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

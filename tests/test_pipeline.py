@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from output_columns import output_columns, slot_columns
+from rwasim import orbit as orbit_module
 from rwasim import phy as phy_module
 from rwasim import pipeline
 from rwasim.blades import (REGEN_FRACTION, RotorSpec, blocked_ms, crossing, schedule,
@@ -607,26 +609,10 @@ def test_write_outputs_match_row_wise_reference(tmp_path, mode):
         sid = spec.id
         result = run_scenario(spec, step_s=step_s, n_frames=20, mode=mode, seed=0,
                               out_dir=out_dir)
-        access, link, blades = result.access, result.link, result.blade_rows
-        tables = {
-            "access.csv": {
-                "time_s": access.times_s, "sat_id": access.sat_id,
-                "elevation_deg": access.elevation_deg, "azimuth_deg": access.azimuth_deg,
-                "slant_range_km": access.slant_range_km,
-                "range_rate_kms": access.range_rate_kms, "doppler_khz": access.doppler_khz},
-            "link.csv": {
-                "time_s": link.times_s, "fspl_db": link.fspl_db, "gas_db": link.gas_db,
-                "rain_db": link.rain_db, "cloud_db": link.cloud_db, "total_db": link.total_db,
-                "doppler_khz": access.doppler_khz, "cnr_db": link.cnr_db},
-            "slots.csv": _slot_columns(result.slots),
-            "blades.csv": {
-                "elevation_deg": blades.elevation_deg, "d_rotor_m": blades.radius_m,
-                "phi_deg": blades.arc_deg, "t_int_ms": blades.blocked_ms,
-                "t_lnk_ms": blades.clear_ms, "duty_cycle": blades.duty_cycle},
-        }
+        tables = output_columns(result)
         # only a rotor aircraft has blade segments, and only then a blades.csv
         if spec.aircraft.rotor is None:
-            assert not len(blades) and not (out_dir / sid / "blades.csv").exists()
+            assert not len(result.blade_rows) and not (out_dir / sid / "blades.csv").exists()
             del tables["blades.csv"]
         for name, table in tables.items():
             got = (out_dir / sid / name).read_bytes()
@@ -635,15 +621,6 @@ def test_write_outputs_match_row_wise_reference(tmp_path, mode):
                 assert got_cells == want_cells, f"{sid} {name}: {column}"
             assert got == want, f"{sid} {name}"
     assert 0 < result.report["access_percent"] < 100  # the outage case, run last
-
-
-def _slot_columns(slots) -> dict:
-    """The columns of slots.csv, expanded from the table."""
-    return {
-        "slot_index": slots.slot_index, "t_start_ms": slots.t_start_ms,
-        "erased": slots.erased, "cnr_db": slots.cnr_db,
-        "payload_bits": slots.payload_bits, "bit_errors": slots.bit_errors,
-        "ber": slots.ber, "decode_prob": slots.decode_prob}
 
 
 @pytest.mark.parametrize("mode", ["mc", "expected"])
@@ -687,7 +664,7 @@ def test_slots_csv_pieces_are_exact_at_every_digit_boundary(tmp_path, scs_khz):
     for first in firsts:
         table = _random_slot_table(num, first, 3, rng)
         pipeline._write_slots_csv(path, table)
-        columns = _slot_columns(table)
+        columns = slot_columns(table)
         assert path.read_bytes() == _reference_csv(list(columns), list(columns.values())), first
     # one frame past the bound the guard raises, where %.10g stops being exact
     past = _random_slot_table(num, bound, 2, rng)
@@ -749,7 +726,7 @@ def _slot_tables(draw):
 @given(_slot_tables())
 def test_slots_csv_matches_row_wise_reference(case):
     table, chunk_rows = case
-    columns = _slot_columns(table)
+    columns = slot_columns(table)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "slots.csv"
         with mock.patch.object(pipeline, "_CSV_CHUNK_ROWS", chunk_rows):
@@ -802,6 +779,31 @@ def test_slot_budget_fails_before_any_work(sid):
         assert len(run_scenario(spec, step_s=600.0, n_frames=5).slots) == phy_module.MAX_SLOTS
         with pytest.raises(ConfigError):
             run_scenario(spec, step_s=600.0, n_frames=6)
+
+
+def test_step_budget_fails_before_any_work():
+    spec = builtin_catalog().scenarios["scenario-19"]  # a rotor: a sweep takes access
+    over = spec.duration_s / (orbit_module.MAX_STEPS + 2)
+    calls = [
+        lambda: run_scenario(spec, step_s=over, n_frames=20),
+        lambda: sweep_cnr(spec, 0.0, 10.0, 2, n_frames=20, access_step_s=over),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.field == "step_s"
+        assert peak < 2**16
+    # a 24 h flight at a 1 s step fits, and at the budget the run goes ahead
+    assert orbit_module.MAX_STEPS >= 24 * 3600
+    with mock.patch.object(orbit_module, "MAX_STEPS", 90):
+        assert len(build_access_timeline(spec, spec.duration_s / 90)) == 90
+        with pytest.raises(ConfigError):
+            build_access_timeline(spec, spec.duration_s / 91)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
