@@ -118,7 +118,7 @@ def crossing(rotor: RotorSpec, elevation_deg) -> tuple[np.ndarray, np.ndarray]:
     the boresight, they are inf and 0.
     """
     el = np.asarray(elevation_deg, dtype=float)
-    if not np.all((el > 0.0) & (el <= 90.0)):
+    if not ((el > 0.0) & (el <= 90.0)).all():
         raise ValueError("elevation_deg must be in (0, 90]")
     reach = rotor.rotor_height_m / np.tan(np.radians(el))
     radius = np.abs(rotor.shaft_offset_m - reach)
@@ -159,8 +159,12 @@ def blocked_ms(rotor: RotorSpec, elevation_deg) -> np.ndarray:
     the blade arcs overlap it is clamped to one blade period (fully
     blocked).
     """
-    arc = crossing(rotor, elevation_deg)[1]
-    return np.minimum(arc, 360.0 / rotor.n_blades) / rotor.rate_deg_per_ms
+    return arc_blocked_ms(rotor, crossing(rotor, elevation_deg)[1])
+
+
+def arc_blocked_ms(rotor: RotorSpec, arc_deg) -> np.ndarray:
+    """Per-blade blocked time (ms) of a blocked arc, clamped to one blade period."""
+    return np.minimum(arc_deg, 360.0 / rotor.n_blades) / rotor.rate_deg_per_ms
 
 
 def speed_ratios(
@@ -183,6 +187,29 @@ def speed_ratios(
     )
 
 
+def regenerations(blocked) -> tuple[np.ndarray, np.ndarray]:
+    """Where a run of per-blade blocked times (ms) regenerates the schedule.
+
+    The schedule is rebuilt only when the blocked time moves by more than
+    ``REGEN_FRACTION`` relative to the schedule in force (always at the
+    first sample and whenever blockage appears or disappears).  Returns
+    ``(segment, starts)``: the segment index of every sample and the
+    first sample of every segment.
+    """
+    values = np.asarray(blocked).tolist()
+    starts = [0] if values else []
+    have = values[0] if values else 0.0
+    for i, want in enumerate(values):
+        # equal times never regenerate, so that test goes first
+        if want != have and (have == 0.0 or want == 0.0
+                             or abs(want - have) / have > REGEN_FRACTION):
+            starts.append(i)
+            have = want
+    first = np.zeros(len(values), dtype=bool)
+    first[starts] = True
+    return first.cumsum() - 1, np.array(starts, dtype=np.intp)
+
+
 def schedule_timeline(
     rotor: RotorSpec,
     elevations_deg,
@@ -190,31 +217,16 @@ def schedule_timeline(
     """Schedules along a run of elevation samples, regenerated only on meaningful change.
 
     Recomputing the schedule at every elevation sample is wasteful and
-    makes downstream erasure patterns jitter; the schedule is rebuilt
-    only when the blocked time moves by more than ``REGEN_FRACTION``
-    relative to the schedule in force (always at the first sample and
-    whenever blockage appears or disappears).
+    makes downstream erasure patterns jitter; :func:`regenerations` says
+    where the schedule is rebuilt.
 
     Returns ``(segment, schedules)``: the segment index of every sample
     and one columnar schedule with one entry per segment, built at the
     segment's first sample.
     """
     blocked = blocked_ms(rotor, elevations_deg)
-    starts: list[int] = []
-    have = 0.0
-    for i, want in enumerate(blocked.tolist()):
-        if not starts:
-            regenerate = True
-        elif have == 0.0 or want == 0.0:
-            regenerate = want != have
-        else:
-            regenerate = abs(want - have) / have > REGEN_FRACTION
-        if regenerate:
-            starts.append(i)
-            have = want
-    first = np.zeros(len(blocked), dtype=bool)
-    first[starts] = True
-    return np.cumsum(first) - 1, schedule(rotor, blocked[starts])
+    segment, starts = regenerations(blocked)
+    return segment, schedule(rotor, blocked[starts])
 
 
 def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
@@ -237,7 +249,7 @@ def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
     width = np.broadcast_to(schedules.blocked_ms, offsets.shape)
     period = np.broadcast_to(schedules.period_ms, offsets.shape)
     frame_ms = slots_per_frame * slot_ms
-    rows = np.flatnonzero(width > 0.0)
+    rows = (width > 0.0).nonzero()[0]
     if rows.size == 0:
         return np.zeros((len(offsets), slots_per_frame))
     period = period[rows, None]
@@ -247,7 +259,7 @@ def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
     # k0 lies up to about 2 * phase / period pulses before the first one
     # that reaches the frame, so pulses past k0 + ceil((frame_ms + width)
     # / period) + 3 start after the frame ends; one more is slack for rounding
-    n_pulses = int(np.max(np.ceil((frame_ms + width) / period))) + 4
+    n_pulses = int(np.ceil((frame_ms + width) / period).max()) + 4
     start = (k0 + np.arange(n_pulses)) * period - phase   # (rows, pulses)
     stop = start + width
     # the pulses that reach a frame, in (frame, pulse) order: a boolean
@@ -262,12 +274,12 @@ def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,
     hi = np.minimum(np.ceil(last / slot_ms), slots_per_frame).astype(np.int64)
     count = hi - lo
     # one pair per touched (frame, pulse, slot), in that order
-    skip = np.repeat(lo - (np.cumsum(count) - count), count)
+    skip = (lo - (count.cumsum() - count)).repeat(count)
     slot = skip + np.arange(len(skip))
     edge = slot * slot_ms
-    overlap = (np.minimum(np.repeat(last, count), edge + slot_ms)
-               - np.maximum(np.repeat(first, count), edge))
-    index = np.repeat(rows[row] * slots_per_frame, count) + slot
+    overlap = (np.minimum(last.repeat(count), edge + slot_ms)
+               - np.maximum(first.repeat(count), edge))
+    index = (rows[row] * slots_per_frame).repeat(count) + slot
     # bincount adds each slot's pairs in input order, so in pulse order
     sums = np.bincount(index, weights=overlap, minlength=len(offsets) * slots_per_frame)
     return sums.reshape(len(offsets), slots_per_frame)

@@ -21,7 +21,7 @@ from .errors import ConfigError
 
 def fspl(distance_km, frequency_ghz: float):
     """Free-space path loss in dB for km/GHz inputs."""
-    if np.any(np.asarray(distance_km) <= 0) or frequency_ghz <= 0:
+    if (np.asarray(distance_km) <= 0).any() or frequency_ghz <= 0:
         raise ValueError("distance and frequency must be > 0")
     return 92.45 + 20.0 * np.log10(distance_km) + 20.0 * math.log10(frequency_ghz)
 
@@ -91,9 +91,9 @@ def atmospheric_loss(model: LossModel, band: str, elevation_deg, rain_rate_mmh=0
     """
     el = np.asarray(elevation_deg, dtype=float)
     rate = np.asarray(rain_rate_mmh, dtype=float)
-    if not np.all((el > 0.0) & (el <= 90.0)):
+    if not ((el > 0.0) & (el <= 90.0)).all():
         raise ValueError("elevation_deg must be in (0, 90]")
-    if np.any(rate < 0.0):
+    if (rate < 0.0).any():
         raise ValueError("rain_rate_mmh must be >= 0")
     params = model.band(band)
     cosec = 1.0 / np.sin(np.radians(el))

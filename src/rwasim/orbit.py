@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -167,9 +168,12 @@ class AccessTimeline:
     def __len__(self) -> int:
         return len(self.times_s)
 
-    @property
+    @cached_property
     def served(self) -> np.ndarray:
-        return self.sat_id >= 0
+        """``sat_id >= 0``, computed once per timeline and read-only."""
+        served = self.sat_id >= 0
+        served.flags.writeable = False
+        return served
 
     def access_percent(self) -> float:
         if len(self.times_s) == 0:
@@ -359,9 +363,9 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
         mid = (starts + ends - 1) // 2
         drift = np.minimum(sweep_rate * np.maximum(times[mid] - times[starts],
                                                    times[ends - 1] - times[mid]), math.pi)
-        up_move = np.arccos(np.clip(np.minimum.reduceat(
-            _dot(up.take(mid.repeat(ends - starts), axis=1), up[:, lo:hi]), starts - lo),
-            -1.0, 1.0))
+        up_cos = np.minimum.reduceat(
+            _dot(up.take(mid.repeat(ends - starts), axis=1), up[:, lo:hi]), starts - lo)
+        up_move = np.arccos(up_cos.clip(-1.0, 1.0))
         reach = math.radians(90.0 - threshold) - np.arcsin(np.minimum(
             1.0, np.minimum.reduceat(obs_radius[lo:hi], starts - lo)
             * math.cos(math.radians(threshold)) / a))
@@ -392,8 +396,8 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
             below = a * (1.0 - np.einsum("ij,ij->i", w.take(sat, axis=0), zen.take(at, axis=0)))
             r = obs_radius.take(at)
             height = a - r
-            elevation = np.degrees(np.arcsin(np.clip(
-                (height - below) / np.sqrt(height ** 2 + 2.0 * r * below), -1.0, 1.0)))
+            elevation = np.degrees(np.arcsin(
+                ((height - below) / np.sqrt(height ** 2 + 2.0 * r * below)).clip(-1.0, 1.0)))
             current = _scan_chunk(at - first, sat, elevation, sat_id[first:last],
                                   current, threshold, acquire)
 

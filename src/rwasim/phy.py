@@ -508,7 +508,7 @@ def simulate_frames(
             for first in range(lo, hi, step):
                 f = slice(first, min(first + step, hi))
                 s = slice(f.start * spf, f.stop * spf)
-                p = np.repeat(ber[f], n_clear[f])
+                p = ber[f].repeat(n_clear[f])
                 bit_errors[s][~erased[s]] = rng.binomial(payload, p)
     else:
         bit_errors = np.repeat(np.round(ber * payload).astype(np.int64), spf)

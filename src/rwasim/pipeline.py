@@ -92,6 +92,7 @@ def link_timeline(scenario: ScenarioSpec, access: AccessTimeline) -> LinkTimelin
 
 # The fields of a blade segment row, in blades.csv column order.
 BLADE_FIELDS = ("elevation_deg", "radius_m", "arc_deg", "blocked_ms", "clear_ms", "duty_cycle")
+_BLADE_DTYPE = np.dtype([(name, float) for name in BLADE_FIELDS])
 
 
 def blade_overlay(
@@ -103,22 +104,27 @@ def blade_overlay(
     Returns ``(segment, rows)``: the segment in force at each access
     sample (-1 in outages and without a rotor) and a record array with
     one record of the ``BLADE_FIELDS`` per segment (empty without a
-    rotor; segments start where :func:`rwasim.blades.schedule_timeline`
-    regenerates the schedule).
+    rotor).  The segments are those of
+    :func:`rwasim.blades.schedule_timeline`, from one evaluation of the
+    crossing per served sample.
     """
     rotor = scenario.aircraft.rotor
     segment = np.full(len(access), -1)
     if rotor is None:
-        return segment, np.rec.fromarrays([np.empty(0)] * len(BLADE_FIELDS), names=BLADE_FIELDS)
+        return segment, np.empty(0, _BLADE_DTYPE).view(np.recarray)
     served = access.served
     el = access.elevation_deg[served]
-    served_segment, schedules = bl.schedule_timeline(rotor, el)
+    radius, arc = bl.crossing(rotor, el)
+    blocked = bl.arc_blocked_ms(rotor, arc)
+    served_segment, starts = bl.regenerations(blocked)
     segment[served] = served_segment
-    first_el = el[np.flatnonzero(np.diff(served_segment, prepend=-1))]
-    radius, arc = bl.crossing(rotor, first_el)
-    rows = np.rec.fromarrays([first_el, radius, arc, schedules.blocked_ms,
-                              schedules.clear_ms, schedules.duty_cycle], names=BLADE_FIELDS)
-    return segment, rows
+    schedules = bl.schedule(rotor, blocked[starts])
+    rows = np.empty(len(starts), _BLADE_DTYPE)
+    for name, column in zip(BLADE_FIELDS, (el[starts], radius[starts], arc[starts],
+                                           schedules.blocked_ms, schedules.clear_ms,
+                                           schedules.duty_cycle)):
+        rows[name] = column
+    return segment, rows.view(np.recarray)
 
 
 # === reports ===
@@ -126,7 +132,7 @@ def blade_overlay(
 def _served(scenario: ScenarioSpec, access: AccessTimeline) -> np.ndarray:
     """The served-sample mask; a RuntimeError when no sample is served."""
     served = access.served
-    if not np.any(served):
+    if not served.any():
         raise RuntimeError(
             f"scenario {scenario.id}: no satellite above "
             f"{scenario.handover_threshold_deg} deg at any sample; nothing to report")
@@ -135,9 +141,9 @@ def _served(scenario: ScenarioSpec, access: AccessTimeline) -> np.ndarray:
 
 def _stats(values: np.ndarray) -> dict:
     return {
-        "min": float(np.min(values)),
-        "max": float(np.max(values)),
-        "avg": float(np.mean(values)),
+        "min": float(values.min()),
+        "max": float(values.max()),
+        "avg": float(values.mean()),
     }
 
 
@@ -263,7 +269,7 @@ def run_scenario(
         frame_times_s = np.arange(n_frames) * (scenario.duration_s / n_frames)
         # the last sample at or before each frame's start; times_s starts
         # at 0, so the index is in [0, n_samples - 1]
-        frame_idx = np.searchsorted(access.times_s, frame_times_s, side="right") - 1
+        frame_idx = access.times_s.searchsorted(frame_times_s, side="right") - 1
         erased = None
         if len(blade_rows):
             # segment -1 (an outage) picks the appended 0 ms

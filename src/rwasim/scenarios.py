@@ -302,7 +302,9 @@ def loiter_route(
         raise ConfigError("duration must be >= 0", field="flight")
     if not waypoint_interval_s > 0:
         raise ConfigError("waypoint_interval_s must be > 0", field="waypoint_interval_s")
-    times = np.arange(math.ceil(duration_s / waypoint_interval_s)) * waypoint_interval_s
+    # at least the time 0, which a duration too short for the quotient to
+    # reach 1 (it may underflow to 0) would otherwise leave out
+    times = np.arange(max(1, math.ceil(duration_s / waypoint_interval_s))) * waypoint_interval_s
     times = np.append(times[times < duration_s], duration_s)
     radius_rad = radius_km / EARTH_RADIUS
     # each leg's central angle is its length at the flight altitude, and two

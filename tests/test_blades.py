@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from blade_intervals import blocked_intervals
 from rwasim.blades import (
+    REGEN_FRACTION,
     BladeGeometry,
     BladeSchedule,
     RotorSpec,
@@ -14,6 +15,7 @@ from rwasim.blades import (
     blocked_ms,
     build_schedule,
     crossing,
+    regenerations,
     schedule,
     schedule_timeline,
     slot_blocked_ms,
@@ -333,6 +335,55 @@ def test_timeline_regeneration_threshold():
     segment, schedules = schedule_timeline(rotor, [50.0, 70.0])
     assert segment.tolist() == [0, 1]
     assert schedules.blocked_ms[1] < schedules.blocked_ms[0]
+
+
+def _regeneration_starts(blocked):
+    """The first sample of every segment, by the rule written out sample by sample."""
+    starts, have = [], 0.0
+    for i, want in enumerate(blocked):
+        if not starts:
+            regenerate = True
+        elif have == 0.0 or want == 0.0:
+            regenerate = want != have
+        else:
+            regenerate = abs(want - have) / have > REGEN_FRACTION
+        if regenerate:
+            starts.append(i)
+            have = want
+    return starts
+
+
+def _check_regenerations(blocked):
+    segment, starts = regenerations(np.array(blocked, dtype=float))
+    want = _regeneration_starts(blocked)
+    assert starts.tolist() == want
+    assert segment.tolist() == [sum(s <= i for s in want) - 1 for i in range(len(blocked))]
+    return starts.tolist()
+
+
+def test_regenerations_follow_blockage_to_zero_and_back():
+    assert _check_regenerations([2.0, 2.01, 0.0, 0.0, 2.0, 2.01, 0.0]) == [0, 2, 4, 6]
+    assert _check_regenerations([0.0, 0.0, 1e-300, 1e-300]) == [0, 2]
+    assert _check_regenerations([]) == []
+
+
+def test_regenerations_at_exactly_the_fraction():
+    have = 20.0
+    up, down = have * (1.0 + REGEN_FRACTION), have * (1.0 - REGEN_FRACTION)
+    # 21 and 19 are exactly REGEN_FRACTION from 20 in floats
+    assert abs(up - have) / have == REGEN_FRACTION == abs(down - have) / have
+    for want, regenerates in [(up, False), (math.nextafter(up, math.inf), True),
+                              (math.nextafter(up, 0.0), False), (down, False),
+                              (math.nextafter(down, 0.0), True),
+                              (math.nextafter(down, math.inf), False)]:
+        assert _check_regenerations([have, want]) == ([0, 1] if regenerates else [0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1.0, 1.05, 0.95, 20.0, 21.0, 19.0])
+                | st.floats(0.0, 30.0), max_size=40))
+def test_regenerations_match_the_rule_sample_by_sample(blocked):
+    _check_regenerations(blocked)
 
 
 def test_timeline_tracks_blockage_appearing():

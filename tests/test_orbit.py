@@ -797,3 +797,19 @@ def test_kernel_climb_changes_the_reach():
                        route=route, duration_s=600.0, handover_threshold_deg=30.0)
     access = _assert_kernel_matches_reference(scenario, 10.0)
     assert access.served[0] and not access.served[-1]
+
+
+def test_served_is_one_read_only_mask_per_timeline():
+    # under a 60 deg mask scenario-19 has outages
+    scenario = replace(builtin_catalog().scenarios["scenario-19"], handover_threshold_deg=60.0)
+    access = build_access_timeline(scenario, 60.0)
+    served = access.served
+    assert served.dtype == bool and served.tolist() == (access.sat_id >= 0).tolist()
+    assert 0 < np.count_nonzero(served) < len(access)
+    assert access.served is served
+    with pytest.raises(ValueError):
+        served[0] = not served[0]
+    # a timeline made from another gets its own mask
+    other = replace(access, sat_id=np.where(served, -1, 0))
+    assert other.served.tolist() == (~served).tolist()
+    assert access.served is served

@@ -18,7 +18,7 @@ from rwasim import orbit as orbit_module
 from rwasim import phy as phy_module
 from rwasim import pipeline
 from rwasim.blades import (REGEN_FRACTION, RotorSpec, blocked_ms, crossing, schedule,
-                           slot_blocked_ms)
+                           schedule_timeline, slot_blocked_ms)
 from rwasim.cli import main
 from rwasim.constants import EARTH_ROTATION_RATE
 from rwasim.errors import ConfigError
@@ -29,6 +29,7 @@ from rwasim.phy import (FRAME_MS, Mcs, PhyConfig, aggregate, erased_slots, simul
                         transport_block_size)
 from rwasim.pipeline import (
     _CSV_CHUNK_ROWS,
+    BLADE_FIELDS,
     _write_csv,
     blade_overlay,
     compare_reports,
@@ -358,6 +359,55 @@ def _reference_blades(rotor, access):
                          current.duty_cycle))
         segment[i] = len(rows) - 1
     return segment, np.array(rows, dtype=float).reshape(-1, 6)
+
+
+def _overlay_by_schedule_timeline(scenario, access):
+    """`blade_overlay` derived from `schedule_timeline`: the crossing again at
+    each segment's first sample, and the rows by `np.rec.fromarrays`."""
+    rotor = scenario.aircraft.rotor
+    segment = np.full(len(access), -1)
+    if rotor is None:
+        return segment, np.rec.fromarrays([np.empty(0)] * len(BLADE_FIELDS), names=BLADE_FIELDS)
+    served = access.sat_id >= 0
+    el = access.elevation_deg[served]
+    served_segment, schedules = schedule_timeline(rotor, el)
+    segment[served] = served_segment
+    first_el = el[np.flatnonzero(np.diff(served_segment, prepend=-1))]
+    radius, arc = crossing(rotor, first_el)
+    return segment, np.rec.fromarrays([first_el, radius, arc, schedules.blocked_ms,
+                                       schedules.clear_ms, schedules.duty_cycle],
+                                      names=BLADE_FIELDS)
+
+
+def _overlay_cases():
+    catalog = builtin_catalog().scenarios
+    rotors = [sid for sid, spec in sorted(catalog.items()) if spec.aircraft.rotor is not None]
+    cases = [pytest.param(catalog[sid], step_s, id=f"{sid}-{step_s:g}s")
+             for sid in rotors for step_s in (1.0, 4.0)]
+    # under a 60 deg mask scenario-19 has outages
+    cases.append(pytest.param(replace(catalog["scenario-19"], handover_threshold_deg=60.0), 1.0,
+                              id="scenario-19-outages"))
+    none = next(sid for sid, spec in sorted(catalog.items()) if spec.aircraft.rotor is None)
+    cases.append(pytest.param(catalog[none], 4.0, id=f"{none}-no-rotor"))
+    return cases
+
+
+@pytest.mark.parametrize("scenario, step_s", _overlay_cases())
+def test_blade_overlay_is_bit_for_bit_the_schedule_timeline_one(scenario, step_s):
+    access = build_access_timeline(scenario, step_s)
+    segment, rows = blade_overlay(scenario, access)
+    want_segment, want_rows = _overlay_by_schedule_timeline(scenario, access)
+    assert segment.dtype == want_segment.dtype
+    assert segment.tolist() == want_segment.tolist()
+    assert type(rows) is np.recarray
+    assert rows.dtype == want_rows.dtype
+    assert [rows.dtype[name] for name in BLADE_FIELDS] == [np.dtype(float)] * len(BLADE_FIELDS)
+    assert rows.tobytes() == want_rows.tobytes()
+    if scenario.aircraft.rotor is None:
+        assert len(rows) == 0 and np.all(segment == -1)
+    else:
+        assert len(rows) > 1
+        assert (segment == -1).tolist() == (access.sat_id < 0).tolist()
 
 
 @st.composite

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rwasim.blades import RotorSpec
 from rwasim.cli import main
@@ -330,7 +330,7 @@ def _loiter_oracle(lat_deg, lon_deg, alt_m, radius_km, speed_ms, duration_s, int
     interval before the end, the last at the end, each leg as long as the
     speed times its time at the flight altitude, and the textbook
     destination-point formula from the centre."""
-    times = [k * interval_s for k in range(math.ceil(duration_s / interval_s))]
+    times = [k * interval_s for k in range(max(1, math.ceil(duration_s / interval_s)))]
     times = [t for t in times if t < duration_s] + [duration_s]
     arc = radius_km / EARTH_RADIUS
     lat0, bearing = math.radians(lat_deg), math.radians(bearing_deg)
@@ -363,6 +363,9 @@ def _loiters(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=_loiters())
+# a positive duration whose quotient by the interval underflows to 0
+@example(case=dict(lat_deg=0.0, lon_deg=0.0, alt_m=0.0, radius_km=1.0, speed_ms=5.0,
+                   duration_s=5e-324, interval_s=2.5, bearing_deg=0.0))
 def test_loiter_matches_the_per_leg_formula(case):
     points, sin_half_turns = _loiter_oracle(**case)
     # away from a leg that only just fits across the circle

@@ -21,8 +21,12 @@ speed falls on all of them alike:
 For each checkout it writes ``BENCH_<LABEL>.json`` to the current
 directory: the median and quartiles of every command's wall time and
 of the per-repeat total, the core count and the Python and numpy
-versions (scipy's too when it is installed).  The total leaves out the
-mega-shell run, so it compares with records made before that was added.
+versions (scipy's too when it is installed).  Next to a command's wall
+time, under its ``cpu_s`` and ``max_rss_mb`` keys, are the same
+statistics of the child's CPU time (user plus system) and maximum
+resident set size, read from ``os.wait4``; records made before these
+were added lack the two keys.  The total leaves out the mega-shell run,
+so it compares with records made before that was added.
 Given several checkouts, it also records under ``same_outputs_as``, for
 every checkout after the first, whether its first repeat wrote the same
 files, byte for byte, as the first checkout's (``{"<first label>":
@@ -55,6 +59,7 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+from typing import NamedTuple
 
 SCENARIOS = ("scenario-11", "scenario-15a", "scenario-15b",
              "scenario-19", "scenario-6", "scenario-7")
@@ -93,6 +98,12 @@ def _quartiles(samples: list[float]) -> dict[str, float]:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def _stats(samples) -> dict:
+    """Median, quartiles and the samples themselves."""
+    samples = list(samples)
+    return {**_quartiles(samples), "samples": samples}
+
+
 def _same_tree(a: Path, b: Path) -> bool:
     """True when ``a`` and ``b`` hold the same files with the same bytes."""
     files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
@@ -120,16 +131,31 @@ def _versions() -> dict[str, str]:
     return versions
 
 
-def _time_command(args: list[str], src: Path, out: Path | None) -> float:
+class Sample(NamedTuple):
+    """One timed command."""
+
+    wall_s: float
+    cpu_s: float        # the child's user plus system time
+    max_rss_mb: float   # the child's maximum resident set size, in MiB
+
+
+def _time_command(args: list[str], src: Path, out: Path | None) -> Sample:
+    """Run ``python args`` with ``src`` on ``PYTHONPATH`` (and ``--out out``),
+    reaped with ``os.wait4`` for its resource usage."""
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, *args] + ([] if out is None else ["--out", str(out)])
     t0 = perf_counter()
-    proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    _, status, usage = os.wait4(proc.pid, 0)
     seconds = perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     if proc.returncode != 0:
-        raise SystemExit(f"error: {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
-    return seconds
+        raise SystemExit(f"error: {' '.join(argv)} exited {proc.returncode}:\n{stderr}")
+    # ru_maxrss is in KiB on Linux
+    return Sample(seconds, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0)
 
 
 def record(checkouts: dict[str, Path], repeats: int, work: Path,
@@ -139,14 +165,15 @@ def record(checkouts: dict[str, Path], repeats: int, work: Path,
     for root in checkouts.values():
         if not compileall.compile_dir(root / "src", quiet=1):
             raise SystemExit(f"error: cannot byte-compile {root / 'src'}")
-    times = {label: {name: [] for name in cmds} for label in checkouts}
+    # per checkout and command, one Sample a repeat
+    runs = {label: {name: [] for name in cmds} for label in checkouts}
     pairs = list(checkouts.items())
     for rep in range(repeats):
         turns = pairs[rep % len(pairs):] + pairs[:rep % len(pairs)]  # who goes first rotates
         for name, (args, writes) in cmds.items():
             for label, root in turns:
                 out = work / label / str(rep) / name.replace(" ", "_") if writes else None
-                times[label][name].append(_time_command(args, root / "src", out))
+                runs[label][name].append(_time_command(args, root / "src", out))
                 if out is not None and rep > 0:
                     if not _same_tree(work / label / "0" / name.replace(" ", "_"), out):
                         raise SystemExit(f"error: {label}: repeat {rep} of {name!r} "
@@ -166,8 +193,8 @@ def record(checkouts: dict[str, Path], repeats: int, work: Path,
 
     results = {}
     for label, root in checkouts.items():
-        per_cmd = times[label]
-        totals = [sum(per_cmd[name][rep] for name in cmds if name not in OUTSIDE_TOTAL)
+        per_cmd = {name: list(zip(*samples)) for name, samples in runs[label].items()}
+        totals = [sum(per_cmd[name][0][rep] for name in cmds if name not in OUTSIDE_TOTAL)
                   for rep in range(repeats)]
         results[label] = {
             "label": label,
@@ -177,9 +204,11 @@ def record(checkouts: dict[str, Path], repeats: int, work: Path,
             "machine": platform.machine(),
             "versions": _versions(),
             "unit": "s",
-            "commands": {name: {**_quartiles(samples), "samples": samples}
-                         for name, samples in per_cmd.items()},
-            "total": {**_quartiles(totals), "samples": totals},
+            "commands": {name: {**_stats(wall),
+                                "cpu_s": _stats(cpu),
+                                "max_rss_mb": _stats(rss)}
+                         for name, (wall, cpu, rss) in per_cmd.items()},
+            "total": _stats(totals),
         }
         if label in same:
             results[label]["same_outputs_as"] = {first: same[label]}
