@@ -196,10 +196,13 @@ MAX_STEPS = 2_500_000
 
 # Flight time per block of the candidate bound.  Each block's candidates
 # are the satellites that can reach the mask over its whole span, so they
-# grow with the drift over it, while shorter blocks cost more bounds.  The
-# access timelines of the six built-ins at a 4 s step took 18.7, 17.0,
-# 15.9, 16.4, 19.7 and 30.3 ms with blocks of 240, 120, 60, 32, 16 and 8 s
-# (2-core x86-64, numpy 2.4).
+# grow with the turns over half of it, while shorter blocks cost more
+# cosines and more passes.  The access timelines of the six built-ins at
+# a 4 s step took 8.8, 8.7 and 9.9 ms with blocks of 30, 60 and 120 s
+# (sums of medians over 31 interleaved rounds; 5.8, 6.5 and 7.2 ms in a
+# run of 15; 2-core x86-64, numpy 2.4).  60 s is the shortest span with
+# which every built-in takes one pass at that step: at 30 s scenario-7,
+# -15a and -19 take two.
 _BLOCK_SPAN_S = 60.0
 
 # Elements of one pass's (satellites x blocks) matrix of central-angle
@@ -303,9 +306,12 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     (satellite, block) cosines, and a pass's rows in chunks of about
     ``_CHUNK_PAIRS`` (row, candidate) pairs, whose elevations come from the
     cosines of their central angles; `_scan_chunk` applies the rule to a
-    chunk by event.  The full geometry is then computed for the served
-    satellite only.  More than ``MAX_STEPS`` steps are a ConfigError on
-    ``step_s`` before any work.
+    chunk by event.  A block's candidates are the satellites within one
+    bound of the aircraft's zenith at its middle row, computed once for
+    the flight from its lowest aircraft and the fastest turns of a
+    satellite and of the route.  The full geometry is then computed for
+    the served satellite only.  More than ``MAX_STEPS`` steps are a
+    ConfigError on ``step_s`` before any work.
     """
     if step_s <= 0:
         raise ValueError("step_s must be > 0")
@@ -341,36 +347,30 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     threshold = scenario.handover_threshold_deg
     # hysteresis >= 0, so candidates for the threshold cover acquisitions
     acquire = threshold + scenario.handover_hysteresis_deg
-    # largest angular rate of a satellite direction in the Earth-fixed frame
-    sweep_rate = n_rate + EARTH_ROTATION_RATE
     rows = max(1, int(_BLOCK_SPAN_S / step_s))
     per_pass = rows * max(1, _PASS_ANGLES // len(w))
+    # One candidate bound for the flight.  A row is at most rows // 2 steps
+    # from its block's middle row, and a satellite's central angle there is
+    # within three turns over those steps (triangle inequality): the orbit's
+    # n, the Earth's omega_E and the route's fastest.  Elevation falls as the
+    # angle grows, so beyond the mask's reach from the lowest aircraft plus
+    # those turns a satellite is under the mask all block.  The lowest radius
+    # is capped at a, which keeps the arcsine defined and serves no steps.
+    lowest = obs_radius.min(initial=a)
+    reach = math.radians(90.0 - threshold) - math.asin(
+        lowest * math.cos(math.radians(threshold)) / a)
+    turn = n_rate + EARTH_ROTATION_RATE + scenario.route.fastest_turn_rad_s
+    bound = reach + turn * (rows // 2) * step_s + _CANDIDATE_MARGIN_RAD
+    cos_bound = math.cos(bound) if bound < math.pi else -math.inf
     sat_id = np.full(n_steps, -1, dtype=int)
     current = -1
     for lo in range(0, n_steps, per_pass):
         hi = min(n_steps, lo + per_pass)
         starts = np.arange(lo, hi, rows)
         ends = np.minimum(starts + rows, hi)
-        # Earth central angle of every satellite at each block's middle
-        # row.  At any row of the block it is at least this minus the
-        # satellite's drift and the aircraft's move (triangle inequality),
-        # and elevation falls as it grows, so a satellite beyond `reach` +
-        # drift + move stays under the threshold on every row of the
-        # block; `reach` uses the block's lowest aircraft.  Its cosine is
-        # one (satellites x 6) @ (6 x blocks) product, compared as soon as
-        # it is made so that the chunks do not hold it, and `keep` is
-        # (satellites x blocks).
-        mid = (starts + ends - 1) // 2
-        drift = np.minimum(sweep_rate * np.maximum(times[mid] - times[starts],
-                                                   times[ends - 1] - times[mid]), math.pi)
-        up_cos = np.minimum.reduceat(
-            _dot(up.take(mid.repeat(ends - starts), axis=1), up[:, lo:hi]), starts - lo)
-        up_move = np.arccos(up_cos.clip(-1.0, 1.0))
-        reach = math.radians(90.0 - threshold) - np.arcsin(np.minimum(
-            1.0, np.minimum.reduceat(obs_radius[lo:hi], starts - lo)
-            * math.cos(math.radians(threshold)) / a))
-        bound = reach + drift + up_move + _CANDIDATE_MARGIN_RAD
-        keep = w @ zen[mid].T >= np.where(bound < math.pi, np.cos(bound), -np.inf)
+        # the middle rows' cosines, one (satellites x 6) @ (6 x blocks) product
+        # compared as it is made so that the chunks do not hold it
+        keep = w @ zen[(starts + ends - 1) // 2].T >= cos_bound
         # the (satellite, block) of every candidate, satellite-major, from one
         # scan that the chunks share: a boolean matrix's indices come from
         # its flat ones, in np.nonzero's order and several times faster

@@ -469,6 +469,13 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> Path:
 
 # === CNR sweep ===
 
+# Most points one sweep may take.  A sweep peaks at 220 to 272 bytes a
+# point (`tracemalloc`: scenario-6, -7 and -19 at 1 and 20 frames, 20,000
+# and 40,000 points, both modes, written or not), so the budget keeps it
+# under about 1.4 GB.  More are a ConfigError on points.
+MAX_POINTS = 5_000_000
+
+
 def sweep_cnr(
     scenario: ScenarioSpec,
     cnr_min_db: float,
@@ -489,11 +496,15 @@ def sweep_cnr(
     seed ``seed + j``.  The erased slots are the same at every point, so
     they are found once, and
     :func:`rwasim.phy.sweep_stats` rolls up every point without a slot
-    table.  A point over the slot budget is a ConfigError before any
-    work.  Returns (cnr_db, ber, data_rate_mbps) rows.
+    table.  A point over the slot budget, or more points than
+    ``MAX_POINTS``, is a ConfigError before any work.  Returns (cnr_db,
+    ber, data_rate_mbps) rows.
     """
     if points < 1:
         raise ConfigError("points must be >= 1", field="points")
+    if points > MAX_POINTS:
+        raise ConfigError(f"{points} points exceed the budget of {MAX_POINTS} sweep points",
+                          field="points")
     if n_frames < 1:
         raise ConfigError("n_frames must be >= 1", field="n_frames")
     if cnr_max_db < cnr_min_db:

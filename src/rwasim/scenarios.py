@@ -104,6 +104,15 @@ class RfPayloadSpec:
     gain_over_t_dbk: float
 
 
+# Most satellites one shell may hold.  Resolving a shell and building its
+# access timeline peak at 121 to 144 bytes a satellite with 500 a plane
+# and at 312 to 317 with one, whose per-plane tuples cost the rest
+# (`tracemalloc`: shells at 550 and 35,786 km under a 0 deg mask, at a
+# 10 s step), so the budget keeps a shell under about 1.3 GB.  More are a
+# ConfigError on planes or sats_per_plane.
+MAX_SATELLITES = 4_000_000
+
+
 @dataclass(frozen=True)
 class ConstellationSpec:
     """A circular-orbit shell described plane by plane."""
@@ -124,6 +133,11 @@ class ConstellationSpec:
         if self.planes < 1 or self.sats_per_plane < 1:
             raise ConfigError("planes and sats_per_plane must be >= 1",
                               field="planes")
+        if self.total_sats > MAX_SATELLITES:
+            raise ConfigError(
+                f"{self.planes} planes of {self.sats_per_plane} satellites exceed the budget of "
+                f"{MAX_SATELLITES} satellites",
+                field="planes" if self.planes > MAX_SATELLITES else "sats_per_plane")
         if len(self.inclinations_deg) != self.planes:
             raise ConfigError("need one inclination per plane",
                               field="inclination_deg")
@@ -244,6 +258,11 @@ class FlightRoute:
     def duration_s(self) -> float:
         return float(self.points[-1, 0])
 
+    @property
+    def fastest_turn_rad_s(self) -> float:
+        """The fastest leg's angular rate (rad/s) of the up vector; 0 parked."""
+        return float(self._legs[7].max())
+
     def state(self, times_s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The aircraft's Earth-fixed state at ``times_s``: its up unit vector
         (3, ...), its distance from the Earth's centre (km) and its velocity
@@ -277,6 +296,14 @@ class FlightRoute:
         return float(lat), float(lon), float(alt)
 
 
+# Most waypoints one loiter may make.  Resolving a loiter and building a
+# coarse access timeline over it peak at 224 to 226 bytes a waypoint
+# (`tracemalloc`: 200,000 and 400,000 waypoints over the 4,392-satellite
+# shell of tools/mega_shell.json at a 600 s step), so the budget keeps a
+# loiter under about 1.1 GB.  More are a ConfigError on waypoint_interval_s.
+MAX_WAYPOINTS = 5_000_000
+
+
 def loiter_route(
     center_lat_deg: float,
     center_lon_deg: float,
@@ -302,6 +329,12 @@ def loiter_route(
         raise ConfigError("duration must be >= 0", field="flight")
     if not waypoint_interval_s > 0:
         raise ConfigError("waypoint_interval_s must be > 0", field="waypoint_interval_s")
+    # compared before the ceiling, which fails on the infinite quotient of
+    # a subnormal interval: at most MAX_WAYPOINTS - 1 intervals and the end
+    if duration_s / waypoint_interval_s > MAX_WAYPOINTS - 1:
+        raise ConfigError(
+            f"a {duration_s:g} s loiter at a {waypoint_interval_s:g} s waypoint interval exceeds "
+            f"the budget of {MAX_WAYPOINTS} waypoints", field="waypoint_interval_s")
     # at least the time 0, which a duration too short for the quotient to
     # reach 1 (it may underflow to 0) would otherwise leave out
     times = np.arange(max(1, math.ceil(duration_s / waypoint_interval_s))) * waypoint_interval_s
@@ -570,6 +603,9 @@ def _parse_raans(value, planes: int) -> tuple[float, ...]:
 
 def _parse_constellation(name: str, obj: dict) -> ConstellationSpec:
     planes = _require(obj, "planes", name, int)
+    if planes > MAX_SATELLITES:  # before the tuples of one value a plane below
+        raise ConfigError(f"{planes} planes exceed the budget of {MAX_SATELLITES} satellites",
+                          field="planes")
     payloads = {band: _build(RfPayloadSpec, _object(p, "payloads"), f"payload {band}")
                 for band, p in _object(_require(obj, "payloads", name), "payloads").items()}
     return _build(

@@ -856,6 +856,32 @@ def test_step_budget_fails_before_any_work():
             build_access_timeline(spec, spec.duration_s / 91)
 
 
+def test_point_budget_fails_before_any_work(tmp_path, capsys):
+    spec = builtin_catalog().scenarios["scenario-19"]  # a rotor: a sweep takes access
+    argv = ["sweep", "--scenario", "scenario-19", "--cnr-min", "0", "--cnr-max", "1",
+            "--frames", "1", "--out", str(tmp_path / "out")]
+    # a trillion points asked numpy for 7.28 TiB, 10^20 for more than it can index
+    with mock.patch.object(pipeline, "build_access_timeline", side_effect=AssertionError), \
+            mock.patch.object(np, "linspace", side_effect=AssertionError):
+        for points in (pipeline.MAX_POINTS + 1, 10 ** 12, 10 ** 20):
+            tracemalloc.start()
+            try:
+                code = main([*argv, "--points", str(points)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+            assert "error: points:" in capsys.readouterr().err
+            assert peak < 2**16
+    assert not (tmp_path / "out").exists()
+    # at the budget the sweep goes ahead
+    with mock.patch.object(pipeline, "MAX_POINTS", 3):
+        assert len(sweep_cnr(spec, 0.0, 1.0, 3, n_frames=1)) == 3
+        with pytest.raises(ConfigError) as err:
+            sweep_cnr(spec, 0.0, 1.0, 4, n_frames=1)
+        assert err.value.field == "points"
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cli_over_the_slot_budget_exits_2(tmp_path, capsys, command):
     spec = builtin_catalog().scenarios["scenario-19"]

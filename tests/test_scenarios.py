@@ -1,12 +1,15 @@
 import json
 import math
+import tracemalloc
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from rwasim import scenarios
 from rwasim.blades import RotorSpec
 from rwasim.cli import main
 from rwasim.constants import EARTH_RADIUS
@@ -187,6 +190,72 @@ def test_constellation_validation():
         ConstellationSpec(**{**good, "altitude_km": -5.0})
 
 
+def _over_budget_doc(kind):
+    """scenario-7 as a document whose loiter or shell is over its budget,
+    and the field its ConfigError names."""
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-7"])
+    scenario = doc["scenarios"][0]
+    constellation = doc["constellations"][scenario["constellation"]]
+    loiter = {"type": "loiter", "center_lat_deg": 45.0, "center_lon_deg": 10.0,
+              "altitude_m": 500.0, "radius_km": 15.0, "speed_ms": 35.0,
+              "duration_s": scenario["duration_h"] * 3600.0}
+    if kind == "tiny-interval":   # asked numpy for 51.2 PiB
+        scenario["flight"] = {**loiter, "waypoint_interval_s": 1e-12}
+    elif kind == "subnormal-interval":   # an infinite quotient met math.ceil
+        scenario["flight"] = {**loiter, "waypoint_interval_s": 5e-324}
+    elif kind == "many-planes":   # a tuple of one inclination a plane
+        constellation.update(planes=10 ** 15, sats_per_plane=1)
+    elif kind == "many-satellites":   # asked numpy for 7.28 TiB
+        constellation.update(planes=10 ** 6, sats_per_plane=10 ** 6, inclination_deg=53.0,
+                             raan_deg={"spacing_deg": 0.25})
+    else:
+        constellation.update(sats_per_plane=10 ** 12)
+    field = {"tiny-interval": "waypoint_interval_s", "subnormal-interval": "waypoint_interval_s",
+             "many-planes": "planes"}.get(kind, "sats_per_plane")
+    return doc, field
+
+
+@pytest.mark.parametrize("kind", ["tiny-interval", "subnormal-interval", "many-planes",
+                                  "many-satellites", "many-per-plane"])
+def test_over_budget_specs_exit_2_and_write_nothing(tmp_path, capsys, kind):
+    doc, field = _over_budget_doc(kind)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--step", "60", "--frames", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # before any array of the spec's size; the million planes of
+    # many-satellites build their tuples first, which the budget allows
+    if kind != "many-satellites":
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                parse_catalog(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.field == field
+        assert peak < 2**20
+
+
+def test_spec_budgets_admit_their_limit():
+    # at the budget a loiter or a shell goes ahead, one more is an error
+    with mock.patch.object(scenarios, "MAX_WAYPOINTS", 11):
+        assert len(loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, 100.0, 10.0).points) == 11
+        with pytest.raises(ConfigError) as err:
+            loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, 100.0, 9.9)
+        assert err.value.field == "waypoint_interval_s"
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-19"])   # LEO-2: 12 x 22
+    with mock.patch.object(scenarios, "MAX_SATELLITES", 264):
+        assert parse_catalog(doc).scenarios["scenario-19"].constellation.total_sats == 264
+    for budget, field in ((263, "sats_per_plane"), (11, "planes")):
+        with mock.patch.object(scenarios, "MAX_SATELLITES", budget), \
+                pytest.raises(ConfigError) as err:
+            parse_catalog(doc)
+        assert err.value.field == field
+
+
 # === flight routes ===
 
 def _direction(lat_deg, lon_deg):
@@ -220,6 +289,17 @@ def test_route_crosses_antimeridian_the_short_way():
     assert route.position(150.0)[1] == pytest.approx(179.95)
     assert route.position(450.0)[1] == pytest.approx(-179.95)
     assert route.position(300.0)[1] == pytest.approx(-180.0)
+
+
+def test_fastest_turn_is_the_fastest_legs_rate():
+    # along the equator: 1 deg in 100 s, then 3 deg in 200 s, 1.5 times as fast
+    route = FlightRoute(((0.0, 0.0, 0.0, 0.0), (100.0, 0.0, 1.0, 0.0), (300.0, 0.0, 4.0, 500.0)))
+    assert route.fastest_turn_rad_s == pytest.approx(math.radians(3.0) / 200.0, rel=1e-12)
+    reverse = FlightRoute(((0.0, 0.0, 4.0, 0.0), (200.0, 0.0, 1.0, 0.0), (300.0, 0.0, 0.0, 0.0)))
+    assert reverse.fastest_turn_rad_s == pytest.approx(math.radians(3.0) / 200.0, rel=1e-12)
+    parked = FlightRoute(((0.0, 10.0, 20.0, 0.0), (600.0, 10.0, 20.0, 300.0)))
+    assert parked.fastest_turn_rad_s == 0.0
+    assert FlightRoute(((0.0, 10.0, 20.0, 0.0),)).fastest_turn_rad_s == 0.0
 
 
 def test_route_rejects_antipodal_waypoints():

@@ -1,6 +1,7 @@
 """Checks of the scripts under ``tools/``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,3 +25,26 @@ def test_north_star_record_has_cpu_time_and_max_rss(tmp_path, monkeypatch):
         assert stats["q1"] <= stats["median"] <= stats["q3"]
     # the wall time keeps its place, so older records read the same way
     assert len(record["samples"]) == 2 and record["median"] > 0
+
+
+def test_north_star_scale_commands_stay_out_of_the_total():
+    bench = _tool("bench_north_star")
+    scale = {"run long-flight mc", "run scenario-19 mc 25000", "sweep scenario-19 mc 20000"}
+    assert scale | {"run mega-shell mc"} == set(bench.OUTSIDE_TOTAL)
+    commands = bench.commands()
+    assert set(bench.OUTSIDE_TOTAL) <= set(commands)
+    # every scale command writes, so its outputs are compared across checkouts
+    assert all(commands[name][1] for name in scale)
+    assert "25000" in commands["run scenario-19 mc 25000"][0]
+    sweep = commands["sweep scenario-19 mc 20000"][0]
+    assert sweep[sweep.index("--points") + 1] == "26" and "20000" in sweep
+    # the long flight is the mega shell flown for 24 h at a 1 s step
+    long_flight = json.loads((ROOT / "tools" / "long_flight.json").read_text())
+    mega_shell = json.loads((ROOT / "tools" / "mega_shell.json").read_text())
+    assert long_flight["scenarios"][0].pop("duration_h") == 24.0
+    assert long_flight["scenarios"][0].pop("id") == "long-flight"
+    for scenario in mega_shell["scenarios"]:
+        del scenario["duration_h"], scenario["id"]
+    assert long_flight == mega_shell
+    args = commands["run long-flight mc"][0]
+    assert args[args.index("--step") + 1] == "1"

@@ -16,7 +16,12 @@ speed falls on all of them alike:
 - ``python -c "import rwasim.cli"``;
 - ``rwasim run`` in ``mc`` mode, with the same arguments, of the
   mega-shell scenario in ``tools/mega_shell.json``: 4,392 satellites at
-  550 km and 53 deg, a loiter at 45 deg N under a 25 deg mask, 2 h.
+  550 km and 53 deg, a loiter at 45 deg N under a 25 deg mask, 2 h;
+- three scale runs in ``mc`` mode: the same shell and loiter flown for
+  24 h (``tools/long_flight.json``) with the same arguments, the access
+  timeline at scale; scenario-19 at ``--step 60 --frames 25000``, whose
+  ``slots.csv`` is about 110 MB; and a 26-point scenario-19 sweep of
+  20,000 frames.
 
 For each checkout it writes ``BENCH_<LABEL>.json`` to the current
 directory: the median and quartiles of every command's wall time and
@@ -25,8 +30,8 @@ versions (scipy's too when it is installed).  Next to a command's wall
 time, under its ``cpu_s`` and ``max_rss_mb`` keys, are the same
 statistics of the child's CPU time (user plus system) and maximum
 resident set size, read from ``os.wait4``; records made before these
-were added lack the two keys.  The total leaves out the mega-shell run,
-so it compares with records made before that was added.
+were added lack the two keys.  The total leaves out the mega-shell and
+scale runs, so it compares with records made before they were added.
 Given several checkouts, it also records under ``same_outputs_as``, for
 every checkout after the first, whether its first repeat wrote the same
 files, byte for byte, as the first checkout's (``{"<first label>":
@@ -69,8 +74,14 @@ SWEEP_SCENARIO = "scenario-7"
 SWEEP_ARGS = ("--cnr-min", "-5", "--cnr-max", "20", "--points", "26",
               "--frames", "1000", "--seed", "0")
 MEGA_SHELL = Path(__file__).resolve().parent / "mega_shell.json"
+LONG_FLIGHT = Path(__file__).resolve().parent / "long_flight.json"
+SCALE_SCENARIO = "scenario-19"
+SCALE_RUN_ARGS = ("--step", "60", "--frames", "25000", "--seed", "0")
+SCALE_SWEEP_ARGS = ("--cnr-min", "-5", "--cnr-max", "20", "--points", "26",
+                    "--frames", "20000", "--seed", "0")
 # timed, but left out of the total
-OUTSIDE_TOTAL = ("run mega-shell mc",)
+OUTSIDE_TOTAL = ("run mega-shell mc", "run long-flight mc", f"run {SCALE_SCENARIO} mc 25000",
+                 f"sweep {SCALE_SCENARIO} mc 20000")
 
 
 def commands() -> dict[str, tuple[list[str], bool]]:
@@ -87,6 +98,14 @@ def commands() -> dict[str, tuple[list[str], bool]]:
     cmds["import rwasim.cli"] = (["-c", "import rwasim.cli"], False)
     cmds["run mega-shell mc"] = (["-m", "rwasim.cli", "run", "--scenario", str(MEGA_SHELL),
                                   "--mode", "mc", *RUN_ARGS], True)
+    cmds["run long-flight mc"] = (["-m", "rwasim.cli", "run", "--scenario", str(LONG_FLIGHT),
+                                   "--mode", "mc", *RUN_ARGS], True)
+    cmds[f"run {SCALE_SCENARIO} mc 25000"] = (
+        ["-m", "rwasim.cli", "run", "--scenario", SCALE_SCENARIO, "--mode", "mc",
+         *SCALE_RUN_ARGS], True)
+    cmds[f"sweep {SCALE_SCENARIO} mc 20000"] = (
+        ["-m", "rwasim.cli", "sweep", "--scenario", SCALE_SCENARIO, "--mode", "mc",
+         *SCALE_SWEEP_ARGS], True)
     return cmds
 
 
