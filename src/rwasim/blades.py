@@ -23,6 +23,13 @@ from .errors import ConfigError
 # relative change of blocked time that rebuilds the schedule in force
 REGEN_FRACTION = 0.05
 
+# Most blade passes a second a rotor may make.  `slot_blocked_ms` holds
+# about 120 bytes per (frame, pulse) of a block (`tracemalloc`: 10^3 to
+# 10^4 blades and 4 blades at the budget), and a block of 2^16 slots at
+# 10 a frame is 6,553 frames of 105 pulses at this rate, 80.5 MB.  More
+# are a ConfigError on rpm.
+MAX_BLADE_PASSES_S = 10_000
+
 
 @dataclass(frozen=True)
 class RotorSpec:
@@ -44,6 +51,10 @@ class RotorSpec:
                 raise ConfigError(f"{name} must be > 0", field=name)
         if not self.shaft_offset_m >= 0:
             raise ConfigError("shaft_offset_m must be >= 0", field="shaft_offset_m")
+        # an int compares with a float exactly, so no product can overflow
+        if self.n_blades > MAX_BLADE_PASSES_S * 60.0 / self.rpm:
+            raise ConfigError(f"{self.n_blades} blades at {self.rpm:g} rpm exceed the budget "
+                              f"of {MAX_BLADE_PASSES_S} blade passes a second", field="rpm")
 
     @property
     def rate_deg_per_ms(self) -> float:
@@ -208,25 +219,6 @@ def regenerations(blocked) -> tuple[np.ndarray, np.ndarray]:
     first = np.zeros(len(values), dtype=bool)
     first[starts] = True
     return first.cumsum() - 1, np.array(starts, dtype=np.intp)
-
-
-def schedule_timeline(
-    rotor: RotorSpec,
-    elevations_deg,
-) -> tuple[np.ndarray, BladeSchedule]:
-    """Schedules along a run of elevation samples, regenerated only on meaningful change.
-
-    Recomputing the schedule at every elevation sample is wasteful and
-    makes downstream erasure patterns jitter; :func:`regenerations` says
-    where the schedule is rebuilt.
-
-    Returns ``(segment, schedules)``: the segment index of every sample
-    and one columnar schedule with one entry per segment, built at the
-    segment's first sample.
-    """
-    blocked = blocked_ms(rotor, elevations_deg)
-    segment, starts = regenerations(blocked)
-    return segment, schedule(rotor, blocked[starts])
 
 
 def slot_blocked_ms(schedules: BladeSchedule, frame_offsets_ms, slot_ms: float,

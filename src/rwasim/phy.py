@@ -313,10 +313,12 @@ class SlotTable:
 
     Only ``erased`` and ``bit_errors`` are stored per slot.  The channel
     (CNR, BER and decode probability) is stored once per frame and the
-    payload once per table; the other slot columns are read-only
-    properties that expand them on demand, one numpy array per access.
-    Row ``i`` is slot ``i``, in slot order.  An erased slot carries a BER
-    of 1, a decode probability of 0 and all of its payload as bit errors.
+    payload once per table; ``cnr_db``, ``payload_bits``, ``ber``,
+    ``decode_prob`` and ``decoded`` are read-only properties that expand
+    them on demand, one numpy array per access.  Row ``i`` is slot ``i``,
+    in slot order; slots.csv numbers and times the slots from
+    ``first_frame`` and the numerology.  An erased slot carries a BER of
+    1, a decode probability of 0 and all of its payload as bit errors.
     """
 
     numerology: Numerology
@@ -360,20 +362,6 @@ class SlotTable:
 
     def _to_slots(self, per_frame: np.ndarray) -> np.ndarray:
         return np.repeat(per_frame, self.numerology.slots_per_frame)
-
-    @property
-    def slot_index(self) -> np.ndarray:
-        """int64 slot numbers."""
-        spf = self.numerology.slots_per_frame
-        return np.arange(self.first_frame * spf, self.first_frame * spf + len(self),
-                         dtype=np.int64)
-
-    @property
-    def t_start_ms(self) -> np.ndarray:
-        """float64 start time of each slot on the PHY clock."""
-        num = self.numerology
-        frames = np.arange(self.first_frame, self.first_frame + self.n_frames)
-        return (frames[:, None] * FRAME_MS + np.arange(num.slots_per_frame) * num.slot_ms).ravel()
 
     @property
     def cnr_db(self) -> np.ndarray:

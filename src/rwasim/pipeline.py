@@ -35,7 +35,6 @@ class LinkTimeline:
     cloud_db: np.ndarray
     total_db: np.ndarray
     cnr_db: np.ndarray               # -inf during outages
-    cnr_prime_db: np.ndarray | None  # rescaled CNR when configured
 
 
 def link_timeline(scenario: ScenarioSpec, access: AccessTimeline) -> LinkTimeline:
@@ -74,17 +73,10 @@ def link_timeline(scenario: ScenarioSpec, access: AccessTimeline) -> LinkTimelin
         out[served] = values
         return out
 
-    cnr_db = column(cnr, -np.inf)
-    cnr_prime = None
-    if scenario.cnr_prime_bandwidth_mhz is not None:
-        cnr_prime = column(rescale_cnr(cnr, bandwidth, scenario.cnr_prime_bandwidth_mhz),
-                           -np.inf)
-
     return LinkTimeline(
         times_s=access.times_s,
         fspl_db=column(fspl_db), gas_db=column(gas), rain_db=column(rain),
-        cloud_db=column(cloud), total_db=column(total),
-        cnr_db=cnr_db, cnr_prime_db=cnr_prime,
+        cloud_db=column(cloud), total_db=column(total), cnr_db=column(cnr, -np.inf),
     )
 
 
@@ -104,9 +96,8 @@ def blade_overlay(
     Returns ``(segment, rows)``: the segment in force at each access
     sample (-1 in outages and without a rotor) and a record array with
     one record of the ``BLADE_FIELDS`` per segment (empty without a
-    rotor).  The segments are those of
-    :func:`rwasim.blades.schedule_timeline`, from one evaluation of the
-    crossing per served sample.
+    rotor).  :func:`rwasim.blades.regenerations` cuts the served samples
+    into segments, from one evaluation of the crossing per served sample.
     """
     rotor = scenario.aircraft.rotor
     segment = np.full(len(access), -1)
@@ -172,9 +163,11 @@ def build_report(
     """Aggregate a run into the JSON report structure.
 
     Every number is recomputable from the CSV exports; geometry and
-    link statistics cover served samples only.
+    link statistics cover served samples only.  ``cnr_prime_db`` is the
+    served CNR rescaled to ``cnr_prime_bandwidth_mhz``, when that is set.
     """
     served = _served(scenario, access)
+    prime = scenario.cnr_prime_bandwidth_mhz
     report = {
         "scenario_id": scenario.id,
         "seed": seed,
@@ -192,8 +185,8 @@ def build_report(
         "doppler_abs_khz": _stats(np.abs(access.doppler_khz[served])),
         "loss_db": _stats(link.total_db[served]),
         "cnr_db": _stats(link.cnr_db[served]),
-        "cnr_prime_db": (None if link.cnr_prime_db is None
-                         else _stats(link.cnr_prime_db[served])),
+        "cnr_prime_db": (None if prime is None else _stats(rescale_cnr(
+            link.cnr_db[served], scenario.aircraft.bandwidth_mhz, prime))),
         "ber": stats.ber,
         "data_rate_mbps": stats.data_rate_mbps,
         "slot_loss_fraction": stats.slot_loss_fraction,

@@ -1,10 +1,24 @@
 """The columns a run writes to each of its CSV files, taken from the run."""
 
+import numpy as np
+
+from rwasim.phy import FRAME_MS
+
 
 def slot_columns(slots) -> dict:
-    """The columns of slots.csv, expanded from a ``SlotTable``."""
+    """The columns of slots.csv, expanded from a ``SlotTable``.
+
+    Slot numbers and start times count from the table's ``first_frame``:
+    slot ``j`` of frame ``f`` is number ``f * spf + j`` and starts at
+    ``f * FRAME_MS + j * slot_ms``.
+    """
+    num = slots.numerology
+    spf = num.slots_per_frame
+    first = slots.first_frame * spf
+    frames = np.arange(slots.first_frame, slots.first_frame + slots.n_frames)
     return {
-        "slot_index": slots.slot_index, "t_start_ms": slots.t_start_ms,
+        "slot_index": np.arange(first, first + len(slots), dtype=np.int64),
+        "t_start_ms": (frames[:, None] * FRAME_MS + np.arange(spf) * num.slot_ms).ravel(),
         "erased": slots.erased, "cnr_db": slots.cnr_db,
         "payload_bits": slots.payload_bits, "bit_errors": slots.bit_errors,
         "ber": slots.ber, "decode_prob": slots.decode_prob}

@@ -17,7 +17,6 @@ from rwasim.blades import (
     crossing,
     regenerations,
     schedule,
-    schedule_timeline,
     slot_blocked_ms,
     speed_ratios,
 )
@@ -37,7 +36,9 @@ def test_rotor_validation():
     for args, field in [((0, 0.1, 400, 1.0, 0.5, 2.0), "n_blades"),
                         ((2, -0.1, 400, 1.0, 0.5, 2.0), "blade_width_m"),
                         ((2, 0.1, 0, 1.0, 0.5, 2.0), "rpm"),
-                        ((2, 0.1, 400, -1.0, 0.5, 2.0), "shaft_offset_m")]:
+                        ((2, 0.1, 400, -1.0, 0.5, 2.0), "shaft_offset_m"),
+                        # over MAX_BLADE_PASSES_S, with more blades than any float
+                        ((10 ** 400, 0.1, 400, 1.0, 0.5, 2.0), "rpm")]:
         with pytest.raises(ConfigError) as err:
             RotorSpec(*args)
         assert err.value.field == field
@@ -329,12 +330,13 @@ def test_slot_blocked_equals_per_frame_walk(case):
 def test_timeline_regeneration_threshold():
     rotor = RotorSpec(4, 0.29, 400, 3.45, 0.5, 5.2)
     # 0.1 deg of elevation drift moves blocked time well under 5%: reused
-    segment, schedules = schedule_timeline(rotor, [50.0, 50.1, 50.2])
-    assert segment.tolist() == [0, 0, 0] and len(schedules.blocked_ms) == 1
+    segment, starts = regenerations(blocked_ms(rotor, [50.0, 50.1, 50.2]))
+    assert segment.tolist() == [0, 0, 0] and starts.tolist() == [0]
     # a 20 deg jump forces a rebuild
-    segment, schedules = schedule_timeline(rotor, [50.0, 70.0])
-    assert segment.tolist() == [0, 1]
-    assert schedules.blocked_ms[1] < schedules.blocked_ms[0]
+    blocked = blocked_ms(rotor, [50.0, 70.0])
+    segment, starts = regenerations(blocked)
+    assert segment.tolist() == [0, 1] and starts.tolist() == [0, 1]
+    assert blocked[1] < blocked[0]
 
 
 def _regeneration_starts(blocked):
@@ -388,9 +390,10 @@ def test_regenerations_match_the_rule_sample_by_sample(blocked):
 
 def test_timeline_tracks_blockage_appearing():
     rotor = RotorSpec(4, 0.29, 400, 0.0, 0.5, 1.0)
-    segment, schedules = schedule_timeline(rotor, [5.0, 45.0])  # miss, then hit
-    assert schedules.blocked_ms[segment[0]] == 0.0
-    assert schedules.blocked_ms[segment[1]] > 0.0
+    blocked = blocked_ms(rotor, [5.0, 45.0])  # miss, then hit
+    segment, starts = regenerations(blocked)
+    assert blocked[starts][segment[0]] == 0.0
+    assert blocked[starts][segment[1]] > 0.0
 
 
 SCHEDULE_COLUMNS = ("n_blades", "blocked_ms", "clear_ms", "rotation_ms", "period_ms",

@@ -11,6 +11,8 @@ kernel.
 
 import csv
 import json
+import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -18,10 +20,11 @@ import numpy as np
 import pytest
 
 from output_columns import output_columns
-from rwasim import orbit, pipeline
+from rwasim import blades, orbit, pipeline
 from rwasim.cli import main
+from rwasim.errors import ConfigError
 from rwasim.pipeline import run_scenario
-from rwasim.scenarios import builtin_catalog, serialize_scenario
+from rwasim.scenarios import builtin_catalog, parse_catalog, serialize_scenario
 
 MEGA_SHELL = str(Path(__file__).resolve().parents[1] / "tools" / "mega_shell.json")
 
@@ -142,3 +145,46 @@ def test_cli_over_the_step_budget_exits_2(tmp_path, capsys, step):
                  "--out", str(tmp_path / "out")]) == 2
     assert "error: step_s:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _rotor_doc(tmp_path, **rotor) -> str:
+    """The path of scenario-7 as a document with its UAV-2 rotor changed."""
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-7"])
+    doc["aircraft"]["UAV-2"]["rotor"].update(rotor)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["run", "--step", "60", "--frames", "20"],
+                                  ["sweep", "--frames", "2", *_SWEEP]], ids=["run", "sweep"])
+@pytest.mark.parametrize("rotor", [{"n_blades": 10 ** 9}, {"rpm": 1e300}],
+                         ids=["many-blades", "fast-rotor"])
+def test_rotor_over_the_pass_budget_exits_2_and_writes_nothing(tmp_path, capsys, argv, rotor):
+    # both asked numpy for a (frames x pulses) grid it could not allocate
+    path = _rotor_doc(tmp_path, **rotor)
+    assert main([argv[0], "--scenario", path, *argv[1:], "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error: rpm:" in err and "blades at" in err
+    assert not (tmp_path / "out").exists()
+    doc = json.loads(Path(path).read_text())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as raised:
+            parse_catalog(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raised.value.field == "rpm"
+    assert peak < 2 ** 20
+
+
+def test_rotor_at_the_pass_budget_runs(tmp_path, capsys):
+    # 4 blades at 150,000 rpm pass exactly MAX_BLADE_PASSES_S times a second
+    assert 4 * 150_000 / 60 == blades.MAX_BLADE_PASSES_S
+    for rpm, code in ((150_000.0, 0), (math.nextafter(150_000.0, math.inf), 2)):
+        assert main(["run", "--scenario", _rotor_doc(tmp_path, n_blades=4, rpm=rpm),
+                     "--step", "60", "--frames", "20", "--out", str(tmp_path / str(code))]) == code
+    assert (tmp_path / "0" / "scenario-7" / "slots.csv").exists()
+    assert not (tmp_path / "2").exists()
+    assert "error: rpm:" in capsys.readouterr().err

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blade_intervals import blocked_intervals
+from output_columns import slot_columns
 from rwasim import phy as phy_module
 from rwasim.blades import BladeGeometry, BladeSchedule, RotorSpec, build_schedule, slot_blocked_ms
 from rwasim.errors import ConfigError
@@ -353,7 +354,7 @@ def test_rotor_clock_spans_frames():
     rotor = RotorSpec(2, 0.1, rpm, 1.0, 0.5, 5.0)
     sched = build_schedule(rotor, BladeGeometry(1.0, 2.0 * rotor.rate_deg_per_ms))
     slots = simulate_frames(_phy(), 40.0, 2, _blocked(sched, 2), mode="expected")
-    erased_t = slots.t_start_ms[slots.erased]
+    erased_t = slot_columns(slots)["t_start_ms"][slots.erased]
     assert erased_t == pytest.approx([0.0, 0.5, 1.0, 1.5, 16.0, 16.5, 17.0, 17.5])
 
 
@@ -655,10 +656,7 @@ def _per_slot_columns(phy, cnr, n_frames, blocked, mode, seed):
     else:
         bit_errors = np.where(erased, payload, np.round(channel_ber * payload)).astype(np.int64)
         decoded = decode_prob > 0.5
-    frame, slot = np.divmod(np.arange(n_slots), spf)
     return {
-        "slot_index": np.arange(n_slots, dtype=np.int64),
-        "t_start_ms": frame * FRAME_MS + slot * num.slot_ms,
         "erased": erased,
         "decoded": decoded,
         "payload_bits": np.full(n_slots, payload, dtype=np.int64),
@@ -682,11 +680,12 @@ def test_expanded_columns_equal_per_slot_columns(case):
     assert len(slots) == case["n_frames"] * spf and slots.n_frames == case["n_frames"]
     first, stop = case["cut"]
     part = slots.frames(first, stop)
+    # a slice of frames is numbered as in the whole table
+    assert part.first_frame == first
     for name, column in want.items():
         got = getattr(slots, name)
         assert got.dtype == column.dtype and got.shape == column.shape, name
         assert np.array_equal(got, column), name
-        # a slice of frames is numbered as in the whole table
         assert np.array_equal(getattr(part, name), column[first * spf:stop * spf]), name
 
 

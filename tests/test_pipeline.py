@@ -17,21 +17,22 @@ from output_columns import output_columns, slot_columns
 from rwasim import orbit as orbit_module
 from rwasim import phy as phy_module
 from rwasim import pipeline
-from rwasim.blades import (REGEN_FRACTION, RotorSpec, blocked_ms, crossing, schedule,
-                           schedule_timeline, slot_blocked_ms)
+from rwasim.blades import (REGEN_FRACTION, RotorSpec, blocked_ms, crossing, regenerations,
+                           schedule, slot_blocked_ms)
 from rwasim.cli import main
 from rwasim.constants import EARTH_ROTATION_RATE
 from rwasim.errors import ConfigError
 from rwasim.linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain,
                                pointing_offset, rescale_cnr)
 from rwasim.orbit import AccessTimeline, build_access_timeline, circular_speed
-from rwasim.phy import (FRAME_MS, Mcs, PhyConfig, aggregate, erased_slots, simulate_frames,
-                        transport_block_size)
+from rwasim.phy import (FRAME_MS, FrameStats, Mcs, PhyConfig, aggregate, erased_slots,
+                        simulate_frames, transport_block_size)
 from rwasim.pipeline import (
     _CSV_CHUNK_ROWS,
     BLADE_FIELDS,
     _write_csv,
     blade_overlay,
+    build_report,
     compare_reports,
     link_timeline,
     run_scenario,
@@ -134,9 +135,10 @@ def test_report_json_is_strict(tmp_path, sid, mode):
     json.loads((tmp_path / sid / "report.json").read_text(), parse_constant=_reject_constant)
 
 
-def test_report_recomputable_from_csvs(tmp_path):
-    run_scenario(_overhead_geo(), step_s=5.0, n_frames=20, mode="mc",
-                 seed=3, out_dir=tmp_path)
+@pytest.mark.parametrize("prime", [None, 1.0], ids=["no-cnr-prime", "cnr-prime"])
+def test_report_recomputable_from_csvs(tmp_path, prime):
+    run_scenario(_overhead_geo(cnr_prime_bandwidth_mhz=prime), step_s=5.0, n_frames=20,
+                 mode="mc", seed=3, out_dir=tmp_path)
     target = tmp_path / "geo-overhead"
     rep = json.loads((target / "report.json").read_text())
     access = _read_csv(target / "access.csv")
@@ -159,6 +161,14 @@ def test_report_recomputable_from_csvs(tmp_path):
     cnrs = [float(r["cnr_db"]) for r, s in zip(link, served) if s]
     assert rep["loss_db"]["avg"] == pytest.approx(np.mean(losses), rel=1e-9)
     assert rep["cnr_db"]["avg"] == pytest.approx(np.mean(cnrs), rel=1e-9)
+    if prime is None:
+        assert rep["cnr_prime_db"] is None
+    else:
+        # the served CNR over the reference bandwidth: + 10 log10(B / B')
+        primes = np.array(cnrs) + 10.0 * math.log10(rep["bandwidth_mhz"] / prime)
+        for key, value in (("min", primes.min()), ("max", primes.max()),
+                           ("avg", primes.mean())):
+            assert rep["cnr_prime_db"][key] == pytest.approx(value, rel=1e-9), key
 
     bits = sum(float(r["payload_bits"]) for r in slots)
     errors = sum(float(r["bit_errors"]) for r in slots)
@@ -362,15 +372,18 @@ def _reference_blades(rotor, access):
 
 
 def _overlay_by_schedule_timeline(scenario, access):
-    """`blade_overlay` derived from `schedule_timeline`: the crossing again at
-    each segment's first sample, and the rows by `np.rec.fromarrays`."""
+    """`blade_overlay` derived from a timeline of schedules: `blocked_ms` of the
+    served samples, its `regenerations` and their `schedule`, the crossing
+    again at each segment's first sample, and the rows by `np.rec.fromarrays`."""
     rotor = scenario.aircraft.rotor
     segment = np.full(len(access), -1)
     if rotor is None:
         return segment, np.rec.fromarrays([np.empty(0)] * len(BLADE_FIELDS), names=BLADE_FIELDS)
     served = access.sat_id >= 0
     el = access.elevation_deg[served]
-    served_segment, schedules = schedule_timeline(rotor, el)
+    blocked = blocked_ms(rotor, el)
+    served_segment, starts = regenerations(blocked)
+    schedules = schedule(rotor, blocked[starts])
     segment[served] = served_segment
     first_el = el[np.flatnonzero(np.diff(served_segment, prepend=-1))]
     radius, arc = crossing(rotor, first_el)
@@ -463,14 +476,18 @@ def test_link_and_blades_match_per_sample_reference(case):
     got = np.array([link.fspl_db, link.gas_db, link.rain_db, link.cloud_db,
                     link.total_db, link.cnr_db])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    if scenario.cnr_prime_bandwidth_mhz is None:
-        assert link.cnr_prime_db is None
-    else:
-        np.testing.assert_allclose(
-            link.cnr_prime_db,
-            np.where(access.served, rescale_cnr(want[5], scenario.aircraft.bandwidth_mhz,
-                                                scenario.cnr_prime_bandwidth_mhz), -np.inf),
-            rtol=1e-12, atol=0.0)
+    prime = scenario.cnr_prime_bandwidth_mhz
+    if access.served.any():
+        report = build_report(scenario, access, link, FrameStats(0, 0, 0.0, 0.0, 0.0),
+                              1.0, 0, "mc", 0)
+        if prime is None:
+            assert report["cnr_prime_db"] is None
+        else:
+            rescaled = rescale_cnr(want[5][access.served], scenario.aircraft.bandwidth_mhz,
+                                   prime)
+            np.testing.assert_allclose(
+                [report["cnr_prime_db"][k] for k in ("min", "max", "avg")],
+                [rescaled.min(), rescaled.max(), rescaled.mean()], rtol=1e-12, atol=0.0)
 
     segment, rows = blade_overlay(scenario, access)
     rotor = scenario.aircraft.rotor
@@ -718,7 +735,7 @@ def test_slots_csv_pieces_are_exact_at_every_digit_boundary(tmp_path, scs_khz):
         assert path.read_bytes() == _reference_csv(list(columns), list(columns.values())), first
     # one frame past the bound the guard raises, where %.10g stops being exact
     past = _random_slot_table(num, bound, 2, rng)
-    last_start = float(past.t_start_ms[-1])
+    last_start = float(slot_columns(past)["t_start_ms"][-1])
     assert float(format(last_start, ".10g")) != last_start
     with pytest.raises(ValueError, match="digits"):
         pipeline._write_slots_csv(path, past)

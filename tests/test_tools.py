@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +49,22 @@ def test_north_star_scale_commands_stay_out_of_the_total():
     assert long_flight == mega_shell
     args = commands["run long-flight mc"][0]
     assert args[args.index("--step") + 1] == "1"
+
+
+def test_regen_goldens_names_the_goldens_it_changed(tmp_path, monkeypatch, capsys):
+    tool = _tool("regen_goldens")
+    golden = tmp_path / "golden"
+    shutil.copytree(ROOT / "tests" / "golden", golden)
+    monkeypatch.setattr(tool, "GOLDEN", golden)
+    tool.report_changes()
+    # the CLI's output is swallowed, so the verdict is the only line
+    assert capsys.readouterr().out == "no golden changed\n"
+    # a golden out of step with the runs, and one missing
+    (golden / "scenario-7-mc.json").write_text("{}\n")
+    (golden / "scenario-19-expected-sweep.csv").unlink()
+    tool.report_changes()
+    assert capsys.readouterr().out.splitlines() == [
+        f"changed: {golden / 'scenario-19-expected-sweep.csv'}",
+        f"changed: {golden / 'scenario-7-mc.json'}"]
+    for path in golden.iterdir():
+        assert path.read_bytes() == (ROOT / "tests" / "golden" / path.name).read_bytes(), path

@@ -14,12 +14,16 @@ which do not depend on the mode, go to ``tests/golden/<id>-<table>``.
 All come from the same runs, so they cannot drift apart.  For each
 scenario of the golden sweeps in both modes it runs ``rwasim sweep``
 with the gate's arguments and writes its ``sweep.csv`` as
-``tests/golden/<id>-<mode>-sweep.csv``.  A change that
-regenerates the goldens says which ones and why.
+``tests/golden/<id>-<mode>-sweep.csv``.  The CLI's own output is
+swallowed; the script prints one line per golden whose bytes it changed,
+or "no golden changed".  A change that regenerates the goldens says
+which ones and why.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
 import sys
@@ -34,8 +38,15 @@ from test_golden import (GOLDEN, RUN_ARGS, SCENARIOS, SWEEP_ARGS, SWEEPS, TABLES
 from rwasim.cli import main  # noqa: E402
 
 
-def regen() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
+def _snapshot() -> dict:
+    """The bytes of every golden, by file name."""
+    return {path.name: path.read_bytes() for path in GOLDEN.iterdir() if path.is_file()}
+
+
+def regen() -> list[str]:
+    """Rewrite every golden and return the names of those whose bytes changed."""
+    before = _snapshot()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for scenario_id in SCENARIOS:
             for mode in ("mc", "expected"):
                 out = Path(tmp) / mode
@@ -59,7 +70,17 @@ def regen() -> None:
                     raise SystemExit(f"error: {scenario_id} {mode} sweep failed")
                 shutil.copyfile(out / scenario_id / "sweep.csv",
                                 GOLDEN / f"{scenario_id}-{mode}-sweep.csv")
+    return sorted(name for name, data in _snapshot().items() if before.get(name) != data)
+
+
+def report_changes() -> None:
+    """Regenerate and print what changed."""
+    changed = regen()
+    for name in changed:
+        print(f"changed: {GOLDEN / name}")
+    if not changed:
+        print("no golden changed")
 
 
 if __name__ == "__main__":
-    regen()
+    report_changes()
