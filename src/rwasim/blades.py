@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_domains, domain
 
 # relative change of blocked time that rebuilds the schedule in force
 REGEN_FRACTION = 0.05
@@ -35,22 +35,15 @@ MAX_BLADE_PASSES_S = 10_000
 class RotorSpec:
     """Physical description of a main rotor above a fixed antenna."""
 
-    n_blades: int
-    blade_width_m: float      # blade chord where the boresight crosses
-    rpm: float                # rotor speed, rev/min
-    shaft_offset_m: float     # horizontal antenna-to-shaft distance
-    rotor_height_m: float     # vertical antenna-to-rotor-plane distance
-    tip_radius_m: float       # blade tip radius; beyond it nothing blocks
+    n_blades: int = domain("[1, inf)", "at least one; MAX_BLADE_PASSES_S bounds blades x rpm")
+    blade_width_m: float = domain("[0.001, 10]", "the chord the boresight crosses; 1 m is wide")
+    rpm: float = domain("[1, inf)", "rev/min of a rotor that turns at least once a minute")
+    shaft_offset_m: float = domain("[0, 100]", "horizontal antenna-to-shaft distance")
+    rotor_height_m: float = domain("[0.001, 100]", "vertical antenna-to-rotor distance")
+    tip_radius_m: float = domain("[0.001, 100]", "beyond it nothing blocks; the largest are 17 m")
 
     def __post_init__(self) -> None:
-        if self.n_blades < 1:
-            raise ConfigError("n_blades must be >= 1", field="n_blades")
-        # written so that NaN fails them
-        for name in ("blade_width_m", "rpm", "rotor_height_m", "tip_radius_m"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0", field=name)
-        if not self.shaft_offset_m >= 0:
-            raise ConfigError("shaft_offset_m must be >= 0", field="shaft_offset_m")
+        check_domains(self)
         # an int compares with a float exactly, so no product can overflow
         if self.n_blades > MAX_BLADE_PASSES_S * 60.0 / self.rpm:
             raise ConfigError(f"{self.n_blades} blades at {self.rpm:g} rpm exceed the budget "

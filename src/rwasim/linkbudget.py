@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import BOLTZMANN_DB
-from .errors import ConfigError
+from .errors import ConfigError, check_domains, domain
 
 
 def fspl(distance_km, frequency_ghz: float):
@@ -28,19 +28,15 @@ def fspl(distance_km, frequency_ghz: float):
 
 @dataclass(frozen=True)
 class BandAtmosphere:
-    """Per-band atmospheric coefficients."""
+    """Per-band atmospheric coefficients; rain attenuates by k * R^alpha dB/km."""
 
-    zenith_gas_db: float      # gaseous absorption looking straight up
-    zenith_cloud_db: float    # cloud/fog attenuation looking straight up
-    rain_k: float             # specific rain attenuation: k * R^alpha dB/km
-    rain_alpha: float
+    zenith_gas_db: float = domain("[0, 1000]", "gaseous; of order 100 dB at the 60 GHz oxygen line")
+    zenith_cloud_db: float = domain("[0, 1000]", "cloud and fog; tens of dB at most")
+    rain_k: float = domain("[0, 10]", "ITU-R P.838's k is about 1 at 100 GHz")
+    rain_alpha: float = domain("(0, 2]", "ITU-R P.838's exponents lie near 1 at every frequency")
 
     def __post_init__(self) -> None:
-        for name in ("zenith_gas_db", "zenith_cloud_db", "rain_k"):
-            if not getattr(self, name) >= 0.0:  # NaN fails too
-                raise ConfigError("must be >= 0", field=name)
-        if not self.rain_alpha > 0.0:
-            raise ConfigError("must be > 0", field="rain_alpha")
+        check_domains(self)
 
 
 # Representative mid-band coefficients for the bands the simulator uses.
@@ -62,13 +58,11 @@ class LossModel:
 
     bands: dict[str, BandAtmosphere] = field(
         default_factory=lambda: dict(DEFAULT_BAND_ATMOSPHERE))
-    rain_height_km: float = 3.0
-    slant_cap_km: float = 20.0
+    rain_height_km: float = domain("(0, 20]", "rain falls from below the tropopause", default=3.0)
+    slant_cap_km: float = domain("(0, 1000]", "no rain cell is 1000 km across", default=20.0)
 
     def __post_init__(self) -> None:
-        for name in ("rain_height_km", "slant_cap_km"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
-                raise ConfigError("must be > 0", field=name)
+        check_domains(self)
 
     def band(self, name: str) -> BandAtmosphere:
         try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_domains, domain
 
 FRAME_MS = 10.0
 SUBCARRIERS_PER_RB = 12
@@ -92,20 +92,17 @@ class Mcs:
     """Modulation and coding selection for the payload."""
 
     modulation: str
-    code_rate: float
-    coding_gain_db: float = 6.0
+    code_rate: float = domain("(0, 1]", "the share of coded bits that carry data")
+    coding_gain_db: float = domain("[0, 20]", "Shannon allows 12 dB at BER 1e-6", default=6.0)
 
     def __post_init__(self) -> None:
+        check_domains(self)
         if self.modulation not in MODULATION_ORDER:
             raise ConfigError(
                 f"unknown modulation {self.modulation!r} "
                 f"(choose from {sorted(MODULATION_ORDER)})",
                 field="modulation",
             )
-        if not 0.0 < self.code_rate <= 1.0:
-            raise ConfigError("code_rate must be in (0, 1]", field="code_rate")
-        if not self.coding_gain_db >= 0.0:  # NaN fails too
-            raise ConfigError("coding_gain_db must be >= 0", field="coding_gain_db")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -121,19 +118,16 @@ class PhyConfig:
     numerology constraints still apply.
     """
 
-    carrier_ghz: float
-    bandwidth_mhz: float
-    scs_khz: int
-    n_rb: int
+    carrier_ghz: float = domain("[0.1, 300]", "VHF to the top of the millimetre-wave band")
+    bandwidth_mhz: float = domain("[5, 400]", "NR channels: FR1's narrowest to FR2's widest")
+    scs_khz: int = domain("[15, 120]", "NR numerologies 0 to 3; NUMEROLOGIES holds each")
+    n_rb: int = domain("[1, 275]", "an NR carrier holds at most 275 resource blocks")
     mcs: Mcs
     ntn_band: str | None = None
-    overhead: float = 0.0              # fraction of REs lost to control
+    overhead: float = domain("[0, 1]", "the share of REs lost to control", default=0.0)
 
     def __post_init__(self) -> None:
-        if not self.carrier_ghz > 0.0:  # NaN fails too
-            raise ConfigError("carrier_ghz must be > 0", field="carrier_ghz")
-        if not 0.0 <= self.overhead <= 1.0:
-            raise ConfigError("overhead must be in [0, 1]", field="overhead")
+        check_domains(self)
 
     @property
     def numerology(self) -> Numerology:

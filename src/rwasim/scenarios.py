@@ -25,7 +25,7 @@ import numpy as np
 
 from .blades import RotorSpec
 from .constants import EARTH_RADIUS
-from .errors import ConfigError, ScenarioFormatError, UnknownReferenceError
+from .errors import ConfigError, ScenarioFormatError, UnknownReferenceError, check_domains, domain
 from .linkbudget import DEFAULT_BAND_ATMOSPHERE, BandAtmosphere, LossModel
 from .phy import PhyConfig, validate_channel
 
@@ -41,7 +41,7 @@ class AircraftSpec:
 
     A ``rotor`` puts the antenna under the blades; without one it sits
     on the main body.  ``band`` is the link band and picks the
-    constellation's payload.
+    constellation's payload.  The boresight angles aim a fixed antenna.
 
     ``tx_power_dbw`` and ``rx_gain_over_t_dbk`` are calibration inputs:
     the terminals in the built-in catalog carry values back-solved from
@@ -51,28 +51,25 @@ class AircraftSpec:
     name: str
     steerable: bool
     band: str
-    bandwidth_mhz: float
-    beamwidth_deg: tuple[float, float]  # (min, max); equal for a fixed width
-    max_gain_dbi: float
-    tx_power_dbw: float | None = None
-    rx_noise_temp_k: float = 400.0
-    rx_gain_over_t_dbk: float | None = None
+    bandwidth_mhz: float = domain("[5, 400]", "the CNR's noise bandwidth: an NR channel")
+    beamwidth_deg: tuple[float, float] = domain("[0.01, 360]", "a big dish's beam to a full turn")
+    max_gain_dbi: float = domain("[-50, 100]", "a lossy whip to past the largest dish's 90 dBi")
+    tx_power_dbw: float | None = domain("[-60, 60]", "a microwatt to a megawatt", default=None)
+    rx_noise_temp_k: float = domain("[1, 1e5]", "no receiver is colder than 1 K", default=400.0)
+    rx_gain_over_t_dbk: float | None = domain("[-100, 100]", "max_gain_dbi over rx_noise_temp_k",
+                                              default=None)
     rotor: RotorSpec | None = None
-    boresight_elevation_deg: float = 90.0   # fixed antennas only
-    boresight_azimuth_deg: float = 0.0
+    boresight_elevation_deg: float = domain("[-90, 90]", "nadir to zenith", default=90.0)
+    boresight_azimuth_deg: float = domain("[-360, 360]", "a turn either way", default=0.0)
 
     def __post_init__(self) -> None:
+        check_domains(self)
         if self.band not in BANDS:
             raise ConfigError(f"unknown band {self.band!r} (choose from {BANDS})",
                               field="band")
-        if not self.bandwidth_mhz > 0:  # NaN fails too
-            raise ConfigError("bandwidth_mhz must be > 0", field="bandwidth_mhz")
-        lo, hi = self.beamwidth_deg
-        if not 0 < lo <= hi:
-            raise ConfigError("beamwidth_deg must be positive and ordered",
+        if not (len(self.beamwidth_deg) == 2 and self.beamwidth_deg[0] <= self.beamwidth_deg[1]):
+            raise ConfigError("beamwidth_deg must be an ordered (min, max) pair",
                               field="beamwidth_deg")
-        if not self.rx_noise_temp_k > 0:
-            raise ConfigError("rx_noise_temp_k must be > 0", field="rx_noise_temp_k")
 
     @property
     def beamwidth_mid_deg(self) -> float:
@@ -100,8 +97,11 @@ class AircraftSpec:
 class RfPayloadSpec:
     """One satellite communications payload, keyed by its band in a constellation."""
 
-    beam_eirp_dbw: float
-    gain_over_t_dbk: float
+    beam_eirp_dbw: float = domain("[-100, 100]", "0.1 pW to 10 GW; satellites reach 70 dBW")
+    gain_over_t_dbk: float = domain("[-100, 100]", "a gain in [-50, 100] dBi over [1, 1e5] K")
+
+    def __post_init__(self) -> None:
+        check_domains(self)
 
 
 # Most satellites one shell may hold.  Resolving a shell and building its
@@ -118,26 +118,25 @@ class ConstellationSpec:
     """A circular-orbit shell described plane by plane."""
 
     name: str
-    altitude_km: float
-    planes: int
-    inclinations_deg: tuple[float, ...]   # one per plane
-    raans_deg: tuple[float, ...]          # one per plane
-    sats_per_plane: int
+    altitude_km: float = domain("[100, 384400]", "above the Karman line, below the Moon")
+    planes: int = domain("[1, inf)", "at least one; MAX_SATELLITES bounds the shell")
+    inclinations_deg: tuple[float, ...] = domain(
+        "[0, 180]", "one per plane, prograde to retrograde", "inclination_deg")
+    raans_deg: tuple[float, ...] = domain(
+        "[-3600, 3600]", "one per plane, in ten turns: a spacing rule passes 360", "raan_deg")
+    sats_per_plane: int = domain("[1, inf)", "at least one; MAX_SATELLITES bounds the shell")
     payloads: dict[str, RfPayloadSpec]
-    phasing_factor: int = 0
-    anomaly_offset_deg: float = 0.0
+    phasing_factor: int = domain(f"[0, {MAX_SATELLITES})", "Walker's F is below P", default=0)
+    anomaly_offset_deg: float = domain("[-360, 360]", "a turn either way", default=0.0)
 
     def __post_init__(self) -> None:
-        if not self.altitude_km > 0:  # NaN fails too
-            raise ConfigError("altitude_km must be > 0", field="altitude_km")
-        if self.planes < 1 or self.sats_per_plane < 1:
-            raise ConfigError("planes and sats_per_plane must be >= 1",
-                              field="planes")
+        # the shell's size first: a spacing rule lays a million planes past any RAAN bound
         if self.total_sats > MAX_SATELLITES:
             raise ConfigError(
                 f"{self.planes} planes of {self.sats_per_plane} satellites exceed the budget of "
                 f"{MAX_SATELLITES} satellites",
                 field="planes" if self.planes > MAX_SATELLITES else "sats_per_plane")
+        check_domains(self)
         if len(self.inclinations_deg) != self.planes:
             raise ConfigError("need one inclination per plane",
                               field="inclination_deg")
@@ -375,31 +374,24 @@ class ScenarioSpec:
     aircraft: AircraftSpec
     constellation: ConstellationSpec
     direction: str                      # uplink or downlink
-    duration_s: float
+    duration_s: float = domain("[0, inf)", "no flight ends before it starts; MAX_STEPS bounds it")
     route: FlightRoute
     phy: PhyConfig
-    handover_threshold_deg: float
-    handover_hysteresis_deg: float = 0.5
+    handover_threshold_deg: float = domain("[0, 90)", "an elevation mask below the zenith")
+    handover_hysteresis_deg: float = domain(
+        "[0, 90]", "below 0 it acquires under the mask; 90 spans the sky", default=0.5)
     rain_profile: tuple[tuple[float, float], ...] = ()
-    margin_db: float = 0.0
-    cnr_prime_bandwidth_mhz: float | None = None
+    margin_db: float = domain("[-100, 100]", "a lumped loss, a gain if negative", default=0.0)
+    cnr_prime_bandwidth_mhz: float | None = domain("[1e-6, 1e4]", "1 Hz to 10 GHz", default=None)
     loss_model: LossModel = field(default_factory=LossModel)
-    blade_phase_ms: float = 0.0
+    blade_phase_ms: float = domain("[-60000, 60000]", "a 1 rpm turn either way", default=0.0)
     randomize_blade_phase: bool = False
 
     def __post_init__(self) -> None:
+        check_domains(self)
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"direction must be one of {DIRECTIONS}",
                               field="direction")
-        if not self.duration_s >= 0:  # NaN fails too
-            raise ConfigError("duration must be >= 0", field="duration_s")
-        if not 0.0 <= self.handover_threshold_deg < 90.0:
-            raise ConfigError("handover_threshold_deg must be in [0, 90)",
-                              field="handover_threshold_deg")
-        if not 0.0 <= self.handover_hysteresis_deg < math.inf:
-            # a negative margin would acquire below the mask, to drop it a step later
-            raise ConfigError("handover_hysteresis_deg must be finite and >= 0",
-                              field="handover_hysteresis_deg")
         if self.band not in self.constellation.payloads:
             raise ConfigError(
                 f"constellation {self.constellation.name} has no {self.band} "
@@ -417,9 +409,6 @@ class ScenarioSpec:
                               field="rain_profile")
         if np.any(rain[:, 1] < 0):
             raise ConfigError("rain rates must be >= 0", field="rain_profile")
-        if self.cnr_prime_bandwidth_mhz is not None and not self.cnr_prime_bandwidth_mhz > 0:
-            raise ConfigError("cnr_prime_bandwidth_mhz must be > 0",
-                              field="cnr_prime_bandwidth_mhz")
         validate_channel(self.phy, self.direction)
         if self.aircraft.bandwidth_mhz != self.phy.bandwidth_mhz:
             raise ConfigError(
@@ -568,12 +557,13 @@ def _rows(value, width: int, field: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _numbers(value, n: int, key: str) -> tuple[float, ...]:
-    """A number repeated ``n`` times, or a list of ``n`` numbers, as a tuple."""
+    """A number repeated ``n`` times, or a list of numbers, as a tuple; the
+    spec checks the list's length."""
     if isinstance(value, (int, float)):
         return (_number(value, key),) * n
-    if isinstance(value, (list, tuple)) and len(value) == n:
+    if isinstance(value, (list, tuple)):
         return tuple(_number(v, key) for v in value)
-    raise ConfigError(f"must be a number or a list of {n} numbers", field=key)
+    raise ConfigError("must be a number or a list of numbers", field=key)
 
 
 def _parse_aircraft(name: str, obj: dict) -> AircraftSpec:
@@ -586,8 +576,6 @@ def _parse_raans(value, planes: int) -> tuple[float, ...]:
     # Explicit per-plane list, or an even spacing rule: a bare number or
     # {"spacing_deg": x, "start_deg": y} lays plane N at y + (N-1)*x.
     if isinstance(value, (list, tuple)):
-        if len(value) != planes:
-            raise ConfigError("need one RAAN per plane", field="raan_deg")
         return tuple(_number(v, "raan_deg") for v in value)
     if isinstance(value, (int, float)):
         spacing, start = _number(value, "raan_deg"), 0.0

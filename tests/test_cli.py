@@ -14,6 +14,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from typing import get_type_hints
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from rwasim.cli import main
 from rwasim.errors import ConfigError
 from rwasim.pipeline import run_scenario
 from rwasim.scenarios import builtin_catalog, parse_catalog, serialize_scenario
+from spec_domains import domains
 
 MEGA_SHELL = str(Path(__file__).resolve().parents[1] / "tools" / "mega_shell.json")
 
@@ -179,6 +181,26 @@ def test_rotor_over_the_pass_budget_exits_2_and_writes_nothing(tmp_path, capsys,
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("argv", [["run", "--step", "60", "--frames", "20"],
+                                  ["sweep", "--frames", "2", *_SWEEP]], ids=["run", "sweep"])
+@pytest.mark.parametrize("owner, key, value", [
+    # a ** 3 of the mean motion overflowed
+    pytest.param("constellation", "altitude_km", 1e300, id="far-shell"),
+    # 0.006 * rpm underflowed to 0 in rotation_ms, and then NaN reached int()
+    *(pytest.param("rotor", "rpm", rpm, id=f"rpm-{rpm!r}") for rpm in (5e-324, 1e-310, 1e-305)),
+])
+def test_values_that_crashed_a_run_exit_2_and_write_nothing(tmp_path, capsys, argv, owner, key,
+                                                             value):
+    doc = serialize_scenario(builtin_catalog().scenarios["scenario-7"])
+    {"constellation": doc["constellations"]["LEO-1"],
+     "rotor": doc["aircraft"]["UAV-2"]["rotor"]}[owner][key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], "--scenario", str(path), *argv[1:], "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {key}: {value!r} is outside" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rotor_at_the_pass_budget_runs(tmp_path, capsys):
     # 4 blades at 150,000 rpm pass exactly MAX_BLADE_PASSES_S times a second
     assert 4 * 150_000 / 60 == blades.MAX_BLADE_PASSES_S
@@ -188,3 +210,75 @@ def test_rotor_at_the_pass_budget_runs(tmp_path, capsys):
     assert (tmp_path / "0" / "scenario-7" / "slots.csv").exists()
     assert not (tmp_path / "2").exists()
     assert "error: rpm:" in capsys.readouterr().err
+
+
+# === the declared field domains, leaf by leaf ===
+
+# scenario-7 as a document, and the tables in it, which keep their own rules
+_DOC = serialize_scenario(builtin_catalog().scenarios["scenario-7"])
+_TABLES = {"points", "rain_profile"}
+# a file key whose field is another one, in other units: the key's value times the factor
+_SCALED = {"duration_h": ("duration_s", 3600.0)}
+_KEYS = {key for _, _, key in domains()}
+
+
+def _number_leaves(obj, path=()):
+    """The path of each number of ``obj`` outside the tables, a list of
+    them counting as one, and of each null that a field with a domain reads."""
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        if key in _TABLES or isinstance(value, (bool, str)):
+            continue
+        if isinstance(value, dict) or isinstance(value, list) and any(
+                isinstance(item, dict) for item in value):
+            yield from _number_leaves(value, path + (key,))
+        elif value is not None or key in _KEYS:
+            yield path + (key,)
+
+
+def _edges(path):
+    """(value, inside) at each finite bound of the leaf's domain: just
+    outside it, and at it when it is closed or just inside when it is open."""
+    name, factor = _SCALED.get(path[-1], (path[-1], 1.0))
+    declared = [(f, get_type_hints(cls)[f.name]) for cls, f, key in domains() if key == name]
+    # a key two specs share (bandwidth_mhz) has one domain
+    assert len({f.metadata["domain"] for f, _ in declared}) == 1, name
+    f, hint = declared[0]
+    lo, closed_lo, hi, closed_hi = f.metadata["bounds"]
+    whole = int in (hint, *getattr(hint, "__args__", ()))
+
+    def step(x, way):   # to the next value the field can hold
+        return x + way if whole else math.nextafter(x, way * math.inf)
+
+    for bound, closed, out in ((lo, closed_lo, -1.0), (hi, closed_hi, 1.0)):
+        if not math.isinf(bound):
+            bound /= factor
+            yield (step(bound, out) if closed else bound), False
+            yield (bound if closed else step(bound, -out)), True
+
+
+@pytest.mark.parametrize("path", list(_number_leaves(_DOC)), ids=lambda p: ".".join(map(str, p)))
+def test_each_leaf_just_outside_its_domain_exits_2_and_at_its_edge_runs(tmp_path, capsys, path):
+    name = _SCALED.get(path[-1], (path[-1],))[0]
+    edges = list(_edges(path))
+    assert edges, f"{name} has no finite bound"
+    for n, (value, inside) in enumerate(edges):
+        doc = json.loads(json.dumps(_DOC))
+        *parents, key = path
+        obj = doc
+        for part in parents:
+            obj = obj[part]
+        # a per-plane list takes the value for every plane
+        obj[key] = [value] * len(obj[key]) if isinstance(obj[key], list) else value
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        out = tmp_path / f"out-{n}"
+        code = main(["run", "--scenario", str(tmp_path / "scenario.json"), "--step", "300",
+                     "--frames", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        if not inside:
+            assert code == 2 and err.startswith(f"error: {name}: ") and "is outside" in err, err
+            assert not out.exists()
+        elif code == 3:
+            assert "no satellite above" in err, (value, err)
+        else:
+            # a rule that ties this field to another may still refuse it
+            assert code == 0 or code == 2 and "is outside" not in err, (value, err)

@@ -21,12 +21,17 @@ for the rotor scenarios in ``SWEEPS``: one of 40 slots a frame, one of 80.
 
 Ints, ids and strings must match exactly and floats within 1e-9
 relative, so a refactor shows it keeps behaviour without regenerating
-these files.  A change that does regenerate them says why.
+these files.  A change that does regenerate them says why.  The same
+runs and sweeps, rerun under a lower numpy SIMD tier, must give the same
+ints and floats within 1e-9 of this tier's.
 """
 
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,7 +47,8 @@ TABLES = ("access.csv", "link.csv", "blades.csv")
 SWEEPS = ("scenario-7", "scenario-19")
 SWEEP_ARGS = ("--cnr-min", "-5", "--cnr-max", "20", "--points", "26", "--frames", "20",
               "--seed", "0")
-INT_COLUMNS = {"sat_id"}
+# the columns of the CSVs written as ints
+INT_COLUMNS = {"sat_id", "slot_index", "erased", "payload_bits", "bit_errors"}
 
 
 def frame_facts(run_dir):
@@ -83,6 +89,13 @@ def _mismatches(want, got, where="report"):
     same = (math.isclose(want, got, rel_tol=1e-9) if isinstance(want, float)
             else want == got)
     return [] if same else [f"{where}: {got!r} != golden {want!r}"]
+
+
+def file_mismatches(want: Path, got: Path) -> list:
+    """How the CSV or JSON file ``got`` differs from ``want`` at the gate's tolerance."""
+    if want.suffix == ".csv":
+        return _mismatches(read_table(want), read_table(got), got.name)
+    return _mismatches(json.loads(want.read_text()), json.loads(got.read_text()), got.name)
 
 
 @pytest.mark.parametrize("mode", ["mc", "expected"])
@@ -144,3 +157,57 @@ def test_golden_comparison_catches_drift():
     assert _mismatches(want, drifted, "access.csv") == [
         f"access.csv.sat_id[{i}]: {sat[i - 1]} != golden {sat[i]}",
     ]
+
+
+# Runs the golden runs and sweeps of argv[1] (a JSON list of argument
+# lists) and prints their exit codes and the dispatch targets numpy took
+_TIER_CHILD = """
+import contextlib, io, json, sys
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from rwasim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]]))
+"""
+
+
+def _golden_commands(out: Path) -> list:
+    """The argument lists of the golden runs and sweeps, writing under ``out``."""
+    modes = ("mc", "expected")
+    return [*(["run", "--scenario", sid, *RUN_ARGS, "--mode", mode, "--out", str(out / mode)]
+              for sid in SCENARIOS for mode in modes),
+            *(["sweep", "--scenario", sid, *SWEEP_ARGS, "--mode", mode,
+               "--out", str(out / f"sweep-{mode}")] for sid in SWEEPS for mode in modes)]
+
+
+def test_a_lower_simd_tier_keeps_the_ints_and_the_floats_to_the_gate(tmp_path, capsys):
+    # numpy picks its loops for the CPU, and on AVX-512 and AVX2 paths some
+    # transcendental functions differ in their last bits.  The next lower
+    # tier: numpy's lowest dispatch target (X86_V3 on x86-64), or its
+    # baseline when that is the only one it takes.  Holding numpy to
+    # AVX512_ICL instead of AVX512_SPR wrote this set's bytes unchanged.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    taken = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    kept = taken[:1] if len(taken) > 1 else []
+    disabled = [os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *taken[len(kept):]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled).strip(),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    here, lower = tmp_path / "here", tmp_path / "lower"
+    with subprocess.Popen([sys.executable, "-c", _TIER_CHILD,
+                           json.dumps(_golden_commands(lower))],
+                          env=env, stdout=subprocess.PIPE, text=True) as child:
+        try:
+            codes = [main(argv) for argv in _golden_commands(here)]
+            printed, _ = child.communicate(timeout=120)
+        finally:
+            child.kill()
+    capsys.readouterr()
+    lower_codes, lower_taken = json.loads(printed)
+    assert codes == lower_codes == [0] * len(codes)
+    assert lower_taken == kept
+    files = sorted(path.relative_to(here) for path in here.rglob("*") if path.is_file())
+    assert files == sorted(path.relative_to(lower) for path in lower.rglob("*") if path.is_file())
+    # ints (satellite ids, erased flags, bit errors, slot counts, handovers)
+    # exactly, and floats to 1e-9
+    assert [m for name in files for m in file_mismatches(here / name, lower / name)] == []

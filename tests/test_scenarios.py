@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,7 @@ from rwasim.scenarios import (
     resolve_scenario,
     serialize_scenario,
 )
+from spec_domains import domains, holds_numbers, spec_classes
 
 SCENARIO_IDS = {
     "scenario-6", "scenario-7", "scenario-11",
@@ -692,6 +694,25 @@ def test_readme_example_runs_and_omitted_keys_take_spec_defaults(tmp_path):
     # the loiter keys it omits take loiter_route's own defaults
     flight = {k: float(v) for k, v in scenario["flight"].items() if k != "type"}
     assert spec.route == loiter_route(**flight, duration_s=spec.duration_s)
+
+
+def test_every_number_field_of_a_spec_declares_a_domain():
+    # the tables (a route's points, a rain profile) keep their own rules
+    for cls in spec_classes():
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            assert ("domain" in f.metadata) == holds_numbers(hints[f.name]), (cls, f.name)
+    assert {cls.__name__ for cls, _, _ in domains()} == {"AircraftSpec", "RotorSpec", "ConstellationSpec", "RfPayloadSpec",
+                        "ScenarioSpec", "PhyConfig", "Mcs", "BandAtmosphere", "LossModel"}
+
+
+def test_readme_domain_table_is_the_declared_domains():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| spec | key | domain | why |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()[1:]]
+    assert rows == [[f"`{cls.__name__}`", f"`{key}`", f"`{f.metadata['domain']}`",
+                     f.metadata["why"]] for cls, f, key in domains()]
 
 
 @pytest.mark.parametrize("override, field", [

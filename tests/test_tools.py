@@ -5,6 +5,8 @@ import json
 import shutil
 from pathlib import Path
 
+from test_golden import file_mismatches
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -57,8 +59,16 @@ def test_regen_goldens_names_the_goldens_it_changed(tmp_path, monkeypatch, capsy
     shutil.copytree(ROOT / "tests" / "golden", golden)
     monkeypatch.setattr(tool, "GOLDEN", golden)
     tool.report_changes()
-    # the CLI's output is swallowed, so the verdict is the only line
-    assert capsys.readouterr().out == "no golden changed\n"
+    # the CLI's output is swallowed, so the verdict is the only lines.  On
+    # the numpy build and SIMD tier that wrote the goldens none changes;
+    # another tier may change the last bits of a float, as the gate allows
+    verdict = capsys.readouterr().out.splitlines()
+    if verdict != ["no golden changed"]:
+        for line in verdict:
+            path = Path(line.removeprefix("changed: "))
+            assert path.parent == golden and file_mismatches(
+                ROOT / "tests" / "golden" / path.name, path) == [], line
+    written = {path.name: path.read_bytes() for path in golden.iterdir()}
     # a golden out of step with the runs, and one missing
     (golden / "scenario-7-mc.json").write_text("{}\n")
     (golden / "scenario-19-expected-sweep.csv").unlink()
@@ -66,5 +76,4 @@ def test_regen_goldens_names_the_goldens_it_changed(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().out.splitlines() == [
         f"changed: {golden / 'scenario-19-expected-sweep.csv'}",
         f"changed: {golden / 'scenario-7-mc.json'}"]
-    for path in golden.iterdir():
-        assert path.read_bytes() == (ROOT / "tests" / "golden" / path.name).read_bytes(), path
+    assert {path.name: path.read_bytes() for path in golden.iterdir()} == written
