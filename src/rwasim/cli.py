@@ -79,8 +79,20 @@ def _add_compare(sub: argparse._SubParsersAction) -> None:
     p.add_argument("report_b")
 
 
+def _check_out(out: str, scenario_id: str) -> None:
+    """A ConfigError on ``out`` unless ``out/<id>`` can be made: its first
+    existing ancestor must be a directory.  Checked before any work, and
+    creates nothing."""
+    path = Path(out) / scenario_id
+    while not path.exists():
+        path = path.parent
+    if not path.is_dir():
+        raise ConfigError(f"{path} is not a directory", field="out")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(args.scenario)
+    _check_out(args.out, scenario.id)
     result = run_scenario(scenario, step_s=args.step, seed=args.seed,
                           mode=args.mode, n_frames=args.frames,
                           out_dir=args.out)
@@ -97,6 +109,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = resolve_scenario(args.scenario)
+    _check_out(args.out, scenario.id)
     rows = sweep_cnr(scenario, args.cnr_min, args.cnr_max, args.points,
                      n_frames=args.frames, seed=args.seed, mode=args.mode)
     out_dir = Path(args.out) / scenario.id

@@ -310,11 +310,11 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     bound of the aircraft's zenith at its middle row, computed once for
     the flight from its lowest aircraft and the fastest turns of a
     satellite and of the route.  The full geometry is then computed for
-    the served satellite only.  More than ``MAX_STEPS`` steps are a
-    ConfigError on ``step_s`` before any work.
+    the served satellite only.  A step that is not > 0, or more than
+    ``MAX_STEPS`` steps, is a ConfigError on ``step_s`` before any work.
     """
-    if step_s <= 0:
-        raise ValueError("step_s must be > 0")
+    if not step_s > 0:  # NaN fails too
+        raise ConfigError(f"expected a step > 0 s, got {step_s!r}", field="step_s")
     # compared before the floor, which fails on the infinite span of a
     # subnormal step
     span = scenario.duration_s / step_s + 1e-9

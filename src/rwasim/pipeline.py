@@ -247,8 +247,11 @@ def run_scenario(
     flight clock so frames sample different points of the rotor period.
     Outputs are written under ``out_dir/<scenario id>/`` when a
     directory is given.  A run over the slot budget
-    (:data:`rwasim.phy.MAX_SLOTS`) is a ConfigError before any work.
+    (:data:`rwasim.phy.MAX_SLOTS`), or a negative ``n_frames``, is a
+    ConfigError before any work.
     """
+    if n_frames < 0:
+        raise ConfigError(f"expected n_frames >= 0, got {n_frames}", field="n_frames")
     check_slot_budget(n_frames, scenario.phy.numerology)
     access = build_access_timeline(scenario, step_s)
     link = link_timeline(scenario, access)
@@ -500,6 +503,9 @@ def sweep_cnr(
                           field="points")
     if n_frames < 1:
         raise ConfigError("n_frames must be >= 1", field="n_frames")
+    for name, bound in (("cnr_min_db", cnr_min_db), ("cnr_max_db", cnr_max_db)):
+        if not np.isfinite(bound):
+            raise ConfigError(f"expected a finite number, got {bound!r}", field=name)
     if cnr_max_db < cnr_min_db:
         raise ConfigError("cnr-max must be >= cnr-min", field="cnr_max_db")
     num = scenario.phy.numerology

@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -164,20 +164,6 @@ class ConstellationSpec:
 _ANTIPODAL_RAD = 1e-9
 
 
-def _finite_rows(rows, width: int, message: str, field: str) -> np.ndarray:
-    """``rows`` as a float (n, width) array of finite values; anything else,
-    ragged rows included, is a ConfigError naming ``field``."""
-    try:
-        table = np.array(rows, dtype=float)
-    except (TypeError, ValueError):   # ragged rows, or a value that is no number
-        raise ConfigError(message, field=field) from None
-    if table.size == 0:
-        return table.reshape(0, width)
-    if table.ndim != 2 or table.shape[1] != width or not np.all(np.isfinite(table)):
-        raise ConfigError(message, field=field)
-    return table
-
-
 def _unit_vectors(lat_deg, lon_deg) -> np.ndarray:
     """Earth-fixed unit vectors (3, ...) toward geodetic latitudes and longitudes."""
     lat, lon = np.radians(lat_deg), np.radians(lon_deg)
@@ -197,11 +183,15 @@ class FlightRoute:
     the first and after the last waypoint it holds still there.
     """
 
-    points: np.ndarray
+    points: np.ndarray = domain(columns=(
+        ("time_s", "[0, inf)", "the flight's clock, from 0 at its start"),
+        ("lat_deg", "[-90, 90]", "pole to pole"),
+        ("lon_deg", "[-360, 360]", "a turn either way"),
+        ("alt_m", "[0, 100000]", "below the Karman line, where altitude_km starts")))
 
     def __post_init__(self) -> None:
-        points = _finite_rows(self.points, 4, "waypoints are finite (time_s, lat_deg, lon_deg, "
-                              "alt_m) rows", "points")
+        check_domains(self)
+        points = np.array(self.points, dtype=float).reshape(-1, 4)
         if len(points) == 0:
             raise ConfigError("a route needs at least one waypoint", field="points")
         times = points[:, 0]
@@ -211,10 +201,6 @@ class FlightRoute:
         if np.any(times[1:] <= times[:-1]):
             raise ConfigError("waypoint times must be strictly increasing",
                               field="points")
-        if np.any(np.abs(points[:, 1]) > 90.0):
-            raise ConfigError("latitude out of [-90, 90]", field="points")
-        if np.any(points[:, 3] < 0):
-            raise ConfigError("altitude must be >= 0 m", field="points")
         ends = _unit_vectors(points[:, 1], points[:, 2])
         # |a + b| is the chord from b to the antipode of a
         if np.any(np.linalg.norm(ends[:, 1:] + ends[:, :-1], axis=0) < _ANTIPODAL_RAD):
@@ -303,16 +289,8 @@ class FlightRoute:
 MAX_WAYPOINTS = 5_000_000
 
 
-def loiter_route(
-    center_lat_deg: float,
-    center_lon_deg: float,
-    altitude_m: float,
-    radius_km: float,
-    speed_ms: float,
-    duration_s: float,
-    waypoint_interval_s: float = 5.0,
-    start_bearing_deg: float = 0.0,
-) -> FlightRoute:
+@dataclass(frozen=True)
+class LoiterSpec:
     """Circular loiter around a fixed center, sampled as waypoints.
 
     The waypoints lie on the circle of ``radius_km`` (along the ground)
@@ -322,46 +300,60 @@ def loiter_route(
     times its time long at the flight altitude: the aircraft flies at
     ``speed_ms`` throughout, near a pole too.
     """
-    if not (radius_km > 0 and speed_ms > 0):  # NaN fails too
-        raise ConfigError("radius_km and speed_ms must be > 0", field="flight")
-    if not duration_s >= 0:
-        raise ConfigError("duration must be >= 0", field="flight")
-    if not waypoint_interval_s > 0:
-        raise ConfigError("waypoint_interval_s must be > 0", field="waypoint_interval_s")
-    # compared before the ceiling, which fails on the infinite quotient of
-    # a subnormal interval: at most MAX_WAYPOINTS - 1 intervals and the end
-    if duration_s / waypoint_interval_s > MAX_WAYPOINTS - 1:
-        raise ConfigError(
-            f"a {duration_s:g} s loiter at a {waypoint_interval_s:g} s waypoint interval exceeds "
-            f"the budget of {MAX_WAYPOINTS} waypoints", field="waypoint_interval_s")
-    # at least the time 0, which a duration too short for the quotient to
-    # reach 1 (it may underflow to 0) would otherwise leave out
-    times = np.arange(max(1, math.ceil(duration_s / waypoint_interval_s))) * waypoint_interval_s
-    times = np.append(times[times < duration_s], duration_s)
-    radius_rad = radius_km / EARTH_RADIUS
-    # each leg's central angle is its length at the flight altitude, and two
-    # points of the circle whose bearings from the center differ by b are
-    # 2 asin(sin(radius_rad) sin(b / 2)) apart
-    sin_half_leg = np.sin(np.diff(times) * speed_ms / (2000.0 * EARTH_RADIUS + 2.0 * altitude_m))
-    sin_half_turn = sin_half_leg / abs(math.sin(radius_rad))
-    if np.any(sin_half_turn > 1.0):
-        raise ConfigError("a leg of speed_ms x waypoint_interval_s must fit across the circle",
-                          field="waypoint_interval_s")
-    bearing = math.radians(start_bearing_deg) + np.concatenate(
-        [[0.0], np.cumsum(2.0 * np.arcsin(sin_half_turn))])
-    # the destination-point formula, radius_rad from the center at each
-    # bearing, without its common factor cos(center latitude), so that it
-    # holds at a pole too: `along` is the component toward the center's
-    # meridian in the equatorial plane, `east` the one across it
-    lat0 = math.radians(center_lat_deg)
-    cos_bearing = np.cos(bearing)
-    along = (math.cos(radius_rad) * math.cos(lat0)
-             - math.sin(radius_rad) * math.sin(lat0) * cos_bearing)
-    east = math.sin(radius_rad) * np.sin(bearing)
-    up = math.cos(radius_rad) * math.sin(lat0) + math.sin(radius_rad) * math.cos(lat0) * cos_bearing
-    lon = (center_lon_deg + np.degrees(np.arctan2(east, along)) + 180.0) % 360.0 - 180.0
-    return FlightRoute(np.column_stack([times, np.degrees(np.arctan2(up, np.hypot(along, east))),
-                                        lon, np.full(len(times), float(altitude_m))]))
+
+    center_lat_deg: float = domain("[-90, 90]", "pole to pole")
+    center_lon_deg: float = domain("[-360, 360]", "a turn either way")
+    altitude_m: float = domain("[0, 100000]", "below the Karman line, where altitude_km starts")
+    radius_km: float = domain("[0.001, 1000]", "a 1 m circle to one 2000 km across")
+    speed_ms: float = domain("[0.1, 340]", "a crawl to Mach 1; the fastest rotorcraft flew 131 m/s")
+    duration_s: float = domain("[0, inf)", "the scenario's unless given; MAX_WAYPOINTS bounds it")
+    waypoint_interval_s: float = domain("[0.001, 86400]", "a millisecond to a day", default=5.0)
+    start_bearing_deg: float = domain("[-360, 360]", "a turn either way", default=0.0)
+
+    def __post_init__(self) -> None:
+        check_domains(self)
+
+    @property
+    def route(self) -> FlightRoute:
+        duration, interval = self.duration_s, self.waypoint_interval_s
+        # compared before the ceiling: at most MAX_WAYPOINTS - 1 intervals and the end
+        if duration / interval > MAX_WAYPOINTS - 1:
+            raise ConfigError(
+                f"a {duration:g} s loiter at a {interval:g} s waypoint interval exceeds the "
+                f"budget of {MAX_WAYPOINTS} waypoints", field="waypoint_interval_s")
+        # at least the time 0, which a duration too short for the quotient to
+        # reach 1 (it may underflow to 0) would otherwise leave out
+        times = np.arange(max(1, math.ceil(duration / interval))) * interval
+        times = np.append(times[times < duration], duration)
+        radius_rad = self.radius_km / EARTH_RADIUS
+        cos_r, sin_r = math.cos(radius_rad), math.sin(radius_rad)
+        # each leg's central angle is its length at the flight altitude, and two
+        # points of the circle whose bearings from the center differ by b are
+        # 2 asin(sin(radius_rad) sin(b / 2)) apart
+        half_leg = np.diff(times) * self.speed_ms / (2000.0 * EARTH_RADIUS + 2.0 * self.altitude_m)
+        sin_half_turn = np.sin(half_leg) / abs(sin_r)
+        if np.any(sin_half_turn > 1.0):
+            raise ConfigError("a leg of speed_ms x waypoint_interval_s must fit across the "
+                              "circle", field="waypoint_interval_s")
+        bearing = math.radians(self.start_bearing_deg) + np.concatenate(
+            [[0.0], np.cumsum(2.0 * np.arcsin(sin_half_turn))])
+        # the destination-point formula, radius_rad from the center at each
+        # bearing, without its common factor cos(center latitude), so that it
+        # holds at a pole too: `along` is the component toward the center's
+        # meridian in the equatorial plane, `east` the one across it
+        lat0 = math.radians(self.center_lat_deg)
+        cos_bearing = np.cos(bearing)
+        along = cos_r * math.cos(lat0) - sin_r * math.sin(lat0) * cos_bearing
+        east = sin_r * np.sin(bearing)
+        up = cos_r * math.sin(lat0) + sin_r * math.cos(lat0) * cos_bearing
+        lon = (self.center_lon_deg + np.degrees(np.arctan2(east, along)) + 180.0) % 360.0 - 180.0
+        lat = np.degrees(np.arctan2(up, np.hypot(along, east)))
+        return FlightRoute(np.column_stack([times, lat, lon, np.full(len(times), self.altitude_m)]))
+
+
+def loiter_route(*args, **kwargs) -> FlightRoute:
+    """The route of ``LoiterSpec(*args, **kwargs)``."""
+    return LoiterSpec(*args, **kwargs).route
 
 
 # === scenarios ===
@@ -380,7 +372,9 @@ class ScenarioSpec:
     handover_threshold_deg: float = domain("[0, 90)", "an elevation mask below the zenith")
     handover_hysteresis_deg: float = domain(
         "[0, 90]", "below 0 it acquires under the mask; 90 spans the sky", default=0.5)
-    rain_profile: tuple[tuple[float, float], ...] = ()
+    rain_profile: tuple[tuple[float, float], ...] = domain(columns=(
+        ("start_s", "[0, inf)", "flight time; a step from 0 holds from the start"),
+        ("mm_per_h", "[0, 1900]", "dry to the world record, 31.2 mm in a minute")), default=())
     margin_db: float = domain("[-100, 100]", "a lumped loss, a gain if negative", default=0.0)
     cnr_prime_bandwidth_mhz: float | None = domain("[1e-6, 1e4]", "1 Hz to 10 GHz", default=None)
     loss_model: LossModel = field(default_factory=LossModel)
@@ -402,13 +396,9 @@ class ScenarioSpec:
         if self.route.duration_s < self.duration_s:
             raise ConfigError("route is shorter than the scenario duration",
                               field="flight")
-        rain = _finite_rows(self.rain_profile, 2, "rain steps are finite (start_s, mm_per_h) "
-                            "pairs", "rain_profile")
-        if np.any(rain[1:, 0] < rain[:-1, 0]):
+        if np.any(np.diff(np.array(self.rain_profile, dtype=float).reshape(-1, 2)[:, 0]) < 0):
             raise ConfigError("rain profile times must be non-decreasing",
                               field="rain_profile")
-        if np.any(rain[:, 1] < 0):
-            raise ConfigError("rain rates must be >= 0", field="rain_profile")
         validate_channel(self.phy, self.direction)
         if self.aircraft.bandwidth_mhz != self.phy.bandwidth_mhz:
             raise ConfigError(
@@ -491,8 +481,8 @@ def _read(value, key: str, kind):
     """``value`` read as the JSON form of a field annotated ``kind``.
 
     Numbers go through ``_number``, a ``bool`` takes JSON true or false,
-    a ``str`` takes a string, a nested spec takes an object, and
-    ``X | None`` takes null as well.
+    a ``str`` a string, a table (an array or a tuple of rows) a list of
+    number lists, a nested spec an object, and ``X | None`` null as well.
     """
     args = get_args(kind)
     if type(None) in args:
@@ -506,6 +496,10 @@ def _read(value, key: str, kind):
             expected = "true or false" if kind is bool else "a string"
             raise ConfigError(f"expected {expected}, got {value!r}", field=key)
         return value
+    if kind is np.ndarray or get_origin(kind) is tuple:
+        if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
+            raise ConfigError(f"expected a list of lists of numbers, got {value!r}", field=key)
+        return tuple(tuple(_number(x, key) for x in row) for row in value)
     return _build(kind, _object(value, key), key)
 
 
@@ -524,7 +518,8 @@ _OTHER_KEYS = {AircraftSpec: {"beamwidth_deg", "antenna_type", "position"},
                LossModel: {"bands"},
                RfPayloadSpec: {"antenna_type", "beams", "hpbw_deg", "band"},
                ScenarioSpec: {"id", "aircraft", "constellation", "duration_h", "flight",
-                              "rain_profile", "loss_model", "band"}}
+                              "loss_model", "band"},
+               FlightRoute: {"type"}, LoiterSpec: {"type"}}
 
 
 def _build(cls, obj: dict, where: str, **given):
@@ -545,15 +540,6 @@ def _build(cls, obj: dict, where: str, **given):
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing required key in {where}", field=f.name)
     return cls(**given)
-
-
-def _rows(value, width: int, field: str) -> tuple[tuple[float, ...], ...]:
-    """A list of ``width``-number lists as float tuples, else a ConfigError."""
-    if not (isinstance(value, (list, tuple)) and all(
-            isinstance(row, (list, tuple)) and len(row) == width for row in value)):
-        raise ConfigError(f"expected a list of {width}-number lists, got {value!r}",
-                          field=field)
-    return tuple(tuple(_number(x, field) for x in row) for row in value)
 
 
 def _numbers(value, n: int, key: str) -> tuple[float, ...]:
@@ -604,20 +590,13 @@ def _parse_constellation(name: str, obj: dict) -> ConstellationSpec:
     )
 
 
-def _parse_route(obj: dict, scenario_id: str) -> FlightRoute:
+def _parse_route(obj: dict, scenario_id: str, duration_s: float) -> FlightRoute:
     where = f"{scenario_id}.flight"
     kind = _require(obj, "type", where)
     if kind == "waypoints":
-        _only(obj, ("type", "points"), where)
-        return FlightRoute(_rows(_require(obj, "points", where), 4, "points"))
-    if kind == "loiter":
-        required = ("center_lat_deg", "center_lon_deg", "altitude_m", "radius_km", "speed_ms",
-                    "duration_s")
-        optional = ("waypoint_interval_s", "start_bearing_deg")
-        _only(obj, ("type", *required, *optional), where)
-        # the optional keys are passed only when present: loiter_route holds their defaults
-        return loiter_route(**{key: _require(obj, key, "flight", float) for key in required},
-                            **{key: _number(obj[key], key) for key in optional if key in obj})
+        return _build(FlightRoute, obj, where)
+    if kind == "loiter":   # for the scenario's duration unless it gives its own
+        return _build(LoiterSpec, {"duration_s": duration_s, **obj}, where).route
     raise ConfigError(f"unknown flight type {kind!r} (waypoints or loiter)",
                       field="flight.type")
 
@@ -649,12 +628,9 @@ def _parse_scenario(obj: dict, catalog_aircraft: dict, catalog_constellations: d
                 f"scenario {sid} references undefined {key} {name!r}", field=key)
         given[key] = catalog[name]
     duration_s = _require(obj, "duration_h", sid, float) * 3600.0
-    flight = dict(_object(_require(obj, "flight", sid), "flight"))
-    if flight.get("type") == "loiter":
-        flight.setdefault("duration_s", duration_s)
+    flight = _object(_require(obj, "flight", sid), "flight")
     return _build(ScenarioSpec, obj, sid, id=sid, duration_s=duration_s,
-                  route=_parse_route(flight, sid),
-                  rain_profile=_rows(obj.get("rain_profile", ()), 2, "rain_profile"),
+                  route=_parse_route(flight, sid, duration_s),
                   loss_model=_parse_loss_model(obj.get("loss_model")), **given)
 
 

@@ -3,7 +3,9 @@
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
-from rwasim.scenarios import ScenarioSpec
+import numpy as np
+
+from rwasim.scenarios import LoiterSpec, ScenarioSpec
 
 
 def _kinds(hint):
@@ -13,14 +15,15 @@ def _kinds(hint):
         yield from _kinds(arg)
 
 
-def spec_classes(cls=ScenarioSpec, seen=None) -> list:
-    """``cls`` and every dataclass its fields hold, in the order first met."""
+def spec_classes(classes=(ScenarioSpec, LoiterSpec), seen=None) -> list:
+    """``classes`` and every dataclass their fields hold, in the order first
+    met: a scenario's specs, and the LoiterSpec a loiter's ``flight`` fills."""
     seen = [] if seen is None else seen
-    seen.append(cls)
-    for hint in get_type_hints(cls).values():
-        for kind in _kinds(hint):
-            if is_dataclass(kind) and kind not in seen:
-                spec_classes(kind, seen)
+    for cls in classes:
+        if cls not in seen:
+            seen.append(cls)
+            spec_classes([kind for hint in get_type_hints(cls).values()
+                          for kind in _kinds(hint) if is_dataclass(kind)], seen)
     return seen
 
 
@@ -34,8 +37,25 @@ def holds_numbers(hint) -> bool:
     return hint in (int, float)
 
 
+def holds_table(hint) -> bool:
+    """Whether a field annotated ``hint`` holds rows of numbers: an array,
+    or a tuple of number tuples."""
+    return hint is np.ndarray or (get_origin(hint) is tuple
+                                  and get_origin(get_args(hint)[0]) is tuple)
+
+
+def _declared(f):
+    """(metadata, name) of each domain the field ``f`` declares: its own,
+    named as in a scenario file, or each column's of a table, named
+    ``table.column``."""
+    if "domain" in f.metadata:
+        yield f.metadata, f.metadata["key"] or f.name
+    for column in f.metadata.get("columns", ()):
+        yield column, f"{f.name}.{column['key']}"
+
+
 def domains() -> list:
-    """(spec class, the field, its name in a scenario file) of each field
-    that declares a domain, class by class in ``spec_classes`` order."""
-    return [(cls, f, f.metadata["key"] or f.name)
-            for cls in spec_classes() for f in fields(cls) if "domain" in f.metadata]
+    """(spec class, the field, the domain's metadata, its name) of each
+    declared domain, class by class in ``spec_classes`` order."""
+    return [(cls, f, meta, key) for cls in spec_classes() for f in fields(cls)
+            for meta, key in _declared(f)]

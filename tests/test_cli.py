@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 from unittest import mock
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from output_columns import output_columns
-from rwasim import blades, orbit, pipeline
+from rwasim import blades, cli, orbit, pipeline
 from rwasim.cli import main
 from rwasim.errors import ConfigError
 from rwasim.pipeline import run_scenario
@@ -29,6 +30,10 @@ from rwasim.scenarios import builtin_catalog, parse_catalog, serialize_scenario
 from spec_domains import domains
 
 MEGA_SHELL = str(Path(__file__).resolve().parents[1] / "tools" / "mega_shell.json")
+# scenario-7's loiter, as the built-in document writes it
+_LOITER = next(s["flight"] for s in json.loads(
+    resources.files("rwasim").joinpath("data/builtin.json").read_text())["scenarios"]
+    if s["id"] == "scenario-7")
 
 
 def _tree(root: Path) -> dict:
@@ -188,17 +193,53 @@ def test_rotor_over_the_pass_budget_exits_2_and_writes_nothing(tmp_path, capsys,
     pytest.param("constellation", "altitude_km", 1e300, id="far-shell"),
     # 0.006 * rpm underflowed to 0 in rotation_ms, and then NaN reached int()
     *(pytest.param("rotor", "rpm", rpm, id=f"rpm-{rpm!r}") for rpm in (5e-324, 1e-310, 1e-305)),
+    # an infinite rain loss, written under a RuntimeWarning
+    pytest.param("rain", "rain_profile", 1e300, id="rain-1e300"),
+    # both failed later on waypoint_interval_s or points
+    pytest.param("loiter", "radius_km", 5e-324, id="subnormal-loiter"),
+    pytest.param("loiter", "speed_ms", 1e300, id="fast-loiter"),
 ])
 def test_values_that_crashed_a_run_exit_2_and_write_nothing(tmp_path, capsys, argv, owner, key,
                                                              value):
     doc = serialize_scenario(builtin_catalog().scenarios["scenario-7"])
-    {"constellation": doc["constellations"]["LEO-1"],
-     "rotor": doc["aircraft"]["UAV-2"]["rotor"]}[owner][key] = value
+    scenario = doc["scenarios"][0]
+    if owner == "loiter":
+        scenario["flight"] = dict(_LOITER)
+    owners = {"constellation": doc["constellations"]["LEO-1"],
+              "rotor": doc["aircraft"]["UAV-2"]["rotor"], "loiter": scenario["flight"]}
+    if owner == "rain":
+        scenario["rain_profile"] = [[0, value]]
+    else:
+        owners[owner][key] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     assert main([argv[0], "--scenario", str(path), *argv[1:], "--out", str(tmp_path / "out")]) == 2
-    assert f"error: {key}: {value!r} is outside" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and f"{value!r} is outside" in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--step", "60", "--frames", "20"],
+                                  ["sweep", "--frames", "2", *_SWEEP]], ids=["run", "sweep"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_out_at_a_file_exits_2_before_any_work_and_writes_nothing(tmp_path, capsys, argv, under):
+    # both computed the whole run and then exited 3, "Not a directory"
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "deeper" if under else taken
+    with mock.patch.object(cli, "run_scenario", side_effect=AssertionError("work began")), \
+            mock.patch.object(cli, "sweep_cnr", side_effect=AssertionError("work began")):
+        assert main([argv[0], "--scenario", "scenario-7", *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: out: {taken} is not a directory\n"
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
+
+def test_negative_cnr_bound_in_scientific_notation_joins_its_flag(tmp_path):
+    # "--cnr-min -1e3" is read as an option: argparse's "expected one argument"
+    assert main(["sweep", "--scenario", "scenario-19", "--cnr-min=-1e3", "--cnr-max", "20",
+                 "--points", "2", "--frames", "2", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "scenario-19" / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["cnr_db", "-1000", "20"]
 
 
 def test_rotor_at_the_pass_budget_runs(tmp_path, capsys):
@@ -214,37 +255,67 @@ def test_rotor_at_the_pass_budget_runs(tmp_path, capsys):
 
 # === the declared field domains, leaf by leaf ===
 
-# scenario-7 as a document, and the tables in it, which keep their own rules
+# scenario-7 as a document, the tables in it, and the document flying
+# the built-in loiter, its duration given
 _DOC = serialize_scenario(builtin_catalog().scenarios["scenario-7"])
 _TABLES = {"points", "rain_profile"}
+_LOITER_DOC = json.loads(json.dumps(_DOC))
+_LOITER_DOC["scenarios"][0]["flight"] = dict(
+    _LOITER, duration_s=builtin_catalog().scenarios["scenario-7"].duration_s)
 # a file key whose field is another one, in other units: the key's value times the factor
 _SCALED = {"duration_h": ("duration_s", 3600.0)}
-_KEYS = {key for _, _, key in domains()}
+_KEYS = {key for _, _, _, key in domains()}
 
 
 def _number_leaves(obj, path=()):
-    """The path of each number of ``obj`` outside the tables, a list of
-    them counting as one, and of each null that a field with a domain reads."""
+    """The path of each number of ``obj``, a list of them counting as one
+    and a table's first row giving one a column, and of each null that a
+    field with a domain reads."""
     for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
-        if key in _TABLES or isinstance(value, (bool, str)):
+        if key in _TABLES:
+            yield from (path + (key, 0, column) for column in range(len(value[0])))
+        elif isinstance(value, (bool, str)):
             continue
-        if isinstance(value, dict) or isinstance(value, list) and any(
+        elif isinstance(value, dict) or isinstance(value, list) and any(
                 isinstance(item, dict) for item in value):
             yield from _number_leaves(value, path + (key,))
         elif value is not None or key in _KEYS:
             yield path + (key,)
 
 
-def _edges(path):
-    """(value, inside) at each finite bound of the leaf's domain: just
-    outside it, and at it when it is closed or just inside when it is open."""
+def _leaves():
+    """(document, path) of each numeric leaf of the two documents: every
+    one of _DOC, and the loiter's of _LOITER_DOC."""
+    flight = ("scenarios", 0, "flight")
+    loiter = _LOITER_DOC["scenarios"][0]["flight"]
+    for doc, leaves in ((_DOC, _number_leaves(_DOC)),
+                        (_LOITER_DOC, _number_leaves(loiter, flight))):
+        for path in leaves:
+            name = ".".join(map(str, path if doc is _DOC else ("loiter", *path[len(flight):])))
+            yield pytest.param(doc, path, id=name)
+
+
+def _domain(path):
+    """The key a ConfigError on the leaf at ``path`` names, the metadata of
+    the domain it lies in, whether it is whole, and its value per unit of
+    the field's."""
+    if len(path) > 2 and path[-3] in _TABLES:
+        table = path[-3]
+        column = [meta for _, _, meta, key in domains() if key.startswith(f"{table}.")][path[-1]]
+        return table, column, False, 1.0
     name, factor = _SCALED.get(path[-1], (path[-1], 1.0))
-    declared = [(f, get_type_hints(cls)[f.name]) for cls, f, key in domains() if key == name]
-    # a key two specs share (bandwidth_mhz) has one domain
-    assert len({f.metadata["domain"] for f, _ in declared}) == 1, name
-    f, hint = declared[0]
-    lo, closed_lo, hi, closed_hi = f.metadata["bounds"]
-    whole = int in (hint, *getattr(hint, "__args__", ()))
+    declared = [(meta, get_type_hints(cls)[f.name]) for cls, f, meta, key in domains()
+                if key == name]
+    # a key two specs share (bandwidth_mhz, duration_s) has one domain
+    assert len({meta["domain"] for meta, _ in declared}) == 1, name
+    meta, hint = declared[0]
+    return name, meta, int in (hint, *getattr(hint, "__args__", ())), factor
+
+
+def _edges(meta, whole, factor):
+    """(value, inside) at each finite bound of the domain: just outside it,
+    and at it when it is closed or just inside when it is open."""
+    lo, closed_lo, hi, closed_hi = meta["bounds"]
 
     def step(x, way):   # to the next value the field can hold
         return x + way if whole else math.nextafter(x, way * math.inf)
@@ -256,13 +327,14 @@ def _edges(path):
             yield (bound if closed else step(bound, -out)), True
 
 
-@pytest.mark.parametrize("path", list(_number_leaves(_DOC)), ids=lambda p: ".".join(map(str, p)))
-def test_each_leaf_just_outside_its_domain_exits_2_and_at_its_edge_runs(tmp_path, capsys, path):
-    name = _SCALED.get(path[-1], (path[-1],))[0]
-    edges = list(_edges(path))
+@pytest.mark.parametrize("base, path", list(_leaves()))
+def test_each_leaf_just_outside_its_domain_exits_2_and_at_its_edge_runs(tmp_path, capsys, base,
+                                                                        path):
+    name, meta, whole, factor = _domain(path)
+    edges = list(_edges(meta, whole, factor))
     assert edges, f"{name} has no finite bound"
     for n, (value, inside) in enumerate(edges):
-        doc = json.loads(json.dumps(_DOC))
+        doc = json.loads(json.dumps(base))
         *parents, key = path
         obj = doc
         for part in parents:

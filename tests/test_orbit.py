@@ -789,12 +789,14 @@ def test_kernel_single_geo_satellite():
 
 def test_kernel_climb_changes_the_reach():
     # a geostationary satellite 50 deg of arc from an aircraft climbing to
-    # 6,000 km: it clears a 30 deg mask from the ground but not from the
-    # top, and the reach falls by more than the satellite drifts
+    # the Karman line: it stands 32.69 deg high from the ground and 32.56
+    # deg from the top, so it clears a 32.6 deg mask at the start but not
+    # at the end, and the reach falls by more than the satellite drifts
     base = resolve_scenario("scenario-15b")
-    route = FlightRoute(((0.0, 0.0, 50.0, 0.0), (600.0, 0.0, 50.0, 6.0e6)))
+    route = FlightRoute(((0.0, 0.0, 50.0, 0.0), (600.0, 0.0, 50.0, 1.0e5)))
     scenario = replace(base, constellation=_walker(base, 1, 1, 35786.0, 0.0, 0.0, 0, 0.0),
-                       route=route, duration_s=600.0, handover_threshold_deg=30.0)
+                       route=route, duration_s=600.0, handover_threshold_deg=32.6,
+                       handover_hysteresis_deg=0.0)
     access = _assert_kernel_matches_reference(scenario, 10.0)
     assert access.served[0] and not access.served[-1]
 

@@ -873,6 +873,27 @@ def test_step_budget_fails_before_any_work():
             build_access_timeline(spec, spec.duration_s / 91)
 
 
+@pytest.mark.parametrize("call, field", [
+    # NaN passed `step_s <= 0` and met math.floor: "cannot convert float NaN to integer"
+    pytest.param(lambda spec: run_scenario(spec, step_s=math.nan), "step_s", id="run-nan-step"),
+    pytest.param(lambda spec: sweep_cnr(spec, 0.0, 10.0, 2, access_step_s=math.nan), "step_s",
+                 id="sweep-nan-step"),
+    # simulate_frames refused it after access, link and overlay had run
+    pytest.param(lambda spec: run_scenario(spec, n_frames=-1), "n_frames", id="negative-frames"),
+    # these passed the order check and failed in phy after the access pass
+    *(pytest.param(lambda spec, lo=lo, hi=hi: sweep_cnr(spec, lo, hi, 2), field,
+                   id=f"cnr-{lo}-{hi}") for lo, hi, field in ((math.nan, 10.0, "cnr_min_db"), (-math.inf, 10.0, "cnr_min_db"),
+                            (0.0, math.nan, "cnr_max_db"), (0.0, math.inf, "cnr_max_db"))),
+])
+def test_bad_run_parameters_fail_before_any_work(call, field):
+    spec = builtin_catalog().scenarios["scenario-19"]  # a rotor: a sweep takes access
+    with mock.patch.object(orbit_module, "_shell_angles", side_effect=AssertionError), \
+            mock.patch.object(pipeline, "link_timeline", side_effect=AssertionError):
+        with pytest.raises(ConfigError) as err:
+            call(spec)
+    assert err.value.field == field
+
+
 def test_point_budget_fails_before_any_work(tmp_path, capsys):
     spec = builtin_catalog().scenarios["scenario-19"]  # a rotor: a sweep takes access
     argv = ["sweep", "--scenario", "scenario-19", "--cnr-min", "0", "--cnr-max", "1",

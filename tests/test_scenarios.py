@@ -30,7 +30,7 @@ from rwasim.scenarios import (
     resolve_scenario,
     serialize_scenario,
 )
-from spec_domains import domains, holds_numbers, spec_classes
+from spec_domains import domains, holds_numbers, holds_table, spec_classes
 
 SCENARIO_IDS = {
     "scenario-6", "scenario-7", "scenario-11",
@@ -322,9 +322,9 @@ def test_route_validation():
         FlightRoute(())
     with pytest.raises(ConfigError):
         FlightRoute(((0.0, 50.0, 10.0, 100.0), (0.0, 51.0, 10.0, 100.0)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^points: lat_deg 95.0 is outside"):
         FlightRoute(((0.0, 95.0, 10.0, 100.0),))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^points: alt_m -2.0 is outside"):
         FlightRoute(((0.0, 50.0, 10.0, -2.0),))
 
 
@@ -379,16 +379,16 @@ def test_loiter_validation():
     assert err.value.field == "waypoint_interval_s"
 
 
-@pytest.mark.parametrize("radius, speed, duration, message", [
-    (math.nan, 25.0, 600.0, "radius_km and speed_ms"),
-    (8.0, math.nan, 600.0, "radius_km and speed_ms"),
-    (8.0, 25.0, math.nan, "duration"),
+@pytest.mark.parametrize("radius, speed, duration, field", [
+    (math.nan, 25.0, 600.0, "radius_km"),
+    (8.0, math.nan, 600.0, "speed_ms"),
+    (8.0, 25.0, math.nan, "duration_s"),
 ])
-def test_loiter_nan_fails_its_own_checks(radius, speed, duration, message):
+def test_loiter_nan_fails_its_own_checks(radius, speed, duration, field):
     # not later, as a latitude out of range
-    with pytest.raises(ConfigError, match=message) as err:
+    with pytest.raises(ConfigError, match="nan is outside") as err:
         loiter_route(10.0, 20.0, 500.0, radius, speed, duration)
-    assert err.value.field == "flight"
+    assert err.value.field == field
 
 
 @given(
@@ -536,7 +536,7 @@ def test_scenario_rejects_short_route():
 def test_scenario_rejects_bad_rain_profile():
     with pytest.raises(ConfigError):
         _scenario(rain_profile=((600.0, 5.0), (0.0, 5.0)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^rain_profile: mm_per_h -3.0 is outside"):
         _scenario(rain_profile=((0.0, -3.0),))
 
 
@@ -691,19 +691,24 @@ def test_readme_example_runs_and_omitted_keys_take_spec_defaults(tmp_path):
     for owner, f in omitted:
         default = f.default if f.default is not MISSING else f.default_factory()
         assert getattr(owner, f.name) == default, (type(owner).__name__, f.name)
-    # the loiter keys it omits take loiter_route's own defaults
+    # the loiter keys it omits take LoiterSpec's defaults
     flight = {k: float(v) for k, v in scenario["flight"].items() if k != "type"}
     assert spec.route == loiter_route(**flight, duration_s=spec.duration_s)
 
 
 def test_every_number_field_of_a_spec_declares_a_domain():
-    # the tables (a route's points, a rain profile) keep their own rules
+    # a table (a route's points, a rain profile) declares one a column
     for cls in spec_classes():
         hints = get_type_hints(cls)
         for f in fields(cls):
             assert ("domain" in f.metadata) == holds_numbers(hints[f.name]), (cls, f.name)
-    assert {cls.__name__ for cls, _, _ in domains()} == {"AircraftSpec", "RotorSpec", "ConstellationSpec", "RfPayloadSpec",
-                        "ScenarioSpec", "PhyConfig", "Mcs", "BandAtmosphere", "LossModel"}
+            assert ("columns" in f.metadata) == holds_table(hints[f.name]), (cls, f.name)
+    assert {cls.__name__ for cls, _, _, _ in domains()} == {
+        "AircraftSpec", "RotorSpec", "ConstellationSpec", "RfPayloadSpec", "ScenarioSpec",
+        "FlightRoute", "LoiterSpec", "PhyConfig", "Mcs", "BandAtmosphere", "LossModel"}
+    assert [key for _, _, _, key in domains() if "." in key] == [
+        "rain_profile.start_s", "rain_profile.mm_per_h", "points.time_s", "points.lat_deg",
+        "points.lon_deg", "points.alt_m"]
 
 
 def test_readme_domain_table_is_the_declared_domains():
@@ -711,8 +716,8 @@ def test_readme_domain_table_is_the_declared_domains():
     table = readme.split("| spec | key | domain | why |\n", 1)[1].split("\n\n", 1)[0]
     rows = [[cell.strip() for cell in line.strip("|").split("|")]
             for line in table.splitlines()[1:]]
-    assert rows == [[f"`{cls.__name__}`", f"`{key}`", f"`{f.metadata['domain']}`",
-                     f.metadata["why"]] for cls, f, key in domains()]
+    assert rows == [[f"`{cls.__name__}`", f"`{key}`", f"`{meta['domain']}`", meta["why"]]
+                    for cls, _, meta, key in domains()]
 
 
 @pytest.mark.parametrize("override, field", [

@@ -33,9 +33,13 @@ def test_north_star_record_has_cpu_time_and_max_rss(tmp_path, monkeypatch):
 def test_north_star_scale_commands_stay_out_of_the_total():
     bench = _tool("bench_north_star")
     scale = {"run long-flight mc", "run scenario-19 mc 25000", "sweep scenario-19 mc 20000"}
-    assert scale | {"run mega-shell mc"} == set(bench.OUTSIDE_TOTAL)
+    floor = {"python -c pass", "import numpy"}
+    assert scale | floor | {"run mega-shell mc"} == set(bench.OUTSIDE_TOTAL)
     commands = bench.commands()
     assert set(bench.OUTSIDE_TOTAL) <= set(commands)
+    # the floor: a bare interpreter, and one that imports numpy
+    assert commands["python -c pass"] == (["-c", "pass"], False)
+    assert commands["import numpy"] == (["-c", "import numpy"], False)
     # every scale command writes, so its outputs are compared across checkouts
     assert all(commands[name][1] for name in scale)
     assert "25000" in commands["run scenario-19 mc 25000"][0]

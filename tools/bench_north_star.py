@@ -21,7 +21,10 @@ speed falls on all of them alike:
   24 h (``tools/long_flight.json``) with the same arguments, the access
   timeline at scale; scenario-19 at ``--step 60 --frames 25000``, whose
   ``slots.csv`` is about 110 MB; and a 26-point scenario-19 sweep of
-  20,000 frames.
+  20,000 frames;
+- the floor under every command: ``python -c pass`` and
+  ``python -c "import numpy"``, so that each record shows what share of
+  a command's time rwasim controls (the command's time less the floor).
 
 For each checkout it writes ``BENCH_<LABEL>.json`` to the current
 directory: the median and quartiles of every command's wall time and
@@ -30,8 +33,9 @@ versions (scipy's too when it is installed).  Next to a command's wall
 time, under its ``cpu_s`` and ``max_rss_mb`` keys, are the same
 statistics of the child's CPU time (user plus system) and maximum
 resident set size, read from ``os.wait4``; records made before these
-were added lack the two keys.  The total leaves out the mega-shell and
-scale runs, so it compares with records made before they were added.
+were added lack the two keys.  The total leaves out the mega-shell, scale
+and floor commands, so it compares with records made before they were
+added.
 Given several checkouts, it also records under ``same_outputs_as``, for
 every checkout after the first, whether its first repeat wrote the same
 files, byte for byte, as the first checkout's (``{"<first label>":
@@ -81,7 +85,7 @@ SCALE_SWEEP_ARGS = ("--cnr-min", "-5", "--cnr-max", "20", "--points", "26",
                     "--frames", "20000", "--seed", "0")
 # timed, but left out of the total
 OUTSIDE_TOTAL = ("run mega-shell mc", "run long-flight mc", f"run {SCALE_SCENARIO} mc 25000",
-                 f"sweep {SCALE_SCENARIO} mc 20000")
+                 f"sweep {SCALE_SCENARIO} mc 20000", "python -c pass", "import numpy")
 
 
 def commands() -> dict[str, tuple[list[str], bool]]:
@@ -106,6 +110,8 @@ def commands() -> dict[str, tuple[list[str], bool]]:
     cmds[f"sweep {SCALE_SCENARIO} mc 20000"] = (
         ["-m", "rwasim.cli", "sweep", "--scenario", SCALE_SCENARIO, "--mode", "mc",
          *SCALE_SWEEP_ARGS], True)
+    cmds["python -c pass"] = (["-c", "pass"], False)
+    cmds["import numpy"] = (["-c", "import numpy"], False)
     return cmds
 
 
