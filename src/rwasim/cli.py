@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -17,58 +16,28 @@ from .pipeline import compare_reports, run_scenario, sweep_cnr, write_sweep_csv
 from .scenarios import builtin_catalog, resolve_scenario
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for a non-negative integer; anything else exits 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    """argparse type for a finite number; anything else exits 2."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type for a positive finite number; anything else exits 2."""
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
 def _add_run(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("run", help="simulate one scenario end to end")
     p.add_argument("--scenario", required=True,
                    help="built-in scenario id or path to a scenario JSON file")
-    p.add_argument("--step", type=_positive_float, default=1.0,
+    p.add_argument("--step", type=float, default=1.0,
                    help="access-timeline step in seconds (default 1)")
-    p.add_argument("--seed", type=_non_negative_int, default=0, help="random seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     p.add_argument("--mode", choices=("mc", "expected"), default="mc",
                    help="bit-error draw mode (default mc)")
-    p.add_argument("--frames", type=_non_negative_int, default=100,
+    p.add_argument("--frames", type=int, default=100,
                    help="10 ms frames to simulate (default 100)")
 
 
 def _add_sweep(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("sweep", help="BER/data-rate versus CNR for a scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--cnr-min", type=_finite_float, required=True)
-    p.add_argument("--cnr-max", type=_finite_float, required=True)
+    p.add_argument("--cnr-min", type=float, required=True)
+    p.add_argument("--cnr-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--frames", type=_non_negative_int, default=100)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--frames", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("mc", "expected"), default="mc")
     p.add_argument("--out", default="out")
 

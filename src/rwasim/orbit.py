@@ -291,8 +291,8 @@ def _scan_chunk(row, sat, elevation, served, current, threshold_deg, acquire_deg
 def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> AccessTimeline:
     """Propagate the constellation over the flight and pick the server.
 
-    One sample per ``step_s`` over the scenario duration (end exclusive);
-    a zero-duration flight yields an empty timeline.  The served satellite
+    One sample per ``step_s`` over the scenario duration (end exclusive),
+    and at least t = 0 unless the flight has no duration.  The served satellite
     is kept while it is at or above the handover threshold; when it drops
     below, the link hands over to the highest satellite if that one holds
     the threshold, else goes into an outage, from which the highest
@@ -310,11 +310,10 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
     bound of the aircraft's zenith at its middle row, computed once for
     the flight from its lowest aircraft and the fastest turns of a
     satellite and of the route.  The full geometry is then computed for
-    the served satellite only.  A step that is not > 0, or more than
-    ``MAX_STEPS`` steps, is a ConfigError on ``step_s`` before any work.
+    the served satellite only.  ``step_s`` is in (0, inf), as the run
+    parameters' domains hold it; more than ``MAX_STEPS`` steps is a
+    ConfigError on ``step_s`` before any work.
     """
-    if not step_s > 0:  # NaN fails too
-        raise ConfigError(f"expected a step > 0 s, got {step_s!r}", field="step_s")
     # compared before the floor, which fails on the infinite span of a
     # subnormal step
     span = scenario.duration_s / step_s + 1e-9
@@ -322,7 +321,7 @@ def build_access_timeline(scenario: ScenarioSpec, step_s: float = 1.0) -> Access
         raise ConfigError(
             f"a {scenario.duration_s:g} s flight at a {step_s:g} s step exceeds the budget "
             f"of {MAX_STEPS} access steps", field="step_s")
-    n_steps = int(math.floor(span))
+    n_steps = max(int(scenario.duration_s > 0), math.floor(span))
 
     a = scenario.constellation.orbit_radius_km
     n_rate = mean_motion(a)

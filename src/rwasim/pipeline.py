@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import blades as bl
-from .errors import ConfigError
+from .errors import ConfigError, check_domains, domain
 from .linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain,
                          pointing_offset, rescale_cnr)
 from .orbit import AccessTimeline, build_access_timeline
@@ -168,7 +169,7 @@ def build_report(
     """
     served = _served(scenario, access)
     prime = scenario.cnr_prime_bandwidth_mhz
-    report = {
+    return {
         "scenario_id": scenario.id,
         "seed": seed,
         "mode": mode,
@@ -193,7 +194,6 @@ def build_report(
         "n_slots": stats.n_slots,
         "n_erased": stats.n_erased,
     }
-    return report
 
 
 # Slots per block of frames in `_rotor_erased`: bounds the blocked times
@@ -231,6 +231,48 @@ def _rotor_erased(scenario: ScenarioSpec, frame_blocked: np.ndarray, seed: int) 
     return erased
 
 
+# === run parameters ===
+
+@dataclass
+class RunParameters:
+    """The settings of a :func:`run_scenario` call, each with its declared domain."""
+
+    step_s: float = domain("(0, inf)", "time moves on; MAX_STEPS bounds it from below")
+    seed: int = domain("[0, inf)", "numpy seeds its generators from non-negative integers")
+    mode: str
+    n_frames: int = domain("[0, inf)", "0 frames report the geometry alone; MAX_SLOTS bounds it")
+
+
+@dataclass
+class SweepParameters:
+    """The settings of a :func:`sweep_cnr` call, each with its declared domain."""
+
+    cnr_min_db: float = domain("(-inf, inf)", "a finite CNR; the curve starts there")
+    cnr_max_db: float = domain("(-inf, inf)", "a finite CNR, at least cnr_min_db")
+    points: int = domain("[1, inf)", "a curve of one point or more; MAX_POINTS bounds it")
+    n_frames: int = domain("[1, inf)", "a point of no frames has no BER; MAX_SLOTS bounds it")
+    seed: int = domain("[0, inf)", "numpy seeds its generators from non-negative integers")
+    mode: str
+    access_step_s: float = domain("(0, inf)", "time moves on; MAX_STEPS bounds it from below")
+
+
+def _checked(settings) -> tuple:
+    """The values of ``settings``, an int's as an ``int``; else a ConfigError
+    naming the first int field holding no integer (a bool is none), then the
+    first value outside its domain, then a ``mode`` not "mc" or "expected"."""
+    values = []
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        whole = f.type == "int"   # the annotation, a string under `from __future__`
+        if whole and (isinstance(value, bool) or not hasattr(value, "__index__")):
+            raise ConfigError(f"expected an integer, got {value!r}", field=f.name)
+        values.append(operator.index(value) if whole else value)
+    check_domains(settings)
+    if settings.mode not in ("mc", "expected"):
+        raise ConfigError(f"expected 'mc' or 'expected', got {settings.mode!r}", field="mode")
+    return tuple(values)
+
+
 def run_scenario(
     scenario: ScenarioSpec,
     step_s: float = 1.0,
@@ -246,12 +288,11 @@ def run_scenario(
     its start time, and blade blockage phase runs on the continuous
     flight clock so frames sample different points of the rotor period.
     Outputs are written under ``out_dir/<scenario id>/`` when a
-    directory is given.  A run over the slot budget
-    (:data:`rwasim.phy.MAX_SLOTS`), or a negative ``n_frames``, is a
-    ConfigError before any work.
+    directory is given.  A setting outside its domain
+    (:class:`RunParameters`), or a run over the slot budget
+    (:data:`rwasim.phy.MAX_SLOTS`), is a ConfigError before any work.
     """
-    if n_frames < 0:
-        raise ConfigError(f"expected n_frames >= 0, got {n_frames}", field="n_frames")
+    step_s, seed, mode, n_frames = _checked(RunParameters(step_s, seed, mode, n_frames))
     check_slot_budget(n_frames, scenario.phy.numerology)
     access = build_access_timeline(scenario, step_s)
     link = link_timeline(scenario, access)
@@ -492,20 +533,15 @@ def sweep_cnr(
     seed ``seed + j``.  The erased slots are the same at every point, so
     they are found once, and
     :func:`rwasim.phy.sweep_stats` rolls up every point without a slot
-    table.  A point over the slot budget, or more points than
-    ``MAX_POINTS``, is a ConfigError before any work.  Returns (cnr_db,
-    ber, data_rate_mbps) rows.
+    table.  A setting outside its domain (:class:`SweepParameters`), a
+    point over the slot budget, or more points than ``MAX_POINTS``, is a
+    ConfigError before any work.  Returns (cnr_db, ber, data_rate_mbps) rows.
     """
-    if points < 1:
-        raise ConfigError("points must be >= 1", field="points")
+    cnr_min_db, cnr_max_db, points, n_frames, seed, mode, access_step_s = _checked(
+        SweepParameters(cnr_min_db, cnr_max_db, points, n_frames, seed, mode, access_step_s))
     if points > MAX_POINTS:
         raise ConfigError(f"{points} points exceed the budget of {MAX_POINTS} sweep points",
                           field="points")
-    if n_frames < 1:
-        raise ConfigError("n_frames must be >= 1", field="n_frames")
-    for name, bound in (("cnr_min_db", cnr_min_db), ("cnr_max_db", cnr_max_db)):
-        if not np.isfinite(bound):
-            raise ConfigError(f"expected a finite number, got {bound!r}", field=name)
     if cnr_max_db < cnr_min_db:
         raise ConfigError("cnr-max must be >= cnr-min", field="cnr_max_db")
     num = scenario.phy.numerology

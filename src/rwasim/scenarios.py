@@ -351,11 +351,6 @@ class LoiterSpec:
         return FlightRoute(np.column_stack([times, lat, lon, np.full(len(times), self.altitude_m)]))
 
 
-def loiter_route(*args, **kwargs) -> FlightRoute:
-    """The route of ``LoiterSpec(*args, **kwargs)``."""
-    return LoiterSpec(*args, **kwargs).route
-
-
 # === scenarios ===
 
 @dataclass(frozen=True)

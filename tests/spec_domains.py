@@ -1,10 +1,12 @@
-"""The spec dataclasses a scenario is built from, and the domains their fields declare."""
+"""The spec dataclasses a scenario is built from, the run settings a run or a
+sweep takes, and the domains their fields declare."""
 
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from rwasim.pipeline import RunParameters, SweepParameters
 from rwasim.scenarios import LoiterSpec, ScenarioSpec
 
 
@@ -59,3 +61,11 @@ def domains() -> list:
     declared domain, class by class in ``spec_classes`` order."""
     return [(cls, f, meta, key) for cls in spec_classes() for f in fields(cls)
             for meta, key in _declared(f)]
+
+
+def run_parameter_domains() -> list:
+    """(the call, the field, the domain's metadata) of each run setting with
+    a declared domain: ``run_scenario``'s, then ``sweep_cnr``'s."""
+    return [(call, f, f.metadata) for call, cls in (("run_scenario", RunParameters),
+                                                     ("sweep_cnr", SweepParameters))
+            for f in fields(cls) if f.metadata]

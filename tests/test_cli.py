@@ -27,7 +27,7 @@ from rwasim.cli import main
 from rwasim.errors import ConfigError
 from rwasim.pipeline import run_scenario
 from rwasim.scenarios import builtin_catalog, parse_catalog, serialize_scenario
-from spec_domains import domains
+from spec_domains import domains, run_parameter_domains
 
 MEGA_SHELL = str(Path(__file__).resolve().parents[1] / "tools" / "mega_shell.json")
 # scenario-7's loiter, as the built-in document writes it
@@ -242,6 +242,17 @@ def test_negative_cnr_bound_in_scientific_notation_joins_its_flag(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["cnr_db", "-1000", "20"]
 
 
+def test_a_step_longer_than_the_flight_takes_the_first_sample(tmp_path, capsys):
+    # scenario-7 flies 7,200 s: at --step 7201 it took no sample and exited
+    # 3, "no satellite above 40.0 deg at any sample"
+    for step in ("7200", "7201"):
+        assert main(["run", "--scenario", "scenario-7", "--step", step, "--frames", "2",
+                     "--out", str(tmp_path / step)]) == 0, capsys.readouterr().err
+    access = [(tmp_path / step / "scenario-7" / "access.csv").read_bytes()
+              for step in ("7200", "7201")]
+    assert access[0] == access[1] and access[0].count(b"\r\n") == 2
+
+
 def test_rotor_at_the_pass_budget_runs(tmp_path, capsys):
     # 4 blades at 150,000 rpm pass exactly MAX_BLADE_PASSES_S times a second
     assert 4 * 150_000 / 60 == blades.MAX_BLADE_PASSES_S
@@ -354,3 +365,40 @@ def test_each_leaf_just_outside_its_domain_exits_2_and_at_its_edge_runs(tmp_path
         else:
             # a rule that ties this field to another may still refuse it
             assert code == 0 or code == 2 and "is outside" not in err, (value, err)
+
+
+# === the run parameters' declared domains, row by row ===
+
+# the flag of each run setting with a declared domain; a sweep's
+# access_step_s has none
+_FLAGS = {"step_s": "--step", "seed": "--seed", "n_frames": "--frames", "points": "--points",
+          "cnr_min_db": "--cnr-min", "cnr_max_db": "--cnr-max"}
+_CALLS = {"run_scenario": ["run", "--scenario", "scenario-7", "--step", "300", "--frames", "2"],
+          "sweep_cnr": ["sweep", "--scenario", "scenario-7", "--cnr-min", "0", "--cnr-max", "10",
+                        "--points", "2", "--frames", "2"]}
+
+
+def test_each_run_parameter_just_outside_its_domain_exits_2_and_at_its_edge_runs(tmp_path,
+                                                                                  capsys):
+    rows = run_parameter_domains()
+    assert {f.name for _, f, _ in rows} - set(_FLAGS) == {"access_step_s"}
+    # an int setting's edges as ints, the text its flag takes
+    edges = [(call, f.name, int(value) if f.type == "int" else value, inside)
+             for call, f, meta in rows if f.name in _FLAGS
+             for value, inside in _edges(meta, f.type == "int", 1.0)]
+    # the CNR bounds have no finite bound to stand at
+    assert {(call, name) for call, name, _, _ in edges} == {
+        ("run_scenario", "step_s"), ("run_scenario", "seed"), ("run_scenario", "n_frames"),
+        ("sweep_cnr", "points"), ("sweep_cnr", "n_frames"), ("sweep_cnr", "seed")}
+    for n, (call, name, value, inside) in enumerate(edges):
+        out = tmp_path / f"out-{n}"
+        # a repeated flag takes its last value
+        code = main([*_CALLS[call], _FLAGS[name], repr(value), "--out", str(out)])
+        err = capsys.readouterr().err
+        if inside:
+            # a budget may still refuse the value at the edge
+            assert code == 0 or code == 2 and err.startswith(f"error: {name}: ") \
+                and "the budget of" in err, (call, name, value, err)
+        else:
+            assert code == 2 and err.startswith(f"error: {name}: {value!r} is outside"), err
+            assert not out.exists()

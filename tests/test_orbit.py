@@ -21,7 +21,7 @@ from rwasim.orbit import (
     orbital_period,
     propagate,
 )
-from rwasim.scenarios import FlightRoute, builtin_catalog, loiter_route, resolve_scenario
+from rwasim.scenarios import FlightRoute, LoiterSpec, builtin_catalog, resolve_scenario
 
 GEO_RADIUS = 42164.14
 
@@ -278,7 +278,7 @@ def test_aircraft_speed_across_antimeridian():
 def test_loiter_flies_at_its_speed(center_lat_deg):
     # 3,601 s leaves a last leg of 1 s after the 5 s ones; every leg,
     # that one included, is flown at the requested speed
-    route = loiter_route(center_lat_deg, 10.0, 500.0, 15.0, 35.0, 3601.0)
+    route = LoiterSpec(center_lat_deg, 10.0, 500.0, 15.0, 35.0, 3601.0).route
     assert route.duration_s == 3601.0
     assert np.diff(route.points[-2:, 0]) == pytest.approx([1.0])
     times = np.concatenate([np.arange(0.0, 3601.0, 0.7), [3600.5]])
@@ -290,7 +290,7 @@ def test_loiter_flies_at_its_speed(center_lat_deg):
 
 
 def test_velocity_is_zero_past_the_end():
-    route = loiter_route(62.0, 25.0, 500.0, 15.0, 35.0, 60.0)
+    route = LoiterSpec(62.0, 25.0, 500.0, 15.0, 35.0, 60.0).route
     up, radius, velocity = route.state(np.array([59.9, 60.0, 61.0, 1e6]))
     assert np.linalg.norm(velocity[:, 0]) * 1000.0 == pytest.approx(35.0, rel=1e-6)
     assert np.all(velocity[:, 1:] == 0.0)
@@ -301,7 +301,7 @@ def test_velocity_is_zero_past_the_end():
 def test_polar_loiter_runs():
     # the circle encloses the pole: 15 km around 89.95 deg N
     base = resolve_scenario("scenario-7")
-    route = loiter_route(89.95, 10.0, 500.0, 15.0, 35.0, 3600.0)
+    route = LoiterSpec(89.95, 10.0, 500.0, 15.0, 35.0, 3600.0).route
     lat, _, _ = route.track(np.arange(0.0, 3600.0, 1.0))
     assert 89.8 < lat.min() and lat.max() < 90.0
     access = build_access_timeline(replace(base, route=route, duration_s=3600.0), 10.0)
@@ -417,7 +417,9 @@ def _reference_timeline(scenario, step_s):
                         + p * spec.phasing_factor * 360.0 / spec.total_sats
                         for p in range(spec.planes) for k in range(spec.sats_per_plane)])
     route = scenario.route
-    n_steps = int(math.floor(scenario.duration_s / step_s + 1e-9))
+    # at least the sample at t = 0 when the flight has any duration
+    n_steps = max(int(scenario.duration_s > 0),
+                  int(math.floor(scenario.duration_s / step_s + 1e-9)))
     sat_id = np.full(n_steps, -1)
     cols = np.full((4, n_steps), np.nan)
     current = -1
@@ -769,6 +771,17 @@ def test_kernel_opening_tie_goes_to_the_lowest_id(scenario_id):
     scenario = resolve_scenario(scenario_id)
     assert build_access_timeline(scenario, 60.0).sat_id[0] == 204
     assert _reference_timeline(replace(scenario, duration_s=60.0), 60.0)[0][0] == 204
+
+
+@pytest.mark.parametrize("step_s", [7200.0, 7201.0, 1e9])
+def test_a_step_longer_than_the_flight_takes_the_first_sample(step_s):
+    # at 7,201 s scenario-7's 7,200 s flight took no sample, and its run
+    # exited 3 with "no satellite above 40.0 deg"
+    scenario = resolve_scenario("scenario-7")
+    access = _assert_kernel_matches_reference(scenario, step_s)
+    assert access.times_s.tolist() == [0.0] and access.served.all()
+    # a flight of no duration still takes none
+    assert len(build_access_timeline(replace(scenario, duration_s=0.0), step_s)) == 0
 
 
 @pytest.mark.parametrize("threshold_deg", [0.0, 85.0])

@@ -44,10 +44,10 @@ from rwasim.scenarios import (
     AircraftSpec,
     ConstellationSpec,
     FlightRoute,
+    LoiterSpec,
     RfPayloadSpec,
     ScenarioSpec,
     builtin_catalog,
-    loiter_route,
     serialize_scenario,
 )
 
@@ -519,9 +519,9 @@ def _run_cases(draw):
     duration = draw(st.floats(60.0, 1800.0))
     speed_ms = draw(st.floats(5.0, 80.0))
     # loiter centres anywhere, the poles included
-    route = loiter_route(draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)),
-                         draw(st.floats(0.0, 3000.0)), draw(st.floats(1.0, 20.0)),
-                         speed_ms, duration)
+    route = LoiterSpec(draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)),
+                       draw(st.floats(0.0, 3000.0)), draw(st.floats(1.0, 20.0)),
+                       speed_ms, duration).route
     scenario = replace(base, constellation=constellation, route=route, duration_s=duration,
                        handover_threshold_deg=draw(st.floats(0.0, 40.0)))
     return (scenario, speed_ms / 1000.0, draw(st.floats(5.0, 120.0)),
@@ -876,14 +876,36 @@ def test_step_budget_fails_before_any_work():
 @pytest.mark.parametrize("call, field", [
     # NaN passed `step_s <= 0` and met math.floor: "cannot convert float NaN to integer"
     pytest.param(lambda spec: run_scenario(spec, step_s=math.nan), "step_s", id="run-nan-step"),
-    pytest.param(lambda spec: sweep_cnr(spec, 0.0, 10.0, 2, access_step_s=math.nan), "step_s",
-                 id="sweep-nan-step"),
+    pytest.param(lambda spec: sweep_cnr(spec, 0.0, 10.0, 2, access_step_s=math.nan),
+                 "access_step_s", id="sweep-nan-step"),
     # simulate_frames refused it after access, link and overlay had run
     pytest.param(lambda spec: run_scenario(spec, n_frames=-1), "n_frames", id="negative-frames"),
     # these passed the order check and failed in phy after the access pass
     *(pytest.param(lambda spec, lo=lo, hi=hi: sweep_cnr(spec, lo, hi, 2), field,
-                   id=f"cnr-{lo}-{hi}") for lo, hi, field in ((math.nan, 10.0, "cnr_min_db"), (-math.inf, 10.0, "cnr_min_db"),
+                   id=f"cnr-{lo}-{hi}")
+      for lo, hi, field in ((math.nan, 10.0, "cnr_min_db"), (-math.inf, 10.0, "cnr_min_db"),
                             (0.0, math.nan, "cnr_max_db"), (0.0, math.inf, "cnr_max_db"))),
+    # numpy's "expected non-negative integer" and phy's ValueError on the
+    # mode, after the access, link and overlay stages; a fractional count
+    # failed in phy ("cnr_db must be scalar or per-frame"); an infinite step
+    # took no sample and exited 3; a bool was taken for 0 or 1
+    *(pytest.param(lambda spec, kw=kw: run_scenario(spec, **kw), next(iter(kw)),
+                   id=f"run-{name}")
+      for name, kw in (("negative-seed", {"seed": -1}), ("bool-seed", {"seed": True}),
+                       ("fractional-seed", {"seed": 2.5}), ("bogus-mode", {"mode": "bogus"}),
+                       ("fractional-frames", {"n_frames": 2.5}),
+                       ("infinite-step", {"step_s": math.inf}))),
+    # the same after a rotor sweep's access pass; a fractional count met
+    # np.linspace's TypeError
+    *(pytest.param(lambda spec, kw=kw: sweep_cnr(spec, 0.0, 10.0, **{"points": 2, **kw}),
+                   field, id=f"sweep-{name}")
+      for name, kw, field in (("negative-seed", {"seed": -1}, "seed"),
+                              ("bogus-mode", {"mode": "bogus"}, "mode"),
+                              ("fractional-points", {"points": 2.5}, "points"))),
+    # never checked by a sweep without a rotor, which builds no access timeline
+    pytest.param(lambda _: sweep_cnr(builtin_catalog().scenarios["scenario-6"], 0.0, 10.0, 2,
+                                     access_step_s=math.inf),
+                 "access_step_s", id="rotorless-sweep-infinite-step"),
 ])
 def test_bad_run_parameters_fail_before_any_work(call, field):
     spec = builtin_catalog().scenarios["scenario-19"]  # a rotor: a sweep takes access
@@ -1272,32 +1294,30 @@ def test_cli_non_numeric_value_is_config_error(tmp_path, capsys, loss_model, fie
      "--points", "2", "--frames", "5"],
 ])
 def test_cli_negative_seed_is_argument_error(tmp_path, capsys, argv):
-    with pytest.raises(SystemExit) as exit_:
-        main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")])
-    assert exit_.value.code == 2
-    assert "--seed: must be >= 0" in capsys.readouterr().err
+    # the library's declared domain refuses it, before any work
+    assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: seed: -1 is outside [0, inf)")
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["run", "--step", "60", "--frames", "-1"], "--frames: must be >= 0"),
-    (["run", "--step", "0", "--frames", "5"], "--step: must be > 0"),
-    (["run", "--step", "-10", "--frames", "5"], "--step: must be > 0"),
-    (["run", "--step", "nan", "--frames", "5"], "--step: must be finite"),
-    (["run", "--step", "inf", "--frames", "5"], "--step: must be finite"),
+    (["run", "--step", "60", "--frames", "-1"], "error: n_frames: -1 is outside"),
+    (["run", "--step", "0", "--frames", "5"], "error: step_s: 0.0 is outside"),
+    (["run", "--step", "-10", "--frames", "5"], "error: step_s: -10.0 is outside"),
+    (["run", "--step", "nan", "--frames", "5"], "error: step_s: nan is outside"),
+    (["run", "--step", "inf", "--frames", "5"], "error: step_s: inf is outside"),
     (["sweep", "--cnr-min", "0", "--cnr-max", "10", "--points", "2", "--frames", "-3"],
-     "--frames: must be >= 0"),
+     "error: n_frames: -3 is outside"),
     (["sweep", "--cnr-min", "nan", "--cnr-max", "10", "--points", "2", "--frames", "5"],
-     "--cnr-min: must be finite"),
+     "error: cnr_min_db: nan is outside"),
     (["sweep", "--cnr-min", "0", "--cnr-max", "inf", "--points", "2", "--frames", "5"],
-     "--cnr-max: must be finite"),
+     "error: cnr_max_db: inf is outside"),
 ], ids=["run-frames-negative", "run-step-zero", "run-step-negative", "run-step-nan",
         "run-step-inf", "sweep-frames-negative", "sweep-cnr-min-nan", "sweep-cnr-max-inf"])
 def test_cli_bad_number_is_argument_error(tmp_path, capsys, argv, message):
-    with pytest.raises(SystemExit) as exit_:
-        main(argv + ["--scenario", "scenario-7", "--out", str(tmp_path / "out")])
-    assert exit_.value.code == 2
-    assert message in capsys.readouterr().err
+    # the library's declared domains refuse these, before any work
+    assert main(argv + ["--scenario", "scenario-7", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "out").exists()
 
 

@@ -21,16 +21,17 @@ from rwasim.scenarios import (
     AircraftSpec,
     ConstellationSpec,
     FlightRoute,
+    LoiterSpec,
     RfPayloadSpec,
     ScenarioSpec,
     builtin_catalog,
     load_catalog,
-    loiter_route,
     parse_catalog,
     resolve_scenario,
     serialize_scenario,
 )
-from spec_domains import domains, holds_numbers, holds_table, spec_classes
+from spec_domains import (domains, holds_numbers, holds_table, run_parameter_domains,
+                          spec_classes)
 
 SCENARIO_IDS = {
     "scenario-6", "scenario-7", "scenario-11",
@@ -244,9 +245,9 @@ def test_over_budget_specs_exit_2_and_write_nothing(tmp_path, capsys, kind):
 def test_spec_budgets_admit_their_limit():
     # at the budget a loiter or a shell goes ahead, one more is an error
     with mock.patch.object(scenarios, "MAX_WAYPOINTS", 11):
-        assert len(loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, 100.0, 10.0).points) == 11
+        assert len(LoiterSpec(50.0, 15.0, 400.0, 8.0, 25.0, 100.0, 10.0).route.points) == 11
         with pytest.raises(ConfigError) as err:
-            loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, 100.0, 9.9)
+            LoiterSpec(50.0, 15.0, 400.0, 8.0, 25.0, 100.0, 9.9).route
         assert err.value.field == "waypoint_interval_s"
     doc = serialize_scenario(builtin_catalog().scenarios["scenario-19"])   # LEO-2: 12 x 22
     with mock.patch.object(scenarios, "MAX_SATELLITES", 264):
@@ -337,7 +338,7 @@ def test_route_must_start_at_time_zero():
 
 
 def test_loiter_starts_north_of_center():
-    route = loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, 600.0)
+    route = LoiterSpec(50.0, 15.0, 400.0, 8.0, 25.0, 600.0).route
     t0, lat0, lon0, alt0 = route.points[0]
     assert t0 == 0.0
     assert alt0 == 400.0
@@ -346,7 +347,7 @@ def test_loiter_starts_north_of_center():
 
 
 def test_loiter_covers_duration_at_interval():
-    route = loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, 123.0, waypoint_interval_s=5.0)
+    route = LoiterSpec(50.0, 15.0, 400.0, 8.0, 25.0, 123.0, waypoint_interval_s=5.0).route
     times = [p[0] for p in route.points]
     assert times[1] - times[0] == 5.0
     assert route.duration_s >= 123.0
@@ -354,7 +355,7 @@ def test_loiter_covers_duration_at_interval():
 
 def test_loiter_ground_speed_matches_request():
     speed = 30.0
-    route = loiter_route(45.0, 0.0, 500.0, 5.0, speed, 300.0)
+    route = LoiterSpec(45.0, 0.0, 500.0, 5.0, speed, 300.0).route
     (t0, lat0, lon0, _), (t1, lat1, lon1, _) = route.points[:2]
     dlat = lat1 - lat0
     dlon = (lon1 - lon0) * math.cos(math.radians(45.0))
@@ -364,18 +365,18 @@ def test_loiter_ground_speed_matches_request():
 
 def test_loiter_validation():
     with pytest.raises(ConfigError):
-        loiter_route(50.0, 15.0, 400.0, 0.0, 25.0, 600.0)
+        LoiterSpec(50.0, 15.0, 400.0, 0.0, 25.0, 600.0).route
     with pytest.raises(ConfigError):
-        loiter_route(50.0, 15.0, 400.0, 8.0, -1.0, 600.0)
+        LoiterSpec(50.0, 15.0, 400.0, 8.0, -1.0, 600.0).route
     with pytest.raises(ConfigError):
-        loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, -600.0)
+        LoiterSpec(50.0, 15.0, 400.0, 8.0, 25.0, -600.0).route
     for interval in (0.0, -5.0, math.nan):
         with pytest.raises(ConfigError) as err:
-            loiter_route(50.0, 15.0, 400.0, 8.0, 25.0, 600.0, waypoint_interval_s=interval)
+            LoiterSpec(50.0, 15.0, 400.0, 8.0, 25.0, 600.0, waypoint_interval_s=interval).route
         assert err.value.field == "waypoint_interval_s"
     # a 3.5 km leg cannot join two points of a circle 2 km across
     with pytest.raises(ConfigError, match="fit across the circle") as err:
-        loiter_route(50.0, 15.0, 400.0, 1.0, 35.0, 600.0, waypoint_interval_s=100.0)
+        LoiterSpec(50.0, 15.0, 400.0, 1.0, 35.0, 600.0, waypoint_interval_s=100.0).route
     assert err.value.field == "waypoint_interval_s"
 
 
@@ -387,7 +388,7 @@ def test_loiter_validation():
 def test_loiter_nan_fails_its_own_checks(radius, speed, duration, field):
     # not later, as a latitude out of range
     with pytest.raises(ConfigError, match="nan is outside") as err:
-        loiter_route(10.0, 20.0, 500.0, radius, speed, duration)
+        LoiterSpec(10.0, 20.0, 500.0, radius, speed, duration).route
     assert err.value.field == field
 
 
@@ -398,8 +399,8 @@ def test_loiter_nan_fails_its_own_checks(radius, speed, duration, field):
     bearing=st.floats(0.0, 360.0),
 )
 def test_loiter_waypoints_equidistant_from_center(lat, radius, speed, bearing):
-    route = loiter_route(lat, 10.0, 300.0, radius, speed, 120.0,
-                         start_bearing_deg=bearing)
+    route = LoiterSpec(lat, 10.0, 300.0, radius, speed, 120.0,
+                       start_bearing_deg=bearing).route
     for _, plat, plon, _ in route.points:
         r_km = _central_angle(lat, 10.0, plat, plon) * EARTH_RADIUS
         assert r_km == pytest.approx(radius, rel=1e-9)
@@ -456,9 +457,9 @@ def test_loiter_matches_the_per_leg_formula(case):
                               "duration_s", "interval_s", "bearing_deg")]
     if max(sin_half_turns, default=0.0) > 1.0:
         with pytest.raises(ConfigError, match="fit across the circle"):
-            loiter_route(*args)
+            LoiterSpec(*args).route
         return
-    route = loiter_route(*args)
+    route = LoiterSpec(*args).route
     expected = np.array(points)
     assert route.points[:, 0].tolist() == expected[:, 0].tolist()
     assert np.all(route.points[:, 3] == case["alt_m"])
@@ -693,7 +694,7 @@ def test_readme_example_runs_and_omitted_keys_take_spec_defaults(tmp_path):
         assert getattr(owner, f.name) == default, (type(owner).__name__, f.name)
     # the loiter keys it omits take LoiterSpec's defaults
     flight = {k: float(v) for k, v in scenario["flight"].items() if k != "type"}
-    assert spec.route == loiter_route(**flight, duration_s=spec.duration_s)
+    assert spec.route == LoiterSpec(**flight, duration_s=spec.duration_s).route
 
 
 def test_every_number_field_of_a_spec_declares_a_domain():
@@ -713,11 +714,19 @@ def test_every_number_field_of_a_spec_declares_a_domain():
 
 def test_readme_domain_table_is_the_declared_domains():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = readme.split("| spec | key | domain | why |\n", 1)[1].split("\n\n", 1)[0]
-    rows = [[cell.strip() for cell in line.strip("|").split("|")]
-            for line in table.splitlines()[1:]]
-    assert rows == [[f"`{cls.__name__}`", f"`{key}`", f"`{meta['domain']}`", meta["why"]]
-                    for cls, _, meta, key in domains()]
+
+    def rows(header):
+        table = readme.split(header + "\n", 1)[1].split("\n\n", 1)[0]
+        return [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.splitlines()[1:]]
+
+    assert rows("| spec | key | domain | why |") == [
+        [f"`{cls.__name__}`", f"`{key}`", f"`{meta['domain']}`", meta["why"]]
+        for cls, _, meta, key in domains()]
+    # the run parameters' block
+    assert rows("| call | parameter | domain | why |") == [
+        [f"`{call}`", f"`{f.name}`", f"`{meta['domain']}`", meta["why"]]
+        for call, f, meta in run_parameter_domains()]
 
 
 @pytest.mark.parametrize("override, field", [
