@@ -12,40 +12,9 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
+from .phy import MODES
 from .pipeline import compare_reports, run_scenario, sweep_cnr, write_sweep_csv
 from .scenarios import builtin_catalog, resolve_scenario
-
-
-def _add_run(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("run", help="simulate one scenario end to end")
-    p.add_argument("--scenario", required=True,
-                   help="built-in scenario id or path to a scenario JSON file")
-    p.add_argument("--step", type=float, default=1.0,
-                   help="access-timeline step in seconds (default 1)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--out", default="out", help="output directory (default ./out)")
-    p.add_argument("--mode", choices=("mc", "expected"), default="mc",
-                   help="bit-error draw mode (default mc)")
-    p.add_argument("--frames", type=int, default=100,
-                   help="10 ms frames to simulate (default 100)")
-
-
-def _add_sweep(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("sweep", help="BER/data-rate versus CNR for a scenario")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--cnr-min", type=float, required=True)
-    p.add_argument("--cnr-max", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("mc", "expected"), default="mc")
-    p.add_argument("--out", default="out")
-
-
-def _add_compare(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("compare", help="field-by-field diff of two run reports")
-    p.add_argument("report_a")
-    p.add_argument("report_b")
 
 
 def _check_out(out: str, scenario_id: str) -> None:
@@ -116,16 +85,37 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rwasim",
         description="Satellite-link simulator for rotary-wing aircraft")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_run(sub)
-    _add_sweep(sub)
+    shared = argparse.ArgumentParser(add_help=False)   # the flags of run and sweep
+    shared.add_argument("--scenario", required=True,
+                        help="built-in scenario id or path to a scenario JSON file")
+    shared.add_argument("--frames", type=int, default=100,
+                        help="10 ms frames to simulate, a sweep's per point (default 100)")
+    shared.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    shared.add_argument("--mode", choices=MODES, default="mc",
+                        help="bit-error draw mode (default mc)")
+    shared.add_argument("--out", default="out", help="output directory (default ./out)")
+    run = sub.add_parser("run", parents=[shared], help="simulate one scenario end to end")
+    run.add_argument("--step", type=float, default=1.0,
+                     help="access-timeline step in seconds (default 1)")
+    sweep = sub.add_parser("sweep", parents=[shared],
+                           help="BER/data-rate versus CNR for a scenario")
+    sweep.add_argument("--cnr-min", type=float, required=True)
+    sweep.add_argument("--cnr-max", type=float, required=True)
+    sweep.add_argument("--points", type=int, required=True)
     sub.add_parser("catalog", help="list the built-in scenarios")
-    _add_compare(sub)
-    args = parser.parse_args(argv)
+    compare = sub.add_parser("compare", help="field-by-field diff of two run reports")
+    compare.add_argument("report_a")
+    compare.add_argument("report_b")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     handlers = {"run": _cmd_run, "sweep": _cmd_sweep,
                 "catalog": _cmd_catalog, "compare": _cmd_compare}

@@ -23,6 +23,9 @@ SYMBOLS_PER_SLOT = 14
 # bits per modulation symbol
 MODULATION_ORDER = {"QPSK": 2, "16QAM": 4, "64QAM": 6}
 
+# how a BER becomes bit errors: "mc" draws them, "expected" takes their mean
+MODES = ("mc", "expected")
+
 # Second word of the "mc" stream's seed, ``SeedSequence((seed, MC_STREAM_TAG))``;
 # fixed, so a run's draws depend on its seed alone.
 MC_STREAM_TAG = 0x6D63
@@ -91,18 +94,12 @@ NTN_BANDS: dict[str, NtnBand] = {
 class Mcs:
     """Modulation and coding selection for the payload."""
 
-    modulation: str
+    modulation: str = domain(names=MODULATION_ORDER, why="the modulations uncoded_ber models")
     code_rate: float = domain("(0, 1]", "the share of coded bits that carry data")
     coding_gain_db: float = domain("[0, 20]", "Shannon allows 12 dB at BER 1e-6", default=6.0)
 
     def __post_init__(self) -> None:
         check_domains(self)
-        if self.modulation not in MODULATION_ORDER:
-            raise ConfigError(
-                f"unknown modulation {self.modulation!r} "
-                f"(choose from {sorted(MODULATION_ORDER)})",
-                field="modulation",
-            )
 
     @property
     def bits_per_symbol(self) -> int:
@@ -123,7 +120,7 @@ class PhyConfig:
     scs_khz: int = domain("[15, 120]", "NR numerologies 0 to 3; NUMEROLOGIES holds each")
     n_rb: int = domain("[1, 275]", "an NR carrier holds at most 275 resource blocks")
     mcs: Mcs
-    ntn_band: str | None = None
+    ntn_band: str | None = domain(names=NTN_BANDS, why="the satellite NR bands", default=None)
     overhead: float = domain("[0, 1]", "the share of REs lost to control", default=0.0)
 
     def __post_init__(self) -> None:
@@ -165,13 +162,7 @@ def validate_channel(phy: PhyConfig, direction: str) -> None:
                           field="overhead")
     if phy.ntn_band is None:
         return
-    try:
-        band = NTN_BANDS[phy.ntn_band]
-    except KeyError:
-        raise ConfigError(
-            f"unknown NTN band {phy.ntn_band!r} (choose from {sorted(NTN_BANDS)})",
-            field="ntn_band",
-        ) from None
+    band = NTN_BANDS[phy.ntn_band]
     f_lo, f_hi = band.uplink_ghz if direction == "uplink" else band.downlink_ghz
     if not f_lo <= phy.carrier_ghz <= f_hi:
         raise ConfigError(
@@ -316,7 +307,7 @@ class SlotTable:
     """
 
     numerology: Numerology
-    mode: str                       # "mc" or "expected": the rule behind `decoded`
+    mode: str                       # one of MODES: the rule behind `decoded`
     payload: int                    # payload bits of every slot
     frame_cnr_db: np.ndarray        # float64 per frame
     frame_ber: np.ndarray           # channel BER per frame
@@ -433,8 +424,8 @@ def simulate_frames(
     a ConfigError on ``n_frames`` above the slot budget ``MAX_SLOTS``,
     and a ValueError on a NaN CNR (an infinite one is a valid channel).
     """
-    if mode not in ("mc", "expected"):
-        raise ValueError("mode must be 'mc' or 'expected'")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     if n_frames < 0:
         raise ValueError("n_frames must be >= 0")
 
@@ -591,8 +582,8 @@ def sweep_stats(
     closed form.  A point's stream is its own, so a point whose draws can
     only be 0 (:func:`_silent`) builds none.  A NaN CNR is a ValueError.
     """
-    if mode not in ("mc", "expected"):
-        raise ValueError("mode must be 'mc' or 'expected'")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     if elapsed_ms <= 0.0:
         raise ValueError("elapsed_ms must be > 0")
     n_slots = len(erased)

@@ -20,7 +20,7 @@ from .errors import ConfigError, check_domains, domain
 from .linkbudget import (atmospheric_loss, compute_cnr, fspl, off_boresight_gain,
                          pointing_offset, rescale_cnr)
 from .orbit import AccessTimeline, build_access_timeline
-from .phy import (FRAME_MS, FrameStats, SlotTable, aggregate, check_slot_budget,
+from .phy import (FRAME_MS, MODES, FrameStats, SlotTable, aggregate, check_slot_budget,
                   erased_slots, simulate_frames, sweep_stats)
 from .scenarios import ScenarioSpec
 
@@ -239,7 +239,7 @@ class RunParameters:
 
     step_s: float = domain("(0, inf)", "time moves on; MAX_STEPS bounds it from below")
     seed: int = domain("[0, inf)", "numpy seeds its generators from non-negative integers")
-    mode: str
+    mode: str = domain(names=MODES, why="mc draws bit errors, expected takes their mean")
     n_frames: int = domain("[0, inf)", "0 frames report the geometry alone; MAX_SLOTS bounds it")
 
 
@@ -252,25 +252,15 @@ class SweepParameters:
     points: int = domain("[1, inf)", "a curve of one point or more; MAX_POINTS bounds it")
     n_frames: int = domain("[1, inf)", "a point of no frames has no BER; MAX_SLOTS bounds it")
     seed: int = domain("[0, inf)", "numpy seeds its generators from non-negative integers")
-    mode: str
+    mode: str = domain(names=MODES, why="mc draws bit errors, expected takes their mean")
     access_step_s: float = domain("(0, inf)", "time moves on; MAX_STEPS bounds it from below")
 
 
 def _checked(settings) -> tuple:
-    """The values of ``settings``, an int's as an ``int``; else a ConfigError
-    naming the first int field holding no integer (a bool is none), then the
-    first value outside its domain, then a ``mode`` not "mc" or "expected"."""
-    values = []
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        whole = f.type == "int"   # the annotation, a string under `from __future__`
-        if whole and (isinstance(value, bool) or not hasattr(value, "__index__")):
-            raise ConfigError(f"expected an integer, got {value!r}", field=f.name)
-        values.append(operator.index(value) if whole else value)
+    """The values of ``settings`` once check_domains admits them, an int field's as an int."""
     check_domains(settings)
-    if settings.mode not in ("mc", "expected"):
-        raise ConfigError(f"expected 'mc' or 'expected', got {settings.mode!r}", field="mode")
-    return tuple(values)
+    return tuple(operator.index(getattr(settings, f.name)) if f.type == "int"
+                 else getattr(settings, f.name) for f in fields(settings))
 
 
 def run_scenario(

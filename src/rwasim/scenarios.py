@@ -50,7 +50,7 @@ class AircraftSpec:
 
     name: str
     steerable: bool
-    band: str
+    band: str = domain(names=BANDS, why="the bands the loss model and payloads cover")
     bandwidth_mhz: float = domain("[5, 400]", "the CNR's noise bandwidth: an NR channel")
     beamwidth_deg: tuple[float, float] = domain("[0.01, 360]", "a big dish's beam to a full turn")
     max_gain_dbi: float = domain("[-50, 100]", "a lossy whip to past the largest dish's 90 dBi")
@@ -64,9 +64,6 @@ class AircraftSpec:
 
     def __post_init__(self) -> None:
         check_domains(self)
-        if self.band not in BANDS:
-            raise ConfigError(f"unknown band {self.band!r} (choose from {BANDS})",
-                              field="band")
         if not (len(self.beamwidth_deg) == 2 and self.beamwidth_deg[0] <= self.beamwidth_deg[1]):
             raise ConfigError("beamwidth_deg must be an ordered (min, max) pair",
                               field="beamwidth_deg")
@@ -125,7 +122,7 @@ class ConstellationSpec:
     raans_deg: tuple[float, ...] = domain(
         "[-3600, 3600]", "one per plane, in ten turns: a spacing rule passes 360", "raan_deg")
     sats_per_plane: int = domain("[1, inf)", "at least one; MAX_SATELLITES bounds the shell")
-    payloads: dict[str, RfPayloadSpec]
+    payloads: dict[str, RfPayloadSpec] = domain(names=BANDS, why="one payload a link band")
     phasing_factor: int = domain(f"[0, {MAX_SATELLITES})", "Walker's F is below P", default=0)
     anomaly_offset_deg: float = domain("[-360, 360]", "a turn either way", default=0.0)
 
@@ -142,10 +139,6 @@ class ConstellationSpec:
                               field="inclination_deg")
         if len(self.raans_deg) != self.planes:
             raise ConfigError("need one RAAN per plane", field="raan_deg")
-        for band in self.payloads:
-            if band not in BANDS:
-                raise ConfigError(f"unknown payload band {band!r}",
-                                  field="payloads")
 
     @property
     def total_sats(self) -> int:
@@ -360,7 +353,7 @@ class ScenarioSpec:
     id: str
     aircraft: AircraftSpec
     constellation: ConstellationSpec
-    direction: str                      # uplink or downlink
+    direction: str = domain(names=DIRECTIONS, why="the aircraft sends or receives")
     duration_s: float = domain("[0, inf)", "no flight ends before it starts; MAX_STEPS bounds it")
     route: FlightRoute
     phy: PhyConfig
@@ -378,9 +371,6 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         check_domains(self)
-        if self.direction not in DIRECTIONS:
-            raise ConfigError(f"direction must be one of {DIRECTIONS}",
-                              field="direction")
         if self.band not in self.constellation.payloads:
             raise ConfigError(
                 f"constellation {self.constellation.name} has no {self.band} "

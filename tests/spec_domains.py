@@ -63,9 +63,20 @@ def domains() -> list:
             for meta, key in _declared(f)]
 
 
+_CALLS = (("run_scenario", RunParameters), ("sweep_cnr", SweepParameters))
+
+
 def run_parameter_domains() -> list:
     """(the call, the field, the domain's metadata) of each run setting with
-    a declared domain: ``run_scenario``'s, then ``sweep_cnr``'s."""
-    return [(call, f, f.metadata) for call, cls in (("run_scenario", RunParameters),
-                                                     ("sweep_cnr", SweepParameters))
-            for f in fields(cls) if f.metadata]
+    a declared interval: ``run_scenario``'s, then ``sweep_cnr``'s."""
+    return [(call, f, f.metadata) for call, cls in _CALLS for f in fields(cls)
+            if "domain" in f.metadata]
+
+
+def declared_names() -> list:
+    """(the spec class's name or the call's, the key, the metadata) of each
+    field that declares a set of names: the specs' in ``spec_classes``
+    order, then the run settings'."""
+    owners = [(cls.__name__, cls) for cls in spec_classes()] + list(_CALLS)
+    return [(owner, f.metadata["key"] or f.name, f.metadata) for owner, cls in owners
+            for f in fields(cls) if "names" in f.metadata]

@@ -27,7 +27,7 @@ from rwasim.cli import main
 from rwasim.errors import ConfigError
 from rwasim.pipeline import run_scenario
 from rwasim.scenarios import builtin_catalog, parse_catalog, serialize_scenario
-from spec_domains import domains, run_parameter_domains
+from spec_domains import declared_names, domains, run_parameter_domains
 
 MEGA_SHELL = str(Path(__file__).resolve().parents[1] / "tools" / "mega_shell.json")
 # scenario-7's loiter, as the built-in document writes it
@@ -365,6 +365,37 @@ def test_each_leaf_just_outside_its_domain_exits_2_and_at_its_edge_runs(tmp_path
         else:
             # a rule that ties this field to another may still refuse it
             assert code == 0 or code == 2 and "is outside" not in err, (value, err)
+
+
+def test_each_name_outside_its_declared_names_exits_2(tmp_path, capsys):
+    spec = builtin_catalog().scenarios["scenario-7"]
+
+    def objects(doc):
+        """The object of a serialized scenario-7 that fills each spec."""
+        scenario = doc["scenarios"][0]
+        return {"ScenarioSpec": scenario, "AircraftSpec": doc["aircraft"][spec.aircraft.name],
+                "ConstellationSpec": doc["constellations"][spec.constellation.name],
+                "PhyConfig": scenario["phy"], "Mcs": scenario["phy"]["mcs"]}
+
+    # a run's and a sweep's mode is the CLI's choice, which argparse checks
+    rows = [(owner, key) for owner, key, _ in declared_names()
+            if owner in objects(serialize_scenario(spec))]
+    assert {key for _, key in rows} == {"direction", "band", "payloads", "ntn_band",
+                                        "modulation"}
+    for n, (owner, key) in enumerate(rows):
+        doc = serialize_scenario(spec)
+        obj = objects(doc)[owner]
+        if isinstance(obj[key], dict):   # a mapping holds the names as its keys
+            obj[key]["bogus"] = next(iter(obj[key].values()))
+        else:
+            obj[key] = "bogus"
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        out = tmp_path / f"out-{n}"
+        code = main(["run", "--scenario", str(tmp_path / "scenario.json"), "--step", "300",
+                     "--frames", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: {key}: 'bogus' is not one of "), err
+        assert not out.exists()
 
 
 # === the run parameters' declared domains, row by row ===

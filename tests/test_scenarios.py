@@ -30,8 +30,8 @@ from rwasim.scenarios import (
     resolve_scenario,
     serialize_scenario,
 )
-from spec_domains import (domains, holds_numbers, holds_table, run_parameter_domains,
-                          spec_classes)
+from spec_domains import (declared_names, domains, holds_numbers, holds_table,
+                          run_parameter_domains, spec_classes)
 
 SCENARIO_IDS = {
     "scenario-6", "scenario-7", "scenario-11",
@@ -727,6 +727,10 @@ def test_readme_domain_table_is_the_declared_domains():
     assert rows("| call | parameter | domain | why |") == [
         [f"`{call}`", f"`{f.name}`", f"`{meta['domain']}`", meta["why"]]
         for call, f, meta in run_parameter_domains()]
+    # the names: the specs' fields, then the run parameters'
+    assert rows("| spec or call | key | names | why |") == [
+        [f"`{owner}`", f"`{key}`", ", ".join(f"`{name}`" for name in meta["names"]),
+         meta["why"]] for owner, key, meta in declared_names()]
 
 
 @pytest.mark.parametrize("override, field", [

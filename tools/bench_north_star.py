@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 tools/bench_north_star.py --repeats 5 no-scipy=.
+    python3 tools/bench_north_star.py --repeats 5 head=.
 
 Each ``LABEL=CHECKOUT`` pair names a checkout whose ``src/`` is put on
 ``PYTHONPATH``.  Every command below runs in a new interpreter, once per
@@ -29,11 +29,10 @@ speed falls on all of them alike:
 For each checkout it writes ``BENCH_<LABEL>.json`` to the current
 directory: the median and quartiles of every command's wall time and
 of the per-repeat total, the core count and the Python and numpy
-versions (scipy's too when it is installed).  Next to a command's wall
-time, under its ``cpu_s`` and ``max_rss_mb`` keys, are the same
-statistics of the child's CPU time (user plus system) and maximum
-resident set size, read from ``os.wait4``; records made before these
-were added lack the two keys.  The total leaves out the mega-shell, scale
+versions.  Next to a command's wall time, under its ``cpu_s`` and
+``max_rss_mb`` keys, are the same statistics of the child's CPU time
+(user plus system) and maximum resident set size, read from
+``os.wait4``; records made before these were added lack the two keys.  The total leaves out the mega-shell, scale
 and floor commands, so it compares with records made before they were
 added.
 Given several checkouts, it also records under ``same_outputs_as``, for
@@ -147,13 +146,7 @@ def _source_digest(src: Path) -> str:
 
 
 def _versions() -> dict[str, str]:
-    versions = {"python": platform.python_version()}
-    for name in ("numpy", "scipy"):
-        try:
-            versions[name] = importlib.metadata.version(name)
-        except importlib.metadata.PackageNotFoundError:
-            pass
-    return versions
+    return {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy")}
 
 
 class Sample(NamedTuple):
