@@ -104,9 +104,9 @@ def _parser() -> argparse.ArgumentParser:
                      help="access-timeline step in seconds (default 1)")
     sweep = sub.add_parser("sweep", parents=[shared],
                            help="BER/data-rate versus CNR for a scenario")
-    sweep.add_argument("--cnr-min", type=float, required=True)
-    sweep.add_argument("--cnr-max", type=float, required=True)
-    sweep.add_argument("--points", type=int, required=True)
+    sweep.add_argument("--cnr-min", type=float, required=True, help="first CNR of the grid, dB")
+    sweep.add_argument("--cnr-max", type=float, required=True, help="last CNR of the grid, dB")
+    sweep.add_argument("--points", type=int, required=True, help="grid points, evenly spaced")
     sub.add_parser("catalog", help="list the built-in scenarios")
     compare = sub.add_parser("compare", help="field-by-field diff of two run reports")
     compare.add_argument("report_a")

@@ -242,6 +242,18 @@ def test_negative_cnr_bound_in_scientific_notation_joins_its_flag(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["cnr_db", "-1000", "20"]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_help_documents_every_flag(capsys, command):
+    # sweep's --scenario, --frames, --seed, --mode and --out had no help text
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    flags = cli._parser()._subparsers._group_actions[0].choices[command]._actions[1:]
+    assert len(flags) == {"run": 6, "sweep": 8}[command]
+    assert all(flag.help for flag in flags), [flag.dest for flag in flags if not flag.help]
+    assert "--mode {mc,expected}" in capsys.readouterr().out
+
+
 def test_a_step_longer_than_the_flight_takes_the_first_sample(tmp_path, capsys):
     # scenario-7 flies 7,200 s: at --step 7201 it took no sample and exited
     # 3, "no satellite above 40.0 deg at any sample"

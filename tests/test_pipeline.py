@@ -925,36 +925,51 @@ def _payloads_with_w(spec):
     return replace(spec.constellation, payloads={**payloads, "W": payloads[spec.band]})
 
 
-@pytest.mark.parametrize("call, field", [
+@pytest.mark.parametrize("call, field, said", [
     # a spec took these and ran: 2.5 blades, 41.5 resource blocks, a string
     # flag read as true, and a bool step read as 1 s
-    pytest.param(lambda spec: _rotor(spec, n_blades=2.5), "n_blades", id="fractional-blades"),
-    pytest.param(lambda spec: replace(spec.phy, n_rb=41.5), "n_rb", id="fractional-n-rb"),
-    pytest.param(lambda spec: run_scenario(spec, step_s=True), "step_s", id="bool-step"),
+    pytest.param(lambda spec: _rotor(spec, n_blades=2.5), "n_blades",
+                 "expected an integer, got 2.5", id="fractional-blades"),
+    pytest.param(lambda spec: replace(spec.phy, n_rb=41.5), "n_rb",
+                 "expected an integer, got 41.5", id="fractional-n-rb"),
+    pytest.param(lambda spec: run_scenario(spec, step_s=True), "step_s",
+                 "expected a number, got True", id="bool-step"),
     pytest.param(lambda spec: replace(spec, randomize_blade_phase="false"),
-                 "randomize_blade_phase", id="string-randomize"),
+                 "randomize_blade_phase", "expected true or false, got 'false'",
+                 id="string-randomize"),
     pytest.param(lambda spec: replace(spec.aircraft, steerable="no"), "steerable",
-                 id="string-steerable"),
+                 "expected true or false, got 'no'", id="string-steerable"),
     # these met a bare TypeError in check_domains' comparisons
-    pytest.param(lambda spec: _rotor(spec, rpm="400"), "rpm", id="string-rpm"),
-    pytest.param(lambda spec: replace(spec, margin_db="3"), "margin_db", id="string-margin"),
-    pytest.param(lambda spec: run_scenario(spec, step_s="60"), "step_s", id="string-step"),
-    pytest.param(lambda spec: sweep_cnr(spec, "0", 10.0, 2), "cnr_min_db", id="string-cnr"),
-    # names outside their declared sets
-    pytest.param(lambda spec: replace(spec.aircraft, band="X"), "band", id="band"),
-    pytest.param(lambda spec: replace(spec, direction="sideways"), "direction", id="direction"),
+    pytest.param(lambda spec: _rotor(spec, rpm="400"), "rpm", "expected a number, got '400'",
+                 id="string-rpm"),
+    pytest.param(lambda spec: replace(spec, margin_db="3"), "margin_db",
+                 "expected a number, got '3'", id="string-margin"),
+    pytest.param(lambda spec: run_scenario(spec, step_s="60"), "step_s",
+                 "expected a number, got '60'", id="string-step"),
+    pytest.param(lambda spec: sweep_cnr(spec, "0", 10.0, 2), "cnr_min_db",
+                 "expected a number, got '0'", id="string-cnr"),
+    # names outside their declared sets; each had its own check and wording,
+    # and an unknown ntn_band passed until validate_channel
+    pytest.param(lambda spec: replace(spec.aircraft, band="X"), "band",
+                 "'X' is not one of S, Ku, Ka: ", id="band"),
+    pytest.param(lambda spec: replace(spec, direction="sideways"), "direction",
+                 "'sideways' is not one of uplink, downlink: ", id="direction"),
     pytest.param(lambda spec: replace(spec.phy.mcs, modulation="8PSK"), "modulation",
-                 id="modulation"),
-    pytest.param(lambda spec: replace(spec.phy, ntn_band="n999"), "ntn_band", id="ntn-band"),
-    pytest.param(_payloads_with_w, "payloads", id="payload-band"),
-    pytest.param(lambda spec: run_scenario(spec, mode="bogus"), "mode", id="mode"),
+                 "'8PSK' is not one of QPSK, 16QAM, 64QAM: ", id="modulation"),
+    pytest.param(lambda spec: replace(spec.phy, ntn_band="n999"), "ntn_band",
+                 "'n999' is not one of n254, ", id="ntn-band"),
+    pytest.param(_payloads_with_w, "payloads", "'W' is not one of S, Ku, Ka: ",
+                 id="payload-band"),
+    pytest.param(lambda spec: run_scenario(spec, mode="bogus"), "mode",
+                 "'bogus' is not one of mc, expected: ", id="mode"),
 ])
-def test_every_declared_value_is_admitted_by_kind_and_domain(call, field):
+def test_every_declared_value_is_admitted_by_kind_and_domain(call, field, said):
     spec = builtin_catalog().scenarios["scenario-7"]  # a rotor under a fixed antenna
     with mock.patch.object(orbit_module, "_shell_angles", side_effect=AssertionError):
         with pytest.raises(ConfigError) as err:
             call(spec)
     assert err.value.field == field
+    assert str(err.value).startswith(f"{field}: {said}"), err.value
 
 
 def test_point_budget_fails_before_any_work(tmp_path, capsys):

@@ -32,9 +32,9 @@ of the per-repeat total, the core count and the Python and numpy
 versions.  Next to a command's wall time, under its ``cpu_s`` and
 ``max_rss_mb`` keys, are the same statistics of the child's CPU time
 (user plus system) and maximum resident set size, read from
-``os.wait4``; records made before these were added lack the two keys.  The total leaves out the mega-shell, scale
-and floor commands, so it compares with records made before they were
-added.
+``os.wait4``; records made before these were added lack the two keys.
+The total leaves out the mega-shell, scale and floor commands, so it
+compares with records made before they were added.
 Given several checkouts, it also records under ``same_outputs_as``, for
 every checkout after the first, whether its first repeat wrote the same
 files, byte for byte, as the first checkout's (``{"<first label>":

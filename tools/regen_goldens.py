@@ -36,6 +36,7 @@ from test_golden import (GOLDEN, RUN_ARGS, SCENARIOS, SWEEP_ARGS, SWEEPS, TABLES
                          frame_facts)
 
 from rwasim.cli import main  # noqa: E402
+from rwasim.phy import MODES  # noqa: E402
 
 
 def _snapshot() -> dict:
@@ -48,7 +49,7 @@ def regen() -> list[str]:
     before = _snapshot()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for scenario_id in SCENARIOS:
-            for mode in ("mc", "expected"):
+            for mode in MODES:
                 out = Path(tmp) / mode
                 if main(["run", "--scenario", scenario_id, *RUN_ARGS, "--mode", mode,
                          "--out", str(out)]) != 0:
@@ -63,7 +64,7 @@ def regen() -> list[str]:
                         if (run_dir / table).exists():
                             shutil.copyfile(run_dir / table, GOLDEN / f"{scenario_id}-{table}")
         for scenario_id in SWEEPS:
-            for mode in ("mc", "expected"):
+            for mode in MODES:
                 out = Path(tmp) / f"sweep-{mode}"
                 if main(["sweep", "--scenario", scenario_id, *SWEEP_ARGS, "--mode", mode,
                          "--out", str(out)]) != 0:
